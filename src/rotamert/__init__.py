@@ -41,6 +41,7 @@ from .descent import (
 from .envelope import (
     IntervalSweep,
     LineSearchResult,
+    PackedCorpus,
     ScoreLine,
     SentenceEnvelope,
     line_search,
@@ -78,6 +79,7 @@ __all__ = [
     "KcdConfig",
     "KcdTrace",
     "LineSearchResult",
+    "PackedCorpus",
     "Rotation",
     "RssRecord",
     "RssResult",

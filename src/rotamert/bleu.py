@@ -55,6 +55,14 @@ class BleuStats:
     def zero() -> "BleuStats":
         return BleuStats((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
 
+    def row(self) -> tuple[int, ...]:
+        """The ten integers ``match_n + total_n + (hyp_len, ref_len)``."""
+        return (*self.match_n, *self.total_n, self.hyp_len, self.ref_len)
+
+    @staticmethod
+    def from_row(row: Sequence[int]) -> "BleuStats":
+        return BleuStats(tuple(row[0:4]), tuple(row[4:8]), row[8], row[9])
+
 
 @dataclass(frozen=True)
 class ErrorValue:
@@ -73,28 +81,45 @@ def closest_ref_len(hyp_len: int, ref_lens: Iterable[int]) -> int:
     return min(ref_lens, key=lambda rl: (abs(rl - hyp_len), rl))
 
 
-def sentence_bleu_stats(hyp: Sequence[str], refs: Sequence[Tokens]) -> BleuStats:
-    """Clipped n-gram statistics of one hypothesis against its references.
+def _reference_maxima(refs: Sequence[Tokens]) -> tuple[list[Counter], tuple[int, ...]]:
+    """Per-order max n-gram counts over a sentence's references, and their lengths.
+
+    They depend on the sentence only, so every hypothesis of it shares them.
+    """
+    if not refs:
+        raise NoReferences("sentence has no references")
+    maxima = []
+    for n in range(1, NGRAM_ORDER + 1):
+        ref_max: Counter = Counter()
+        for ref in refs:
+            ref_max |= _ngram_counts(ref, n)
+        maxima.append(ref_max)
+    return maxima, tuple(len(r) for r in refs)
+
+
+def _clipped_stats(
+    hyp: Sequence[str], maxima: Sequence[Counter], ref_lens: Sequence[int]
+) -> BleuStats:
+    """Statistics of one hypothesis against :func:`_reference_maxima`.
 
     Matches at order n are ``sum_g min(count_hyp(g), max_r count_r(g))``;
     totals are the plain n-gram counts of the hypothesis.
     """
-    if not refs:
-        raise NoReferences("sentence has no references")
     hyp = tuple(hyp)
     hyp_len = len(hyp)
     matches = []
-    totals = []
-    for n in range(1, NGRAM_ORDER + 1):
+    for n, ref_max in enumerate(maxima, start=1):
         hyp_counts = _ngram_counts(hyp, n)
-        ref_max: Counter = Counter()
-        for ref in refs:
-            ref_max |= _ngram_counts(ref, n)
-        matches.append(sum(min(c, ref_max[g]) for g, c in hyp_counts.items()))
-        totals.append(max(0, hyp_len - n + 1))
-    return BleuStats(
-        tuple(matches), tuple(totals), hyp_len, closest_ref_len(hyp_len, (len(r) for r in refs))
-    )
+        matches.append(
+            sum(min(hyp_counts[g], ref_max[g]) for g in hyp_counts.keys() & ref_max.keys())
+        )
+    totals = tuple(max(0, hyp_len - n + 1) for n in range(1, NGRAM_ORDER + 1))
+    return BleuStats(tuple(matches), totals, hyp_len, closest_ref_len(hyp_len, ref_lens))
+
+
+def sentence_bleu_stats(hyp: Sequence[str], refs: Sequence[Tokens]) -> BleuStats:
+    """Clipped n-gram statistics of one hypothesis against its references."""
+    return _clipped_stats(hyp, *_reference_maxima(refs))
 
 
 def aggregate(stats: Iterable[BleuStats]) -> BleuStats:
@@ -107,27 +132,38 @@ def aggregate(stats: Iterable[BleuStats]) -> BleuStats:
 
 def corpus_bleu(agg: BleuStats) -> ErrorValue:
     """Score aggregated statistics; returns error = 1 - BLEU on [0, 1]."""
-    if agg.hyp_len == 0:
+    return row_bleu(agg.row())
+
+
+def row_bleu(row: Sequence[int]) -> ErrorValue:
+    """:func:`corpus_bleu` of statistics laid out as :meth:`BleuStats.row`."""
+    match_n, total_n, hyp_len, ref_len = row[0:4], row[4:8], row[8], row[9]
+    if hyp_len == 0:
         return ErrorValue(1.0, 0.0)
-    if any(t == 0 for t in agg.total_n) or any(m == 0 for m in agg.match_n):
+    if any(t == 0 for t in total_n) or any(m == 0 for m in match_n):
         return ErrorValue(1.0, 0.0)
     log_precision = sum(
-        math.log(m / t) for m, t in zip(agg.match_n, agg.total_n)
+        math.log(m / t) for m, t in zip(match_n, total_n)
     ) / NGRAM_ORDER
-    if agg.hyp_len > agg.ref_len:
+    if hyp_len > ref_len:
         brevity = 1.0
     else:
-        brevity = math.exp(1.0 - agg.ref_len / agg.hyp_len)
+        brevity = math.exp(1.0 - ref_len / hyp_len)
     bleu = brevity * math.exp(log_precision)
     return ErrorValue(1.0 - bleu, bleu)
 
 
 def hypothesis_stats(corpus: TuningCorpus) -> list[list[BleuStats]]:
-    """Per-(sentence, hypothesis) statistics, computed once per corpus."""
-    return [
-        [sentence_bleu_stats(h.tokens, entry.references) for h in entry.hypotheses]
-        for entry in corpus.entries
-    ]
+    """Per-(sentence, hypothesis) statistics, computed once per corpus.
+
+    Each sentence's reference maxima are built once and shared by all
+    of its hypotheses.
+    """
+    out = []
+    for entry in corpus.entries:
+        maxima, ref_lens = _reference_maxima(entry.references)
+        out.append([_clipped_stats(h.tokens, maxima, ref_lens) for h in entry.hypotheses])
+    return out
 
 
 def selection_error(

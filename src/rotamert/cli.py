@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -164,6 +165,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if key in _CLI_STRING_KEYS:
             value = _CONVERTERS[key](value)
         cfg = replace(cfg, **{key: value})
+    cpus = os.cpu_count() or 1
+    if not 1 <= cfg.jobs <= cpus:
+        raise ConfigError(f"jobs must be between 1 and {cpus} (the CPU count), got {cfg.jobs}")
     return cfg
 
 

@@ -11,13 +11,14 @@ most profitable step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import BleuStats, ErrorValue, hypothesis_stats, selection_error
 from .corpus import TuningCorpus
-from .envelope import dot, line_search
+from .envelope import PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 
 if TYPE_CHECKING:
@@ -74,27 +75,26 @@ class KcdTrace:
         return "\n".join(rows) + "\n"
 
 
-def select_hypotheses(corpus: TuningCorpus, w: Sequence[float]) -> list[int]:
+def select_hypotheses(corpus: TuningCorpus | PackedCorpus, w: Sequence[float]) -> list[int]:
     """Argmax hypothesis per sentence under ``w``; score ties keep the lowest rank."""
-    if len(w) != corpus.feature_dim:
-        raise DimensionMismatch(
-            f"{len(w)} weights for {corpus.feature_dim} features"
-        )
-    chosen = []
-    for entry in corpus.entries:
-        best_index = 0
-        best_score = dot(w, entry.hypotheses[0].features)
-        for i, hyp in enumerate(entry.hypotheses[1:], start=1):
-            score = dot(w, hyp.features)
-            if score > best_score:
-                best_score = score
-                best_index = i
-        chosen.append(best_index)
-    return chosen
+    packed = PackedCorpus.of(corpus)
+    return packed.first_argmax(packed.project(w)).tolist()
 
 
 def uniform_weights(dim: int) -> tuple[float, ...]:
     return (1.0 / dim,) * dim
+
+
+def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ...]:
+    """Validated starting weights; uniform ``1/M`` when none are given."""
+    if init_w is None:
+        return uniform_weights(dim)
+    w = tuple(init_w)
+    if len(w) != dim:
+        raise DimensionMismatch(f"{len(w)} initial weights for {dim} features")
+    if not all(math.isfinite(wi) for wi in w):
+        raise ConfigError(f"initial weights must be finite, got {' '.join(map(repr, w))}")
+    return w
 
 
 def basis_directions(dim: int) -> tuple[tuple[float, ...], ...]:
@@ -140,12 +140,11 @@ def kcd_optimize(
 
     Weights default to uniform ``1/M`` and are never normalized.  Each
     applied step's error is taken from the exact line search, so the
-    trace is non-increasing by construction.
+    trace is non-increasing by construction.  The corpus and its
+    statistics are packed once and shared by every line search.
     """
     dim = corpus.feature_dim
-    w = tuple(init_w) if init_w is not None else uniform_weights(dim)
-    if len(w) != dim:
-        raise DimensionMismatch(f"{len(w)} initial weights for {dim} features")
+    w = initial_weights(init_w, dim)
     directions = basis_directions(dim) if system is None else system.directions
     if config is None:
         config = KcdConfig()
@@ -153,7 +152,8 @@ def kcd_optimize(
         stats_cache = hypothesis_stats(corpus)
 
     active = _check_directions(directions, dim)
-    current = selection_error(stats_cache, select_hypotheses(corpus, w))
+    packed = PackedCorpus.of(corpus, stats_cache)
+    current = selection_error(stats_cache, select_hypotheses(packed, w))
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
     iterations = 0
@@ -163,7 +163,7 @@ def kcd_optimize(
         if config.sweep_mode == "sequential":
             for dim_index in active:
                 direction = directions[dim_index]
-                result = line_search(corpus, stats_cache, w, direction, jobs=jobs)
+                result = line_search(packed, stats_cache, w, direction, jobs=jobs)
                 if result.error_at_star.error > current.error:
                     gamma, step_error = 0.0, current
                 else:
@@ -175,7 +175,7 @@ def kcd_optimize(
             candidates = []
             for dim_index in active:
                 direction = directions[dim_index]
-                result = line_search(corpus, stats_cache, w, direction, jobs=jobs)
+                result = line_search(packed, stats_cache, w, direction, jobs=jobs)
                 candidates.append((result.error_at_star.error, dim_index, result))
             if candidates:
                 _, dim_index, result = min(candidates, key=lambda c: (c[0], c[1]))

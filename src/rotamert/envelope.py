@@ -8,17 +8,27 @@ lines and the breakpoints where the winner changes.  Merging all
 sentences' breakpoints yields intervals on which the corpus-wide
 selection is constant, so interval error statistics update by integer
 deltas while walking left to right.
+
+The search runs on a :class:`PackedCorpus`: features, sentence offsets
+and BLEU statistics as flat arrays.  Projection sums feature columns in
+the fixed order of :func:`dot`, so every score is bit-identical to the
+scalar definition (a BLAS product would reorder the sums).  The
+per-sentence hull and the interval sweep are kernels shared by the
+public :func:`upper_envelope` / :func:`sweep_intervals` and by
+:func:`line_search`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .bleu import BleuStats, ErrorValue, aggregate, corpus_bleu
+import numpy as np
+
+from .bleu import BleuStats, ErrorValue, row_bleu
 from .corpus import SentenceEntry, TuningCorpus
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputError
 
 COALESCE_TOL = 1e-9
 
@@ -56,27 +66,159 @@ class LineSearchResult:
     chosen_interval: tuple[float, float]
 
 
+@dataclass(frozen=True, eq=False)
+class PackedCorpus:
+    """A corpus as flat arrays, one row per hypothesis in sentence order.
+
+    Sentence ``s`` owns rows ``offsets[s]:offsets[s + 1]`` in rank
+    order.  ``stats`` holds each row's :meth:`BleuStats.row`; it is
+    ``None`` when the view was packed for selection only.
+    """
+
+    features: np.ndarray  # float64 (N, M)
+    offsets: np.ndarray  # int64 (S + 1,)
+    stats: np.ndarray | None  # int64 (N, 10)
+    sentence: np.ndarray  # int64 (N,): owning sentence of each row
+    rank: np.ndarray  # int64 (N,): row index within its sentence
+
+    @staticmethod
+    def of(
+        corpus: TuningCorpus | PackedCorpus,
+        stats_cache: Sequence[Sequence[BleuStats]] | None = None,
+    ) -> PackedCorpus:
+        """Pack ``corpus`` (and ``stats_cache``); a packed view passes through."""
+        if isinstance(corpus, PackedCorpus):
+            return corpus
+        counts = [len(entry.hypotheses) for entry in corpus.entries]
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        features = np.array(
+            [h.features for entry in corpus.entries for h in entry.hypotheses],
+            dtype=np.float64,
+        ).reshape(int(offsets[-1]), corpus.feature_dim)
+        stats = None
+        if stats_cache is not None:
+            if [len(row) for row in stats_cache] != counts:
+                raise DimensionMismatch(
+                    "statistics cache does not hold one row per hypothesis "
+                    f"of the corpus ({corpus.size} sentences)"
+                )
+            stats = np.array(
+                [st.row() for row in stats_cache for st in row], dtype=np.int64
+            ).reshape(-1, 10)
+        sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
+        return PackedCorpus(features, offsets, stats, sentence, rank)
+
+    @property
+    def size(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    def project(self, v: Sequence[float]) -> np.ndarray:
+        """Every row's ``dot(v, features)``, bit for bit, as one array."""
+        return _project(self.features, v)
+
+    def first_argmax(self, scores: np.ndarray) -> np.ndarray:
+        """Rank of the highest score per sentence; ties keep the lowest rank."""
+        starts = self.offsets[:-1]
+        best = np.maximum.reduceat(scores, starts)
+        ranks = np.where(scores == best[self.sentence], self.rank, len(scores))
+        return np.minimum.reduceat(ranks, starts)
+
+
 def dot(u: Sequence[float], v: Sequence[float]) -> float:
-    """Fixed-order dot product shared by every scoring path."""
+    """Fixed-order dot product: the summation order every score follows."""
     total = 0.0
     for a, b in zip(u, v):
         total += a * b
     return total
 
 
+def _project(features: np.ndarray, v: Sequence[float]) -> np.ndarray:
+    # Column by column from 0.0, as dot() sums; rejects overflowed scores.
+    if len(v) != features.shape[1]:
+        raise DimensionMismatch(
+            f"vector of length {len(v)} for {features.shape[1]} features"
+        )
+    acc = np.zeros(len(features))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, vj in enumerate(v):
+            acc += features[:, j] * vj
+    if not np.isfinite(acc).all():
+        raise InputError(
+            "feature values times weights overflow: a hypothesis score is not finite"
+        )
+    return acc
+
+
 def project_lines(
     entry: SentenceEntry, w: Sequence[float], d: Sequence[float]
 ) -> list[ScoreLine]:
     """Turn each hypothesis into its score line along ``w + gamma * d``."""
-    dim = len(entry.hypotheses[0].features)
-    if len(w) != dim or len(d) != dim:
-        raise DimensionMismatch(
-            f"weights/direction of lengths {len(w)}/{len(d)} for {dim} features"
+    features = np.array([h.features for h in entry.hypotheses], dtype=np.float64)
+    intercepts = _project(features, w).tolist()
+    slopes = _project(features, d).tolist()
+    return [ScoreLine(a, b, i) for i, (a, b) in enumerate(zip(intercepts, slopes))]
+
+
+Hull = tuple[list[float], list[int]]  # breakpoints, segment labels
+
+
+def _hull(intercepts: list[float], slopes: list[float], labels: list[int]) -> Hull:
+    # One sentence, lines in strictly ascending slope order.
+    stack: list[tuple[float, float, int]] = []
+    breaks: list[float] = []
+    for line in zip(intercepts, slopes, labels):
+        a, b, _ = line
+        while stack:
+            top_a, top_b, _ = stack[-1]
+            crossing = (top_a - a) / (b - top_b)
+            if breaks and crossing <= breaks[-1]:
+                stack.pop()
+                breaks.pop()
+                continue
+            breaks.append(crossing)
+            break
+        stack.append(line)
+    return breaks, [label for _, _, label in stack]
+
+
+def _hulls(
+    intercepts: np.ndarray,
+    slopes: np.ndarray,
+    labels: np.ndarray,
+    sentence: np.ndarray,
+    size: int,
+    mapper: Callable = map,
+) -> list[Hull]:
+    """Upper envelope of each of ``size`` sentences (rows tagged by ``sentence``).
+
+    Lines sort by ascending slope; slope ties keep the higher intercept
+    (it dominates everywhere), full ties the lowest label.
+    """
+    order = np.lexsort((labels, -intercepts, slopes, sentence))
+    owner = sentence[order]
+    slope = slopes[order]
+    first_of_slope = np.ones(len(order), dtype=bool)
+    first_of_slope[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
+    kept = order[first_of_slope]
+    bounds = np.searchsorted(sentence[kept], np.arange(size + 1)).tolist()
+    a = intercepts[kept].tolist()
+    b = slopes[kept].tolist()
+    k = labels[kept].tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    return list(
+        mapper(
+            _hull,
+            [a[lo:hi] for lo, hi in spans],
+            [b[lo:hi] for lo, hi in spans],
+            [k[lo:hi] for lo, hi in spans],
         )
-    return [
-        ScoreLine(dot(w, h.features), dot(d, h.features), i)
-        for i, h in enumerate(entry.hypotheses)
-    ]
+    )
 
 
 def upper_envelope(lines: Sequence[ScoreLine]) -> SentenceEnvelope:
@@ -87,25 +229,57 @@ def upper_envelope(lines: Sequence[ScoreLine]) -> SentenceEnvelope:
     breakpoint where it would take over does not exceed the previous
     one.
     """
-    order = sorted(lines, key=lambda l: (l.slope, -l.intercept, l.hyp_index))
-    hull: list[ScoreLine] = []
-    breaks: list[float] = []
-    for line in order:
-        if hull and line.slope == hull[-1].slope:
-            continue
-        while True:
-            if not hull:
-                break
-            top = hull[-1]
-            crossing = (top.intercept - line.intercept) / (line.slope - top.slope)
-            if breaks and crossing <= breaks[-1]:
-                hull.pop()
-                breaks.pop()
-                continue
-            breaks.append(crossing)
-            break
-        hull.append(line)
-    return SentenceEnvelope(tuple(breaks), tuple(l.hyp_index for l in hull))
+    intercepts = np.array([l.intercept for l in lines], dtype=np.float64)
+    slopes = np.array([l.slope for l in lines], dtype=np.float64)
+    labels = np.array([l.hyp_index for l in lines], dtype=np.int64)
+    sentence = np.zeros(len(lines), dtype=np.int64)
+    ((breaks, segments),) = _hulls(intercepts, slopes, labels, sentence, 1)
+    return SentenceEnvelope(tuple(breaks), tuple(segments))
+
+
+def _sweep(
+    hulls: Sequence[tuple[Sequence[float], Sequence[int]]],
+    offsets: Sequence[int],
+    stats: np.ndarray,
+) -> tuple[list[float], np.ndarray]:
+    """Boundaries and per-interval statistics rows of merged sentence hulls.
+
+    Events sort stably by gamma; a boundary collects every event within
+    ``COALESCE_TOL`` of its first one.  Each interval's row is the first
+    interval's row plus the integer cumulative sum of the events'
+    incoming-minus-outgoing statistics.
+    """
+    gammas: list[float] = []
+    leave: list[int] = []
+    enter: list[int] = []
+    first: list[int] = []
+    for start, (breaks, segments) in zip(offsets, hulls):
+        rows = [start + k for k in segments]
+        first.append(rows[0])
+        gammas.extend(breaks)
+        leave.extend(rows[:-1])
+        enter.extend(rows[1:])
+    points = np.array(gammas, dtype=np.float64)
+    if not np.isfinite(points).all():
+        raise InputError("a breakpoint of the search ray is not finite")
+    order = np.argsort(points, kind="stable")
+    deltas = stats[np.array(enter, dtype=np.intp)] - stats[np.array(leave, dtype=np.intp)]
+    initial = stats[np.array(first, dtype=np.intp)].sum(axis=0)
+    running = initial + np.cumsum(deltas[order], axis=0)
+
+    ordered = points[order].tolist()
+    boundaries: list[float] = []
+    ends: list[int] = []
+    i = 0
+    while i < len(ordered):
+        group_start = ordered[i]
+        i += 1  # a group always takes its first event
+        while i < len(ordered) and ordered[i] - group_start <= COALESCE_TOL:
+            i += 1
+        boundaries.append(group_start)
+        ends.append(i - 1)
+    rows = np.vstack((initial, running[np.array(ends, dtype=np.intp)]))
+    return boundaries, rows
 
 
 def sweep_intervals(
@@ -124,30 +298,18 @@ def sweep_intervals(
             f"{len(envelopes)} envelopes / {len(stats_cache)} stat rows "
             f"for {corpus.size} sentences"
         )
-    events: list[tuple[float, int, int, int]] = []
-    for s, env in enumerate(envelopes):
-        for i, gamma in enumerate(env.breakpoints):
-            events.append((gamma, s, env.segments[i], env.segments[i + 1]))
-    events.sort(key=lambda e: e[0])
-
-    running = aggregate(
-        stats_cache[s][env.segments[0]] for s, env in enumerate(envelopes)
+    packed = PackedCorpus.of(corpus, stats_cache)
+    boundaries, rows = _sweep(
+        [(env.breakpoints, env.segments) for env in envelopes],
+        packed.offsets.tolist(),
+        packed.stats,
     )
-    boundaries: list[float] = []
-    interval_stats: list[BleuStats] = [running]
-    i = 0
-    while i < len(events):
-        group_start = events[i][0]
-        j = i
-        while j < len(events) and events[j][0] - group_start <= COALESCE_TOL:
-            _, s, old_idx, new_idx = events[j]
-            running = running - stats_cache[s][old_idx] + stats_cache[s][new_idx]
-            j += 1
-        boundaries.append(group_start)
-        interval_stats.append(running)
-        i = j
-    interval_error = tuple(corpus_bleu(st) for st in interval_stats)
-    return IntervalSweep(tuple(boundaries), tuple(interval_stats), interval_error)
+    interval_rows = rows.tolist()
+    return IntervalSweep(
+        tuple(boundaries),
+        tuple(BleuStats.from_row(row) for row in interval_rows),
+        tuple(row_bleu(row) for row in interval_rows),
+    )
 
 
 def _interval_bounds(
@@ -163,17 +325,9 @@ def _distance_to_zero(lower: float, upper: float) -> float:
     return max(lower, -upper, 0.0)
 
 
-def _argmax_at_zero(lines: Sequence[ScoreLine]) -> int:
-    best = lines[0]
-    for line in lines[1:]:
-        if line.intercept > best.intercept:
-            best = line
-    return best.hyp_index
-
-
 def line_search(
-    corpus: TuningCorpus,
-    stats_cache: Sequence[Sequence[BleuStats]],
+    corpus: TuningCorpus | PackedCorpus,
+    stats_cache: Sequence[Sequence[BleuStats]] | None,
     w: Sequence[float],
     d: Sequence[float],
     *,
@@ -181,37 +335,38 @@ def line_search(
 ) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
 
-    Returns the midpoint of the minimum-error interval (offset by 1.0
-    into unbounded intervals); interval ties resolve toward the interval
-    containing or closest to gamma = 0, then leftmost.  With no
-    breakpoints at all the step is 0.  The result never scores worse
-    than staying at gamma = 0.
+    ``corpus`` may be a :class:`PackedCorpus` that already carries the
+    statistics; ``stats_cache`` is then not read.  Returns the midpoint
+    of the minimum-error interval (offset by 1.0 into unbounded
+    intervals); interval ties resolve toward the interval containing or
+    closest to gamma = 0, then leftmost.  With no breakpoints at all the
+    step is 0.  The result never scores worse than staying at gamma = 0.
     """
-    def per_sentence(entry: SentenceEntry) -> tuple[list[ScoreLine], SentenceEnvelope]:
-        lines = project_lines(entry, w, d)
-        return lines, upper_envelope(lines)
-
+    packed = PackedCorpus.of(corpus, stats_cache)
+    if packed.stats is None:
+        raise DimensionMismatch("line search needs a corpus packed with its statistics")
+    intercepts = packed.project(w)
+    lines = (intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(per_sentence, corpus.entries))
+            hulls = _hulls(*lines, pool.map)
     else:
-        pairs = [per_sentence(entry) for entry in corpus.entries]
-    projected = [lines for lines, _ in pairs]
-    envelopes = [env for _, env in pairs]
-    sweep = sweep_intervals(corpus, envelopes, stats_cache)
+        hulls = _hulls(*lines)
+    boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+    interval_error = [row_bleu(row) for row in rows.tolist()]
 
     best_index = 0
     best_key: tuple[float, float, int] | None = None
-    for index, err in enumerate(sweep.interval_error):
-        lower, upper = _interval_bounds(sweep.boundaries, index)
+    for index, err in enumerate(interval_error):
+        lower, upper = _interval_bounds(boundaries, index)
         key = (err.error, _distance_to_zero(lower, upper), index)
         if best_key is None or key < best_key:
             best_key = key
             best_index = index
-    lower, upper = _interval_bounds(sweep.boundaries, best_index)
-    error_star = sweep.interval_error[best_index]
+    lower, upper = _interval_bounds(boundaries, best_index)
+    error_star = interval_error[best_index]
 
-    if not sweep.boundaries:
+    if not boundaries:
         gamma = 0.0
     elif lower == float("-inf"):
         gamma = upper - 1.0
@@ -224,18 +379,16 @@ def line_search(
     # already contains the gamma = 0 interval, so this only matters when
     # 0 sits exactly on a boundary and tie-breaking picks a different
     # hypothesis mix than either neighboring interval.
-    zero_selection = [_argmax_at_zero(lines) for lines in projected]
-    zero_error = corpus_bleu(
-        aggregate(stats_cache[s][k] for s, k in enumerate(zero_selection))
-    )
+    zero_rows = packed.offsets[:-1] + packed.first_argmax(intercepts)
+    zero_error = row_bleu(packed.stats[zero_rows].sum(axis=0).tolist())
     if zero_error.error < error_star.error:
         zero_index = 0
-        for index in range(len(sweep.interval_error)):
-            low, up = _interval_bounds(sweep.boundaries, index)
+        for index in range(len(interval_error)):
+            low, up = _interval_bounds(boundaries, index)
             if low <= 0.0 <= up:
                 zero_index = index
                 break
         return LineSearchResult(
-            0.0, zero_error, _interval_bounds(sweep.boundaries, zero_index)
+            0.0, zero_error, _interval_bounds(boundaries, zero_index)
         )
     return LineSearchResult(gamma, error_star, (lower, upper))

@@ -11,16 +11,19 @@ selection.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .bleu import hypothesis_stats, selection_error
 from .corpus import TuningCorpus
-from .descent import KcdConfig, KcdTrace, basis_directions, kcd_optimize, select_hypotheses, uniform_weights
+from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize, select_hypotheses
 from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, InvalidRotation
 
 ZERO_SNAP = 1e-12
+# Each grid point is a full descent run.
+MAX_GRID_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class Rotation:
                 f"rotation dimensions must be non-negative, "
                 f"got ({self.from_dim}, {self.to_dim})"
             )
+        if not math.isfinite(self.alpha):
+            raise InvalidRotation(f"rotation alpha must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,11 @@ class AlphaGrid:
     step: float = 0.1
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.start, self.end, self.step)):
+            raise InvalidGrid(
+                f"grid start, end and step must be finite, "
+                f"got {self.start}, {self.end}, {self.step}"
+            )
         if not self.step > 0.0:
             raise InvalidGrid(f"grid step must be positive, got {self.step}")
         if self.start > self.end:
@@ -97,6 +107,11 @@ class AlphaGrid:
                 f"grid start {self.start} exceeds end {self.end}"
             )
         span = self.end - self.start
+        if not span / self.step <= MAX_GRID_POINTS - 1:
+            raise InvalidGrid(
+                f"grid from {self.start} to {self.end} in steps of {self.step} "
+                f"has more than {MAX_GRID_POINTS} points"
+            )
         steps = round(span / self.step)
         if abs(self.start + steps * self.step - self.end) > ZERO_SNAP:
             raise InvalidGrid(
@@ -242,11 +257,7 @@ def rss_optimize(
             f"closed corpus has {closed_corpus.feature_dim} features, "
             f"open corpus has {open_corpus.feature_dim}"
         )
-    dim = closed_corpus.feature_dim
-    if init_w is None:
-        init_w = uniform_weights(dim)
-    else:
-        init_w = tuple(init_w)
+    init_w = initial_weights(init_w, closed_corpus.feature_dim)
     if config is None:
         config = KcdConfig()
     gridded, fixed = _normalize_spec(rotation_spec)

@@ -155,3 +155,14 @@ class TestCorpusLevelHelpers:
             )
         )
         assert selection_error(cache, chosen) == direct
+
+    def test_shared_reference_maxima_match_per_hypothesis_stats(self):
+        # hypothesis_stats builds each sentence's reference maxima once;
+        # every entry must equal scoring that hypothesis on its own.
+        for seed in range(40):
+            corpus, _ = random_corpus(seed)
+            cache = hypothesis_stats(corpus)
+            for s, entry in enumerate(corpus.entries):
+                for k, hyp in enumerate(entry.hypotheses):
+                    expected = sentence_bleu_stats(hyp.tokens, entry.references)
+                    assert cache[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -203,6 +204,46 @@ class TestMert:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("weights", ["nan 1", "1 inf", "-inf -inf"])
+    def test_non_finite_init_weights_exit_3(self, adversarial_files, weights, capsys):
+        nbest, ref = adversarial_files
+        code, _, err = run(
+            ["mert", "--nbest", str(nbest), "--refs", str(ref), "--init-weights", weights],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_overflowing_scores_exit_2(self, tmp_path, capsys):
+        # Finite features and weights whose products overflow to inf.
+        nbest = tmp_path / "big.nbest"
+        ref = tmp_path / "ref.txt"
+        nbest.write_text(
+            "0 ||| a b ||| 1e300 1 ||| 0\n0 ||| a c ||| -1e300 2 ||| 0\n"
+        )
+        ref.write_text("a b\n")
+        code, _, err = run(
+            [
+                "mert", "--nbest", str(nbest), "--refs", str(ref),
+                "--init-weights", "1e10 1", "--out", str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_exit_3(self, jobs, capsys):
+        # Rejected while resolving settings, before any input is read.
+        code, _, err = run(
+            ["mert", "--nbest", "missing.nbest", "--refs", "missing.ref", "--jobs", str(jobs)],
+            capsys,
+        )
+        assert code == 3
+        assert "jobs" in err
+
     def test_malformed_nbest_exits_2(self, tmp_path, capsys):
         nbest = tmp_path / "bad.nbest"
         ref = tmp_path / "ref.txt"
@@ -342,6 +383,45 @@ class TestRss:
             capsys,
         )
         assert code == 3
+
+
+    def rss_args(self, adversarial_files, *extra):
+        nbest, ref = adversarial_files
+        return [
+            "rss", "--nbest", str(nbest), "--refs", str(ref),
+            "--open-nbest", str(nbest), "--open-refs", str(ref), *extra,
+        ]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--rotate", "0:1", "--grid-start", "nan"),
+            ("--rotate", "0:1", "--grid-end", "inf"),
+            ("--rotate", "0:1=nan"),
+            ("--rotate", "0:1", "--init-weights", "nan nan"),
+        ],
+    )
+    def test_non_finite_settings_exit_3(self, adversarial_files, extra, capsys):
+        code, _, err = run(self.rss_args(adversarial_files, *extra), capsys)
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_oversized_grid_exits_3(self, adversarial_files, capsys):
+        code, _, err = run(
+            self.rss_args(adversarial_files, "--rotate", "0:1", "--grid-step", "1e-9"),
+            capsys,
+        )
+        assert code == 3
+        assert "points" in err
+
+    def test_jobs_above_cpu_count_exits_3(self, adversarial_files, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, _, err = run(
+            self.rss_args(adversarial_files, "--rotate", "0:1", "--jobs", "3"), capsys
+        )
+        assert code == 3
+        assert "between 1 and 2" in err
 
 
 class TestSynth:

@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             KcdConfig(sweep_mode="zigzag")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_initial_weights_rejected(self, bad):
+        corpus, _ = random_corpus(4, min_features=2)
+        init = (bad,) + (1.0,) * (corpus.feature_dim - 1)
+        with pytest.raises(ConfigError):
+            kcd_optimize(corpus, init)
+
 
 class TestDescentLoop:
     def test_trace_errors_never_increase(self):

@@ -4,14 +4,16 @@ import pytest
 from rotamert.bleu import hypothesis_stats, selection_error
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.envelope import (
+    PackedCorpus,
     ScoreLine,
+    SentenceEnvelope,
     dot,
     line_search,
     project_lines,
     sweep_intervals,
     upper_envelope,
 )
-from rotamert.errors import DimensionMismatch
+from rotamert.errors import DimensionMismatch, InputError
 
 from instances import random_corpus, random_lines, ray_instance
 from oracles import (
@@ -38,6 +40,60 @@ class TestProjectLines:
         bad = (0.0,) * (corpus.feature_dim + 1)
         with pytest.raises(DimensionMismatch):
             project_lines(corpus.entries[0], bad, bad)
+
+
+class TestPackedProjection:
+    def mixed_magnitude_corpus(self, seed, sentences=30, hyps=40, dim=12):
+        # Signs and magnitudes from 1e-8 to 1e8 make every summation
+        # order round differently, so a reordered (BLAS) sum shows up.
+        rng = np.random.default_rng(seed)
+
+        def draw(size):
+            return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-8, 8, size)
+
+        nbest = {
+            s: [
+                Hypothesis(s, k, ("t", str(k)), tuple(draw(dim).tolist()))
+                for k in range(hyps)
+            ]
+            for s in range(sentences)
+        }
+        refs = {s: [("t", "0")] for s in range(sentences)}
+        return build_corpus(nbest, refs), tuple(draw(dim).tolist()), tuple(draw(dim).tolist())
+
+    def test_packed_scores_equal_dot_bit_for_bit(self):
+        for seed in range(5):
+            corpus, w, d = self.mixed_magnitude_corpus(seed)
+            packed = PackedCorpus.of(corpus)
+            hyps = [h for entry in corpus.entries for h in entry.hypotheses]
+            for v in (w, d):
+                got = [x.hex() for x in packed.project(v).tolist()]
+                expected = [dot(v, h.features).hex() for h in hyps]
+                assert got == expected, f"seed {seed}"
+
+    def test_line_search_projection_equals_dot_bit_for_bit(self):
+        corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
+        for entry in corpus.entries:
+            for i, line in enumerate(project_lines(entry, w, d)):
+                assert line.intercept.hex() == dot(w, entry.hypotheses[i].features).hex()
+                assert line.slope.hex() == dot(d, entry.hypotheses[i].features).hex()
+
+    def test_packed_selection_keeps_lowest_rank_on_ties(self):
+        nbest = {0: [Hypothesis(0, k, ("t", str(k)), (1.0, 0.0)) for k in range(3)]}
+        nbest[0].append(Hypothesis(0, 3, ("u",), (2.0, -1.0)))
+        corpus = build_corpus(nbest, {0: [("t",)]})
+        packed = PackedCorpus.of(corpus)
+        assert packed.first_argmax(packed.project((1.0, 1.0))).tolist() == [0]
+        assert packed.first_argmax(packed.project((-1.0, -2.0))).tolist() == [3]
+
+    def test_overflowing_scores_are_rejected(self):
+        nbest = {0: [Hypothesis(0, 0, ("a",), (1e300, 1.0)), Hypothesis(0, 1, ("b",), (-1e300, 1.0))]}
+        corpus = build_corpus(nbest, {0: [("a",)]})
+        cache = hypothesis_stats(corpus)
+        with pytest.raises(InputError):
+            line_search(corpus, cache, (1e10, 1.0), (0.0, 1.0))
+        with pytest.raises(InputError):
+            line_search(corpus, cache, (1.0, 1.0), (float("nan"), 1.0))
 
 
 class TestUpperEnvelope:
@@ -125,6 +181,29 @@ class TestSweepIntervals:
         envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
         with pytest.raises(DimensionMismatch):
             sweep_intervals(corpus, envelopes[:-1], cache)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_breakpoint_rejected(self, gamma):
+        nbest = {0: [Hypothesis(0, 0, ("a",), (0.0,)), Hypothesis(0, 1, ("b",), (1.0,))]}
+        corpus = build_corpus(nbest, {0: [("a",)]})
+        envelope = SentenceEnvelope((gamma,), (0, 1))
+        with pytest.raises(InputError):
+            sweep_intervals(corpus, [envelope], hypothesis_stats(corpus))
+
+    def test_coalesced_boundaries_share_one_interval(self):
+        nbest = {
+            s: [Hypothesis(s, 0, ("a",), (0.0,)), Hypothesis(s, 1, ("b",), (1.0,))]
+            for s in range(3)
+        }
+        corpus = build_corpus(nbest, {s: [("a",)] for s in range(3)})
+        cache = hypothesis_stats(corpus)
+        envelopes = [
+            SentenceEnvelope((g,), (0, 1)) for g in (1.0, 1.0 + 5e-10, 2.0)
+        ]
+        sweep = sweep_intervals(corpus, envelopes, cache)
+        assert sweep.boundaries == (1.0, 2.0)
+        assert [st.hyp_len for st in sweep.interval_stats] == [3, 3, 3]
+        assert [st.match_n[0] for st in sweep.interval_stats] == [3, 1, 0]
 
 
 def entry_from_feature_pairs(sentence_id, pairs, tokens_per_hyp, refs):

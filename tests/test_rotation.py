@@ -11,6 +11,7 @@ from rotamert.errors import (
     InvalidRotation,
 )
 from rotamert.rotation import (
+    MAX_GRID_POINTS,
     AlphaGrid,
     CoordinateSystem,
     Rotation,
@@ -57,6 +58,11 @@ class TestRotation:
         with pytest.raises(InvalidRotation):
             apply_rotation(system, Rotation(0, 2, 0.5))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidRotation):
+            Rotation(0, 1, alpha)
+
     def test_rotating_an_earlier_target_is_allowed(self):
         system = apply_rotation(identity_system(3), Rotation(0, 1, 0.5))
         system = apply_rotation(system, Rotation(1, 2, -0.25))
@@ -89,6 +95,29 @@ class TestAlphaGrid:
     def test_start_cannot_exceed_end(self):
         with pytest.raises(InvalidGrid):
             AlphaGrid(1.0, -1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(float("nan"), 1.0, 0.1), (-1.0, float("inf"), 0.1), (-1.0, 1.0, float("nan"))],
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(InvalidGrid):
+            AlphaGrid(*bounds)
+
+    def test_point_count_is_capped_before_materializing(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("points() must not run")
+
+        monkeypatch.setattr(AlphaGrid, "points", refuse)
+        AlphaGrid(0.0, MAX_GRID_POINTS - 1.0, 1.0)  # exactly at the cap
+        for start, end, step in [
+            (0.0, float(MAX_GRID_POINTS), 1.0),
+            (-1.0, 1.0, 1e-9),
+            (-1e308, 1e308, 1.0),
+            (-1.0, 1.0, 5e-324),
+        ]:
+            with pytest.raises(InvalidGrid):
+                AlphaGrid(start, end, step)
 
     def test_format_alpha(self):
         assert format_alpha(0.2) == "+0.2"

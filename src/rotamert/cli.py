@@ -18,9 +18,10 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .bleu import aggregate, corpus_bleu, hypothesis_stats, selection_error, sentence_bleu_stats
+from .bleu import aggregate, corpus_bleu, hypothesis_stats, sentence_bleu_stats
 from .corpus import TuningCorpus, build_corpus, format_nbest, format_references, parse_nbest, parse_references
-from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, KcdConfig, kcd_optimize, select_hypotheses
+from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, KcdConfig, kcd_optimize
+from .envelope import PackedCorpus
 from .errors import ConfigError, InputError, LengthMismatch
 from .rotation import AlphaGrid, format_alpha, report_tsv, rss_optimize, summary_rows
 from .synthetic import SynthSpec, generate
@@ -209,14 +210,12 @@ def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     corpus = _load_corpus(cfg.nbest, cfg.refs, "closed")
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
-    cache = hypothesis_stats(corpus)
-    weights, trace = kcd_optimize(
-        corpus, cfg.init_weights, None, kcd_cfg, stats_cache=cache, jobs=cfg.jobs
-    )
+    packed = PackedCorpus.of(corpus, hypothesis_stats(corpus))
+    weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg, jobs=cfg.jobs)
     out = Path(cfg.out)
     _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))
     _write(out / "trace.tsv", trace.to_tsv())
-    final = selection_error(cache, select_hypotheses(corpus, weights))
+    final = packed.argmax_error(packed.project(weights))
     print(f"{final.bleu * 100.0:.2f}")
     return 0
 

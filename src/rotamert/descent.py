@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bleu import BleuStats, ErrorValue, hypothesis_stats, selection_error
+from .bleu import BleuStats, ErrorValue, hypothesis_stats
 from .corpus import TuningCorpus
 from .envelope import PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
@@ -128,7 +128,7 @@ def _check_directions(
 
 
 def kcd_optimize(
-    corpus: TuningCorpus,
+    corpus: TuningCorpus | PackedCorpus,
     init_w: Sequence[float] | None = None,
     system: CoordinateSystem | None = None,
     config: KcdConfig | None = None,
@@ -141,19 +141,21 @@ def kcd_optimize(
     Weights default to uniform ``1/M`` and are never normalized.  Each
     applied step's error is taken from the exact line search, so the
     trace is non-increasing by construction.  The corpus and its
-    statistics are packed once and shared by every line search.
+    statistics are packed once and shared by every line search;
+    ``corpus`` may be a :class:`PackedCorpus` that already carries the
+    statistics, and ``stats_cache`` is then not read.
     """
     dim = corpus.feature_dim
     w = initial_weights(init_w, dim)
     directions = basis_directions(dim) if system is None else system.directions
     if config is None:
         config = KcdConfig()
-    if stats_cache is None:
+    if stats_cache is None and isinstance(corpus, TuningCorpus):
         stats_cache = hypothesis_stats(corpus)
 
     active = _check_directions(directions, dim)
     packed = PackedCorpus.of(corpus, stats_cache)
-    current = selection_error(stats_cache, select_hypotheses(packed, w))
+    current = packed.argmax_error(packed.project(w))
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
     iterations = 0

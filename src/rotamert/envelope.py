@@ -129,6 +129,18 @@ class PackedCorpus:
         ranks = np.where(scores == best[self.sentence], self.rank, len(scores))
         return np.minimum.reduceat(ranks, starts)
 
+    def argmax_error(self, scores: np.ndarray) -> ErrorValue:
+        """Corpus error of each sentence's :meth:`first_argmax` row under ``scores``.
+
+        The statistics rows are summed as integers and scored by
+        :func:`row_bleu`, so the value is bit-identical to
+        :func:`rotamert.bleu.selection_error` of the same selection.
+        """
+        if self.stats is None:
+            raise DimensionMismatch("corpus was packed without its statistics")
+        rows = self.offsets[:-1] + self.first_argmax(scores)
+        return row_bleu(self.stats[rows].sum(axis=0).tolist())
+
 
 def dot(u: Sequence[float], v: Sequence[float]) -> float:
     """Fixed-order dot product: the summation order every score follows."""
@@ -343,9 +355,8 @@ def line_search(
     step is 0.  The result never scores worse than staying at gamma = 0.
     """
     packed = PackedCorpus.of(corpus, stats_cache)
-    if packed.stats is None:
-        raise DimensionMismatch("line search needs a corpus packed with its statistics")
     intercepts = packed.project(w)
+    zero_error = packed.argmax_error(intercepts)
     lines = (intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -379,8 +390,6 @@ def line_search(
     # already contains the gamma = 0 interval, so this only matters when
     # 0 sits exactly on a boundary and tie-breaking picks a different
     # hypothesis mix than either neighboring interval.
-    zero_rows = packed.offsets[:-1] + packed.first_argmax(intercepts)
-    zero_error = row_bleu(packed.stats[zero_rows].sum(axis=0).tolist())
     if zero_error.error < error_star.error:
         zero_index = 0
         for index in range(len(interval_error)):

@@ -16,9 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bleu import hypothesis_stats, selection_error
+from .bleu import hypothesis_stats
 from .corpus import TuningCorpus
-from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize, select_hypotheses
+from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize
+from .envelope import PackedCorpus
 from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, InvalidRotation
 
 ZERO_SNAP = 1e-12
@@ -212,27 +213,26 @@ def _build_system(
     return system
 
 
-def _run_grid_point(payload) -> RssRecord:
-    (
-        alpha,
-        closed,
-        open_corpus,
-        closed_cache,
-        open_cache,
-        init_w,
-        gridded,
-        fixed,
-        config,
-    ) = payload
+def _grid_point(task: tuple, alpha: float) -> RssRecord:
+    closed, opened, init_w, gridded, fixed, config = task
     system = _build_system(closed.feature_dim, gridded, alpha, fixed)
-    weights, trace = kcd_optimize(
-        closed, init_w, system, config, stats_cache=closed_cache
-    )
-    closed_eval = selection_error(closed_cache, select_hypotheses(closed, weights))
-    open_eval = selection_error(
-        open_cache, select_hypotheses(open_corpus, weights)
-    )
-    return RssRecord(alpha, weights, closed_eval.bleu, open_eval.bleu, trace)
+    weights, trace = kcd_optimize(closed, init_w, system, config)
+    closed_bleu = closed.argmax_error(closed.project(weights)).bleu
+    open_bleu = opened.argmax_error(opened.project(weights)).bleu
+    return RssRecord(alpha, weights, closed_bleu, open_bleu, trace)
+
+
+# The grid task of an rss pool worker, set by its initializer; None elsewhere.
+_worker_task: tuple | None = None
+
+
+def _init_worker(task: tuple) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _worker_point(alpha: float) -> RssRecord:
+    return _grid_point(_worker_task, alpha)
 
 
 def rss_optimize(
@@ -270,27 +270,17 @@ def rss_optimize(
     if not alphas:
         raise GridEmpty("alpha grid has no points")
 
-    closed_cache = hypothesis_stats(closed_corpus)
-    open_cache = hypothesis_stats(open_corpus)
-    payloads = [
-        (
-            alpha,
-            closed_corpus,
-            open_corpus,
-            closed_cache,
-            open_cache,
-            init_w,
-            gridded,
-            fixed,
-            config,
-        )
-        for alpha in alphas
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(pool.map(_run_grid_point, payloads))
+    closed = PackedCorpus.of(closed_corpus, hypothesis_stats(closed_corpus))
+    opened = PackedCorpus.of(open_corpus, hypothesis_stats(open_corpus))
+    task = (closed, opened, init_w, gridded, fixed, config)
+    # Each worker receives the task once (inherited under fork, pickled
+    # once under spawn or forkserver); a grid point sends only its alpha.
+    workers = min(jobs, len(alphas))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
+            records = tuple(pool.map(_worker_point, alphas))
     else:
-        records = tuple(_run_grid_point(p) for p in payloads)
+        records = tuple(_grid_point(task, alpha) for alpha in alphas)
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None)

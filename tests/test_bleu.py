@@ -12,9 +12,11 @@ from rotamert.bleu import (
     selection_error,
     sentence_bleu_stats,
 )
+from rotamert.descent import select_hypotheses
+from rotamert.envelope import PackedCorpus
 from rotamert.errors import NoReferences
 
-from instances import random_corpus
+from instances import random_corpus, random_ray
 from oracles import clipped_stats_by_counting
 
 
@@ -177,3 +179,16 @@ class TestCorpusLevelHelpers:
                 for k, hyp in enumerate(entry.hypotheses):
                     expected = clipped_stats_by_counting(hyp.tokens, entry.references)
                     assert cache[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"
+
+    def test_packed_argmax_error_equals_selection_error(self):
+        # All-zero weights tie every hypothesis, so the lowest rank must win.
+        for seed in range(40):
+            corpus, rng = random_corpus(seed)
+            cache = hypothesis_stats(corpus)
+            packed = PackedCorpus.of(corpus, cache)
+            w, _ = random_ray(rng, corpus.feature_dim)
+            for weights in (w, (0.0,) * corpus.feature_dim):
+                expected = selection_error(cache, select_hypotheses(corpus, weights))
+                got = packed.argmax_error(packed.project(weights))
+                assert float.hex(got.error) == float.hex(expected.error), f"seed {seed}"
+                assert float.hex(got.bleu) == float.hex(expected.bleu), f"seed {seed}"

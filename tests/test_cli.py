@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,13 @@ from rotamert.corpus import parse_nbest
 
 DATA = Path(__file__).parent / "data"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "rotamert" / "data"
+# The CLI in a fresh interpreter whose pools start workers by spawn.
+SPAWN_MAIN = (
+    "import multiprocessing, sys\n"
+    "multiprocessing.set_start_method('spawn', force=True)\n"
+    "from rotamert.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
 
 
 def run(argv, capsys):
@@ -422,6 +430,32 @@ class TestRss:
         )
         assert code == 3
         assert "between 1 and 2" in err
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+    def test_spawned_workers_write_the_serial_bytes(self, tmp_path, capsys):
+        # Spawned workers inherit nothing, so all they need must reach them explicitly.
+        data = tmp_path / "data"
+        synth = ["synth", "--sentences", "6", "--hyps", "5", "--features", "3", "--seed", "4"]
+        assert run([*synth, "--out", str(data)], capsys)[0] == 0
+        args = ["rss", "--rotate", "0:1"]
+        for side, prefix in (("closed", "--"), ("open", "--open-")):
+            refs = ",".join(str(data / f"{side}.ref{j}") for j in range(4))
+            args += [f"{prefix}nbest", str(data / f"{side}.nbest"), f"{prefix}refs", refs]
+        path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        outputs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            proc = subprocess.run(
+                [sys.executable, "-c", SPAWN_MAIN, *args, "--jobs", jobs, "--out", str(out_dir)],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            written = [(out_dir / name).read_bytes() for name in ("report.tsv", "weights.txt")]
+            outputs.append((proc.stdout, *written))
+        assert outputs[0] == outputs[1]
 
 
 class TestSynth:

@@ -11,6 +11,7 @@ from rotamert.descent import (
     select_hypotheses,
     uniform_weights,
 )
+from rotamert.envelope import PackedCorpus
 from rotamert.errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 from rotamert.rotation import CoordinateSystem
 
@@ -168,6 +169,19 @@ class TestDescentLoop:
             serial = kcd_optimize(corpus, jobs=1)
             threaded = kcd_optimize(corpus, jobs=4)
             assert serial == threaded, f"seed {seed}"
+
+    def test_packed_input_changes_nothing(self):
+        for seed in range(8):
+            corpus, _ = random_corpus(seed)
+            serial = kcd_optimize(corpus)
+            w, trace = kcd_optimize(PackedCorpus.of(corpus, hypothesis_stats(corpus)))
+            assert w == serial[0], f"seed {seed}"
+            assert trace.to_tsv() == serial[1].to_tsv(), f"seed {seed}"
+
+    def test_packed_input_needs_statistics(self):
+        corpus, _ = random_corpus(3)
+        with pytest.raises(DimensionMismatch):
+            kcd_optimize(PackedCorpus.of(corpus))
 
 
 class TestDirections:

@@ -1,7 +1,8 @@
 import pytest
 
-from rotamert.bleu import hypothesis_stats, selection_error
-from rotamert.corpus import Hypothesis, build_corpus
+from rotamert import rotation
+from rotamert.bleu import BleuStats, hypothesis_stats, selection_error
+from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
 from rotamert.descent import KcdConfig, kcd_optimize, select_hypotheses
 from rotamert.errors import (
     ConfigError,
@@ -229,6 +230,29 @@ class TestRssOptimize:
             jobs=3,
         )
         assert serial == parallel
+
+    def test_one_point_grid_starts_no_pool(self, monkeypatch):
+        corpus = adversarial_instance()
+        specs = [dict(rotation_spec=((0, 1),), grid=[0.2]), dict(rotation_spec=((0, 1, 0.2),))]
+        serial = [rss_optimize(corpus, corpus, (1.0, 1.0), **spec) for spec in specs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one grid point must run in-process")
+
+        monkeypatch.setattr(rotation, "ProcessPoolExecutor", refuse)
+        for spec, expected in zip(specs, serial):
+            assert rss_optimize(corpus, corpus, (1.0, 1.0), **spec, jobs=4) == expected
+
+    def test_no_corpus_object_crosses_the_process_boundary(self, monkeypatch):
+        adv = adversarial_instance()
+        serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),))
+
+        def refuse(self, protocol):
+            raise AssertionError(f"{type(self).__name__} was pickled")
+
+        monkeypatch.setattr(TuningCorpus, "__reduce_ex__", refuse)
+        monkeypatch.setattr(BleuStats, "__reduce_ex__", refuse)
+        assert rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
 
 
 class TestAdversarialFixture:

@@ -18,7 +18,9 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .bleu import aggregate, corpus_bleu, hypothesis_stats, sentence_bleu_stats
+import numpy as np
+
+from .bleu import row_bleu, stats_blocks
 from .corpus import TuningCorpus, build_corpus, format_nbest, format_references, parse_nbest, parse_references
 from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, KcdConfig, kcd_optimize
 from .envelope import PackedCorpus
@@ -198,11 +200,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise LengthMismatch(
             f"{args.hyp} has {len(hyp_lines)} lines, references have {len(refs)}"
         )
-    stats = aggregate(
-        sentence_bleu_stats(tuple(line.split()), refs[i])
-        for i, line in enumerate(hyp_lines)
-    )
-    print(f"{corpus_bleu(stats).bleu * 100.0:.2f}")
+    total = np.zeros(10, dtype=np.int64)
+    for rows in stats_blocks(((line.split(),), refs[i]) for i, line in enumerate(hyp_lines)):
+        total += rows.sum(axis=0)
+    print(f"{row_bleu(total.tolist()).bleu * 100.0:.2f}")
     return 0
 
 
@@ -210,7 +211,7 @@ def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     corpus = _load_corpus(cfg.nbest, cfg.refs, "closed")
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
-    packed = PackedCorpus.of(corpus, hypothesis_stats(corpus))
+    packed = PackedCorpus.scored(corpus)
     weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg, jobs=cfg.jobs)
     out = Path(cfg.out)
     _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))

@@ -16,9 +16,9 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bleu import BleuStats, ErrorValue, hypothesis_stats
+from .bleu import BleuStats, ErrorValue
 from .corpus import TuningCorpus
-from .envelope import PackedCorpus, line_search
+from .envelope import LineSearchResult, PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 
 if TYPE_CHECKING:
@@ -127,6 +127,24 @@ def _check_directions(
     return active
 
 
+def _apply_step(
+    w: tuple[float, ...],
+    direction: Sequence[float],
+    result: LineSearchResult,
+    current: ErrorValue,
+    iteration: int,
+    dim_index: int,
+) -> tuple[tuple[float, ...], StepRecord]:
+    """Step to the line search's optimum, or stay (gamma = 0) if that scores worse than ``current``."""
+    if result.error_at_star.error > current.error:
+        gamma, step_error = 0.0, current
+    else:
+        gamma, step_error = result.gamma_star, result.error_at_star
+    # Applied even for gamma = 0: w + 0.0 * d turns a -0.0 weight into 0.0.
+    w = tuple(wi + gamma * di for wi, di in zip(w, direction))
+    return w, StepRecord(iteration, dim_index, gamma, step_error)
+
+
 def kcd_optimize(
     corpus: TuningCorpus | PackedCorpus,
     init_w: Sequence[float] | None = None,
@@ -150,11 +168,11 @@ def kcd_optimize(
     directions = basis_directions(dim) if system is None else system.directions
     if config is None:
         config = KcdConfig()
-    if stats_cache is None and isinstance(corpus, TuningCorpus):
-        stats_cache = hypothesis_stats(corpus)
-
     active = _check_directions(directions, dim)
-    packed = PackedCorpus.of(corpus, stats_cache)
+    if stats_cache is None and isinstance(corpus, TuningCorpus):
+        packed = PackedCorpus.scored(corpus)
+    else:
+        packed = PackedCorpus.of(corpus, stats_cache)
     current = packed.argmax_error(packed.project(w))
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
@@ -165,30 +183,21 @@ def kcd_optimize(
         if config.sweep_mode == "sequential":
             for dim_index in active:
                 direction = directions[dim_index]
-                result = line_search(packed, stats_cache, w, direction, jobs=jobs)
-                if result.error_at_star.error > current.error:
-                    gamma, step_error = 0.0, current
-                else:
-                    gamma, step_error = result.gamma_star, result.error_at_star
-                w = tuple(wi + gamma * di for wi, di in zip(w, direction))
-                current = step_error
-                steps.append(StepRecord(iteration, dim_index, gamma, step_error))
+                result = line_search(packed, None, w, direction, jobs=jobs)
+                w, step = _apply_step(w, direction, result, current, iteration, dim_index)
+                current = step.error
+                steps.append(step)
         else:  # best-direction
             candidates = []
             for dim_index in active:
-                direction = directions[dim_index]
-                result = line_search(packed, stats_cache, w, direction, jobs=jobs)
+                result = line_search(packed, None, w, directions[dim_index], jobs=jobs)
                 candidates.append((result.error_at_star.error, dim_index, result))
             if candidates:
                 _, dim_index, result = min(candidates, key=lambda c: (c[0], c[1]))
                 direction = directions[dim_index]
-                if result.error_at_star.error > current.error:
-                    gamma, step_error = 0.0, current
-                else:
-                    gamma, step_error = result.gamma_star, result.error_at_star
-                w = tuple(wi + gamma * di for wi, di in zip(w, direction))
-                current = step_error
-                steps.append(StepRecord(iteration, dim_index, gamma, step_error))
+                w, step = _apply_step(w, direction, result, current, iteration, dim_index)
+                current = step.error
+                steps.append(step)
         new_error = current.error
         if previous_sweep is not None and abs(previous_sweep - new_error) <= config.epsilon:
             break

@@ -21,12 +21,12 @@ public :func:`upper_envelope` / :func:`sweep_intervals` and by
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bleu import BleuStats, ErrorValue, row_bleu
+from .bleu import BleuStats, ErrorValue, corpus_stats, row_bleu
 from .corpus import SentenceEntry, TuningCorpus
 from .errors import DimensionMismatch, InputError
 
@@ -109,6 +109,11 @@ class PackedCorpus:
         sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
         return PackedCorpus(features, offsets, stats, sentence, rank)
+
+    @staticmethod
+    def scored(corpus: TuningCorpus) -> PackedCorpus:
+        """Pack ``corpus`` with the statistics rows of :func:`corpus_stats`."""
+        return replace(PackedCorpus.of(corpus), stats=corpus_stats(corpus))
 
     @property
     def size(self) -> int:

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bleu import hypothesis_stats
 from .corpus import TuningCorpus
 from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize
 from .envelope import PackedCorpus
@@ -270,8 +269,8 @@ def rss_optimize(
     if not alphas:
         raise GridEmpty("alpha grid has no points")
 
-    closed = PackedCorpus.of(closed_corpus, hypothesis_stats(closed_corpus))
-    opened = PackedCorpus.of(open_corpus, hypothesis_stats(open_corpus))
+    closed = PackedCorpus.scored(closed_corpus)
+    opened = PackedCorpus.scored(open_corpus)
     task = (closed, opened, init_w, gridded, fixed, config)
     # Each worker receives the task once (inherited under fork, pickled
     # once under spawn or forkserver); a grid point sends only its alpha.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from rotamert.bleu import (
     aggregate,
     closest_ref_len,
     corpus_bleu,
+    corpus_stats,
     hypothesis_stats,
     selection_error,
     sentence_bleu_stats,
+    stats_blocks,
 )
 from rotamert.descent import select_hypotheses
 from rotamert.envelope import PackedCorpus
 from rotamert.errors import NoReferences
+from rotamert.synthetic import SynthSpec, generate
 
 from instances import random_corpus, random_ray
 from oracles import clipped_stats_by_counting
@@ -160,7 +164,7 @@ class TestCorpusLevelHelpers:
         assert selection_error(cache, chosen) == direct
 
     def test_shared_reference_maxima_match_per_hypothesis_stats(self):
-        # hypothesis_stats builds each sentence's reference maxima once;
+        # hypothesis_stats scores whole blocks of sentences at once;
         # every entry must equal scoring that hypothesis on its own.
         for seed in range(40):
             corpus, _ = random_corpus(seed)
@@ -192,3 +196,110 @@ class TestCorpusLevelHelpers:
                 got = packed.argmax_error(packed.project(weights))
                 assert float.hex(got.error) == float.hex(expected.error), f"seed {seed}"
                 assert float.hex(got.bleu) == float.hex(expected.bleu), f"seed {seed}"
+
+
+def _kernel_rows(sentences, **kwargs):
+    return np.concatenate(
+        [np.zeros((0, 10), dtype=np.int64), *stats_blocks(sentences, **kwargs)]
+    ).tolist()
+
+
+def _oracle_rows(sentences):
+    return [
+        list(clipped_stats_by_counting(tuple(hyp), refs).row())
+        for hyps, refs in sentences
+        for hyp in hyps
+    ]
+
+
+def _sentences(corpus):
+    return [([h.tokens for h in e.hypotheses], e.references) for e in corpus.entries]
+
+
+def _synth_corpora():
+    for seed in range(3):
+        spec = SynthSpec(sentences=15, hypotheses=12, features=2, vocab_size=20, seed=seed)
+        yield from generate(spec)
+
+
+class TestStatsKernel:
+    def test_rows_match_counting_oracle(self):
+        corpora = [random_corpus(seed)[0] for seed in range(40)] + list(_synth_corpora())
+        for i, corpus in enumerate(corpora):
+            expected = _oracle_rows(_sentences(corpus))
+            assert corpus_stats(corpus).tolist() == expected, f"corpus {i}"
+
+    def test_rows_do_not_depend_on_block_boundaries(self):
+        corpora = [random_corpus(seed)[0] for seed in range(40)] + list(_synth_corpora())
+        for i, corpus in enumerate(corpora):
+            sentences = _sentences(corpus)
+            whole = _kernel_rows(sentences)
+            one_by_one = [row for sentence in sentences for row in _kernel_rows([sentence])]
+            assert one_by_one == whole, f"corpus {i}"
+            for block_tokens in (1, 40, 333):
+                got = _kernel_rows(sentences, _block_tokens=block_tokens)
+                assert got == whole, f"corpus {i}, blocks of {block_tokens}"
+
+    @pytest.mark.parametrize(
+        "hyps, refs",
+        [
+            # Shorter than NGRAM_ORDER, down to the empty hypothesis of a blank score line.
+            ([(), ("a",), ("a", "b"), ("b", "a", "b")], [("a", "b", "a", "b"), ("b",)]),
+            # A single reference.
+            ([("x", "y", "z", "x", "y"), ("z", "z")], [("x", "y", "z", "z")]),
+            # Repeated n-grams above their reference maxima, at every order.
+            ([("a",) * 9, ("a", "b") * 5], [("a", "a", "a", "b"), ("a", "b", "a", "b", "a", "a")]),
+            # Non-ASCII tokens; composed and decomposed "e acute" are different tokens.
+            (
+                [("größe", "日本", "語", "\u00e9", "🙂"), ("e\u0301", "日本", "語")],
+                [("日本", "語", "größe"), ("\u00e9", "🙂", "日本", "語")],
+            ),
+            # One reference is empty; the closest length may be 0.
+            ([("q",), ()], [(), ("q", "r", "s")]),
+        ],
+    )
+    def test_edge_cases_match_counting_oracle(self, hyps, refs):
+        sentences = [(hyps, refs), ([("a", "b", "c", "d")], [("a", "b", "c", "d")])]
+        assert _kernel_rows(sentences) == _oracle_rows(sentences)
+        assert _kernel_rows(sentences, _block_tokens=1) == _oracle_rows(sentences)
+
+    def test_repeated_ngram_is_clipped_to_reference_maximum(self):
+        st = sentence_bleu_stats(("a",) * 6, [("a", "a", "b"), ("a", "a", "a", "c")])
+        assert st.match_n == (3, 2, 1, 0)
+        assert st.total_n == (6, 5, 4, 3)
+        assert st.ref_len == 4
+
+    def test_empty_hypothesis_row(self):
+        st = sentence_bleu_stats((), [("a", "b", "c"), ("d", "e")])
+        assert st == BleuStats((0, 0, 0, 0), (0, 0, 0, 0), 0, 2)
+
+    def test_sentence_without_references_raises(self):
+        sentences = [([("a",)], [("a",)]), ([("b",)], [])]
+        with pytest.raises(NoReferences):
+            _kernel_rows(sentences)
+
+    def test_memory_is_bounded_by_the_block_not_the_corpus(self):
+        # tracemalloc sees numpy's buffers; the inputs exist before tracing starts.
+        peaks = []
+        for size in (4_000, 16_000):
+            rng = np.random.default_rng(size)
+            vocab = [f"w{i}" for i in range(50)]
+            words = rng.integers(0, len(vocab), (size, 5, 12)).tolist()
+            lengths = rng.integers(6, 13, (size, 5)).tolist()
+            sentences = [
+                (
+                    [tuple(vocab[i] for i in ids[:n]) for ids, n in zip(seqs[:1], lens[:1])],
+                    [tuple(vocab[i] for i in ids[:n]) for ids, n in zip(seqs[1:], lens[1:])],
+                )
+                for seqs, lens in zip(words, lengths)
+            ]
+            tracemalloc.start()
+            try:
+                total = np.zeros(10, dtype=np.int64)
+                for rows in stats_blocks(sentences):
+                    total += rows.sum(axis=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert total[8] == sum(lens[0] for lens in lengths)
+        assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks

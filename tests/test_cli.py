@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from rotamert.bleu import aggregate, corpus_bleu
 from rotamert.cli import main
 from rotamert.corpus import parse_nbest
+
+from oracles import clipped_stats_by_counting
 
 DATA = Path(__file__).parent / "data"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "rotamert" / "data"
@@ -65,6 +68,31 @@ class TestScore:
         code, out, _ = run(["score", str(hyp), str(ref)], capsys)
         assert code == 0
         assert out == "0.00\n"
+
+    def test_blank_and_non_ascii_lines_score_as_the_counting_oracle(self, tmp_path, capsys):
+        hyp_lines = ["", "日本 語 の größe ist gut", "ça va ça va ça va", "x"]
+        ref_lines = [
+            ["a b c", "日本 語 の größe ist gut .", "ça va", "x y"],
+            ["d", "日本 語 の größe", "ça va ça va ça", "y"],
+        ]
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("\n".join(hyp_lines) + "\n", encoding="utf-8")
+        refs = []
+        for j, lines in enumerate(ref_lines):
+            refs.append(tmp_path / f"ref{j}.txt")
+            refs[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = corpus_bleu(
+            aggregate(
+                clipped_stats_by_counting(
+                    tuple(line.split()), [tuple(lines[i].split()) for lines in ref_lines]
+                )
+                for i, line in enumerate(hyp_lines)
+            )
+        )
+        code, out, _ = run(["score", str(hyp), *map(str, refs)], capsys)
+        assert code == 0
+        assert expected.bleu > 0.0
+        assert out == f"{expected.bleu * 100.0:.2f}\n"
 
     def test_line_count_mismatch_exits_2(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"

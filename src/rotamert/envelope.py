@@ -16,6 +16,15 @@ scalar definition (a BLAS product would reorder the sums).  The
 per-sentence hull and the interval sweep are kernels shared by the
 public :func:`upper_envelope` / :func:`sweep_intervals` and by
 :func:`line_search`.
+
+Two exact shortcuts keep the search cheap.  A numpy prefilter drops
+every line with a strictly higher intercept on both sides of its slope
+before the Python stack builds the hulls; it only compares floats, and
+the tests check that the hulls do not change.  numpy then estimates
+every interval's error, and only intervals within ``RESCORE_BOUND`` of
+the smallest estimate are scored by the scalar :func:`row_bleu`, which
+decides; the public :func:`sweep_intervals` still scores every interval
+that way.
 """
 
 from __future__ import annotations
@@ -26,11 +35,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bleu import BleuStats, ErrorValue, corpus_stats, row_bleu
+from .bleu import NGRAM_ORDER, BleuStats, ErrorValue, corpus_stats, row_bleu
 from .corpus import SentenceEntry, TuningCorpus
 from .errors import DimensionMismatch, InputError
 
 COALESCE_TOL = 1e-9
+
+# Intervals whose numpy error estimate (_row_errors) lies within this
+# of the smallest estimate are rescored by the scalar row_bleu.  The
+# estimate repeats row_bleu's operations, so it differs only where
+# numpy's and math's log and exp round differently, by a few ulps; with
+# |log| of an int64 count ratio at most 44 and BLEU at most 1 that is
+# under 1e-12, far inside half this bound.
+RESCORE_BOUND = 1e-9
+
+# Memory cap of the domination prefilter's padded matrix (see
+# _may_reach_hull), in float64 cells per line.
+PAD_CELLS_PER_LINE = 8
 
 
 @dataclass(frozen=True)
@@ -204,6 +225,29 @@ def _hull(intercepts: list[float], slopes: list[float], labels: list[int]) -> Hu
     return breaks, [label for _, _, label in stack]
 
 
+def _may_reach_hull(intercepts: np.ndarray, owner: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the lines that no two lines of their sentence dominate.
+
+    Lines come grouped by ``owner`` in strictly ascending slope order.
+    A line with a strictly higher intercept on both sides of its slope
+    is below one of those two lines at every gamma.  The kept lines are
+    each sentence's running intercept maxima from either end, found on
+    a -inf padded row per sentence by float comparisons only.  If the
+    padding would exceed ``PAD_CELLS_PER_LINE`` cells per line (one
+    sentence far longer than the rest), every line is kept.
+    """
+    starts = np.searchsorted(owner, np.arange(size))
+    column = np.arange(len(owner)) - starts[owner]
+    width = int(column.max(initial=-1)) + 1
+    if size * width > PAD_CELLS_PER_LINE * len(owner):
+        return np.ones(len(owner), dtype=bool)
+    padded = np.full((size, width), -np.inf)
+    padded[owner, column] = intercepts
+    from_low = np.maximum.accumulate(padded, axis=1)[owner, column]
+    from_high = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1][owner, column]
+    return (from_low == intercepts) | (from_high == intercepts)
+
+
 def _hulls(
     intercepts: np.ndarray,
     slopes: np.ndarray,
@@ -215,7 +259,9 @@ def _hulls(
     """Upper envelope of each of ``size`` sentences (rows tagged by ``sentence``).
 
     Lines sort by ascending slope; slope ties keep the higher intercept
-    (it dominates everywhere), full ties the lowest label.
+    (it dominates everywhere), full ties the lowest label.  Lines that
+    two others of their sentence dominate are dropped before the stack
+    runs (:func:`_may_reach_hull`).
     """
     order = np.lexsort((labels, -intercepts, slopes, sentence))
     owner = sentence[order]
@@ -223,6 +269,7 @@ def _hulls(
     first_of_slope = np.ones(len(order), dtype=bool)
     first_of_slope[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
     kept = order[first_of_slope]
+    kept = kept[_may_reach_hull(intercepts[kept], sentence[kept], size)]
     bounds = np.searchsorted(sentence[kept], np.arange(size + 1)).tolist()
     a = intercepts[kept].tolist()
     b = slopes[kept].tolist()
@@ -329,6 +376,24 @@ def sweep_intervals(
     )
 
 
+def _row_errors(rows: np.ndarray) -> np.ndarray:
+    """:func:`row_bleu` errors of statistics rows, by numpy's ``log`` and ``exp``.
+
+    Every operation is the scalar formula's, in its order (counts above
+    2**53 round once more on the way to float); each value is within
+    ``RESCORE_BOUND / 2`` of the scalar error.
+    """
+    counts = rows.astype(np.float64)
+    match, total, hyp_len, ref_len = counts[:, 0:4], counts[:, 4:8], counts[:, 8], counts[:, 9]
+    scored = (hyp_len > 0) & (match > 0).all(axis=1) & (total > 0).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(match / total)
+        log_precision = (((logs[:, 0] + logs[:, 1]) + logs[:, 2]) + logs[:, 3]) / NGRAM_ORDER
+        brevity = np.where(hyp_len > ref_len, 1.0, np.exp(1.0 - ref_len / hyp_len))
+        bleu = brevity * np.exp(log_precision)
+    return np.where(scored, 1.0 - bleu, 1.0)
+
+
 def _interval_bounds(
     boundaries: Sequence[float], index: int
 ) -> tuple[float, float]:
@@ -369,18 +434,21 @@ def line_search(
     else:
         hulls = _hulls(*lines)
     boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
-    interval_error = [row_bleu(row) for row in rows.tolist()]
-
-    best_index = 0
-    best_key: tuple[float, float, int] | None = None
-    for index, err in enumerate(interval_error):
-        lower, upper = _interval_bounds(boundaries, index)
-        key = (err.error, _distance_to_zero(lower, upper), index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_index = index
+    estimate = _row_errors(rows)
+    # Only intervals near the smallest estimate can hold the scalar
+    # minimum; their scalar errors decide, ties as documented above.
+    candidates = np.flatnonzero(estimate <= estimate.min() + RESCORE_BOUND)
+    scored = {index: row_bleu(rows[index].tolist()) for index in candidates.tolist()}
+    best_index = min(
+        scored,
+        key=lambda index: (
+            scored[index].error,
+            _distance_to_zero(*_interval_bounds(boundaries, index)),
+            index,
+        ),
+    )
     lower, upper = _interval_bounds(boundaries, best_index)
-    error_star = interval_error[best_index]
+    error_star = scored[best_index]
 
     if not boundaries:
         gamma = 0.0
@@ -397,7 +465,7 @@ def line_search(
     # hypothesis mix than either neighboring interval.
     if zero_error.error < error_star.error:
         zero_index = 0
-        for index in range(len(interval_error)):
+        for index in range(len(rows)):
             low, up = _interval_bounds(boundaries, index)
             if low <= 0.0 <= up:
                 zero_index = index

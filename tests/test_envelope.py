@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rotamert.bleu import hypothesis_stats, selection_error
+from rotamert.bleu import hypothesis_stats, row_bleu, selection_error
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.envelope import (
+    RESCORE_BOUND,
     PackedCorpus,
     ScoreLine,
     SentenceEnvelope,
@@ -12,6 +13,12 @@ from rotamert.envelope import (
     project_lines,
     sweep_intervals,
     upper_envelope,
+    _distance_to_zero,
+    _hull,
+    _hulls,
+    _interval_bounds,
+    _may_reach_hull,
+    _row_errors,
 )
 from rotamert.errors import DimensionMismatch, InputError
 
@@ -153,6 +160,120 @@ class TestUpperEnvelope:
                 a < b for a, b in zip(env.breakpoints, env.breakpoints[1:])
             )
             assert len(env.segments) == len(env.breakpoints) + 1
+
+
+def bare_hull(intercepts, slopes, labels):
+    """The float stack on every slope-distinct line, with no prefilter."""
+    order = sorted(
+        range(len(labels)), key=lambda i: (slopes[i], -intercepts[i], labels[i])
+    )
+    kept = [
+        i for pos, i in enumerate(order) if pos == 0 or slopes[i] != slopes[order[pos - 1]]
+    ]
+    return _hull(
+        [intercepts[i] for i in kept],
+        [slopes[i] for i in kept],
+        [labels[i] for i in kept],
+    )
+
+
+def tie_heavy_lines(rng):
+    count = int(rng.integers(1, 30))
+    return (
+        rng.integers(-2, 3, count).astype(float).tolist(),
+        rng.integers(-2, 3, count).astype(float).tolist(),
+    )
+
+
+def near_parallel_lines(rng, scale):
+    # Slopes a few ulps apart around one base; intercepts either spread
+    # or a few ulps apart too, all at the given scale.
+    count = int(rng.integers(2, 25))
+    steps = np.cumsum(rng.integers(0, 4, count))
+    base = float(rng.normal()) * scale
+    slopes = [float(x) for x in base + np.spacing(base) * steps]
+    if rng.random() < 0.5:
+        intercepts = (rng.normal(0.0, 1.0, count) * scale).tolist()
+    else:
+        centre = float(rng.normal()) * scale
+        intercepts = (centre + np.spacing(centre) * rng.integers(-3, 4, count)).tolist()
+    order = rng.permutation(count)
+    return [intercepts[i] for i in order], [slopes[i] for i in order]
+
+
+class TestDominationPrefilter:
+    """``_hulls`` (prefiltered) against the bare stack, bit for bit."""
+
+    def assert_same_hulls(self, line_sets, context):
+        # All sets go through one _hulls call, one sentence each.
+        intercepts = np.array([a for ints, _ in line_sets for a in ints], dtype=float)
+        slopes = np.array([b for _, bs in line_sets for b in bs], dtype=float)
+        labels = np.array([k for ints, _ in line_sets for k in range(len(ints))])
+        sentence = np.repeat(np.arange(len(line_sets)), [len(ints) for ints, _ in line_sets])
+        hulls = _hulls(intercepts, slopes, labels, sentence, len(line_sets))
+        for s, ((breaks, segments), (ints, bs)) in enumerate(zip(hulls, line_sets)):
+            want_breaks, want_segments = bare_hull(ints, bs, list(range(len(ints))))
+            assert segments == want_segments, f"{context}, sentence {s}"
+            assert [x.hex() for x in breaks] == [x.hex() for x in want_breaks], (
+                f"{context}, sentence {s}"
+            )
+
+    def test_random_lines_match_the_bare_stack(self):
+        for first in range(0, 3000, 20):
+            sets = []
+            for seed in range(first, first + 20):
+                lines = random_lines(seed)
+                sets.append(([l.intercept for l in lines], [l.slope for l in lines]))
+            self.assert_same_hulls(sets, f"random_lines seeds {first}..{first + 19}")
+
+    def test_tie_heavy_lines_match_the_bare_stack(self):
+        rng = np.random.default_rng(11)
+        for batch in range(100):
+            self.assert_same_hulls([tie_heavy_lines(rng) for _ in range(10)], f"batch {batch}")
+
+    @pytest.mark.parametrize("exponent", range(-12, 13, 2))
+    def test_near_parallel_lines_match_the_bare_stack(self, exponent):
+        rng = np.random.default_rng(100 + exponent)
+        for batch in range(25):
+            sets = [near_parallel_lines(rng, 10.0**exponent) for _ in range(10)]
+            self.assert_same_hulls(sets, f"scale 1e{exponent}, batch {batch}")
+
+    def test_dominated_lines_are_dropped_and_hull_lines_kept(self):
+        rng = np.random.default_rng(3)
+        slopes = np.sort(rng.normal(0.0, 1.0, 200))
+        intercepts = rng.normal(0.0, 1.0, 200)
+        owner = np.zeros(200, dtype=np.int64)
+        mask = _may_reach_hull(intercepts, owner, 1)
+        _, segments = _hull(intercepts.tolist(), slopes.tolist(), list(range(200)))
+        assert mask[segments].all()
+        assert mask[[0, -1]].all()  # the extreme slopes always stay
+        assert mask.sum() < 50
+
+    def test_equal_intercepts_do_not_dominate(self):
+        # The middle line is only tied on its left: it is kept.
+        owner = np.zeros(3, dtype=np.int64)
+        assert _may_reach_hull(np.array([1.0, 1.0, 2.0]), owner, 1).tolist() == [
+            True,
+            True,
+            True,
+        ]
+        assert _may_reach_hull(np.array([1.5, 1.0, 2.0]), owner, 1).tolist() == [
+            True,
+            False,
+            True,
+        ]
+
+    def test_skewed_sentences_keep_every_line(self):
+        # One long sentence among many one-line sentences: the padded
+        # matrix would be mostly padding, so nothing is filtered.
+        rng = np.random.default_rng(5)
+        sets = [(rng.normal(0.0, 1.0, 300).tolist(), rng.normal(0.0, 1.0, 300).tolist())]
+        sets += [([float(rng.normal())], [float(rng.normal())]) for _ in range(60)]
+        wave = np.sin(np.arange(300.0))  # most of it dominated
+        assert not _may_reach_hull(wave, np.zeros(300, dtype=np.int64), 1).all()
+        owner = np.repeat(np.arange(61), [300] + [1] * 60)
+        assert _may_reach_hull(np.concatenate([wave, np.zeros(60)]), owner, 61).all()
+        self.assert_same_hulls(sets, "skewed")
 
 
 class TestSweepIntervals:
@@ -324,6 +445,121 @@ class TestLineSearch:
             serial = line_search(corpus, cache, w, d)
             threaded = line_search(corpus, cache, w, d, jobs=4)
             assert serial == threaded
+
+
+def random_stats_rows(seed, count=4000):
+    """Statistics rows up to 2^40 with every branch of row_bleu."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        top = 2 ** int(rng.integers(1, 41))
+        total = rng.integers(1, top + 1, 4)
+        match = rng.integers(1, total + 1)
+        hyp_len = int(rng.integers(1, top + 1))
+        ref_len = int(rng.integers(1, 2 * top + 1))
+        kind = k % 6
+        if kind == 1:
+            match[rng.integers(0, 4)] = 0
+        elif kind == 2:
+            total[rng.integers(0, 4)] = 0
+        elif kind == 3:
+            hyp_len = 0
+        elif kind == 4:
+            ref_len = hyp_len + int(rng.integers(0, 3))  # hyp_len <= ref_len
+        elif kind == 5:
+            ref_len = max(0, hyp_len - int(rng.integers(1, 3)))  # hyp_len > ref_len
+        rows.append([*match.tolist(), *total.tolist(), hyp_len, ref_len])
+    return np.array(rows, dtype=np.int64)
+
+
+def scalar_scan(corpus, cache, lines_per_sentence):
+    """Every interval scored by row_bleu; the minimum under line_search's tie rule."""
+    sweep = sweep_intervals(
+        corpus, [upper_envelope(lines) for lines in lines_per_sentence], cache
+    )
+    best = min(
+        range(len(sweep.interval_error)),
+        key=lambda i: (
+            sweep.interval_error[i].error,
+            _distance_to_zero(*_interval_bounds(sweep.boundaries, i)),
+            i,
+        ),
+    )
+    return _interval_bounds(sweep.boundaries, best), sweep.interval_error[best]
+
+
+class TestRescoringBound:
+    def test_estimate_is_within_half_the_bound_of_row_bleu(self):
+        for seed in range(3):
+            rows = random_stats_rows(seed)
+            estimate = _row_errors(rows)
+            for row, value in zip(rows.tolist(), estimate.tolist()):
+                exact = row_bleu(row).error
+                if exact == 1.0:
+                    assert value == 1.0, row
+                assert abs(value - exact) <= RESCORE_BOUND / 2, row
+
+    def test_line_search_equals_a_full_scalar_scan(self):
+        from rotamert.descent import select_hypotheses
+
+        for seed in range(200):
+            corpus, cache, lines_per_sentence, w, d = ray_instance(seed)
+            result = line_search(corpus, cache, w, d)
+            interval, error = scalar_scan(corpus, cache, lines_per_sentence)
+            zero = selection_error(cache, select_hypotheses(corpus, w))
+            if zero.error < error.error:  # the gamma = 0 guard
+                assert result.error_at_star == zero, f"seed {seed}"
+            else:
+                assert result.chosen_interval == interval, f"seed {seed}"
+                assert result.error_at_star == error, f"seed {seed}"
+
+    def test_any_estimate_within_half_the_bound_gives_the_same_result(self, monkeypatch):
+        # Shift every estimate by up to just under half the bound, in
+        # alternating directions: the result must not move.
+        import rotamert.envelope as envelope
+
+        exact = envelope._row_errors
+        cases = [ray_instance(seed) for seed in range(60)]
+        expected = [line_search(c, cache, w, d) for c, cache, _, w, d in cases]
+        for sign in (1.0, -1.0):
+            shift = 0.499 * RESCORE_BOUND * sign
+
+            def shifted(rows):
+                estimate = exact(rows)
+                estimate[::2] += shift
+                estimate[1::2] -= shift
+                return estimate
+
+            monkeypatch.setattr(envelope, "_row_errors", shifted)
+            for (corpus, cache, _, w, d), want in zip(cases, expected):
+                assert line_search(corpus, cache, w, d) == want
+
+    def test_exact_ties_resolve_by_distance_then_leftmost(self):
+        # Each sentence is correct on one interval only: [1, 2], [-2, -1]
+        # and [3, 4].  Those three intervals tie exactly on error; two of
+        # them lie at distance 1 from gamma = 0, and the left one wins.
+        good = ("g", "g", "g", "g")
+        bad = ("z", "z", "z", "z")
+        nbest, refs = {}, {}
+        for s, (low, high) in enumerate([(1.0, 2.0), (-2.0, -1.0), (3.0, 4.0)]):
+            n, r = entry_from_feature_pairs(
+                s, [(low, -1.0), (0.0, 0.0), (-high, 1.0)], [bad, good, bad], [good]
+            )
+            nbest.update(n)
+            refs.update(r)
+        corpus = build_corpus(nbest, refs)
+        cache = hypothesis_stats(corpus)
+        w, d = (1.0, 0.0), (0.0, 1.0)
+        lines = [project_lines(entry, w, d) for entry in corpus.entries]
+        sweep = sweep_intervals(corpus, [upper_envelope(l) for l in lines], cache)
+        best = min(err.error for err in sweep.interval_error)
+        assert sum(err.error == best for err in sweep.interval_error) == 3
+        result = line_search(corpus, cache, w, d)
+        assert result.chosen_interval == (-2.0, -1.0)
+        assert result.gamma_star == -1.5
+        assert (result.chosen_interval, result.error_at_star) == scalar_scan(
+            corpus, cache, lines
+        )
 
 
 class TestIntervalProbesHelper:

@@ -8,6 +8,20 @@ surface, and optionally search a grid of rotated first axes, keeping
 the rotation with the best tuning-set score.
 """
 
+import os as _os
+
+# rotamert calls no BLAS (scores are summed column by column, see
+# envelope._project), so an OpenBLAS thread pool would only spin idle
+# and burn CPU.  Load numpy with one thread unless the user chose a
+# count, then restore the environment for user code and child processes.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in _os.environ for name in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .bleu import (
     BleuStats,
     ErrorValue,

@@ -56,7 +56,7 @@ _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -72,14 +72,12 @@ def _parse_weights(text: str) -> tuple[float, ...]:
     except ValueError:
         pass
     try:
-        body = Path(text.strip()).read_text()
+        return tuple(float(v) for v in Path(text.strip()).read_text().split())
     except OSError:
         raise ConfigError(
             f"init weights {text!r} are neither numbers nor a readable file"
         ) from None
-    try:
-        return tuple(float(v) for v in body.split())
-    except ValueError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError
         raise ConfigError(f"weights file {text!r}: {exc}") from None
 
 
@@ -131,7 +129,7 @@ def load_config(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file; ``#`` comments, blank lines ignored."""
     try:
         body = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(body.splitlines(), start=1):
@@ -187,8 +185,11 @@ def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str)
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_score(args: argparse.Namespace) -> int:

@@ -29,7 +29,6 @@ that way.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -429,6 +428,8 @@ def line_search(
     zero_error = packed.argmax_error(intercepts)
     lines = (intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             hulls = _hulls(*lines, pool.map)
     else:

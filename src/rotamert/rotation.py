@@ -12,7 +12,6 @@ selection.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -276,6 +275,8 @@ def rss_optimize(
     # once under spawn or forkserver); a grid point sends only its alpha.
     workers = min(jobs, len(alphas))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
             records = tuple(pool.map(_worker_point, alphas))
     else:

@@ -1,8 +1,10 @@
 import json
+import locale
 import os
 import shutil
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -23,11 +25,39 @@ SPAWN_MAIN = (
     "sys.exit(main(sys.argv[1:]))\n"
 )
 
+# Byte 0xff starts no UTF-8 sequence; input files are read in the locale's encoding.
+UNDECODABLE = b"a \xff b\n"
+
+
+def _locale_decodes(data):
+    try:
+        data.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+needs_strict_encoding = pytest.mark.skipif(
+    _locale_decodes(UNDECODABLE), reason="the locale encoding decodes byte 0xff"
+)
+# --out targets that cannot be a directory: a regular file, and a path inside one.
+BLOCKED_OUT = [("taken",), ("taken", "run")]
+
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err, path):
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def blocked_out(tmp_path, parts):
+    (tmp_path / parts[0]).write_text("")
+    return tmp_path.joinpath(*parts)
 
 
 @pytest.fixture
@@ -110,6 +140,18 @@ class TestScore:
         )
         assert code == 2
         assert "error:" in err
+
+
+    @needs_strict_encoding
+    @pytest.mark.parametrize("bad", ["hyp", "ref"])
+    def test_undecodable_file_exits_2(self, tmp_path, bad, capsys):
+        files = {name: tmp_path / f"{name}.txt" for name in ("hyp", "ref")}
+        for path in files.values():
+            path.write_text("a b\n")
+        files[bad].write_bytes(UNDECODABLE)
+        code, _, err = run(["score", str(files["hyp"]), str(files["ref"])], capsys)
+        assert code == 2
+        assert_one_error_line(err, files[bad])
 
 
 class TestMert:
@@ -292,6 +334,51 @@ class TestMert:
         assert "error:" in err
 
 
+    @needs_strict_encoding
+    @pytest.mark.parametrize(
+        "flag, exit_code",
+        [("--nbest", 2), ("--refs", 2), ("--config", 3), ("--init-weights", 3)],
+    )
+    def test_undecodable_file_exits_with_one_error_line(
+        self, adversarial_files, tmp_path, flag, exit_code, capsys
+    ):
+        nbest, ref = adversarial_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(UNDECODABLE)
+        settings = {
+            "--nbest": str(nbest),
+            "--refs": str(ref),
+            "--init-weights": "1 1",
+            "--out": str(tmp_path / "run"),
+            flag: str(bad),
+        }
+        code, _, err = run(["mert", *chain.from_iterable(settings.items())], capsys)
+        assert code == exit_code
+        assert_one_error_line(err, bad)
+
+    @pytest.mark.parametrize("setting, exit_code", [("nbest", 2), ("out", 3)])
+    def test_nul_byte_in_a_configured_path_exits_with_one_error_line(
+        self, adversarial_files, tmp_path, setting, exit_code, capsys
+    ):
+        nbest, ref = adversarial_files
+        settings = {"nbest": nbest, "refs": ref, "out": tmp_path / "run", setting: "a\0b"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        code, _, err = run(["mert", "--config", str(cfg)], capsys)
+        assert code == exit_code
+        assert_one_error_line(err, "a\0b")
+
+    @pytest.mark.parametrize("parts", BLOCKED_OUT)
+    def test_unwritable_out_exits_3(self, adversarial_files, tmp_path, parts, capsys):
+        nbest, ref = adversarial_files
+        out = blocked_out(tmp_path, parts)
+        code, stdout, err = run(
+            ["mert", "--nbest", str(nbest), "--refs", str(ref), "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(err, out)
+
+
 class TestRss:
     def test_full_grid_run(self, adversarial_files, tmp_path, capsys):
         nbest, ref = adversarial_files
@@ -458,6 +545,15 @@ class TestRss:
         )
         assert code == 3
         assert "between 1 and 2" in err
+
+    @pytest.mark.parametrize("parts", BLOCKED_OUT)
+    def test_unwritable_out_exits_3(self, adversarial_files, tmp_path, parts, capsys):
+        out = blocked_out(tmp_path, parts)
+        code, stdout, err = run(
+            self.rss_args(adversarial_files, "--rotate", "0:1", "--out", str(out)), capsys
+        )
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(err, out)
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
     def test_spawned_workers_write_the_serial_bytes(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
+import concurrent.futures
+
 import pytest
 
-from rotamert import rotation
 from rotamert.bleu import BleuStats, hypothesis_stats, selection_error
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
 from rotamert.descent import KcdConfig, kcd_optimize, select_hypotheses
@@ -239,7 +240,7 @@ class TestRssOptimize:
         def refuse(*args, **kwargs):
             raise AssertionError("one grid point must run in-process")
 
-        monkeypatch.setattr(rotation, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         for spec, expected in zip(specs, serial):
             assert rss_optimize(corpus, corpus, (1.0, 1.0), **spec, jobs=4) == expected
 

@@ -15,42 +15,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bleu import row_bleu, stats_blocks
 from .corpus import TuningCorpus, build_corpus, format_nbest, format_references, parse_nbest, parse_references
-from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, KcdConfig, kcd_optimize
+from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, kcd_optimize
 from .envelope import PackedCorpus
 from .errors import ConfigError, InputError, LengthMismatch
 from .rotation import AlphaGrid, format_alpha, report_tsv, rss_optimize, summary_rows
 from .synthetic import SynthSpec, generate
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for the tuning subcommands."""
-
-    nbest: str | None = None
-    refs: tuple[str, ...] = ()
-    open_nbest: str | None = None
-    open_refs: tuple[str, ...] = ()
-    init_weights: tuple[float, ...] | None = None
-    epsilon: float = DEFAULT_EPSILON
-    max_iter: int = DEFAULT_MAX_ITER
-    sweep_mode: str = "sequential"
-    rotations: tuple[tuple, ...] = ()
-    grid_start: float = -1.0
-    grid_end: float = 1.0
-    grid_step: float = 0.1
-    out: str = "."
-    jobs: int = 1
-    seed: int = 0
-
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _read_text(path: str) -> str:
@@ -106,23 +82,67 @@ def _parse_rotations(text: str) -> tuple[tuple, ...]:
     return tuple(items)
 
 
-_CONVERTERS = {
-    "nbest": str,
-    "refs": _parse_path_list,
-    "open_nbest": str,
-    "open_refs": _parse_path_list,
-    "init_weights": _parse_weights,
-    "epsilon": float,
-    "max_iter": int,
-    "sweep_mode": str,
-    "rotations": _parse_rotations,
-    "grid_start": float,
-    "grid_end": float,
-    "grid_step": float,
-    "out": str,
-    "jobs": int,
-    "seed": int,
-}
+def _setting(default, convert, help: str, rss_only: bool = False, flag: str | None = None):
+    """One tuning setting: its default, the converter of its text, and its flag.
+
+    Config key ``x_y`` is flag ``--x-y`` unless ``flag`` names another.
+    ``rss_only`` settings are ``rss`` flags; every key is valid in a
+    config file, which ``mert`` and ``rss`` may share.
+    """
+    return field(
+        default=default,
+        metadata={"convert": convert, "help": help, "rss_only": rss_only, "flag": flag},
+    )
+
+
+@dataclass
+class RunConfig:
+    """Resolved settings for the tuning subcommands."""
+
+    nbest: str | None = _setting(None, str, "closed (tuning) N-best file")
+    refs: tuple[str, ...] = _setting(
+        (), _parse_path_list, "comma-separated closed reference files"
+    )
+    open_nbest: str | None = _setting(None, str, "held-out N-best file", rss_only=True)
+    open_refs: tuple[str, ...] = _setting(
+        (), _parse_path_list, "comma-separated held-out reference files", rss_only=True
+    )
+    init_weights: tuple[float, ...] | None = _setting(
+        None, _parse_weights, "starting weights: inline numbers or a file, one per line"
+    )
+    epsilon: float = _setting(
+        DEFAULT_EPSILON, float, "stop once the error delta is this small"
+    )
+    max_iter: int = _setting(DEFAULT_MAX_ITER, int, "iteration cap")
+    sweep_mode: str = _setting(
+        SWEEP_MODES[0], str, f"order in which directions are searched: {', '.join(SWEEP_MODES)}"
+    )
+    rotations: tuple[tuple, ...] = _setting(
+        (),
+        _parse_rotations,
+        "rotations, e.g. '0:1' (gridded) or '0:1,1:2=0.1'",
+        rss_only=True,
+        flag="--rotate",
+    )
+    grid_start: float = _setting(-1.0, float, "first alpha", rss_only=True)
+    grid_end: float = _setting(1.0, float, "last alpha", rss_only=True)
+    grid_step: float = _setting(0.1, float, "alpha spacing", rss_only=True)
+    out: str = _setting(".", str, "output directory")
+    jobs: int = _setting(1, int, "alpha-grid worker processes (1 = serial)", rss_only=True)
+
+
+_SETTINGS = {spec.name: spec for spec in fields(RunConfig)}
+
+
+def _flag(spec: Field) -> str:
+    return spec.metadata["flag"] or "--" + spec.name.replace("_", "-")
+
+
+def _convert(spec: Field, raw: str, label: str):
+    try:
+        return spec.metadata["convert"](raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{label} {raw!r}: {exc}") from None
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -140,36 +160,27 @@ def load_config(path: str) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         entries[key] = value.strip()
     return entries
 
 
-# Flags argparse leaves as raw strings that still need structure.
-_CLI_STRING_KEYS = {"refs", "open_refs", "init_weights", "rotations"}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
+    """Defaults, overlaid by the config file, overlaid by explicit flags.
+
+    Config values and flag values are text and go through the same
+    converter; a value it rejects is a :class:`ConfigError`.
+    """
+    values = {}
+    if args.config:
         for key, raw in load_config(args.config).items():
-            try:
-                cfg = replace(cfg, **{key: _CONVERTERS[key](raw)})
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"config setting {key} = {raw!r}: {exc}") from None
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key in _CLI_STRING_KEYS:
-            value = _CONVERTERS[key](value)
-        cfg = replace(cfg, **{key: value})
-    cpus = os.cpu_count() or 1
-    if not 1 <= cfg.jobs <= cpus:
-        raise ConfigError(f"jobs must be between 1 and {cpus} (the CPU count), got {cfg.jobs}")
-    return cfg
+            values[key] = _convert(_SETTINGS[key], raw, f"config setting {key} =")
+    for key, spec in _SETTINGS.items():
+        raw = getattr(args, key, None)
+        if raw is not None:
+            values[key] = _convert(spec, raw, _flag(spec))
+    return RunConfig(**values)
 
 
 def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str) -> TuningCorpus:
@@ -210,10 +221,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    corpus = _load_corpus(cfg.nbest, cfg.refs, "closed")
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
-    packed = PackedCorpus.scored(corpus)
-    weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg, jobs=cfg.jobs)
+    packed = PackedCorpus.scored(_load_corpus(cfg.nbest, cfg.refs, "closed"))
+    weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg)
     out = Path(cfg.out)
     _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))
     _write(out / "trace.tsv", trace.to_tsv())
@@ -226,10 +236,13 @@ def cmd_rss(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not cfg.rotations:
         raise ConfigError("rss needs at least one rotation (e.g. --rotate 0:1)")
-    closed = _load_corpus(cfg.nbest, cfg.refs, "closed")
-    opened = _load_corpus(cfg.open_nbest, cfg.open_refs, "open")
+    cpus = os.cpu_count() or 1
+    if not 1 <= cfg.jobs <= cpus:
+        raise ConfigError(f"jobs must be between 1 and {cpus} (the CPU count), got {cfg.jobs}")
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
     grid = AlphaGrid(cfg.grid_start, cfg.grid_end, cfg.grid_step)
+    closed = _load_corpus(cfg.nbest, cfg.refs, "closed")
+    opened = _load_corpus(cfg.open_nbest, cfg.open_refs, "open")
     result = rss_optimize(
         closed, opened, cfg.init_weights, cfg.rotations, grid, kcd_cfg, jobs=cfg.jobs
     )
@@ -294,45 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("refs", nargs="+", help="parallel reference files")
     p_score.set_defaults(func=cmd_score)
 
-    def add_tuning_flags(p: argparse.ArgumentParser, with_open: bool) -> None:
+    def add_tuning_flags(p: argparse.ArgumentParser, rss: bool) -> None:
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--nbest", help="closed (tuning) N-best file")
-        p.add_argument("--refs", help="comma-separated closed reference files")
-        if with_open:
-            p.add_argument("--open-nbest", dest="open_nbest", help="held-out N-best file")
-            p.add_argument(
-                "--open-refs", dest="open_refs", help="comma-separated held-out reference files"
-            )
-        p.add_argument(
-            "--init-weights",
-            dest="init_weights",
-            help="starting weights: inline numbers or a file, one per line",
-        )
-        p.add_argument("--epsilon", type=float, help="stop once the error delta is this small")
-        p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-        p.add_argument(
-            "--sweep-mode",
-            dest="sweep_mode",
-            choices=["sequential", "best-direction"],
-            help="order in which directions are searched",
-        )
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="parallel workers (1 = serial)")
+        for spec in _SETTINGS.values():
+            if rss or not spec.metadata["rss_only"]:
+                p.add_argument(_flag(spec), dest=spec.name, help=spec.metadata["help"])
 
     p_mert = sub.add_parser("mert", help="tune weights on an N-best list")
-    add_tuning_flags(p_mert, with_open=False)
+    add_tuning_flags(p_mert, rss=False)
     p_mert.set_defaults(func=cmd_mert)
 
     p_rss = sub.add_parser("rss", help="grid-search a rotated first axis")
-    add_tuning_flags(p_rss, with_open=True)
-    p_rss.add_argument(
-        "--rotate",
-        dest="rotations",
-        help="rotations, e.g. '0:1' (gridded) or '0:1,1:2=0.1'",
-    )
-    p_rss.add_argument("--grid-start", dest="grid_start", type=float, help="first alpha")
-    p_rss.add_argument("--grid-end", dest="grid_end", type=float, help="last alpha")
-    p_rss.add_argument("--grid-step", dest="grid_step", type=float, help="alpha spacing")
+    add_tuning_flags(p_rss, rss=True)
     p_rss.set_defaults(func=cmd_rss)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus pair")

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bleu import BleuStats, ErrorValue
+from .bleu import ErrorValue
 from .corpus import TuningCorpus
 from .envelope import LineSearchResult, PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
@@ -39,8 +39,8 @@ class KcdConfig:
     sweep_mode: str = "sequential"
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.sweep_mode not in SWEEP_MODES:
@@ -150,18 +150,15 @@ def kcd_optimize(
     init_w: Sequence[float] | None = None,
     system: CoordinateSystem | None = None,
     config: KcdConfig | None = None,
-    *,
-    stats_cache: Sequence[Sequence[BleuStats]] | None = None,
-    jobs: int = 1,
 ) -> tuple[tuple[float, ...], KcdTrace]:
     """Run coordinate descent; returns final weights and the step trace.
 
     Weights default to uniform ``1/M`` and are never normalized.  Each
     applied step's error is taken from the exact line search, so the
-    trace is non-increasing by construction.  The corpus and its
-    statistics are packed once and shared by every line search;
-    ``corpus`` may be a :class:`PackedCorpus` that already carries the
-    statistics, and ``stats_cache`` is then not read.
+    trace is non-increasing by construction.  A :class:`TuningCorpus`
+    is scored and packed once here and shared by every line search;
+    ``corpus`` may instead be a :class:`PackedCorpus` that already
+    carries its statistics.
     """
     dim = corpus.feature_dim
     w = initial_weights(init_w, dim)
@@ -169,10 +166,7 @@ def kcd_optimize(
     if config is None:
         config = KcdConfig()
     active = _check_directions(directions, dim)
-    if stats_cache is None and isinstance(corpus, TuningCorpus):
-        packed = PackedCorpus.scored(corpus)
-    else:
-        packed = PackedCorpus.of(corpus, stats_cache)
+    packed = corpus if isinstance(corpus, PackedCorpus) else PackedCorpus.scored(corpus)
     current = packed.argmax_error(packed.project(w))
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
@@ -183,14 +177,14 @@ def kcd_optimize(
         if config.sweep_mode == "sequential":
             for dim_index in active:
                 direction = directions[dim_index]
-                result = line_search(packed, None, w, direction, jobs=jobs)
+                result = line_search(packed, None, w, direction)
                 w, step = _apply_step(w, direction, result, current, iteration, dim_index)
                 current = step.error
                 steps.append(step)
         else:  # best-direction
             candidates = []
             for dim_index in active:
-                result = line_search(packed, None, w, directions[dim_index], jobs=jobs)
+                result = line_search(packed, None, w, directions[dim_index])
                 candidates.append((result.error_at_star.error, dim_index, result))
             if candidates:
                 _, dim_index, result = min(candidates, key=lambda c: (c[0], c[1]))

@@ -30,7 +30,7 @@ that way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -253,7 +253,6 @@ def _hulls(
     labels: np.ndarray,
     sentence: np.ndarray,
     size: int,
-    mapper: Callable = map,
 ) -> list[Hull]:
     """Upper envelope of each of ``size`` sentences (rows tagged by ``sentence``).
 
@@ -273,15 +272,7 @@ def _hulls(
     a = intercepts[kept].tolist()
     b = slopes[kept].tolist()
     k = labels[kept].tolist()
-    spans = list(zip(bounds, bounds[1:]))
-    return list(
-        mapper(
-            _hull,
-            [a[lo:hi] for lo, hi in spans],
-            [b[lo:hi] for lo, hi in spans],
-            [k[lo:hi] for lo, hi in spans],
-        )
-    )
+    return [_hull(a[lo:hi], b[lo:hi], k[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def upper_envelope(lines: Sequence[ScoreLine]) -> SentenceEnvelope:
@@ -411,8 +402,6 @@ def line_search(
     stats_cache: Sequence[Sequence[BleuStats]] | None,
     w: Sequence[float],
     d: Sequence[float],
-    *,
-    jobs: int = 1,
 ) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
 
@@ -426,14 +415,7 @@ def line_search(
     packed = PackedCorpus.of(corpus, stats_cache)
     intercepts = packed.project(w)
     zero_error = packed.argmax_error(intercepts)
-    lines = (intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hulls = _hulls(*lines, pool.map)
-    else:
-        hulls = _hulls(*lines)
+    hulls = _hulls(intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
     boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
     estimate = _row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar

@@ -112,7 +112,7 @@ def test_criterion_3_descent_is_monotone_and_terminates():
             start = selection_error(
                 cache, select_hypotheses(corpus, uniform_weights(corpus.feature_dim))
             )
-            _, trace = kcd_optimize(corpus, stats_cache=cache)
+            _, trace = kcd_optimize(corpus)
             errors = [start.error] + [s.error.error for s in trace.steps]
             assert all(a >= b for a, b in zip(errors, errors[1:])), f"seed {seed}"
             assert 1 <= trace.iterations <= DEFAULT_MAX_ITER, f"seed {seed}"
@@ -258,18 +258,19 @@ def test_criterion_8_grid_cardinality_and_report_layout():
 
 def test_criterion_9_parallelism_is_byte_identical():
     with criterion(9, "parallel and serial runs produce byte-identical output"):
+        # Two grid points, so the rss process pool really starts workers.
+        grid = (-0.5, 0.5)
         for seed in list(range(30)) + list(range(0, 1000, 97)):
-            corpus, cache, _, w, d = ray_instance(seed, min_features=2)
-            serial = line_search(corpus, cache, w, d)
-            threaded = line_search(corpus, cache, w, d, jobs=4)
-            assert repr(serial) == repr(threaded), f"seed {seed}"
+            corpus = ray_instance(seed, min_features=2)[0]
+            serial = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid, jobs=1)
+            pooled = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid, jobs=4)
+            assert repr(serial) == repr(pooled), f"seed {seed}"
 
         for seed in range(8):
             corpus, _ = random_corpus(seed)
-            w1, t1 = kcd_optimize(corpus, jobs=1)
-            w4, t4 = kcd_optimize(corpus, jobs=4)
-            assert w1 == w4, f"seed {seed}"
-            assert t1.to_tsv() == t4.to_tsv(), f"seed {seed}"
+            serial = rss_optimize(corpus, corpus, rotation_spec=(), grid=grid, jobs=1)
+            pooled = rss_optimize(corpus, corpus, rotation_spec=(), grid=grid, jobs=4)
+            assert repr(serial) == repr(pooled), f"seed {seed}"
 
         adv = adversarial_instance()
         serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),), jobs=1)

@@ -4,13 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from rotamert.bleu import aggregate, corpus_bleu
-from rotamert.cli import main
+from rotamert.cli import RunConfig, build_parser, main, resolve_config
 from rotamert.corpus import parse_nbest
 
 from oracles import clipped_stats_by_counting
@@ -154,6 +155,39 @@ class TestScore:
         assert_one_error_line(err, files[bad])
 
 
+# One value per tuning setting, each different from its default.
+SETTING_VALUES = {
+    "nbest": "tune.nbest",
+    "refs": "a.ref, b.ref",
+    "open_nbest": "held.nbest",
+    "open_refs": "c.ref,d.ref",
+    "init_weights": "0.5, -1.5",
+    "epsilon": "0.25",
+    "max_iter": "7",
+    "sweep_mode": "best-direction",
+    "rotations": "0:1,1:2=0.5",
+    "grid_start": "-0.5",
+    "grid_end": "0.75",
+    "grid_step": "0.25",
+    "out": "run",
+    "jobs": str(os.cpu_count() or 1),
+}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("key", [spec.name for spec in fields(RunConfig)])
+    def test_flag_and_config_key_resolve_alike(self, key, tmp_path):
+        value = SETTING_VALUES[key]
+        flag = "--rotate" if key == "rotations" else "--" + key.replace("_", "-")
+        from_flag = resolve_config(build_parser().parse_args(["rss", flag, value]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_file = resolve_config(build_parser().parse_args(["rss", "--config", str(cfg)]))
+        assert from_flag == from_file
+        if value != "1":  # jobs on a one-CPU machine can only be the default
+            assert getattr(from_flag, key) != getattr(RunConfig(), key)
+
+
 class TestMert:
     def test_tunes_and_writes_outputs(self, adversarial_files, tmp_path, capsys):
         nbest, ref = adversarial_files
@@ -250,10 +284,11 @@ class TestMert:
 
     def test_unknown_config_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mystery = 1\n")
-        code, _, err = run(["mert", "--config", str(cfg)], capsys)
-        assert code == 3
-        assert "unknown setting" in err
+        for key in ("mystery", "seed"):  # synth --seed is no tuning setting
+            cfg.write_text(f"{key} = 1\n")
+            code, _, err = run(["mert", "--config", str(cfg)], capsys)
+            assert code == 3, key
+            assert "unknown setting" in err, key
 
     def test_config_line_without_equals_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -312,15 +347,23 @@ class TestMert:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "not finite" in err
 
-    @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
-    def test_jobs_out_of_range_exit_3(self, jobs, capsys):
-        # Rejected while resolving settings, before any input is read.
-        code, _, err = run(
-            ["mert", "--nbest", "missing.nbest", "--refs", "missing.ref", "--jobs", str(jobs)],
-            capsys,
-        )
-        assert code == 3
-        assert "jobs" in err
+    def test_jobs_flag_is_rss_only(self, capsys):
+        # mert runs one descent; --jobs sets rss's alpha-grid processes.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mert", "--nbest", "missing.nbest", "--refs", "missing.ref", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_config_file_may_hold_rss_settings(self, adversarial_files, tmp_path, capsys):
+        nbest, ref = adversarial_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 1\nrotations = 0:1\ngrid_step = 0.5\nopen_nbest = x\n")
+        args = ["--nbest", str(nbest), "--refs", str(ref), "--init-weights", "1 1"]
+        code, out, _ = run(["mert", "--config", str(cfg), *args, "--out", str(tmp_path / "a")], capsys)
+        assert (code, out) == (0, "51.49\n")
+        assert run(["mert", *args, "--out", str(tmp_path / "b")], capsys)[:2] == (0, out)
+        for name in ("weights.txt", "trace.tsv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_malformed_nbest_exits_2(self, tmp_path, capsys):
         nbest = tmp_path / "bad.nbest"
@@ -522,6 +565,7 @@ class TestRss:
             ("--rotate", "0:1", "--grid-end", "inf"),
             ("--rotate", "0:1=nan"),
             ("--rotate", "0:1", "--init-weights", "nan nan"),
+            ("--rotate", "0:1", "--epsilon", "inf"),
         ],
     )
     def test_non_finite_settings_exit_3(self, adversarial_files, extra, capsys):
@@ -537,6 +581,37 @@ class TestRss:
         )
         assert code == 3
         assert "points" in err
+
+    @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_exit_3(self, jobs, capsys):
+        # Rejected before any input is read.
+        code, _, err = run(
+            ["rss", "--nbest", "missing.nbest", "--refs", "missing.ref", "--rotate", "0:1",
+             "--jobs", str(jobs)],
+            capsys,
+        )
+        assert code == 3
+        assert "jobs" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epsilon", "abc"),
+            ("--max-iter", "1.5"),
+            ("--jobs", "two"),
+            ("--grid-start", "x"),
+            ("--grid-end", "1e"),
+            ("--grid-step", ""),
+            ("--sweep-mode", "bogus"),
+        ],
+    )
+    def test_bad_flag_value_exits_3(self, adversarial_files, flag, value, capsys):
+        code, stdout, err = run(
+            self.rss_args(adversarial_files, "--rotate", "0:1", flag, value), capsys
+        )
+        assert (code, stdout) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag.lstrip("-").replace("-", "_") in err.replace("-", "_")
 
     def test_jobs_above_cpu_count_exits_3(self, adversarial_files, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -68,6 +68,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             KcdConfig(epsilon=0.0)
+        with pytest.raises(ConfigError, match="epsilon"):
+            KcdConfig(epsilon=float("inf"))
         with pytest.raises(ConfigError):
             KcdConfig(max_iter=0)
         with pytest.raises(ConfigError):
@@ -95,7 +97,7 @@ class TestDescentLoop:
             cache = hypothesis_stats(corpus)
             w0 = uniform_weights(corpus.feature_dim)
             start = selection_error(cache, select_hypotheses(corpus, w0))
-            _, trace = kcd_optimize(corpus, w0, stats_cache=cache)
+            _, trace = kcd_optimize(corpus, w0)
             assert trace.steps[0].error.error <= start.error, f"seed {seed}"
 
     def test_iteration_cap_respected(self):
@@ -145,11 +147,8 @@ class TestDescentLoop:
 
     def test_weights_start_uniform_by_default(self):
         corpus, _ = random_corpus(9)
-        cache = hypothesis_stats(corpus)
-        explicit, _ = kcd_optimize(
-            corpus, uniform_weights(corpus.feature_dim), stats_cache=cache
-        )
-        default, _ = kcd_optimize(corpus, stats_cache=cache)
+        explicit, _ = kcd_optimize(corpus, uniform_weights(corpus.feature_dim))
+        default, _ = kcd_optimize(corpus)
         assert explicit == default
 
     def test_init_weight_length_checked(self):
@@ -157,24 +156,11 @@ class TestDescentLoop:
         with pytest.raises(DimensionMismatch):
             kcd_optimize(corpus, (1.0,) * (corpus.feature_dim + 1))
 
-    def test_external_stats_cache_changes_nothing(self):
-        corpus, _ = random_corpus(12)
-        with_cache = kcd_optimize(corpus, stats_cache=hypothesis_stats(corpus))
-        without = kcd_optimize(corpus)
-        assert with_cache == without
-
-    def test_parallel_jobs_change_nothing(self):
-        for seed in range(8):
-            corpus, _ = random_corpus(seed)
-            serial = kcd_optimize(corpus, jobs=1)
-            threaded = kcd_optimize(corpus, jobs=4)
-            assert serial == threaded, f"seed {seed}"
-
     def test_packed_input_changes_nothing(self):
         for seed in range(8):
             corpus, _ = random_corpus(seed)
             serial = kcd_optimize(corpus)
-            w, trace = kcd_optimize(PackedCorpus.of(corpus, hypothesis_stats(corpus)))
+            w, trace = kcd_optimize(PackedCorpus.scored(corpus))
             assert w == serial[0], f"seed {seed}"
             assert trace.to_tsv() == serial[1].to_tsv(), f"seed {seed}"
 

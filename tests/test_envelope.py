@@ -439,13 +439,6 @@ class TestLineSearch:
         assert result.chosen_interval == (float("-inf"), 0.0)
         assert result.gamma_star == -1.0
 
-    def test_parallel_jobs_change_nothing(self):
-        for seed in range(10):
-            corpus, cache, _, w, d = ray_instance(seed)
-            serial = line_search(corpus, cache, w, d)
-            threaded = line_search(corpus, cache, w, d, jobs=4)
-            assert serial == threaded
-
 
 def random_stats_rows(seed, count=4000):
     """Statistics rows up to 2^40 with every branch of row_bleu."""

@@ -22,15 +22,7 @@ if not any(name in _os.environ for name in _BLAS_THREAD_VARS):
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .bleu import (
-    BleuStats,
-    ErrorValue,
-    aggregate,
-    corpus_bleu,
-    hypothesis_stats,
-    selection_error,
-    sentence_bleu_stats,
-)
+from .bleu import ErrorValue
 from .corpus import (
     Hypothesis,
     SentenceEntry,
@@ -49,7 +41,6 @@ from .descent import (
     KcdTrace,
     StepRecord,
     kcd_optimize,
-    select_hypotheses,
     uniform_weights,
 )
 from .envelope import (
@@ -85,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaGrid",
-    "BleuStats",
     "CoordinateSystem",
     "ErrorValue",
     "Hypothesis",
@@ -105,14 +95,11 @@ __all__ = [
     "TuningCorpus",
     "adversarial_certificate",
     "adversarial_instance",
-    "aggregate",
     "apply_rotation",
     "build_corpus",
-    "corpus_bleu",
     "format_nbest",
     "format_references",
     "generate",
-    "hypothesis_stats",
     "identity_system",
     "kcd_optimize",
     "line_search",
@@ -124,9 +111,6 @@ __all__ = [
     "remap_sparse_ids",
     "report_tsv",
     "rss_optimize",
-    "select_hypotheses",
-    "selection_error",
-    "sentence_bleu_stats",
     "sweep_intervals",
     "uniform_weights",
     "upper_envelope",

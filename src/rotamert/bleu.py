@@ -1,10 +1,15 @@
 """Corpus BLEU from additive integer sufficient statistics.
 
 Order-4, unsmoothed, multi-reference BLEU.  Every hypothesis reduces to
-ten integers (:meth:`BleuStats.row`): clipped n-gram matches, n-gram
-totals, and the two lengths; statistics add (and subtract)
-componentwise, so corpus score changes under a different hypothesis
-selection are cheap integer deltas.  The score itself is::
+one statistics row of ten integers::
+
+    match_1..match_4, total_1..total_4, hyp_len, ref_len
+
+clipped n-gram matches, n-gram totals, the hypothesis length and the
+effective reference length (the reference length closest to the
+hypothesis, ties to the shorter).  Rows add (and subtract) column by
+column, so corpus score changes under a different hypothesis selection
+are cheap integer deltas.  The score of a row, :func:`row_bleu`, is::
 
     BLEU = BP * exp(mean_n log(match_n / total_n))
 
@@ -22,8 +27,7 @@ vocabulary.  One stable sort per order groups equal (sentence, n-gram)
 occurrences, references first; a hypothesis occurrence matches while
 its running count in that hypothesis is at most the largest count in
 any one reference, which sums to ``min(count_hyp, max_r count_r)`` per
-n-gram.  :func:`hypothesis_stats` and :func:`sentence_bleu_stats` are
-adapters over the kernel.
+n-gram.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Tokens, TuningCorpus
+from .corpus import TuningCorpus
 from .errors import NoReferences
 
 NGRAM_ORDER = 4
@@ -51,44 +55,6 @@ Sentence = tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]]
 
 
 @dataclass(frozen=True)
-class BleuStats:
-    """Additive sufficient statistics of one or more sentences."""
-
-    match_n: tuple[int, int, int, int]
-    total_n: tuple[int, int, int, int]
-    hyp_len: int
-    ref_len: int
-
-    def __add__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            tuple(a + b for a, b in zip(self.match_n, other.match_n)),
-            tuple(a + b for a, b in zip(self.total_n, other.total_n)),
-            self.hyp_len + other.hyp_len,
-            self.ref_len + other.ref_len,
-        )
-
-    def __sub__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            tuple(a - b for a, b in zip(self.match_n, other.match_n)),
-            tuple(a - b for a, b in zip(self.total_n, other.total_n)),
-            self.hyp_len - other.hyp_len,
-            self.ref_len - other.ref_len,
-        )
-
-    @staticmethod
-    def zero() -> "BleuStats":
-        return BleuStats((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
-
-    def row(self) -> tuple[int, ...]:
-        """The ten integers ``match_n + total_n + (hyp_len, ref_len)``."""
-        return (*self.match_n, *self.total_n, self.hyp_len, self.ref_len)
-
-    @staticmethod
-    def from_row(row: Sequence[int]) -> "BleuStats":
-        return BleuStats(tuple(row[0:4]), tuple(row[4:8]), row[8], row[9])
-
-
-@dataclass(frozen=True)
 class ErrorValue:
     """Corpus error and the BLEU it complements (``error + bleu == 1``)."""
 
@@ -96,7 +62,7 @@ class ErrorValue:
     bleu: float
 
 
-def _closest_ref_lens(
+def _effective_ref_lens(
     ref_lens: np.ndarray, ref_owner: np.ndarray, hyp_lens: np.ndarray, hyp_owner: np.ndarray
 ) -> np.ndarray:
     """Per hypothesis, the length of its owner's reference closest to it, ties to the shorter.
@@ -114,13 +80,6 @@ def _closest_ref_lens(
     shorter = keys[np.maximum(at - 1, 0)] - base
     take_shorter = (at > first) & ((at == end) | (hyp_lens - shorter <= longer - hyp_lens))
     return np.where(take_shorter, shorter, longer)
-
-
-def closest_ref_len(hyp_len: int, ref_lens: Iterable[int]) -> int:
-    """Effective reference length: closest to ``hyp_len``, ties to the shorter."""
-    lens = np.fromiter(ref_lens, dtype=np.int64)
-    owners = np.zeros(len(lens), dtype=np.int64)
-    return int(_closest_ref_lens(lens, owners, np.array([hyp_len]), owners[:1])[0])
 
 
 def _block_rows(block: list[Sentence]) -> np.ndarray:
@@ -175,7 +134,7 @@ def _block_rows(block: list[Sentence]) -> np.ndarray:
         matched = in_hyp & (occurrence <= ref_max[group])
         rows[:, n - 1] = np.bincount(owner_seq[matched] - n_refs, minlength=n_hyps)
     rows[:, 8] = hyp_lens
-    rows[:, 9] = _closest_ref_lens(lens[:n_refs], owner[:n_refs], hyp_lens, owner[n_refs:])
+    rows[:, 9] = _effective_ref_lens(lens[:n_refs], owner[:n_refs], hyp_lens, owner[n_refs:])
     return rows
 
 
@@ -184,7 +143,7 @@ def stats_blocks(
 ) -> Iterator[np.ndarray]:
     """Statistics rows of every hypothesis, as one ``int64 (n, 10)`` array per block.
 
-    Rows follow the input order, laid out as :meth:`BleuStats.row`.
+    Rows follow the input order, laid out as the module docstring says.
     Raises :class:`NoReferences` for a sentence without references.
     """
     block: list[Sentence] = []
@@ -210,28 +169,8 @@ def corpus_stats(corpus: TuningCorpus) -> np.ndarray:
     return np.concatenate([np.zeros((0, 10), dtype=np.int64), *blocks])
 
 
-def sentence_bleu_stats(hyp: Sequence[str], refs: Sequence[Tokens]) -> BleuStats:
-    """Clipped n-gram statistics of one hypothesis against its references."""
-    (row,) = next(stats_blocks([((hyp,), refs)])).tolist()
-    return BleuStats.from_row(row)
-
-
-def aggregate(stats: Iterable[BleuStats]) -> BleuStats:
-    """Sum statistics over sentences (order does not matter).
-
-    The ten-integer rows are summed column by column into one result.
-    """
-    columns = [sum(column) for column in zip(*(st.row() for st in stats))]
-    return BleuStats.from_row(columns) if columns else BleuStats.zero()
-
-
-def corpus_bleu(agg: BleuStats) -> ErrorValue:
-    """Score aggregated statistics; returns error = 1 - BLEU on [0, 1]."""
-    return row_bleu(agg.row())
-
-
 def row_bleu(row: Sequence[int]) -> ErrorValue:
-    """:func:`corpus_bleu` of statistics laid out as :meth:`BleuStats.row`."""
+    """Corpus error and BLEU of one statistics row (a corpus's rows summed)."""
     match_n, total_n, hyp_len, ref_len = row[0:4], row[4:8], row[8], row[9]
     if hyp_len == 0:
         return ErrorValue(1.0, 0.0)
@@ -248,16 +187,21 @@ def row_bleu(row: Sequence[int]) -> ErrorValue:
     return ErrorValue(1.0 - bleu, bleu)
 
 
-def hypothesis_stats(corpus: TuningCorpus) -> list[list[BleuStats]]:
-    """Per-(sentence, hypothesis) statistics: :func:`corpus_stats` as :class:`BleuStats`."""
-    rows = iter(corpus_stats(corpus).tolist())
-    return [
-        [BleuStats.from_row(next(rows)) for _ in entry.hypotheses] for entry in corpus.entries
-    ]
+def row_errors(rows: np.ndarray) -> np.ndarray:
+    """:func:`row_bleu` errors of statistics rows, by numpy's ``log`` and ``exp``.
 
-
-def selection_error(
-    stats_cache: Sequence[Sequence[BleuStats]], chosen: Sequence[int]
-) -> ErrorValue:
-    """Corpus error of picking hypothesis ``chosen[s]`` in each sentence."""
-    return corpus_bleu(aggregate(stats_cache[s][k] for s, k in enumerate(chosen)))
+    Every operation is the scalar formula's, in its order (counts above
+    2**53 round once more on the way to float).  Only numpy's and math's
+    rounding of ``log`` and ``exp`` differ, by a few ulps: with
+    ``|log|`` of an int64 count ratio at most 44 and BLEU at most 1,
+    each value is within 1e-12 of the scalar error.
+    """
+    counts = rows.astype(np.float64)
+    match, total, hyp_len, ref_len = counts[:, 0:4], counts[:, 4:8], counts[:, 8], counts[:, 9]
+    scored = (hyp_len > 0) & (match > 0).all(axis=1) & (total > 0).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(match / total)
+        log_precision = (((logs[:, 0] + logs[:, 1]) + logs[:, 2]) + logs[:, 3]) / NGRAM_ORDER
+        brevity = np.where(hyp_len > ref_len, 1.0, np.exp(1.0 - ref_len / hyp_len))
+        bleu = brevity * np.exp(log_precision)
+    return np.where(scored, 1.0 - bleu, 1.0)

@@ -222,7 +222,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
-    packed = PackedCorpus.scored(_load_corpus(cfg.nbest, cfg.refs, "closed"))
+    packed = PackedCorpus.of(_load_corpus(cfg.nbest, cfg.refs, "closed"))
     weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg)
     out = Path(cfg.out)
     _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))

@@ -261,7 +261,10 @@ def build_corpus(
         entries.append(
             SentenceEntry(sentence_id, tuple(kept), tuple(sentence_refs))
         )
-    assert dim is not None
+    if not dim:
+        raise MalformedLine(
+            "the feature field is empty: hypotheses need at least one feature value"
+        )
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(dim))
     else:

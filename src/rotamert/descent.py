@@ -75,12 +75,6 @@ class KcdTrace:
         return "\n".join(rows) + "\n"
 
 
-def select_hypotheses(corpus: TuningCorpus | PackedCorpus, w: Sequence[float]) -> list[int]:
-    """Argmax hypothesis per sentence under ``w``; score ties keep the lowest rank."""
-    packed = PackedCorpus.of(corpus)
-    return packed.first_argmax(packed.project(w)).tolist()
-
-
 def uniform_weights(dim: int) -> tuple[float, ...]:
     return (1.0 / dim,) * dim
 
@@ -157,8 +151,7 @@ def kcd_optimize(
     applied step's error is taken from the exact line search, so the
     trace is non-increasing by construction.  A :class:`TuningCorpus`
     is scored and packed once here and shared by every line search;
-    ``corpus`` may instead be a :class:`PackedCorpus` that already
-    carries its statistics.
+    ``corpus`` may instead be a :class:`PackedCorpus` packed earlier.
     """
     dim = corpus.feature_dim
     w = initial_weights(init_w, dim)
@@ -166,7 +159,7 @@ def kcd_optimize(
     if config is None:
         config = KcdConfig()
     active = _check_directions(directions, dim)
-    packed = corpus if isinstance(corpus, PackedCorpus) else PackedCorpus.scored(corpus)
+    packed = corpus if isinstance(corpus, PackedCorpus) else PackedCorpus.of(corpus)
     current = packed.argmax_error(packed.project(w))
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
@@ -177,14 +170,14 @@ def kcd_optimize(
         if config.sweep_mode == "sequential":
             for dim_index in active:
                 direction = directions[dim_index]
-                result = line_search(packed, None, w, direction)
+                result = line_search(packed, w, direction)
                 w, step = _apply_step(w, direction, result, current, iteration, dim_index)
                 current = step.error
                 steps.append(step)
         else:  # best-direction
             candidates = []
             for dim_index in active:
-                result = line_search(packed, None, w, directions[dim_index])
+                result = line_search(packed, w, directions[dim_index])
                 candidates.append((result.error_at_star.error, dim_index, result))
             if candidates:
                 _, dim_index, result = min(candidates, key=lambda c: (c[0], c[1]))

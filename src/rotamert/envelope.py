@@ -29,23 +29,20 @@ that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bleu import NGRAM_ORDER, BleuStats, ErrorValue, corpus_stats, row_bleu
+from .bleu import ErrorValue, corpus_stats, row_bleu, row_errors
 from .corpus import SentenceEntry, TuningCorpus
 from .errors import DimensionMismatch, InputError
 
 COALESCE_TOL = 1e-9
 
-# Intervals whose numpy error estimate (_row_errors) lies within this
+# Intervals whose numpy error estimate (row_errors) lies within this
 # of the smallest estimate are rescored by the scalar row_bleu.  The
-# estimate repeats row_bleu's operations, so it differs only where
-# numpy's and math's log and exp round differently, by a few ulps; with
-# |log| of an int64 count ratio at most 44 and BLEU at most 1 that is
-# under 1e-12, far inside half this bound.
+# estimate is within 1e-12 of row_bleu, far inside half this bound.
 RESCORE_BOUND = 1e-9
 
 # Memory cap of the domination prefilter's padded matrix (see
@@ -72,10 +69,10 @@ class SentenceEnvelope:
 
 @dataclass(frozen=True)
 class IntervalSweep:
-    """Corpus-level intervals with their aggregated statistics and errors."""
+    """Corpus-level intervals with their summed statistics rows and errors."""
 
     boundaries: tuple[float, ...]
-    interval_stats: tuple[BleuStats, ...]
+    interval_stats: tuple[tuple[int, ...], ...]  # statistics rows
     interval_error: tuple[ErrorValue, ...]
 
 
@@ -91,24 +88,18 @@ class PackedCorpus:
     """A corpus as flat arrays, one row per hypothesis in sentence order.
 
     Sentence ``s`` owns rows ``offsets[s]:offsets[s + 1]`` in rank
-    order.  ``stats`` holds each row's :meth:`BleuStats.row`; it is
-    ``None`` when the view was packed for selection only.
+    order; ``stats`` holds each row's BLEU statistics row.
     """
 
     features: np.ndarray  # float64 (N, M)
     offsets: np.ndarray  # int64 (S + 1,)
-    stats: np.ndarray | None  # int64 (N, 10)
+    stats: np.ndarray  # int64 (N, 10)
     sentence: np.ndarray  # int64 (N,): owning sentence of each row
     rank: np.ndarray  # int64 (N,): row index within its sentence
 
     @staticmethod
-    def of(
-        corpus: TuningCorpus | PackedCorpus,
-        stats_cache: Sequence[Sequence[BleuStats]] | None = None,
-    ) -> PackedCorpus:
-        """Pack ``corpus`` (and ``stats_cache``); a packed view passes through."""
-        if isinstance(corpus, PackedCorpus):
-            return corpus
+    def of(corpus: TuningCorpus) -> PackedCorpus:
+        """Pack ``corpus`` with the statistics rows of :func:`corpus_stats`."""
         counts = [len(entry.hypotheses) for entry in corpus.entries]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -116,24 +107,9 @@ class PackedCorpus:
             [h.features for entry in corpus.entries for h in entry.hypotheses],
             dtype=np.float64,
         ).reshape(int(offsets[-1]), corpus.feature_dim)
-        stats = None
-        if stats_cache is not None:
-            if [len(row) for row in stats_cache] != counts:
-                raise DimensionMismatch(
-                    "statistics cache does not hold one row per hypothesis "
-                    f"of the corpus ({corpus.size} sentences)"
-                )
-            stats = np.array(
-                [st.row() for row in stats_cache for st in row], dtype=np.int64
-            ).reshape(-1, 10)
         sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
-        return PackedCorpus(features, offsets, stats, sentence, rank)
-
-    @staticmethod
-    def scored(corpus: TuningCorpus) -> PackedCorpus:
-        """Pack ``corpus`` with the statistics rows of :func:`corpus_stats`."""
-        return replace(PackedCorpus.of(corpus), stats=corpus_stats(corpus))
+        return PackedCorpus(features, offsets, corpus_stats(corpus), sentence, rank)
 
     @property
     def size(self) -> int:
@@ -158,11 +134,8 @@ class PackedCorpus:
         """Corpus error of each sentence's :meth:`first_argmax` row under ``scores``.
 
         The statistics rows are summed as integers and scored by
-        :func:`row_bleu`, so the value is bit-identical to
-        :func:`rotamert.bleu.selection_error` of the same selection.
+        :func:`row_bleu`.
         """
-        if self.stats is None:
-            raise DimensionMismatch("corpus was packed without its statistics")
         rows = self.offsets[:-1] + self.first_argmax(scores)
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
 
@@ -337,22 +310,16 @@ def _sweep(
 
 
 def sweep_intervals(
-    corpus: TuningCorpus,
-    envelopes: Sequence[SentenceEnvelope],
-    stats_cache: Sequence[Sequence[BleuStats]],
+    packed: PackedCorpus, envelopes: Sequence[SentenceEnvelope]
 ) -> IntervalSweep:
     """Merge per-sentence breakpoints and walk intervals by stat deltas.
 
     Boundaries closer than ``COALESCE_TOL`` collapse into one; each
     boundary applies every affected sentence's outgoing/incoming
-    hypothesis swap to the running aggregate.
+    hypothesis swap to the running statistics row.
     """
-    if len(envelopes) != corpus.size or len(stats_cache) != corpus.size:
-        raise DimensionMismatch(
-            f"{len(envelopes)} envelopes / {len(stats_cache)} stat rows "
-            f"for {corpus.size} sentences"
-        )
-    packed = PackedCorpus.of(corpus, stats_cache)
+    if len(envelopes) != packed.size:
+        raise DimensionMismatch(f"{len(envelopes)} envelopes for {packed.size} sentences")
     boundaries, rows = _sweep(
         [(env.breakpoints, env.segments) for env in envelopes],
         packed.offsets.tolist(),
@@ -361,27 +328,9 @@ def sweep_intervals(
     interval_rows = rows.tolist()
     return IntervalSweep(
         tuple(boundaries),
-        tuple(BleuStats.from_row(row) for row in interval_rows),
+        tuple(map(tuple, interval_rows)),
         tuple(row_bleu(row) for row in interval_rows),
     )
-
-
-def _row_errors(rows: np.ndarray) -> np.ndarray:
-    """:func:`row_bleu` errors of statistics rows, by numpy's ``log`` and ``exp``.
-
-    Every operation is the scalar formula's, in its order (counts above
-    2**53 round once more on the way to float); each value is within
-    ``RESCORE_BOUND / 2`` of the scalar error.
-    """
-    counts = rows.astype(np.float64)
-    match, total, hyp_len, ref_len = counts[:, 0:4], counts[:, 4:8], counts[:, 8], counts[:, 9]
-    scored = (hyp_len > 0) & (match > 0).all(axis=1) & (total > 0).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(match / total)
-        log_precision = (((logs[:, 0] + logs[:, 1]) + logs[:, 2]) + logs[:, 3]) / NGRAM_ORDER
-        brevity = np.where(hyp_len > ref_len, 1.0, np.exp(1.0 - ref_len / hyp_len))
-        bleu = brevity * np.exp(log_precision)
-    return np.where(scored, 1.0 - bleu, 1.0)
 
 
 def _interval_bounds(
@@ -397,27 +346,20 @@ def _distance_to_zero(lower: float, upper: float) -> float:
     return max(lower, -upper, 0.0)
 
 
-def line_search(
-    corpus: TuningCorpus | PackedCorpus,
-    stats_cache: Sequence[Sequence[BleuStats]] | None,
-    w: Sequence[float],
-    d: Sequence[float],
-) -> LineSearchResult:
+def line_search(packed: PackedCorpus, w: Sequence[float], d: Sequence[float]) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
 
-    ``corpus`` may be a :class:`PackedCorpus` that already carries the
-    statistics; ``stats_cache`` is then not read.  Returns the midpoint
+    Returns the midpoint
     of the minimum-error interval (offset by 1.0 into unbounded
     intervals); interval ties resolve toward the interval containing or
     closest to gamma = 0, then leftmost.  With no breakpoints at all the
     step is 0.  The result never scores worse than staying at gamma = 0.
     """
-    packed = PackedCorpus.of(corpus, stats_cache)
     intercepts = packed.project(w)
     zero_error = packed.argmax_error(intercepts)
     hulls = _hulls(intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
     boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
-    estimate = _row_errors(rows)
+    estimate = row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar
     # minimum; their scalar errors decide, ties as documented above.
     candidates = np.flatnonzero(estimate <= estimate.min() + RESCORE_BOUND)

@@ -268,8 +268,8 @@ def rss_optimize(
     if not alphas:
         raise GridEmpty("alpha grid has no points")
 
-    closed = PackedCorpus.scored(closed_corpus)
-    opened = PackedCorpus.scored(open_corpus)
+    closed = PackedCorpus.of(closed_corpus)
+    opened = PackedCorpus.of(open_corpus)
     task = (closed, opened, init_w, gridded, fixed, config)
     # Each worker receives the task once (inherited under fork, pickled
     # once under spawn or forkserver); a grid point sends only its alpha.

@@ -23,6 +23,15 @@ from .errors import SpecInvalid
 
 _MAX_RESAMPLE = 100
 
+# Size bounds of a spec, checked before anything is allocated.  The
+# 400 x 100 x 8 corpus (40,000 hypotheses) generates in about a second;
+# these allow 25 times that and refuse sizes that would run for hours
+# or exhaust memory.
+MAX_HYPOTHESES = 1_000_000  # sentences x hypotheses
+MAX_FEATURE_VALUES = 10_000_000  # sentences x hypotheses x features
+MAX_VOCAB_SIZE = 100_000
+MAX_REF_COUNT = 100
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -43,10 +52,24 @@ class SynthSpec:
             raise SpecInvalid(f"need at least one hypothesis, got {self.hypotheses}")
         if self.features < 1:
             raise SpecInvalid(f"need at least one feature, got {self.features}")
-        if self.vocab_size < 2:
-            raise SpecInvalid(f"vocabulary needs at least 2 tokens, got {self.vocab_size}")
-        if self.ref_count < 1:
-            raise SpecInvalid(f"need at least one reference, got {self.ref_count}")
+        if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
+            raise SpecInvalid(
+                f"vocabulary size must be between 2 and {MAX_VOCAB_SIZE}, got {self.vocab_size}"
+            )
+        if not 1 <= self.ref_count <= MAX_REF_COUNT:
+            raise SpecInvalid(
+                f"reference count must be between 1 and {MAX_REF_COUNT}, got {self.ref_count}"
+            )
+        hypotheses = self.sentences * self.hypotheses
+        if hypotheses > MAX_HYPOTHESES:
+            raise SpecInvalid(
+                f"{hypotheses} hypotheses (sentences x hypotheses) exceed {MAX_HYPOTHESES}"
+            )
+        if hypotheses * self.features > MAX_FEATURE_VALUES:
+            raise SpecInvalid(
+                f"{hypotheses * self.features} feature values "
+                f"(sentences x hypotheses x features) exceed {MAX_FEATURE_VALUES}"
+            )
         for i, j, rho in self.correlated_pairs:
             if not (0 <= i < self.features and 0 <= j < self.features):
                 raise SpecInvalid(f"correlated pair ({i}, {j}) out of range")

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from rotamert.bleu import hypothesis_stats
 from rotamert.corpus import Hypothesis, build_corpus
-from rotamert.envelope import ScoreLine, project_lines
+from rotamert.envelope import PackedCorpus, ScoreLine, project_lines
 
 
 def random_corpus(seed, max_sentences=20, max_hyps=16, max_features=5, min_features=1):
@@ -47,13 +46,13 @@ def random_ray(rng, dim):
 
 
 def ray_instance(seed, **kwargs):
-    """Corpus plus per-sentence score lines along one random ray."""
+    """Corpus, its packed view, and per-sentence score lines along one random ray."""
     corpus, rng = random_corpus(seed, **kwargs)
     w, d = random_ray(rng, corpus.feature_dim)
     lines_per_sentence = [
         project_lines(entry, w, d) for entry in corpus.entries
     ]
-    return corpus, hypothesis_stats(corpus), lines_per_sentence, w, d
+    return corpus, PackedCorpus.of(corpus), lines_per_sentence, w, d
 
 
 def random_lines(seed, max_lines=16):

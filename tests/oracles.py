@@ -5,7 +5,8 @@ counts each n-gram order separately, the envelope oracle
 probes between all O(K^2) pairwise crossings, the interval oracle
 re-derives each interval's statistics from scratch at a probe point,
 and the weight-grid scan enumerates every selection a dense grid of
-weight vectors can reach.
+weight vectors can reach.  Statistics rows are summed as Python ints,
+independently of the production sums.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 
-from rotamert.bleu import BleuStats, aggregate, corpus_bleu, selection_error
+from rotamert.bleu import row_bleu
 
 
 def clipped_stats_by_counting(hyp, refs):
@@ -41,7 +42,25 @@ def clipped_stats_by_counting(hyp, refs):
         totals.append(sum(hyp_counts.values()))
     gap = min(abs(len(ref) - len(hyp)) for ref in refs)
     ref_len = min(len(ref) for ref in refs if abs(len(ref) - len(hyp)) == gap)
-    return BleuStats(tuple(matches), tuple(totals), len(hyp), ref_len)
+    return (*matches, *totals, len(hyp), ref_len)
+
+
+def sentence_rows(packed):
+    """Each sentence's statistics rows, as tuples of Python ints."""
+    rows = list(map(tuple, packed.stats.tolist()))
+    bounds = packed.offsets.tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def sum_rows(rows):
+    """Column sums of statistics rows, as Python ints; the zero row for none."""
+    return tuple(map(sum, zip(*rows))) or (0,) * 10
+
+
+def selection_error(packed, chosen):
+    """Corpus error of picking hypothesis ``chosen[s]`` in each sentence."""
+    table = sentence_rows(packed)
+    return row_bleu(sum_rows(table[s][k] for s, k in enumerate(chosen)))
 
 
 def envelope_by_enumeration(lines):
@@ -111,17 +130,18 @@ def argmax_at(lines, gamma):
     return best.hyp_index
 
 
-def reselect_interval_stats(lines_per_sentence, stats_cache, boundaries):
-    """Interval statistics rebuilt from scratch at probe points."""
+def reselect_interval_stats(lines_per_sentence, packed, boundaries):
+    """Interval statistics rows rebuilt from scratch at probe points."""
+    table = sentence_rows(packed)
     out = []
     for gamma in interval_probes(boundaries):
         chosen = [argmax_at(lines, gamma) for lines in lines_per_sentence]
-        out.append(aggregate(stats_cache[s][k] for s, k in enumerate(chosen)))
+        out.append(sum_rows(table[s][k] for s, k in enumerate(chosen)))
     return out
 
 
 def merged_intervals_by_enumeration(
-    lines_per_sentence, stats_cache, tol=1e-9, per_sentence_breaks=None
+    lines_per_sentence, packed, tol=1e-9, per_sentence_breaks=None
 ):
     """Corpus-level interval structure rebuilt from the pairwise oracle.
 
@@ -144,19 +164,19 @@ def merged_intervals_by_enumeration(
         if boundaries and gamma - boundaries[-1] <= tol:
             continue
         boundaries.append(gamma)
-    stats = reselect_interval_stats(lines_per_sentence, stats_cache, boundaries)
-    errors = [corpus_bleu(st) for st in stats]
+    stats = reselect_interval_stats(lines_per_sentence, packed, boundaries)
+    errors = [row_bleu(st) for st in stats]
     return boundaries, stats, errors
 
 
-def ray_probe_min_error(lines_per_sentence, stats_cache, boundaries, points=10001):
+def ray_probe_min_error(lines_per_sentence, packed, boundaries, points=10001):
     """Minimum corpus error over a dense gamma grid along one ray.
 
     The grid spans [min breakpoint - 2, max breakpoint + 2] (or [-2, 2]
     with no breakpoints).  Selections are vectorized.  Along the ray the
     selection is constant between breakpoints, so equal statistics rows
     come in runs of consecutive probes.  The first row of each run is
-    scored through the production corpus_bleu; every distinct row starts
+    scored through the production row_bleu; every distinct row starts
     some run, so comparisons against the sweep are exact.
     """
     if boundaries:
@@ -169,17 +189,13 @@ def ray_probe_min_error(lines_per_sentence, stats_cache, boundaries, points=1000
         a = np.array([l.intercept for l in lines])
         b = np.array([l.slope for l in lines])
         chosen = np.argmax(a[None, :] + gammas[:, None] * b[None, :], axis=1)
-        stats = np.array([st.row() for st in stats_cache[s]], dtype=np.int64)
-        rows += stats[chosen]
+        rows += packed.stats[packed.offsets[s] : packed.offsets[s + 1]][chosen]
     run_starts = np.ones(points, dtype=bool)
     run_starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return min(
-        corpus_bleu(BleuStats.from_row(row)).error
-        for row in rows[run_starts].tolist()
-    )
+    return min(row_bleu(row).error for row in rows[run_starts].tolist())
 
 
-def scan_weight_grid(corpus, stats_cache, lo=-2.0, hi=2.0, steps=401):
+def scan_weight_grid(corpus, packed, lo=-2.0, hi=2.0, steps=401):
     """Enumerate all selections reachable on a steps x steps weight grid
     (two features) and return (best ErrorValue, best selection, count)."""
     axis = np.linspace(lo, hi, steps)
@@ -193,7 +209,7 @@ def scan_weight_grid(corpus, stats_cache, lo=-2.0, hi=2.0, steps=401):
     best_selection = None
     for sel in unique:
         chosen = [int(k) for k in sel]
-        evaluated = selection_error(stats_cache, chosen)
+        evaluated = selection_error(packed, chosen)
         if best_eval is None or evaluated.error < best_eval.error:
             best_eval, best_selection = evaluated, chosen
     return best_eval, best_selection, len(unique)

@@ -12,22 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from rotamert.bleu import (
-    aggregate,
-    corpus_bleu,
-    hypothesis_stats,
-    selection_error,
-    sentence_bleu_stats,
-)
+from rotamert.bleu import row_bleu, stats_blocks
 from rotamert.cli import main
 from rotamert.corpus import parse_references
-from rotamert.descent import (
-    DEFAULT_MAX_ITER,
-    kcd_optimize,
-    select_hypotheses,
-    uniform_weights,
-)
-from rotamert.envelope import line_search, sweep_intervals, upper_envelope
+from rotamert.descent import DEFAULT_MAX_ITER, kcd_optimize, uniform_weights
+from rotamert.envelope import PackedCorpus, line_search, sweep_intervals, upper_envelope
 from rotamert.rotation import AlphaGrid, report_tsv, rss_optimize, summary_rows
 from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
@@ -37,6 +26,8 @@ from oracles import (
     merged_intervals_by_enumeration,
     ray_probe_min_error,
     scan_weight_grid,
+    selection_error,
+    sum_rows,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -65,10 +56,8 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
         1, "interval structure and minimum match the pairwise oracle, 1000 instances", budget=10.0
     ):
         for seed in range(1000):
-            corpus, cache, lines_per_sentence, w, d = ray_instance(
-                seed, min_features=2
-            )
-            result = line_search(corpus, cache, w, d)
+            _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
+            result = line_search(packed, w, d)
             envelopes = []
             oracle_breaks = []
             for lines in lines_per_sentence:
@@ -78,9 +67,9 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
                 assert env.segments == segments, f"seed {seed}"
                 envelopes.append(env)
                 oracle_breaks.append(breaks)
-            sweep = sweep_intervals(corpus, envelopes, cache)
+            sweep = sweep_intervals(packed, envelopes)
             bounds, stats, errors = merged_intervals_by_enumeration(
-                lines_per_sentence, cache, per_sentence_breaks=oracle_breaks
+                lines_per_sentence, packed, per_sentence_breaks=oracle_breaks
             )
             assert list(sweep.boundaries) == bounds, f"seed {seed}"
             assert list(sweep.interval_stats) == stats, f"seed {seed}"
@@ -94,12 +83,12 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
         2, "10,001 probes per ray never beat the sweep, 200 instances", budget=10.0
     ):
         for seed in range(2000, 2200):
-            corpus, cache, lines_per_sentence, w, d = ray_instance(seed)
-            result = line_search(corpus, cache, w, d)
+            _, packed, lines_per_sentence, w, d = ray_instance(seed)
+            result = line_search(packed, w, d)
             envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-            sweep = sweep_intervals(corpus, envelopes, cache)
+            sweep = sweep_intervals(packed, envelopes)
             grid_min = ray_probe_min_error(
-                lines_per_sentence, cache, list(sweep.boundaries)
+                lines_per_sentence, packed, list(sweep.boundaries)
             )
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 
@@ -108,9 +97,9 @@ def test_criterion_3_descent_is_monotone_and_terminates():
     with criterion(3, "50 descent runs: monotone steps, bounded iterations"):
         for seed in range(50):
             corpus, _ = random_corpus(seed)
-            cache = hypothesis_stats(corpus)
+            packed = PackedCorpus.of(corpus)
             start = selection_error(
-                cache, select_hypotheses(corpus, uniform_weights(corpus.feature_dim))
+                packed, packed.first_argmax(packed.project(uniform_weights(corpus.feature_dim)))
             )
             _, trace = kcd_optimize(corpus)
             errors = [start.error] + [s.error.error for s in trace.steps]
@@ -160,18 +149,18 @@ def test_criterion_6_rotation_escapes_the_certified_stall():
     ):
         corpus = adversarial_instance()
         cert = adversarial_certificate()
-        cache = hypothesis_stats(corpus)
+        packed = PackedCorpus.of(corpus)
         init = tuple(cert["init_weights"])
 
         weights, _ = kcd_optimize(corpus, init)
-        stalled_sel = select_hypotheses(corpus, weights)
-        stalled = selection_error(cache, stalled_sel)
+        stalled_sel = packed.first_argmax(packed.project(weights)).tolist()
+        stalled = selection_error(packed, stalled_sel)
         assert stalled_sel == cert["stalled_selection"]
         assert stalled.bleu == cert["stalled_bleu"]
 
         grid_cfg = cert["weight_grid"]
         best_eval, best_sel, _ = scan_weight_grid(
-            corpus, cache, grid_cfg["lo"], grid_cfg["hi"], grid_cfg["steps"]
+            corpus, packed, grid_cfg["lo"], grid_cfg["hi"], grid_cfg["steps"]
         )
         assert best_sel == cert["grid_best_selection"]
         assert best_eval.bleu == cert["grid_best_bleu"]
@@ -220,14 +209,14 @@ def test_criterion_7_bleu_reference_behaviors(tmp_path, capsys):
         )
         hyp_lines = (DATA / "score.hyp").read_text().splitlines()
         stats = [
-            sentence_bleu_stats(tuple(line.split()), refs[i])
+            tuple(next(stats_blocks([((line.split(),), refs[i])]))[0].tolist())
             for i, line in enumerate(hyp_lines)
         ]
-        direct = corpus_bleu(aggregate(stats))
+        direct = row_bleu(sum_rows(stats))
         rng = np.random.default_rng(0)
         for _ in range(10):
             order = rng.permutation(len(stats))
-            assert corpus_bleu(aggregate(stats[i] for i in order)) == direct
+            assert row_bleu(sum_rows(stats[i] for i in order)) == direct
 
 
 def test_criterion_8_grid_cardinality_and_report_layout():

@@ -4,127 +4,152 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotamert.bleu import (
-    BleuStats,
-    aggregate,
-    closest_ref_len,
-    corpus_bleu,
-    corpus_stats,
-    hypothesis_stats,
-    selection_error,
-    sentence_bleu_stats,
-    stats_blocks,
-)
-from rotamert.descent import select_hypotheses
-from rotamert.envelope import PackedCorpus
+from rotamert.bleu import corpus_stats, row_bleu, stats_blocks
+from rotamert.envelope import PackedCorpus, SentenceEnvelope, sweep_intervals
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
 from instances import random_corpus, random_ray
-from oracles import clipped_stats_by_counting
+from oracles import clipped_stats_by_counting, selection_error, sentence_rows, sum_rows
+
+
+def sentence_row(hyp, refs):
+    """The statistics row of one hypothesis against its references."""
+    return tuple(next(stats_blocks([((hyp,), refs)]))[0].tolist())
+
+
+def row(match_n, total_n, hyp_len, ref_len):
+    return (*match_n, *total_n, hyp_len, ref_len)
+
+
+def packed_rows(rows_per_sentence):
+    """A one-feature packed corpus holding the given statistics rows."""
+    counts = [len(rows) for rows in rows_per_sentence]
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return PackedCorpus(
+        np.zeros((len(sentence), 1)),
+        offsets,
+        np.array([r for rows in rows_per_sentence for r in rows], dtype=np.int64),
+        sentence,
+        np.arange(len(sentence), dtype=np.int64) - offsets[sentence],
+    )
 
 
 class TestSentenceStats:
     def test_perfect_match(self):
         ref = ("the", "cat", "sat", "on", "the", "mat")
-        st = sentence_bleu_stats(ref, [ref])
-        assert st.match_n == (6, 5, 4, 3)
-        assert st.total_n == (6, 5, 4, 3)
-        assert st.hyp_len == 6
-        assert st.ref_len == 6
+        st = sentence_row(ref, [ref])
+        assert st[0:4] == (6, 5, 4, 3)
+        assert st[4:8] == (6, 5, 4, 3)
+        assert st[8] == 6
+        assert st[9] == 6
 
     def test_clipping_caps_repeated_tokens(self):
         hyp = ("the",) * 7
         ref = ("the", "cat", "is", "on", "the", "mat")
-        st = sentence_bleu_stats(hyp, [ref])
-        assert st.match_n[0] == 2
-        assert st.total_n == (7, 6, 5, 4)
-        assert st.match_n[1:] == (0, 0, 0)
+        st = sentence_row(hyp, [ref])
+        assert st[0] == 2
+        assert st[4:8] == (7, 6, 5, 4)
+        assert st[1:4] == (0, 0, 0)
 
     def test_clipping_takes_max_over_references(self):
         hyp = ("the", "the", "the")
         refs = [("the", "cat"), ("the", "the", "dog")]
-        st = sentence_bleu_stats(hyp, refs)
-        assert st.match_n[0] == 2
-        assert st.match_n[1] == 1  # "the the" occurs in the second reference
+        st = sentence_row(hyp, refs)
+        assert st[0] == 2
+        assert st[1] == 1  # "the the" occurs in the second reference
 
     def test_short_hypothesis_has_zero_high_order_totals(self):
-        st = sentence_bleu_stats(("a", "b"), [("a", "b")])
-        assert st.total_n == (2, 1, 0, 0)
-        assert st.match_n == (2, 1, 0, 0)
+        st = sentence_row(("a", "b"), [("a", "b")])
+        assert st[4:8] == (2, 1, 0, 0)
+        assert st[0:4] == (2, 1, 0, 0)
 
     def test_no_references_raises(self):
         with pytest.raises(NoReferences):
-            sentence_bleu_stats(("a",), [])
+            sentence_row(("a",), [])
+
+    @staticmethod
+    def effective_length(hyp_len, ref_lens):
+        return sentence_row(("h",) * hyp_len, [("r",) * n for n in ref_lens])[9]
 
     def test_effective_length_is_closest(self):
-        assert closest_ref_len(10, [6, 9, 12]) == 9
-        assert closest_ref_len(10, [6, 13]) == 13
+        assert self.effective_length(10, [6, 9, 12]) == 9
+        assert self.effective_length(10, [6, 13]) == 13
 
     def test_effective_length_tie_prefers_shorter(self):
-        assert closest_ref_len(10, [9, 11]) == 9
-        assert closest_ref_len(10, [11, 9]) == 9
+        assert self.effective_length(10, [9, 11]) == 9
+        assert self.effective_length(10, [11, 9]) == 9
 
 
 class TestStatsArithmetic:
+    # Interval rows are the first interval's row plus integer deltas.
     def test_add_then_subtract_restores(self):
-        a = BleuStats((1, 2, 3, 4), (5, 6, 7, 8), 9, 10)
-        b = BleuStats((4, 3, 2, 1), (8, 7, 6, 5), 1, 2)
-        assert (a + b) - b == a
-        assert a + BleuStats.zero() == a
+        a = row((1, 2, 3, 4), (5, 6, 7, 8), 9, 10)
+        b = row((4, 3, 2, 1), (8, 7, 6, 5), 1, 2)
+        zero = (0,) * 10
+        # Sentence 1 swaps from zero to b at 0 and back to zero at 1.
+        packed = packed_rows([[a], [zero, b, zero]])
+        envelopes = [SentenceEnvelope((), (0,)), SentenceEnvelope((0.0, 1.0), (0, 1, 2))]
+        start, added, restored = sweep_intervals(packed, envelopes).interval_stats
+        assert added == tuple(x + y for x, y in zip(a, b))
+        assert restored == a
+        assert start == a
 
     def test_aggregate_matches_manual_sum(self):
-        a = BleuStats((1, 0, 0, 0), (2, 1, 0, 0), 2, 3)
-        b = BleuStats((2, 1, 0, 0), (3, 2, 1, 0), 3, 3)
-        agg = aggregate([a, b])
-        assert agg == BleuStats((3, 1, 0, 0), (5, 3, 1, 0), 5, 6)
+        a = row((1, 0, 0, 0), (2, 1, 0, 0), 2, 3)
+        b = row((2, 1, 0, 0), (3, 2, 1, 0), 3, 3)
+        packed = packed_rows([[a], [b]])
+        envelopes = [SentenceEnvelope((), (0,))] * 2
+        (agg,) = sweep_intervals(packed, envelopes).interval_stats
+        assert agg == row((3, 1, 0, 0), (5, 3, 1, 0), 5, 6)
 
 
 class TestCorpusBleu:
     def test_perfect_corpus_scores_one(self):
-        st = BleuStats((6, 5, 4, 3), (6, 5, 4, 3), 6, 6)
-        val = corpus_bleu(st)
+        st = row((6, 5, 4, 3), (6, 5, 4, 3), 6, 6)
+        val = row_bleu(st)
         assert val.bleu == 1.0
         assert val.error == 0.0
 
     def test_zero_match_at_any_order_scores_zero(self):
-        st = BleuStats((6, 5, 0, 3), (6, 5, 4, 3), 6, 6)
-        assert corpus_bleu(st).bleu == 0.0
-        assert corpus_bleu(st).error == 1.0
+        st = row((6, 5, 0, 3), (6, 5, 4, 3), 6, 6)
+        assert row_bleu(st).bleu == 0.0
+        assert row_bleu(st).error == 1.0
 
     def test_zero_total_scores_zero(self):
-        st = BleuStats((3, 2, 1, 0), (3, 2, 1, 0), 3, 3)
-        assert corpus_bleu(st).bleu == 0.0
+        st = row((3, 2, 1, 0), (3, 2, 1, 0), 3, 3)
+        assert row_bleu(st).bleu == 0.0
 
     def test_empty_stats_score_zero(self):
-        assert corpus_bleu(BleuStats.zero()).bleu == 0.0
+        assert row_bleu((0,) * 10).bleu == 0.0
 
     def test_matches_direct_formula(self):
-        st = BleuStats((12, 8, 4, 3), (13, 10, 7, 5), 13, 14)
+        st = row((12, 8, 4, 3), (13, 10, 7, 5), 13, 14)
         expected = math.exp(1.0 - 14 / 13) * math.exp(
             (math.log(12 / 13) + math.log(8 / 10) + math.log(4 / 7) + math.log(3 / 5))
             / 4.0
         )
-        val = corpus_bleu(st)
+        val = row_bleu(st)
         assert val.bleu == pytest.approx(expected, abs=1e-15)
         assert f"{val.bleu * 100.0:.2f}" == "65.68"
 
     def test_brevity_penalty_only_when_shorter(self):
-        short = BleuStats((4, 3, 2, 1), (4, 3, 2, 1), 4, 8)
-        longer = BleuStats((4, 3, 2, 1), (4, 3, 2, 1), 4, 3)
-        assert corpus_bleu(short).bleu == pytest.approx(math.exp(1.0 - 2.0))
-        assert corpus_bleu(longer).bleu == 1.0
+        short = row((4, 3, 2, 1), (4, 3, 2, 1), 4, 8)
+        longer = row((4, 3, 2, 1), (4, 3, 2, 1), 4, 3)
+        assert row_bleu(short).bleu == pytest.approx(math.exp(1.0 - 2.0))
+        assert row_bleu(longer).bleu == 1.0
 
     def test_error_complements_bleu(self):
-        st = BleuStats((10, 7, 5, 2), (12, 11, 10, 9), 12, 11)
-        val = corpus_bleu(st)
+        st = row((10, 7, 5, 2), (12, 11, 10, 9), 12, 11)
+        val = row_bleu(st)
         assert val.error + val.bleu == 1.0
         assert 0.0 <= val.error <= 1.0
 
     def test_sentence_order_does_not_matter(self):
         rng = np.random.default_rng(7)
         stats = [
-            BleuStats(
+            row(
                 tuple(int(x) for x in rng.integers(1, 5, 4)),
                 tuple(int(x) for x in rng.integers(5, 9, 4)),
                 int(rng.integers(4, 12)),
@@ -132,68 +157,69 @@ class TestCorpusBleu:
             )
             for _ in range(30)
         ]
-        direct = corpus_bleu(aggregate(stats))
+        direct = row_bleu(sum_rows(stats))
         order = rng.permutation(len(stats))
-        shuffled = corpus_bleu(aggregate(stats[i] for i in order))
+        shuffled = row_bleu(sum_rows(stats[i] for i in order))
         assert shuffled == direct
 
 
 class TestCorpusLevelHelpers:
     def test_hypothesis_stats_shape(self):
         corpus, _ = random_corpus(3)
-        cache = hypothesis_stats(corpus)
-        assert len(cache) == corpus.size
-        for entry, row in zip(corpus.entries, cache):
-            assert len(row) == len(entry.hypotheses)
+        stats = corpus_stats(corpus)
+        assert stats.shape == (sum(len(entry.hypotheses) for entry in corpus.entries), 10)
+        assert stats.dtype == np.int64
+        table = sentence_rows(PackedCorpus.of(corpus))
+        assert len(table) == corpus.size
+        for entry, rows in zip(corpus.entries, table):
+            assert len(rows) == len(entry.hypotheses)
 
     def test_selection_error_equals_direct_aggregation(self):
         corpus, rng = random_corpus(11)
-        cache = hypothesis_stats(corpus)
+        packed = PackedCorpus.of(corpus)
         chosen = [
             int(rng.integers(0, len(entry.hypotheses)))
             for entry in corpus.entries
         ]
-        direct = corpus_bleu(
-            aggregate(
-                sentence_bleu_stats(
-                    entry.hypotheses[k].tokens, entry.references
-                )
+        direct = row_bleu(
+            sum_rows(
+                sentence_row(entry.hypotheses[k].tokens, entry.references)
                 for entry, k in zip(corpus.entries, chosen)
             )
         )
-        assert selection_error(cache, chosen) == direct
+        assert selection_error(packed, chosen) == direct
 
     def test_shared_reference_maxima_match_per_hypothesis_stats(self):
-        # hypothesis_stats scores whole blocks of sentences at once;
-        # every entry must equal scoring that hypothesis on its own.
+        # corpus_stats scores whole blocks of sentences at once;
+        # every row must equal scoring that hypothesis on its own.
         for seed in range(40):
             corpus, _ = random_corpus(seed)
-            cache = hypothesis_stats(corpus)
+            table = sentence_rows(PackedCorpus.of(corpus))
             for s, entry in enumerate(corpus.entries):
                 for k, hyp in enumerate(entry.hypotheses):
-                    expected = sentence_bleu_stats(hyp.tokens, entry.references)
-                    assert cache[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"
+                    expected = sentence_row(hyp.tokens, entry.references)
+                    assert table[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"
 
     def test_hypothesis_stats_match_counting_oracle(self):
         # An independent re-count: per-order Counters, min(hyp, max over refs).
         for seed in range(40):
             corpus, _ = random_corpus(seed)
-            cache = hypothesis_stats(corpus)
+            table = sentence_rows(PackedCorpus.of(corpus))
             for s, entry in enumerate(corpus.entries):
                 for k, hyp in enumerate(entry.hypotheses):
                     expected = clipped_stats_by_counting(hyp.tokens, entry.references)
-                    assert cache[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"
+                    assert table[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"
 
     def test_packed_argmax_error_equals_selection_error(self):
         # All-zero weights tie every hypothesis, so the lowest rank must win.
         for seed in range(40):
             corpus, rng = random_corpus(seed)
-            cache = hypothesis_stats(corpus)
-            packed = PackedCorpus.of(corpus, cache)
+            packed = PackedCorpus.of(corpus)
             w, _ = random_ray(rng, corpus.feature_dim)
             for weights in (w, (0.0,) * corpus.feature_dim):
-                expected = selection_error(cache, select_hypotheses(corpus, weights))
-                got = packed.argmax_error(packed.project(weights))
+                scores = packed.project(weights)
+                expected = selection_error(packed, packed.first_argmax(scores).tolist())
+                got = packed.argmax_error(scores)
                 assert float.hex(got.error) == float.hex(expected.error), f"seed {seed}"
                 assert float.hex(got.bleu) == float.hex(expected.bleu), f"seed {seed}"
 
@@ -206,7 +232,7 @@ def _kernel_rows(sentences, **kwargs):
 
 def _oracle_rows(sentences):
     return [
-        list(clipped_stats_by_counting(tuple(hyp), refs).row())
+        list(clipped_stats_by_counting(tuple(hyp), refs))
         for hyps, refs in sentences
         for hyp in hyps
     ]
@@ -264,14 +290,14 @@ class TestStatsKernel:
         assert _kernel_rows(sentences, _block_tokens=1) == _oracle_rows(sentences)
 
     def test_repeated_ngram_is_clipped_to_reference_maximum(self):
-        st = sentence_bleu_stats(("a",) * 6, [("a", "a", "b"), ("a", "a", "a", "c")])
-        assert st.match_n == (3, 2, 1, 0)
-        assert st.total_n == (6, 5, 4, 3)
-        assert st.ref_len == 4
+        st = sentence_row(("a",) * 6, [("a", "a", "b"), ("a", "a", "a", "c")])
+        assert st[0:4] == (3, 2, 1, 0)
+        assert st[4:8] == (6, 5, 4, 3)
+        assert st[9] == 4
 
     def test_empty_hypothesis_row(self):
-        st = sentence_bleu_stats((), [("a", "b", "c"), ("d", "e")])
-        assert st == BleuStats((0, 0, 0, 0), (0, 0, 0, 0), 0, 2)
+        st = sentence_row((), [("a", "b", "c"), ("d", "e")])
+        assert st == row((0, 0, 0, 0), (0, 0, 0, 0), 0, 2)
 
     def test_sentence_without_references_raises(self):
         sentences = [([("a",)], [("a",)]), ([("b",)], [])]

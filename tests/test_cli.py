@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from rotamert.bleu import aggregate, corpus_bleu
+from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
 from rotamert.corpus import parse_nbest
 
-from oracles import clipped_stats_by_counting
+from oracles import clipped_stats_by_counting, sum_rows
 
 DATA = Path(__file__).parent / "data"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "rotamert" / "data"
@@ -70,6 +70,16 @@ def adversarial_files(tmp_path):
     return nbest, ref
 
 
+@pytest.fixture
+def featureless_files(tmp_path):
+    # Score lines whose feature field is empty.
+    nbest = tmp_path / "bare.nbest"
+    ref = tmp_path / "bare.ref"
+    nbest.write_text("0 ||| a b c ||| ||| 0\n0 ||| a c ||| ||| 0\n")
+    ref.write_text("a b c\n")
+    return nbest, ref
+
+
 class TestScore:
     def test_fixed_corpus_scores_65_68(self, capsys):
         code, out, _ = run(
@@ -112,8 +122,8 @@ class TestScore:
         for j, lines in enumerate(ref_lines):
             refs.append(tmp_path / f"ref{j}.txt")
             refs[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
-        expected = corpus_bleu(
-            aggregate(
+        expected = row_bleu(
+            sum_rows(
                 clipped_stats_by_counting(
                     tuple(line.split()), [tuple(lines[i].split()) for lines in ref_lines]
                 )
@@ -377,6 +387,12 @@ class TestMert:
         assert "error:" in err
 
 
+    def test_nbest_without_features_exits_2(self, featureless_files, capsys):
+        nbest, ref = featureless_files
+        code, _, err = run(["mert", "--nbest", str(nbest), "--refs", str(ref)], capsys)
+        assert code == 2
+        assert_one_error_line(err, "feature field is empty")
+
     @needs_strict_encoding
     @pytest.mark.parametrize(
         "flag, exit_code",
@@ -507,6 +523,13 @@ class TestRss:
         )
         assert code == 3
         assert "rotation" in err
+
+    def test_nbest_without_features_exits_2(self, featureless_files, capsys):
+        nbest, ref = featureless_files
+        args = ["--nbest", nbest, "--refs", ref, "--open-nbest", nbest, "--open-refs", ref]
+        code, _, err = run(["rss", *map(str, args), "--rotate", "0:1"], capsys)
+        assert code == 2
+        assert_one_error_line(err, "feature field is empty")
 
     def test_bad_rotation_syntax_exits_3(self, adversarial_files, capsys):
         nbest, ref = adversarial_files
@@ -736,6 +759,13 @@ class TestSynth:
             capsys,
         )
         assert code == 3
+
+    def test_oversized_shape_exits_3_before_allocating(self, tmp_path, capsys):
+        args = ["--sentences", "100000000", "--hyps", "100000", "--features", "2"]
+        code, _, err = run(["synth", *args, "--out", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert_one_error_line(err, "exceed")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_shape_exits_3(self, tmp_path, capsys):
         code, _, _ = run(

@@ -218,6 +218,11 @@ class TestBuildCorpus:
         with pytest.raises(IdMismatch):
             build_corpus(nbest, {0: [("a",)]})
 
+    def test_empty_feature_field_is_malformed(self):
+        by_id, names = parse_nbest(["0 ||| a b c ||| ||| 0", "0 ||| a c ||| ||| 0"])
+        with pytest.raises(MalformedLine, match="feature field is empty"):
+            build_corpus(by_id, {0: [("a", "b", "c")]}, names)
+
 
 class TestFormatting:
     def test_nbest_round_trip_is_bit_exact(self):

@@ -1,6 +1,5 @@
 import pytest
 
-from rotamert.bleu import hypothesis_stats, selection_error
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.descent import (
     DEFAULT_EPSILON,
@@ -8,7 +7,6 @@ from rotamert.descent import (
     KcdConfig,
     basis_directions,
     kcd_optimize,
-    select_hypotheses,
     uniform_weights,
 )
 from rotamert.envelope import PackedCorpus
@@ -16,6 +14,12 @@ from rotamert.errors import ConfigError, DegenerateDirectionWarning, DimensionMi
 from rotamert.rotation import CoordinateSystem
 
 from instances import random_corpus
+from oracles import selection_error
+
+
+def select(corpus, w):
+    packed = PackedCorpus.of(corpus)
+    return packed.first_argmax(packed.project(w)).tolist()
 
 
 class TestSelection:
@@ -27,8 +31,8 @@ class TestSelection:
             ]
         }
         corpus = build_corpus(nbest, {0: [("a",)]})
-        assert select_hypotheses(corpus, (1.0, 0.0)) == [0]
-        assert select_hypotheses(corpus, (0.0, 1.0)) == [1]
+        assert select(corpus, (1.0, 0.0)) == [0]
+        assert select(corpus, (0.0, 1.0)) == [1]
 
     def test_score_tie_keeps_lowest_rank(self):
         nbest = {
@@ -38,12 +42,12 @@ class TestSelection:
             ]
         }
         corpus = build_corpus(nbest, {0: [("a",)]})
-        assert select_hypotheses(corpus, (3.0,)) == [0]
+        assert select(corpus, (3.0,)) == [0]
 
     def test_weight_length_checked(self):
         corpus, _ = random_corpus(0)
         with pytest.raises(DimensionMismatch):
-            select_hypotheses(corpus, (1.0,) * (corpus.feature_dim + 1))
+            select(corpus, (1.0,) * (corpus.feature_dim + 1))
 
 
 class TestHelpers:
@@ -94,9 +98,8 @@ class TestDescentLoop:
     def test_first_step_never_worse_than_start(self):
         for seed in range(25):
             corpus, _ = random_corpus(seed)
-            cache = hypothesis_stats(corpus)
             w0 = uniform_weights(corpus.feature_dim)
-            start = selection_error(cache, select_hypotheses(corpus, w0))
+            start = selection_error(PackedCorpus.of(corpus), select(corpus, w0))
             _, trace = kcd_optimize(corpus, w0)
             assert trace.steps[0].error.error <= start.error, f"seed {seed}"
 
@@ -160,14 +163,9 @@ class TestDescentLoop:
         for seed in range(8):
             corpus, _ = random_corpus(seed)
             serial = kcd_optimize(corpus)
-            w, trace = kcd_optimize(PackedCorpus.scored(corpus))
+            w, trace = kcd_optimize(PackedCorpus.of(corpus))
             assert w == serial[0], f"seed {seed}"
             assert trace.to_tsv() == serial[1].to_tsv(), f"seed {seed}"
-
-    def test_packed_input_needs_statistics(self):
-        corpus, _ = random_corpus(3)
-        with pytest.raises(DimensionMismatch):
-            kcd_optimize(PackedCorpus.of(corpus))
 
 
 class TestDirections:

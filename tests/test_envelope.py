@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotamert.bleu import hypothesis_stats, row_bleu, selection_error
+from rotamert.bleu import row_bleu, row_errors
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.envelope import (
     RESCORE_BOUND,
@@ -18,7 +18,6 @@ from rotamert.envelope import (
     _hulls,
     _interval_bounds,
     _may_reach_hull,
-    _row_errors,
 )
 from rotamert.errors import DimensionMismatch, InputError
 
@@ -28,6 +27,7 @@ from oracles import (
     interval_probes,
     ray_probe_min_error,
     reselect_interval_stats,
+    selection_error,
 )
 
 
@@ -96,11 +96,11 @@ class TestPackedProjection:
     def test_overflowing_scores_are_rejected(self):
         nbest = {0: [Hypothesis(0, 0, ("a",), (1e300, 1.0)), Hypothesis(0, 1, ("b",), (-1e300, 1.0))]}
         corpus = build_corpus(nbest, {0: [("a",)]})
-        cache = hypothesis_stats(corpus)
+        packed = PackedCorpus.of(corpus)
         with pytest.raises(InputError):
-            line_search(corpus, cache, (1e10, 1.0), (0.0, 1.0))
+            line_search(packed, (1e10, 1.0), (0.0, 1.0))
         with pytest.raises(InputError):
-            line_search(corpus, cache, (1.0, 1.0), (float("nan"), 1.0))
+            line_search(packed, (1.0, 1.0), (float("nan"), 1.0))
 
 
 class TestUpperEnvelope:
@@ -279,29 +279,27 @@ class TestDominationPrefilter:
 class TestSweepIntervals:
     def test_interval_stats_match_from_scratch_reselection(self):
         for seed in range(60):
-            corpus, cache, lines_per_sentence, _, _ = ray_instance(seed)
+            _, packed, lines_per_sentence, _, _ = ray_instance(seed)
             envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-            sweep = sweep_intervals(corpus, envelopes, cache)
+            sweep = sweep_intervals(packed, envelopes)
             expected = reselect_interval_stats(
-                lines_per_sentence, cache, list(sweep.boundaries)
+                lines_per_sentence, packed, list(sweep.boundaries)
             )
             assert list(sweep.interval_stats) == expected, f"seed {seed}"
 
     def test_interval_errors_come_from_interval_stats(self):
-        corpus, cache, lines_per_sentence, _, _ = ray_instance(1)
+        _, packed, lines_per_sentence, _, _ = ray_instance(1)
         envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-        sweep = sweep_intervals(corpus, envelopes, cache)
+        sweep = sweep_intervals(packed, envelopes)
         assert len(sweep.interval_error) == len(sweep.boundaries) + 1
-        from rotamert.bleu import corpus_bleu
-
         for stats, err in zip(sweep.interval_stats, sweep.interval_error):
-            assert corpus_bleu(stats) == err
+            assert row_bleu(stats) == err
 
     def test_shape_mismatch_rejected(self):
-        corpus, cache, lines_per_sentence, _, _ = ray_instance(2)
+        _, packed, lines_per_sentence, _, _ = ray_instance(2)
         envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
         with pytest.raises(DimensionMismatch):
-            sweep_intervals(corpus, envelopes[:-1], cache)
+            sweep_intervals(packed, envelopes[:-1])
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_breakpoint_rejected(self, gamma):
@@ -309,7 +307,7 @@ class TestSweepIntervals:
         corpus = build_corpus(nbest, {0: [("a",)]})
         envelope = SentenceEnvelope((gamma,), (0, 1))
         with pytest.raises(InputError):
-            sweep_intervals(corpus, [envelope], hypothesis_stats(corpus))
+            sweep_intervals(PackedCorpus.of(corpus), [envelope])
 
     def test_coalesced_boundaries_share_one_interval(self):
         nbest = {
@@ -317,14 +315,13 @@ class TestSweepIntervals:
             for s in range(3)
         }
         corpus = build_corpus(nbest, {s: [("a",)] for s in range(3)})
-        cache = hypothesis_stats(corpus)
         envelopes = [
             SentenceEnvelope((g,), (0, 1)) for g in (1.0, 1.0 + 5e-10, 2.0)
         ]
-        sweep = sweep_intervals(corpus, envelopes, cache)
+        sweep = sweep_intervals(PackedCorpus.of(corpus), envelopes)
         assert sweep.boundaries == (1.0, 2.0)
-        assert [st.hyp_len for st in sweep.interval_stats] == [3, 3, 3]
-        assert [st.match_n[0] for st in sweep.interval_stats] == [3, 1, 0]
+        assert [st[8] for st in sweep.interval_stats] == [3, 3, 3]
+        assert [st[0] for st in sweep.interval_stats] == [3, 1, 0]
 
 
 def entry_from_feature_pairs(sentence_id, pairs, tokens_per_hyp, refs):
@@ -340,30 +337,27 @@ def entry_from_feature_pairs(sentence_id, pairs, tokens_per_hyp, refs):
 class TestLineSearch:
     def test_grid_probe_never_beats_the_sweep(self):
         for seed in range(40):
-            corpus, cache, lines_per_sentence, w, d = ray_instance(seed)
-            result = line_search(corpus, cache, w, d)
+            _, packed, lines_per_sentence, w, d = ray_instance(seed)
+            result = line_search(packed, w, d)
             envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-            sweep = sweep_intervals(corpus, envelopes, cache)
+            sweep = sweep_intervals(packed, envelopes)
             grid_best = ray_probe_min_error(
-                lines_per_sentence, cache, list(sweep.boundaries), points=2001
+                lines_per_sentence, packed, list(sweep.boundaries), points=2001
             )
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
 
     def test_never_worse_than_staying_put(self):
-        from rotamert.descent import select_hypotheses
-
         for seed in range(40):
-            corpus, cache, _, w, d = ray_instance(seed)
-            result = line_search(corpus, cache, w, d)
-            at_zero = selection_error(cache, select_hypotheses(corpus, w))
+            _, packed, _, w, d = ray_instance(seed)
+            result = line_search(packed, w, d)
+            at_zero = selection_error(packed, packed.first_argmax(packed.project(w)).tolist())
             assert result.error_at_star.error <= at_zero.error, f"seed {seed}"
 
     def test_no_breakpoints_stays_at_zero(self):
         # One hypothesis per sentence: the score lines never cross.
         nbest = {0: [Hypothesis(0, 0, ("a", "b"), (1.0, 2.0))]}
         corpus = build_corpus(nbest, {0: [("a", "b")]})
-        cache = hypothesis_stats(corpus)
-        result = line_search(corpus, cache, (1.0, 1.0), (0.5, -0.5))
+        result = line_search(PackedCorpus.of(corpus), (1.0, 1.0), (0.5, -0.5))
         assert result.gamma_star == 0.0
         assert result.chosen_interval == (float("-inf"), float("inf"))
 
@@ -379,8 +373,7 @@ class TestLineSearch:
             [good],
         )
         corpus = build_corpus(nbest, refs)
-        cache = hypothesis_stats(corpus)
-        result = line_search(corpus, cache, (1.0, 0.0), (0.0, 1.0))
+        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.chosen_interval == (3.0, 5.0)
         assert result.gamma_star == 4.0
         assert result.error_at_star.error == 0.0
@@ -392,8 +385,7 @@ class TestLineSearch:
             0, [(0.0, -1.0), (-2.0, 1.0)], [good, bad], [good]
         )
         corpus = build_corpus(nbest, refs)
-        cache = hypothesis_stats(corpus)
-        result = line_search(corpus, cache, (1.0, 0.0), (0.0, 1.0))
+        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.chosen_interval == (float("-inf"), 1.0)
         assert result.gamma_star == 0.0
 
@@ -404,8 +396,7 @@ class TestLineSearch:
             0, [(0.0, -1.0), (-2.0, 1.0)], [bad, good], [good]
         )
         corpus = build_corpus(nbest, refs)
-        cache = hypothesis_stats(corpus)
-        result = line_search(corpus, cache, (1.0, 0.0), (0.0, 1.0))
+        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.chosen_interval == (1.0, float("inf"))
         assert result.gamma_star == 2.0
 
@@ -421,8 +412,7 @@ class TestLineSearch:
             1, [(-3.0, -1.0), (0.0, 0.0), (1.0, 1.0)], [bad, good, bad], [good]
         )
         corpus = build_corpus({**n0, **n1}, {**r0, **r1})
-        cache = hypothesis_stats(corpus)
-        result = line_search(corpus, cache, (1.0, 0.0), (0.0, 1.0))
+        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.chosen_interval == (-3.0, -1.0)
         assert result.gamma_star == -2.0
 
@@ -434,8 +424,7 @@ class TestLineSearch:
             0, [(0.0, 1.0), (0.0, -1.0)], [good, good], [good]
         )
         corpus = build_corpus(nbest, refs)
-        cache = hypothesis_stats(corpus)
-        result = line_search(corpus, cache, (1.0, 0.0), (0.0, 1.0))
+        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.chosen_interval == (float("-inf"), 0.0)
         assert result.gamma_star == -1.0
 
@@ -465,11 +454,9 @@ def random_stats_rows(seed, count=4000):
     return np.array(rows, dtype=np.int64)
 
 
-def scalar_scan(corpus, cache, lines_per_sentence):
+def scalar_scan(packed, lines_per_sentence):
     """Every interval scored by row_bleu; the minimum under line_search's tie rule."""
-    sweep = sweep_intervals(
-        corpus, [upper_envelope(lines) for lines in lines_per_sentence], cache
-    )
+    sweep = sweep_intervals(packed, [upper_envelope(lines) for lines in lines_per_sentence])
     best = min(
         range(len(sweep.interval_error)),
         key=lambda i: (
@@ -485,7 +472,7 @@ class TestRescoringBound:
     def test_estimate_is_within_half_the_bound_of_row_bleu(self):
         for seed in range(3):
             rows = random_stats_rows(seed)
-            estimate = _row_errors(rows)
+            estimate = row_errors(rows)
             for row, value in zip(rows.tolist(), estimate.tolist()):
                 exact = row_bleu(row).error
                 if exact == 1.0:
@@ -493,13 +480,11 @@ class TestRescoringBound:
                 assert abs(value - exact) <= RESCORE_BOUND / 2, row
 
     def test_line_search_equals_a_full_scalar_scan(self):
-        from rotamert.descent import select_hypotheses
-
         for seed in range(200):
-            corpus, cache, lines_per_sentence, w, d = ray_instance(seed)
-            result = line_search(corpus, cache, w, d)
-            interval, error = scalar_scan(corpus, cache, lines_per_sentence)
-            zero = selection_error(cache, select_hypotheses(corpus, w))
+            _, packed, lines_per_sentence, w, d = ray_instance(seed)
+            result = line_search(packed, w, d)
+            interval, error = scalar_scan(packed, lines_per_sentence)
+            zero = selection_error(packed, packed.first_argmax(packed.project(w)).tolist())
             if zero.error < error.error:  # the gamma = 0 guard
                 assert result.error_at_star == zero, f"seed {seed}"
             else:
@@ -511,9 +496,9 @@ class TestRescoringBound:
         # alternating directions: the result must not move.
         import rotamert.envelope as envelope
 
-        exact = envelope._row_errors
+        exact = envelope.row_errors
         cases = [ray_instance(seed) for seed in range(60)]
-        expected = [line_search(c, cache, w, d) for c, cache, _, w, d in cases]
+        expected = [line_search(packed, w, d) for _, packed, _, w, d in cases]
         for sign in (1.0, -1.0):
             shift = 0.499 * RESCORE_BOUND * sign
 
@@ -523,9 +508,9 @@ class TestRescoringBound:
                 estimate[1::2] -= shift
                 return estimate
 
-            monkeypatch.setattr(envelope, "_row_errors", shifted)
-            for (corpus, cache, _, w, d), want in zip(cases, expected):
-                assert line_search(corpus, cache, w, d) == want
+            monkeypatch.setattr(envelope, "row_errors", shifted)
+            for (_, packed, _, w, d), want in zip(cases, expected):
+                assert line_search(packed, w, d) == want
 
     def test_exact_ties_resolve_by_distance_then_leftmost(self):
         # Each sentence is correct on one interval only: [1, 2], [-2, -1]
@@ -541,18 +526,16 @@ class TestRescoringBound:
             nbest.update(n)
             refs.update(r)
         corpus = build_corpus(nbest, refs)
-        cache = hypothesis_stats(corpus)
+        packed = PackedCorpus.of(corpus)
         w, d = (1.0, 0.0), (0.0, 1.0)
         lines = [project_lines(entry, w, d) for entry in corpus.entries]
-        sweep = sweep_intervals(corpus, [upper_envelope(l) for l in lines], cache)
+        sweep = sweep_intervals(packed, [upper_envelope(l) for l in lines])
         best = min(err.error for err in sweep.interval_error)
         assert sum(err.error == best for err in sweep.interval_error) == 3
-        result = line_search(corpus, cache, w, d)
+        result = line_search(packed, w, d)
         assert result.chosen_interval == (-2.0, -1.0)
         assert result.gamma_star == -1.5
-        assert (result.chosen_interval, result.error_at_star) == scalar_scan(
-            corpus, cache, lines
-        )
+        assert (result.chosen_interval, result.error_at_star) == scalar_scan(packed, lines)
 
 
 class TestIntervalProbesHelper:

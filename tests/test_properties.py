@@ -11,9 +11,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotamert.bleu import hypothesis_stats
 from rotamert.corpus import Hypothesis, build_corpus
-from rotamert.envelope import line_search
+from rotamert.envelope import PackedCorpus, line_search
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -39,7 +38,7 @@ def search(sentences, w, d):
     }
     refs = {s: list(references) for s, (_, references) in enumerate(sentences)}
     corpus = build_corpus(nbest, refs)
-    return repr(line_search(corpus, hypothesis_stats(corpus), w, d))
+    return repr(line_search(PackedCorpus.of(corpus), w, d))
 
 
 @PROPERTY_SETTINGS

@@ -2,9 +2,9 @@ import concurrent.futures
 
 import pytest
 
-from rotamert.bleu import BleuStats, hypothesis_stats, selection_error
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
-from rotamert.descent import KcdConfig, kcd_optimize, select_hypotheses
+from rotamert.descent import KcdConfig, kcd_optimize
+from rotamert.envelope import PackedCorpus
 from rotamert.errors import (
     ConfigError,
     DimensionMismatch,
@@ -27,6 +27,7 @@ from rotamert.rotation import (
 from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
 from instances import random_corpus
+from oracles import selection_error
 
 
 class TestRotation:
@@ -252,7 +253,6 @@ class TestRssOptimize:
             raise AssertionError(f"{type(self).__name__} was pickled")
 
         monkeypatch.setattr(TuningCorpus, "__reduce_ex__", refuse)
-        monkeypatch.setattr(BleuStats, "__reduce_ex__", refuse)
         assert rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
 
 
@@ -260,11 +260,11 @@ class TestAdversarialFixture:
     def test_plain_descent_stalls_below_global_optimum(self):
         corpus = adversarial_instance()
         cert = adversarial_certificate()
-        cache = hypothesis_stats(corpus)
+        packed = PackedCorpus.of(corpus)
         weights, _ = kcd_optimize(corpus, tuple(cert["init_weights"]))
-        selection = select_hypotheses(corpus, weights)
+        selection = packed.first_argmax(packed.project(weights)).tolist()
         assert selection == cert["stalled_selection"]
-        stalled = selection_error(cache, selection)
+        stalled = selection_error(packed, selection)
         assert stalled.bleu == cert["stalled_bleu"]
         assert stalled.bleu < cert["grid_best_bleu"]
 

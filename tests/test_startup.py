@@ -1,4 +1,5 @@
-"""Process start-up: one OpenBLAS thread, no pool modules, no BLAS calls.
+"""Process start-up and package surface: one OpenBLAS thread, no pool
+modules, no BLAS calls, and an ``__all__`` that names only what exists.
 
 ``rotamert/__init__.py`` loads numpy with a single OpenBLAS thread unless
 the caller set a thread count, because the package never calls BLAS.
@@ -110,3 +111,28 @@ def test_package_makes_no_blas_call():
         for path in sorted((SRC / "rotamert").glob("*.py"))
     }
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+# Names the package exported before statistics became int64 rows only.
+REMOVED_EXPORTS = (
+    "BleuStats",
+    "aggregate",
+    "corpus_bleu",
+    "hypothesis_stats",
+    "select_hypotheses",
+    "selection_error",
+    "sentence_bleu_stats",
+)
+
+
+def test_every_export_exists_and_no_removed_name_returns():
+    import rotamert
+
+    missing = [name for name in rotamert.__all__ if not hasattr(rotamert, name)]
+    assert missing == []
+    assert [name for name in REMOVED_EXPORTS if hasattr(rotamert, name)] == []
+    assert not set(REMOVED_EXPORTS) & set(rotamert.__all__)
+    # The names the README promises.
+    for name in ("parse_nbest", "parse_references", "build_corpus", "kcd_optimize",
+                 "rss_optimize", "remap_sparse_ids"):
+        assert name in rotamert.__all__

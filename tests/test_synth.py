@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from rotamert.bleu import sentence_bleu_stats
+from rotamert.bleu import stats_blocks
 from rotamert.errors import SpecInvalid
 from rotamert.synthetic import (
+    MAX_FEATURE_VALUES,
+    MAX_HYPOTHESES,
+    MAX_REF_COUNT,
+    MAX_VOCAB_SIZE,
     SynthSpec,
     adversarial_certificate,
     adversarial_instance,
@@ -24,6 +28,29 @@ class TestSpecValidation:
             SynthSpec(sentences=3, hypotheses=4, features=2, ref_count=0)
         with pytest.raises(SpecInvalid):
             SynthSpec(sentences=3, hypotheses=4, features=2, vocab_size=1)
+
+    def test_sizes_are_bounded(self):
+        # Each spec is refused in its constructor, before anything is allocated.
+        with pytest.raises(SpecInvalid, match=r"hypotheses \(sentences x hypotheses\)"):
+            SynthSpec(sentences=MAX_HYPOTHESES + 1, hypotheses=1, features=1)
+        with pytest.raises(SpecInvalid, match=r"hypotheses \(sentences x hypotheses\)"):
+            SynthSpec(sentences=100_000_000, hypotheses=100_000, features=2)
+        with pytest.raises(SpecInvalid, match="feature values"):
+            SynthSpec(sentences=1, hypotheses=1, features=MAX_FEATURE_VALUES + 1)
+        with pytest.raises(SpecInvalid, match="feature values"):
+            SynthSpec(sentences=1000, hypotheses=1000, features=11)
+        with pytest.raises(SpecInvalid, match="vocabulary"):
+            SynthSpec(3, 4, 2, vocab_size=MAX_VOCAB_SIZE + 1)
+        with pytest.raises(SpecInvalid, match="reference count"):
+            SynthSpec(3, 4, 2, ref_count=MAX_REF_COUNT + 1)
+
+    def test_sizes_at_the_bounds_are_accepted(self):
+        SynthSpec(sentences=MAX_HYPOTHESES, hypotheses=1, features=1)
+        SynthSpec(sentences=1000, hypotheses=1000, features=10)
+        SynthSpec(3, 4, 2, vocab_size=MAX_VOCAB_SIZE, ref_count=MAX_REF_COUNT)
+        # The documented 400 x 100 x 8 corpus and the benchmark's shapes.
+        for shape in ((400, 100, 8), (40, 50, 8), (30, 25, 4), (4000, 1, 1)):
+            SynthSpec(*shape)
 
     def test_correlated_pairs_checked(self):
         with pytest.raises(SpecInvalid):
@@ -101,7 +128,8 @@ class TestGenerate:
                     for tok, ref_tok in zip(hyp.tokens, entry.references[0])
                     if tok == ref_tok
                 )
-                unigram = sentence_bleu_stats(hyp.tokens, entry.references).match_n[0]
+                (row,) = next(stats_blocks([((hyp.tokens,), entry.references)]))
+                unigram = row[0]
                 assert unigram >= kept
 
     def test_requested_correlation_is_realized(self):

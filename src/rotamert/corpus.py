@@ -276,15 +276,6 @@ def build_corpus(
     return TuningCorpus(tuple(entries), names)
 
 
-def nbest_map(corpus: TuningCorpus) -> dict[int, list[Hypothesis]]:
-    """Decompose a corpus back into the map :func:`build_corpus` accepts."""
-    return {e.sentence_id: list(e.hypotheses) for e in corpus.entries}
-
-
-def reference_map(corpus: TuningCorpus) -> dict[int, list[Tokens]]:
-    return {e.sentence_id: list(e.references) for e in corpus.entries}
-
-
 def remap_sparse_ids(
     nbest: Mapping[int, Sequence[Hypothesis]],
     refs: Mapping[int, Sequence[Tokens]],

@@ -10,12 +10,12 @@ selection is constant, so interval error statistics update by integer
 deltas while walking left to right.
 
 The search runs on a :class:`PackedCorpus`: features, sentence offsets
-and BLEU statistics as flat arrays.  Projection sums feature columns in
-the fixed order of :func:`dot`, so every score is bit-identical to the
-scalar definition (a BLAS product would reorder the sums).  The
-per-sentence hull and the interval sweep are kernels shared by the
-public :func:`upper_envelope` / :func:`sweep_intervals` and by
-:func:`line_search`.
+and BLEU statistics as flat arrays.  Projection sums feature columns
+left to right from 0.0, so every score is bit-identical to that scalar
+loop (a BLAS product would reorder the sums).  :func:`line_search` runs
+two kernels through :func:`_intervals`: :func:`_hulls` builds every
+sentence's upper envelope in one call, and :func:`_sweep` merges their
+breakpoints into intervals and statistics rows.
 
 Two exact shortcuts keep the search cheap.  A numpy prefilter drops
 every line with a strictly higher intercept on both sides of its slope
@@ -23,8 +23,8 @@ before the Python stack builds the hulls; it only compares floats, and
 the tests check that the hulls do not change.  numpy then estimates
 every interval's error, and only intervals within ``RESCORE_BOUND`` of
 the smallest estimate are scored by the scalar :func:`row_bleu`, which
-decides; the public :func:`sweep_intervals` still scores every interval
-that way.
+decides.  The chosen step is checked with one projection of the stepped
+weights, so the reported error is always the error those weights get.
 """
 
 from __future__ import annotations
@@ -35,10 +35,13 @@ from typing import Sequence
 import numpy as np
 
 from .bleu import ErrorValue, corpus_stats, row_bleu, row_errors
-from .corpus import SentenceEntry, TuningCorpus
+from .corpus import TuningCorpus
 from .errors import DimensionMismatch, InputError
 
-COALESCE_TOL = 1e-9
+# Breakpoints within this fraction of a group's first breakpoint join
+# that group, so the grouping does not depend on the scale of the
+# direction (rounding spreads concurrent lines' crossings over a few ulps).
+COALESCE_REL = 2**-30
 
 # Intervals whose numpy error estimate (row_errors) lies within this
 # of the smallest estimate are rescored by the scalar row_bleu.  The
@@ -51,36 +54,9 @@ PAD_CELLS_PER_LINE = 8
 
 
 @dataclass(frozen=True)
-class ScoreLine:
-    """Score of one hypothesis along the search ray."""
-
-    intercept: float
-    slope: float
-    hyp_index: int
-
-
-@dataclass(frozen=True)
-class SentenceEnvelope:
-    """Upper envelope of one sentence: B breakpoints, B+1 winning segments."""
-
-    breakpoints: tuple[float, ...]
-    segments: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IntervalSweep:
-    """Corpus-level intervals with their summed statistics rows and errors."""
-
-    boundaries: tuple[float, ...]
-    interval_stats: tuple[tuple[int, ...], ...]  # statistics rows
-    interval_error: tuple[ErrorValue, ...]
-
-
-@dataclass(frozen=True)
 class LineSearchResult:
     gamma_star: float
     error_at_star: ErrorValue
-    chosen_interval: tuple[float, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +96,25 @@ class PackedCorpus:
         return self.features.shape[1]
 
     def project(self, v: Sequence[float]) -> np.ndarray:
-        """Every row's ``dot(v, features)``, bit for bit, as one array."""
-        return _project(self.features, v)
+        """Every row's score ``sum_j features[row, j] * v[j]``, summed left to right.
+
+        Column by column from 0.0, one fixed order; overflowed scores are
+        rejected.
+        """
+        features = self.features
+        if len(v) != features.shape[1]:
+            raise DimensionMismatch(
+                f"vector of length {len(v)} for {features.shape[1]} features"
+            )
+        acc = np.zeros(len(features))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, vj in enumerate(v):
+                acc += features[:, j] * vj
+        if not np.isfinite(acc).all():
+            raise InputError(
+                "feature values times weights overflow: a hypothesis score is not finite"
+            )
+        return acc
 
     def first_argmax(self, scores: np.ndarray) -> np.ndarray:
         """Rank of the highest score per sentence; ties keep the lowest rank."""
@@ -138,41 +131,6 @@ class PackedCorpus:
         """
         rows = self.offsets[:-1] + self.first_argmax(scores)
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
-
-
-def dot(u: Sequence[float], v: Sequence[float]) -> float:
-    """Fixed-order dot product: the summation order every score follows."""
-    total = 0.0
-    for a, b in zip(u, v):
-        total += a * b
-    return total
-
-
-def _project(features: np.ndarray, v: Sequence[float]) -> np.ndarray:
-    # Column by column from 0.0, as dot() sums; rejects overflowed scores.
-    if len(v) != features.shape[1]:
-        raise DimensionMismatch(
-            f"vector of length {len(v)} for {features.shape[1]} features"
-        )
-    acc = np.zeros(len(features))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, vj in enumerate(v):
-            acc += features[:, j] * vj
-    if not np.isfinite(acc).all():
-        raise InputError(
-            "feature values times weights overflow: a hypothesis score is not finite"
-        )
-    return acc
-
-
-def project_lines(
-    entry: SentenceEntry, w: Sequence[float], d: Sequence[float]
-) -> list[ScoreLine]:
-    """Turn each hypothesis into its score line along ``w + gamma * d``."""
-    features = np.array([h.features for h in entry.hypotheses], dtype=np.float64)
-    intercepts = _project(features, w).tolist()
-    slopes = _project(features, d).tolist()
-    return [ScoreLine(a, b, i) for i, (a, b) in enumerate(zip(intercepts, slopes))]
 
 
 Hull = tuple[list[float], list[int]]  # breakpoints, segment labels
@@ -248,22 +206,6 @@ def _hulls(
     return [_hull(a[lo:hi], b[lo:hi], k[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def upper_envelope(lines: Sequence[ScoreLine]) -> SentenceEnvelope:
-    """Sweep lines by ascending slope, keeping the upper envelope.
-
-    Slope ties keep the higher intercept (it dominates everywhere); full
-    ties keep the lowest hypothesis index.  A line is dropped when the
-    breakpoint where it would take over does not exceed the previous
-    one.
-    """
-    intercepts = np.array([l.intercept for l in lines], dtype=np.float64)
-    slopes = np.array([l.slope for l in lines], dtype=np.float64)
-    labels = np.array([l.hyp_index for l in lines], dtype=np.int64)
-    sentence = np.zeros(len(lines), dtype=np.int64)
-    ((breaks, segments),) = _hulls(intercepts, slopes, labels, sentence, 1)
-    return SentenceEnvelope(tuple(breaks), tuple(segments))
-
-
 def _sweep(
     hulls: Sequence[tuple[Sequence[float], Sequence[int]]],
     offsets: Sequence[int],
@@ -271,10 +213,12 @@ def _sweep(
 ) -> tuple[list[float], np.ndarray]:
     """Boundaries and per-interval statistics rows of merged sentence hulls.
 
-    Events sort stably by gamma; a boundary collects every event within
-    ``COALESCE_TOL`` of its first one.  Each interval's row is the first
-    interval's row plus the integer cumulative sum of the events'
-    incoming-minus-outgoing statistics.
+    ``hulls`` are :func:`_hulls`' output and ``offsets`` each sentence's
+    first row.  Events sort stably by gamma; a boundary collects every
+    event within ``COALESCE_REL * |g|`` above its first event ``g``, a
+    rule that scaling the direction leaves unchanged.  Each interval's
+    row is the first interval's row plus the integer cumulative sum of
+    the events' incoming-minus-outgoing statistics.
     """
     gammas: list[float] = []
     leave: list[int] = []
@@ -300,8 +244,9 @@ def _sweep(
     i = 0
     while i < len(ordered):
         group_start = ordered[i]
+        reach = COALESCE_REL * abs(group_start)
         i += 1  # a group always takes its first event
-        while i < len(ordered) and ordered[i] - group_start <= COALESCE_TOL:
+        while i < len(ordered) and ordered[i] - group_start <= reach:
             i += 1
         boundaries.append(group_start)
         ends.append(i - 1)
@@ -309,28 +254,17 @@ def _sweep(
     return boundaries, rows
 
 
-def sweep_intervals(
-    packed: PackedCorpus, envelopes: Sequence[SentenceEnvelope]
-) -> IntervalSweep:
-    """Merge per-sentence breakpoints and walk intervals by stat deltas.
+def _intervals(
+    packed: PackedCorpus, intercepts: np.ndarray, d: Sequence[float]
+) -> tuple[list[Hull], list[float], np.ndarray]:
+    """Sentence hulls, boundaries and interval statistics rows along ``d``.
 
-    Boundaries closer than ``COALESCE_TOL`` collapse into one; each
-    boundary applies every affected sentence's outgoing/incoming
-    hypothesis swap to the running statistics row.
+    ``intercepts`` is ``packed.project(w)``.  These are the kernel calls
+    of :func:`line_search`.
     """
-    if len(envelopes) != packed.size:
-        raise DimensionMismatch(f"{len(envelopes)} envelopes for {packed.size} sentences")
-    boundaries, rows = _sweep(
-        [(env.breakpoints, env.segments) for env in envelopes],
-        packed.offsets.tolist(),
-        packed.stats,
-    )
-    interval_rows = rows.tolist()
-    return IntervalSweep(
-        tuple(boundaries),
-        tuple(map(tuple, interval_rows)),
-        tuple(row_bleu(row) for row in interval_rows),
-    )
+    hulls = _hulls(intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
+    boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+    return hulls, boundaries, rows
 
 
 def _interval_bounds(
@@ -346,25 +280,34 @@ def _distance_to_zero(lower: float, upper: float) -> float:
     return max(lower, -upper, 0.0)
 
 
+def _midpoint(lower: float, upper: float) -> float:
+    # Unbounded intervals step 1.0 past their one edge; no edges, no step.
+    if lower == float("-inf"):
+        return 0.0 if upper == float("inf") else upper - 1.0
+    if upper == float("inf"):
+        return lower + 1.0
+    return (lower + upper) / 2.0
+
+
 def line_search(packed: PackedCorpus, w: Sequence[float], d: Sequence[float]) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
 
-    Returns the midpoint
-    of the minimum-error interval (offset by 1.0 into unbounded
-    intervals); interval ties resolve toward the interval containing or
-    closest to gamma = 0, then leftmost.  With no breakpoints at all the
-    step is 0.  The result never scores worse than staying at gamma = 0.
+    Returns the midpoint of the minimum-error interval (offset by 1.0
+    into unbounded intervals); interval ties resolve toward the interval
+    containing or closest to gamma = 0, then leftmost.  With no
+    breakpoints at all the step is 0.  The result never scores worse
+    than staying at gamma = 0, and its error is the error at
+    ``w + gamma_star * d``.
     """
     intercepts = packed.project(w)
     zero_error = packed.argmax_error(intercepts)
-    hulls = _hulls(intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
-    boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+    _, boundaries, rows = _intervals(packed, intercepts, d)
     estimate = row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar
     # minimum; their scalar errors decide, ties as documented above.
     candidates = np.flatnonzero(estimate <= estimate.min() + RESCORE_BOUND)
     scored = {index: row_bleu(rows[index].tolist()) for index in candidates.tolist()}
-    best_index = min(
+    ranked = sorted(
         scored,
         key=lambda index: (
             scored[index].error,
@@ -372,30 +315,17 @@ def line_search(packed: PackedCorpus, w: Sequence[float], d: Sequence[float]) ->
             index,
         ),
     )
-    lower, upper = _interval_bounds(boundaries, best_index)
-    error_star = scored[best_index]
-
-    if not boundaries:
-        gamma = 0.0
-    elif lower == float("-inf"):
-        gamma = upper - 1.0
-    elif upper == float("inf"):
-        gamma = lower + 1.0
-    else:
-        gamma = (lower + upper) / 2.0
-
-    # Never move to something worse than the current point.  The sweep
-    # already contains the gamma = 0 interval, so this only matters when
-    # 0 sits exactly on a boundary and tie-breaking picks a different
-    # hypothesis mix than either neighboring interval.
-    if zero_error.error < error_star.error:
-        zero_index = 0
-        for index in range(len(rows)):
-            low, up = _interval_bounds(boundaries, index)
-            if low <= 0.0 <= up:
-                zero_index = index
-                break
-        return LineSearchResult(
-            0.0, zero_error, _interval_bounds(boundaries, zero_index)
-        )
-    return LineSearchResult(gamma, error_star, (lower, upper))
+    for index in ranked:
+        error = scored[index]
+        # Never move to something worse than the current point (0 on a
+        # boundary can tie-break to a better mix than either neighbour).
+        if zero_error.error < error.error:
+            break
+        # Crossings near gamma = 0 round by an absolute amount, so an
+        # interval can be too narrow for any stepped weights to select
+        # its mix; such an interval is passed over for the next one.
+        gamma = _midpoint(*_interval_bounds(boundaries, index))
+        stepped = [wi + gamma * di for wi, di in zip(w, d)]
+        if packed.argmax_error(packed.project(stepped)) == error:
+            return LineSearchResult(gamma, error)
+    return LineSearchResult(0.0, zero_error)

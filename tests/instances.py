@@ -7,10 +7,20 @@ and sentences whose hypotheses never match a reference.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from rotamert.corpus import Hypothesis, build_corpus
-from rotamert.envelope import PackedCorpus, ScoreLine, project_lines
+from rotamert.envelope import PackedCorpus
+
+
+class Line(NamedTuple):
+    """Score of one hypothesis along a search ray."""
+
+    intercept: float
+    slope: float
+    hyp_index: int
 
 
 def random_corpus(seed, max_sentences=20, max_hyps=16, max_features=5, min_features=1):
@@ -49,10 +59,13 @@ def ray_instance(seed, **kwargs):
     """Corpus, its packed view, and per-sentence score lines along one random ray."""
     corpus, rng = random_corpus(seed, **kwargs)
     w, d = random_ray(rng, corpus.feature_dim)
-    lines_per_sentence = [
-        project_lines(entry, w, d) for entry in corpus.entries
-    ]
-    return corpus, PackedCorpus.of(corpus), lines_per_sentence, w, d
+    packed = PackedCorpus.of(corpus)
+    lines = list(
+        map(Line, packed.project(w).tolist(), packed.project(d).tolist(), packed.rank.tolist())
+    )
+    bounds = packed.offsets.tolist()
+    lines_per_sentence = [lines[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return corpus, packed, lines_per_sentence, w, d
 
 
 def random_lines(seed, max_lines=16):
@@ -68,6 +81,6 @@ def random_lines(seed, max_lines=16):
     if count >= 6 and rng.random() < 0.3:
         slopes[3] = slopes[2]
     return [
-        ScoreLine(float(intercepts[i]), float(slopes[i]), i)
+        Line(float(intercepts[i]), float(slopes[i]), i)
         for i in range(count)
     ]

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the tests.
 
-Everything here favors obviousness over speed: the clipping oracle
-counts each n-gram order separately, the envelope oracle
+Everything here favors obviousness over speed: scores are scalar
+left-to-right dot products, the clipping oracle counts each n-gram
+order separately, the envelope oracle
 probes between all O(K^2) pairwise crossings, the interval oracle
 re-derives each interval's statistics from scratch at a probe point,
 and the weight-grid scan enumerates every selection a dense grid of
@@ -16,6 +17,14 @@ from collections import Counter
 import numpy as np
 
 from rotamert.bleu import row_bleu
+
+
+def dot(u, v):
+    """Fixed-order dot product: the summation order every projected score follows."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
 
 
 def clipped_stats_by_counting(hyp, refs):
@@ -140,15 +149,14 @@ def reselect_interval_stats(lines_per_sentence, packed, boundaries):
     return out
 
 
-def merged_intervals_by_enumeration(
-    lines_per_sentence, packed, tol=1e-9, per_sentence_breaks=None
-):
+def merged_intervals_by_enumeration(lines_per_sentence, packed, per_sentence_breaks=None):
     """Corpus-level interval structure rebuilt from the pairwise oracle.
 
     Per-sentence breakpoints come from :func:`envelope_by_enumeration`
-    (or are passed in when already computed); boundaries closer than
-    ``tol`` collapse onto the group start, and each interval's statistics
-    are re-selected from scratch at a probe point.  Returns (boundaries,
+    (or are passed in when already computed).  A breakpoint within
+    2**-30 of the current boundary's magnitude above it collapses onto
+    that boundary, and each interval's statistics are re-selected from
+    scratch at a probe point.  Returns (boundaries,
     interval stats, interval errors).
     """
     if per_sentence_breaks is None:
@@ -161,7 +169,7 @@ def merged_intervals_by_enumeration(
     cut_points.sort()
     boundaries = []
     for gamma in cut_points:
-        if boundaries and gamma - boundaries[-1] <= tol:
+        if boundaries and gamma - boundaries[-1] <= 2.0**-30 * abs(boundaries[-1]):
             continue
         boundaries.append(gamma)
     stats = reselect_interval_stats(lines_per_sentence, packed, boundaries)

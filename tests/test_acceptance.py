@@ -16,7 +16,7 @@ from rotamert.bleu import row_bleu, stats_blocks
 from rotamert.cli import main
 from rotamert.corpus import parse_references
 from rotamert.descent import DEFAULT_MAX_ITER, kcd_optimize, uniform_weights
-from rotamert.envelope import PackedCorpus, line_search, sweep_intervals, upper_envelope
+from rotamert.envelope import PackedCorpus, _intervals, line_search
 from rotamert.rotation import AlphaGrid, report_tsv, rss_optimize, summary_rows
 from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
@@ -58,21 +58,18 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
         for seed in range(1000):
             _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
             result = line_search(packed, w, d)
-            envelopes = []
+            hulls, boundaries, rows = _intervals(packed, packed.project(w), d)
             oracle_breaks = []
-            for lines in lines_per_sentence:
-                env = upper_envelope(lines)
+            for (hull_breaks, hull_segments), lines in zip(hulls, lines_per_sentence):
                 breaks, segments = envelope_by_enumeration(lines)
-                assert env.breakpoints == breaks, f"seed {seed}"
-                assert env.segments == segments, f"seed {seed}"
-                envelopes.append(env)
+                assert tuple(hull_breaks) == breaks, f"seed {seed}"
+                assert tuple(hull_segments) == segments, f"seed {seed}"
                 oracle_breaks.append(breaks)
-            sweep = sweep_intervals(packed, envelopes)
             bounds, stats, errors = merged_intervals_by_enumeration(
                 lines_per_sentence, packed, per_sentence_breaks=oracle_breaks
             )
-            assert list(sweep.boundaries) == bounds, f"seed {seed}"
-            assert list(sweep.interval_stats) == stats, f"seed {seed}"
+            assert boundaries == bounds, f"seed {seed}"
+            assert list(map(tuple, rows.tolist())) == stats, f"seed {seed}"
             assert (
                 min(e.error for e in errors) == result.error_at_star.error
             ), f"seed {seed}"
@@ -85,11 +82,8 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
         for seed in range(2000, 2200):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-            sweep = sweep_intervals(packed, envelopes)
-            grid_min = ray_probe_min_error(
-                lines_per_sentence, packed, list(sweep.boundaries)
-            )
+            _, boundaries, _ = _intervals(packed, packed.project(w), d)
+            grid_min = ray_probe_min_error(lines_per_sentence, packed, boundaries)
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rotamert.bleu import corpus_stats, row_bleu, stats_blocks
-from rotamert.envelope import PackedCorpus, SentenceEnvelope, sweep_intervals
+from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
@@ -90,8 +90,9 @@ class TestStatsArithmetic:
         zero = (0,) * 10
         # Sentence 1 swaps from zero to b at 0 and back to zero at 1.
         packed = packed_rows([[a], [zero, b, zero]])
-        envelopes = [SentenceEnvelope((), (0,)), SentenceEnvelope((0.0, 1.0), (0, 1, 2))]
-        start, added, restored = sweep_intervals(packed, envelopes).interval_stats
+        hulls = [((), (0,)), ((0.0, 1.0), (0, 1, 2))]
+        _, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+        start, added, restored = map(tuple, rows.tolist())
         assert added == tuple(x + y for x, y in zip(a, b))
         assert restored == a
         assert start == a
@@ -100,8 +101,8 @@ class TestStatsArithmetic:
         a = row((1, 0, 0, 0), (2, 1, 0, 0), 2, 3)
         b = row((2, 1, 0, 0), (3, 2, 1, 0), 3, 3)
         packed = packed_rows([[a], [b]])
-        envelopes = [SentenceEnvelope((), (0,))] * 2
-        (agg,) = sweep_intervals(packed, envelopes).interval_stats
+        _, rows = _sweep([((), (0,))] * 2, packed.offsets.tolist(), packed.stats)
+        (agg,) = map(tuple, rows.tolist())
         assert agg == row((3, 1, 0, 0), (5, 3, 1, 0), 5, 6)
 
 

@@ -5,10 +5,8 @@ from rotamert.corpus import (
     build_corpus,
     format_nbest,
     format_references,
-    nbest_map,
     parse_nbest,
     parse_references,
-    reference_map,
     remap_sparse_ids,
 )
 from rotamert.errors import (
@@ -154,7 +152,11 @@ class TestBuildCorpus:
     def test_round_trip_through_maps(self):
         nbest, refs = tiny_corpus()
         corpus = build_corpus(nbest, refs)
-        again = build_corpus(nbest_map(corpus), reference_map(corpus), corpus.feature_names)
+        again = build_corpus(
+            {e.sentence_id: list(e.hypotheses) for e in corpus.entries},
+            {e.sentence_id: list(e.references) for e in corpus.entries},
+            corpus.feature_names,
+        )
         assert again == corpus
 
     def test_default_feature_names(self):

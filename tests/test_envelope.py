@@ -5,48 +5,28 @@ from rotamert.bleu import row_bleu, row_errors
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.envelope import (
     RESCORE_BOUND,
+    LineSearchResult,
     PackedCorpus,
-    ScoreLine,
-    SentenceEnvelope,
-    dot,
     line_search,
-    project_lines,
-    sweep_intervals,
-    upper_envelope,
     _distance_to_zero,
     _hull,
     _hulls,
     _interval_bounds,
+    _intervals,
     _may_reach_hull,
+    _sweep,
 )
 from rotamert.errors import DimensionMismatch, InputError
 
-from instances import random_corpus, random_lines, ray_instance
+from instances import Line, random_corpus, random_lines, ray_instance
 from oracles import (
+    dot,
     envelope_by_enumeration,
+    reselect_interval_stats,
     interval_probes,
     ray_probe_min_error,
-    reselect_interval_stats,
     selection_error,
 )
-
-
-class TestProjectLines:
-    def test_intercept_and_slope_are_dot_products(self):
-        corpus, rng = random_corpus(5)
-        entry = corpus.entries[0]
-        w = tuple(float(x) for x in rng.normal(size=corpus.feature_dim))
-        d = tuple(float(x) for x in rng.normal(size=corpus.feature_dim))
-        for i, line in enumerate(project_lines(entry, w, d)):
-            assert line.intercept == dot(w, entry.hypotheses[i].features)
-            assert line.slope == dot(d, entry.hypotheses[i].features)
-            assert line.hyp_index == i
-
-    def test_dimension_checked(self):
-        corpus, _ = random_corpus(5)
-        bad = (0.0,) * (corpus.feature_dim + 1)
-        with pytest.raises(DimensionMismatch):
-            project_lines(corpus.entries[0], bad, bad)
 
 
 class TestPackedProjection:
@@ -79,11 +59,24 @@ class TestPackedProjection:
                 assert got == expected, f"seed {seed}"
 
     def test_line_search_projection_equals_dot_bit_for_bit(self):
+        # The hulls line_search builds equal those of lines scored by dot.
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
-        for entry in corpus.entries:
-            for i, line in enumerate(project_lines(entry, w, d)):
-                assert line.intercept.hex() == dot(w, entry.hypotheses[i].features).hex()
-                assert line.slope.hex() == dot(d, entry.hypotheses[i].features).hex()
+        packed = PackedCorpus.of(corpus)
+        hulls, _, _ = _intervals(packed, packed.project(w), d)
+        for entry, (breaks, segments) in zip(corpus.entries, hulls):
+            want_breaks, want_segments = one_hull(
+                [
+                    Line(dot(w, h.features), dot(d, h.features), k)
+                    for k, h in enumerate(entry.hypotheses)
+                ]
+            )
+            assert [x.hex() for x in breaks] == [x.hex() for x in want_breaks]
+            assert tuple(segments) == want_segments
+
+    def test_dimension_checked(self):
+        packed = PackedCorpus.of(random_corpus(5)[0])
+        with pytest.raises(DimensionMismatch):
+            packed.project((0.0,) * (packed.feature_dim + 1))
 
     def test_packed_selection_keeps_lowest_rank_on_ties(self):
         nbest = {0: [Hypothesis(0, k, ("t", str(k)), (1.0, 0.0)) for k in range(3)]}
@@ -103,63 +96,51 @@ class TestPackedProjection:
             line_search(packed, (1.0, 1.0), (float("nan"), 1.0))
 
 
+def one_hull(lines):
+    """``_hulls`` on a single sentence: (breakpoints, segments) as tuples."""
+    ((breaks, segments),) = _hulls(
+        np.array([l.intercept for l in lines], dtype=np.float64),
+        np.array([l.slope for l in lines], dtype=np.float64),
+        np.array([l.hyp_index for l in lines], dtype=np.int64),
+        np.zeros(len(lines), dtype=np.int64),
+        1,
+    )
+    return tuple(breaks), tuple(segments)
+
+
 class TestUpperEnvelope:
     def test_single_line(self):
-        env = upper_envelope([ScoreLine(1.0, 2.0, 0)])
-        assert env.breakpoints == ()
-        assert env.segments == (0,)
+        assert one_hull([Line(1.0, 2.0, 0)]) == ((), (0,))
 
     def test_parallel_lines_keep_highest_intercept(self):
-        env = upper_envelope(
-            [ScoreLine(1.0, 0.5, 0), ScoreLine(3.0, 0.5, 1), ScoreLine(2.0, 0.5, 2)]
-        )
-        assert env.segments == (1,)
-        assert env.breakpoints == ()
+        lines = [Line(1.0, 0.5, 0), Line(3.0, 0.5, 1), Line(2.0, 0.5, 2)]
+        assert one_hull(lines) == ((), (1,))
 
     def test_identical_lines_keep_lowest_index(self):
-        env = upper_envelope(
-            [ScoreLine(1.0, 0.5, 2), ScoreLine(1.0, 0.5, 0), ScoreLine(1.0, 0.5, 1)]
-        )
-        assert env.segments == (0,)
+        lines = [Line(1.0, 0.5, 2), Line(1.0, 0.5, 0), Line(1.0, 0.5, 1)]
+        assert one_hull(lines) == ((), (0,))
 
     def test_dominated_middle_line_is_dropped(self):
         # y = -x and y = x meet at 0; y = -1 stays below both everywhere.
-        lines = [
-            ScoreLine(0.0, -1.0, 0),
-            ScoreLine(-1.0, 0.0, 1),
-            ScoreLine(0.0, 1.0, 2),
-        ]
-        env = upper_envelope(lines)
-        assert env.segments == (0, 2)
-        assert env.breakpoints == (0.0,)
+        lines = [Line(0.0, -1.0, 0), Line(-1.0, 0.0, 1), Line(0.0, 1.0, 2)]
+        assert one_hull(lines) == ((0.0,), (0, 2))
 
     def test_three_way_meeting_point(self):
         # All three lines pass through (0, 1); the middle one survives
         # nowhere since it never strictly exceeds the other two.
-        lines = [
-            ScoreLine(1.0, -1.0, 0),
-            ScoreLine(1.0, 0.0, 1),
-            ScoreLine(1.0, 1.0, 2),
-        ]
-        env = upper_envelope(lines)
-        assert env.segments == (0, 2)
-        assert env.breakpoints == (0.0,)
+        lines = [Line(1.0, -1.0, 0), Line(1.0, 0.0, 1), Line(1.0, 1.0, 2)]
+        assert one_hull(lines) == ((0.0,), (0, 2))
 
     def test_matches_enumeration_on_random_lines(self):
         for seed in range(300):
             lines = random_lines(seed)
-            env = upper_envelope(lines)
-            breaks, segments = envelope_by_enumeration(lines)
-            assert env.segments == segments, f"seed {seed}"
-            assert env.breakpoints == breaks, f"seed {seed}"
+            assert one_hull(lines) == envelope_by_enumeration(lines), f"seed {seed}"
 
     def test_breakpoints_strictly_increase(self):
         for seed in range(100, 150):
-            env = upper_envelope(random_lines(seed))
-            assert all(
-                a < b for a, b in zip(env.breakpoints, env.breakpoints[1:])
-            )
-            assert len(env.segments) == len(env.breakpoints) + 1
+            breaks, segments = one_hull(random_lines(seed))
+            assert all(a < b for a, b in zip(breaks, breaks[1:]))
+            assert len(segments) == len(breaks) + 1
 
 
 def bare_hull(intercepts, slopes, labels):
@@ -276,52 +257,51 @@ class TestDominationPrefilter:
         self.assert_same_hulls(sets, "skewed")
 
 
+def two_hyp_sweep(gammas):
+    """``_sweep`` over one two-hypothesis hull per breakpoint; the second
+    hypothesis of each sentence matches its reference."""
+    nbest = {
+        s: [Hypothesis(s, 0, ("a",), (0.0,)), Hypothesis(s, 1, ("b",), (1.0,))]
+        for s in range(len(gammas))
+    }
+    corpus = build_corpus(nbest, {s: [("b",)] for s in range(len(gammas))})
+    packed = PackedCorpus.of(corpus)
+    hulls = [((g,), (0, 1)) for g in gammas]
+    boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+    return boundaries, rows[:, 0].tolist()  # unigram matches per interval
+
+
 class TestSweepIntervals:
     def test_interval_stats_match_from_scratch_reselection(self):
         for seed in range(60):
-            _, packed, lines_per_sentence, _, _ = ray_instance(seed)
-            envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-            sweep = sweep_intervals(packed, envelopes)
-            expected = reselect_interval_stats(
-                lines_per_sentence, packed, list(sweep.boundaries)
-            )
-            assert list(sweep.interval_stats) == expected, f"seed {seed}"
-
-    def test_interval_errors_come_from_interval_stats(self):
-        _, packed, lines_per_sentence, _, _ = ray_instance(1)
-        envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-        sweep = sweep_intervals(packed, envelopes)
-        assert len(sweep.interval_error) == len(sweep.boundaries) + 1
-        for stats, err in zip(sweep.interval_stats, sweep.interval_error):
-            assert row_bleu(stats) == err
-
-    def test_shape_mismatch_rejected(self):
-        _, packed, lines_per_sentence, _, _ = ray_instance(2)
-        envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-        with pytest.raises(DimensionMismatch):
-            sweep_intervals(packed, envelopes[:-1])
+            _, packed, lines_per_sentence, w, d = ray_instance(seed)
+            _, boundaries, rows = _intervals(packed, packed.project(w), d)
+            expected = reselect_interval_stats(lines_per_sentence, packed, boundaries)
+            assert list(map(tuple, rows.tolist())) == expected, f"seed {seed}"
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_breakpoint_rejected(self, gamma):
-        nbest = {0: [Hypothesis(0, 0, ("a",), (0.0,)), Hypothesis(0, 1, ("b",), (1.0,))]}
-        corpus = build_corpus(nbest, {0: [("a",)]})
-        envelope = SentenceEnvelope((gamma,), (0, 1))
         with pytest.raises(InputError):
-            sweep_intervals(PackedCorpus.of(corpus), [envelope])
+            two_hyp_sweep([gamma])
 
     def test_coalesced_boundaries_share_one_interval(self):
-        nbest = {
-            s: [Hypothesis(s, 0, ("a",), (0.0,)), Hypothesis(s, 1, ("b",), (1.0,))]
-            for s in range(3)
-        }
-        corpus = build_corpus(nbest, {s: [("a",)] for s in range(3)})
-        envelopes = [
-            SentenceEnvelope((g,), (0, 1)) for g in (1.0, 1.0 + 5e-10, 2.0)
-        ]
-        sweep = sweep_intervals(PackedCorpus.of(corpus), envelopes)
-        assert sweep.boundaries == (1.0, 2.0)
-        assert [st[8] for st in sweep.interval_stats] == [3, 3, 3]
-        assert [st[0] for st in sweep.interval_stats] == [3, 1, 0]
+        boundaries, matches = two_hyp_sweep([1.0, 1.0 + 5e-10, 2.0])
+        assert boundaries == [1.0, 2.0]
+        assert matches == [0, 2, 3]
+
+    @pytest.mark.parametrize("exponent", [-40, 0, 40])
+    def test_grouping_is_relative_to_the_boundary(self, exponent):
+        # Within 2**-30 of the group start joins it at every scale; 2**-29 does not.
+        scale = 2.0**exponent
+        gammas = [-3.0 * scale, -3.0 * (1 - 2.0**-31) * scale, scale, (1 + 2.0**-29) * scale]
+        boundaries, matches = two_hyp_sweep(gammas)
+        assert boundaries == [gammas[0], gammas[2], gammas[3]]
+        assert matches == [0, 2, 3, 4]
+
+    def test_only_equal_breakpoints_group_at_zero(self):
+        boundaries, matches = two_hyp_sweep([0.0, -0.0, 5e-324])
+        assert boundaries == [0.0, 5e-324]
+        assert matches == [0, 2, 3]
 
 
 def entry_from_feature_pairs(sentence_id, pairs, tokens_per_hyp, refs):
@@ -339,11 +319,8 @@ class TestLineSearch:
         for seed in range(40):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            envelopes = [upper_envelope(lines) for lines in lines_per_sentence]
-            sweep = sweep_intervals(packed, envelopes)
-            grid_best = ray_probe_min_error(
-                lines_per_sentence, packed, list(sweep.boundaries), points=2001
-            )
+            _, boundaries, _ = _intervals(packed, packed.project(w), d)
+            grid_best = ray_probe_min_error(lines_per_sentence, packed, boundaries, points=2001)
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
 
     def test_never_worse_than_staying_put(self):
@@ -359,7 +336,6 @@ class TestLineSearch:
         corpus = build_corpus(nbest, {0: [("a", "b")]})
         result = line_search(PackedCorpus.of(corpus), (1.0, 1.0), (0.5, -0.5))
         assert result.gamma_star == 0.0
-        assert result.chosen_interval == (float("-inf"), float("inf"))
 
     def test_bounded_optimum_returns_midpoint(self):
         # With w = (1, 0), d = (0, 1) the intercept is the first feature
@@ -374,7 +350,6 @@ class TestLineSearch:
         )
         corpus = build_corpus(nbest, refs)
         result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
-        assert result.chosen_interval == (3.0, 5.0)
         assert result.gamma_star == 4.0
         assert result.error_at_star.error == 0.0
 
@@ -386,7 +361,6 @@ class TestLineSearch:
         )
         corpus = build_corpus(nbest, refs)
         result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
-        assert result.chosen_interval == (float("-inf"), 1.0)
         assert result.gamma_star == 0.0
 
     def test_right_unbounded_optimum_steps_inside(self):
@@ -397,7 +371,6 @@ class TestLineSearch:
         )
         corpus = build_corpus(nbest, refs)
         result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
-        assert result.chosen_interval == (1.0, float("inf"))
         assert result.gamma_star == 2.0
 
     def test_tie_prefers_interval_nearest_zero(self):
@@ -413,7 +386,6 @@ class TestLineSearch:
         )
         corpus = build_corpus({**n0, **n1}, {**r0, **r1})
         result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
-        assert result.chosen_interval == (-3.0, -1.0)
         assert result.gamma_star == -2.0
 
     def test_equal_distance_tie_prefers_leftmost_interval(self):
@@ -425,8 +397,70 @@ class TestLineSearch:
         )
         corpus = build_corpus(nbest, refs)
         result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
-        assert result.chosen_interval == (float("-inf"), 0.0)
         assert result.gamma_star == -1.0
+
+
+def error_at_step(packed, w, d, result):
+    stepped = tuple(wi + result.gamma_star * di for wi, di in zip(w, d))
+    return packed.argmax_error(packed.project(stepped))
+
+
+def ulp_cluster_corpus(seed, sentences=12):
+    # Under w = (1, 1, 0), d = (0, 0, 1) the lines (i/10, j/10, 0) and
+    # ((i+j)/10, 0, 1) cross at fl(i/10 + j/10) - (i+j)/10: at gamma = 0
+    # or a few ulps off it.  One of the two is the reference.
+    rng = np.random.default_rng(seed)
+    nbest, refs = {}, {}
+    for s in range(sentences):
+        i, j = rng.integers(1, 100, 2).tolist()
+        tokens = [tuple(rng.choice(["p", "q", "r"], 4).tolist()) for _ in range(2)]
+        features = [(i / 10, j / 10, 0.0), ((i + j) / 10, 0.0, 1.0)]
+        nbest[s] = [Hypothesis(s, k, tokens[k], features[k]) for k in range(2)]
+        refs[s] = [tokens[int(rng.integers(0, 2))]]
+    return PackedCorpus.of(build_corpus(nbest, refs))
+
+
+class TestScaleContract:
+    """The reported error is the error at the stepped weights, whatever the
+    scale of the direction."""
+
+    def test_sub_ulp_interval_near_zero_is_not_chosen(self):
+        # Breakpoints 0.1 + 0.2 - 0.3 = 2**-54 and 0.2 + 0.4 - 0.6 = 2**-53
+        # bound the one interval where both sentences pick their reference,
+        # but its midpoint rounds sentence 0's h1 score onto h0's.
+        good, bad = ("g",) * 4, ("b",) * 4
+        nbest = {
+            0: [Hypothesis(0, 0, bad, (0.1, 0.2, 0.0)), Hypothesis(0, 1, good, (0.3, 0.0, 1.0))],
+            1: [Hypothesis(1, 0, good, (0.2, 0.4, 0.0)), Hypothesis(1, 1, bad, (0.6, 0.0, 1.0))],
+        }
+        packed = PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
+        w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+        _, boundaries, rows = _intervals(packed, packed.project(w), d)
+        errors = [row_bleu(row).error for row in rows.tolist()]
+        assert boundaries == [2.0**-54, 2.0**-53] and errors[1] < min(errors[0], errors[2])
+        result = line_search(packed, w, d)
+        assert error_at_step(packed, w, d, result) == result.error_at_star
+        assert result.error_at_star.error > errors[1]
+
+    def test_ulp_clusters_at_zero_are_realized(self):
+        w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+        for seed in range(200):
+            packed = ulp_cluster_corpus(seed)
+            result = line_search(packed, w, d)
+            assert error_at_step(packed, w, d, result) == result.error_at_star, f"seed {seed}"
+
+    @pytest.mark.parametrize("min_features", [1, 2])
+    def test_error_is_scale_free_and_realized(self, min_features):
+        for seed in range(200):
+            _, packed, _, w, d = ray_instance(seed, min_features=min_features)
+            found = []
+            for k in (-30, 0, 25, 30, 35):
+                d_k = tuple(x * 2.0**k for x in d)
+                result = line_search(packed, w, d_k)
+                at_step = error_at_step(packed, w, d_k, result)
+                assert at_step == result.error_at_star, f"seed {seed}, scale 2**{k}"
+                found.append(result.error_at_star)
+            assert found == [found[0]] * len(found), f"seed {seed}"
 
 
 def random_stats_rows(seed, count=4000):
@@ -454,18 +488,15 @@ def random_stats_rows(seed, count=4000):
     return np.array(rows, dtype=np.int64)
 
 
-def scalar_scan(packed, lines_per_sentence):
+def scalar_scan(packed, w, d):
     """Every interval scored by row_bleu; the minimum under line_search's tie rule."""
-    sweep = sweep_intervals(packed, [upper_envelope(lines) for lines in lines_per_sentence])
+    _, boundaries, rows = _intervals(packed, packed.project(w), d)
+    errors = [row_bleu(row) for row in rows.tolist()]
     best = min(
-        range(len(sweep.interval_error)),
-        key=lambda i: (
-            sweep.interval_error[i].error,
-            _distance_to_zero(*_interval_bounds(sweep.boundaries, i)),
-            i,
-        ),
+        range(len(errors)),
+        key=lambda i: (errors[i].error, _distance_to_zero(*_interval_bounds(boundaries, i)), i),
     )
-    return _interval_bounds(sweep.boundaries, best), sweep.interval_error[best]
+    return _interval_bounds(boundaries, best), errors[best]
 
 
 class TestRescoringBound:
@@ -481,14 +512,14 @@ class TestRescoringBound:
 
     def test_line_search_equals_a_full_scalar_scan(self):
         for seed in range(200):
-            _, packed, lines_per_sentence, w, d = ray_instance(seed)
+            _, packed, _, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            interval, error = scalar_scan(packed, lines_per_sentence)
+            (lower, upper), error = scalar_scan(packed, w, d)
             zero = selection_error(packed, packed.first_argmax(packed.project(w)).tolist())
             if zero.error < error.error:  # the gamma = 0 guard
-                assert result.error_at_star == zero, f"seed {seed}"
+                assert result == LineSearchResult(0.0, zero), f"seed {seed}"
             else:
-                assert result.chosen_interval == interval, f"seed {seed}"
+                assert lower < result.gamma_star < upper, f"seed {seed}"
                 assert result.error_at_star == error, f"seed {seed}"
 
     def test_any_estimate_within_half_the_bound_gives_the_same_result(self, monkeypatch):
@@ -528,14 +559,12 @@ class TestRescoringBound:
         corpus = build_corpus(nbest, refs)
         packed = PackedCorpus.of(corpus)
         w, d = (1.0, 0.0), (0.0, 1.0)
-        lines = [project_lines(entry, w, d) for entry in corpus.entries]
-        sweep = sweep_intervals(packed, [upper_envelope(l) for l in lines])
-        best = min(err.error for err in sweep.interval_error)
-        assert sum(err.error == best for err in sweep.interval_error) == 3
+        _, _, rows = _intervals(packed, packed.project(w), d)
+        errors = [row_bleu(row).error for row in rows.tolist()]
+        assert errors.count(min(errors)) == 3
         result = line_search(packed, w, d)
-        assert result.chosen_interval == (-2.0, -1.0)
         assert result.gamma_star == -1.5
-        assert (result.chosen_interval, result.error_at_star) == scalar_scan(packed, lines)
+        assert scalar_scan(packed, w, d) == ((-2.0, -1.0), result.error_at_star)
 
 
 class TestIntervalProbesHelper:

@@ -1,5 +1,6 @@
 """Process start-up and package surface: one OpenBLAS thread, no pool
-modules, no BLAS calls, and an ``__all__`` that names only what exists.
+modules, no BLAS calls, an ``__all__`` that is exactly the documented
+names, and a README Python example that runs.
 
 ``rotamert/__init__.py`` loads numpy with a single OpenBLAS thread unless
 the caller set a thread count, because the package never calls BLAS.
@@ -8,9 +9,12 @@ has imported numpy and rotamert already.
 """
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -113,7 +117,32 @@ def test_package_makes_no_blas_call():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
-# Names the package exported before statistics became int64 rows only.
+# The functions the README promises, then the types they take and return.
+DOCUMENTED_EXPORTS = (
+    "parse_nbest",
+    "parse_references",
+    "build_corpus",
+    "remap_sparse_ids",
+    "kcd_optimize",
+    "rss_optimize",
+    "Hypothesis",
+    "SentenceEntry",
+    "TuningCorpus",
+    "PackedCorpus",
+    "KcdConfig",
+    "KcdTrace",
+    "StepRecord",
+    "ErrorValue",
+    "CoordinateSystem",
+    "Rotation",
+    "AlphaGrid",
+    "RssResult",
+    "RssRecord",
+)
+
+# Names the package once exported that no longer exist in any module:
+# the statistics objects replaced by int64 rows, and the line-search
+# adapters and corpus maps that only tests called.
 REMOVED_EXPORTS = (
     "BleuStats",
     "aggregate",
@@ -122,17 +151,64 @@ REMOVED_EXPORTS = (
     "select_hypotheses",
     "selection_error",
     "sentence_bleu_stats",
+    "IntervalSweep",
+    "ScoreLine",
+    "SentenceEnvelope",
+    "dot",
+    "nbest_map",
+    "project_lines",
+    "reference_map",
+    "sweep_intervals",
+    "upper_envelope",
+)
+
+# Names the package once exported that stay importable from their submodule.
+SUBMODULE_ONLY = (
+    ("corpus", "format_nbest"),
+    ("corpus", "format_references"),
+    ("descent", "uniform_weights"),
+    ("envelope", "LineSearchResult"),
+    ("envelope", "line_search"),
+    ("rotation", "apply_rotation"),
+    ("rotation", "identity_system"),
+    ("rotation", "report_tsv"),
+    ("synthetic", "SynthSpec"),
+    ("synthetic", "adversarial_certificate"),
+    ("synthetic", "adversarial_instance"),
+    ("synthetic", "generate"),
 )
 
 
 def test_every_export_exists_and_no_removed_name_returns():
     import rotamert
 
-    missing = [name for name in rotamert.__all__ if not hasattr(rotamert, name)]
-    assert missing == []
+    assert [name for name in rotamert.__all__ if not hasattr(rotamert, name)] == []
+    # The list is exactly the documented one, so it cannot grow back silently.
+    assert sorted(rotamert.__all__) == sorted(DOCUMENTED_EXPORTS)
+    for info in pkgutil.iter_modules([str(SRC / "rotamert")]):
+        module = importlib.import_module(f"rotamert.{info.name}")
+        assert [name for name in REMOVED_EXPORTS if hasattr(module, name)] == [], info.name
     assert [name for name in REMOVED_EXPORTS if hasattr(rotamert, name)] == []
-    assert not set(REMOVED_EXPORTS) & set(rotamert.__all__)
-    # The names the README promises.
-    for name in ("parse_nbest", "parse_references", "build_corpus", "kcd_optimize",
-                 "rss_optimize", "remap_sparse_ids"):
-        assert name in rotamert.__all__
+    for module, name in SUBMODULE_ONLY:
+        assert hasattr(importlib.import_module(f"rotamert.{module}"), name), (module, name)
+        assert not hasattr(rotamert, name), name
+
+
+def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
+    from rotamert.cli import main
+    from rotamert.rotation import AlphaGrid
+
+    monkeypatch.chdir(tmp_path)
+    synth = ["synth", "--sentences", "10", "--hyps", "5", "--features", "3", "--out", "data"]
+    assert main(synth) == 0
+    capsys.readouterr()
+    # The code block under the README's "## Python API" heading, verbatim.
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)  # the example leaves files to the GC
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+    alpha, bleu = capsys.readouterr().out.split()
+    assert float(alpha) in AlphaGrid().points()
+    assert 0.0 <= float(bleu) <= 1.0

@@ -12,7 +12,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import Field, dataclass, field, fields
@@ -26,7 +25,6 @@ from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, 
 from .envelope import PackedCorpus
 from .errors import ConfigError, InputError, LengthMismatch
 from .rotation import AlphaGrid, format_alpha, report_tsv, rss_optimize, summary_rows
-from .synthetic import SynthSpec, generate
 
 
 def _read_text(path: str) -> str:
@@ -128,7 +126,12 @@ class RunConfig:
     grid_end: float = _setting(1.0, float, "last alpha", rss_only=True)
     grid_step: float = _setting(0.1, float, "alpha spacing", rss_only=True)
     out: str = _setting(".", str, "output directory")
-    jobs: int = _setting(1, int, "alpha-grid worker processes (1 = serial)", rss_only=True)
+    jobs: int = _setting(
+        1,
+        int,
+        "most alpha-grid worker processes; they start only for a long enough grid (1 = serial)",
+        rss_only=True,
+    )
 
 
 _SETTINGS = {spec.name: spec for spec in fields(RunConfig)}
@@ -257,6 +260,11 @@ def cmd_rss(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Only synth needs these; the other commands start without loading them.
+    import json
+
+    from .synthetic import SynthSpec, generate
+
     pairs = []
     for chunk in args.pair or []:
         parts = chunk.split(":")

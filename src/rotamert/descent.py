@@ -125,18 +125,14 @@ def _apply_step(
     w: tuple[float, ...],
     direction: Sequence[float],
     result: LineSearchResult,
-    current: ErrorValue,
     iteration: int,
     dim_index: int,
 ) -> tuple[tuple[float, ...], StepRecord]:
-    """Step to the line search's optimum, or stay (gamma = 0) if that scores worse than ``current``."""
-    if result.error_at_star.error > current.error:
-        gamma, step_error = 0.0, current
-    else:
-        gamma, step_error = result.gamma_star, result.error_at_star
+    """Step to the line search's optimum, which never scores worse than ``w``."""
+    gamma = result.gamma_star
     # Applied even for gamma = 0: w + 0.0 * d turns a -0.0 weight into 0.0.
     w = tuple(wi + gamma * di for wi, di in zip(w, direction))
-    return w, StepRecord(iteration, dim_index, gamma, step_error)
+    return w, StepRecord(iteration, dim_index, gamma, result.error_at_star)
 
 
 def kcd_optimize(
@@ -161,6 +157,8 @@ def kcd_optimize(
     active = _check_directions(directions, dim)
     packed = corpus if isinstance(corpus, PackedCorpus) else PackedCorpus.of(corpus)
     current = packed.argmax_error(packed.project(w))
+    # Each direction's slopes and line order, shared by every search along it.
+    plans = {dim_index: packed.plan(directions[dim_index]) for dim_index in active}
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
     iterations = 0
@@ -169,20 +167,18 @@ def kcd_optimize(
         iterations = iteration
         if config.sweep_mode == "sequential":
             for dim_index in active:
-                direction = directions[dim_index]
-                result = line_search(packed, w, direction)
-                w, step = _apply_step(w, direction, result, current, iteration, dim_index)
+                result = line_search(packed, w, plans[dim_index])
+                w, step = _apply_step(w, directions[dim_index], result, iteration, dim_index)
                 current = step.error
                 steps.append(step)
         else:  # best-direction
             candidates = []
             for dim_index in active:
-                result = line_search(packed, w, directions[dim_index])
+                result = line_search(packed, w, plans[dim_index])
                 candidates.append((result.error_at_star.error, dim_index, result))
             if candidates:
                 _, dim_index, result = min(candidates, key=lambda c: (c[0], c[1]))
-                direction = directions[dim_index]
-                w, step = _apply_step(w, direction, result, current, iteration, dim_index)
+                w, step = _apply_step(w, directions[dim_index], result, iteration, dim_index)
                 current = step.error
                 steps.append(step)
         new_error = current.error

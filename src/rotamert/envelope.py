@@ -12,10 +12,13 @@ deltas while walking left to right.
 The search runs on a :class:`PackedCorpus`: features, sentence offsets
 and BLEU statistics as flat arrays.  Projection sums feature columns
 left to right from 0.0, so every score is bit-identical to that scalar
-loop (a BLAS product would reorder the sums).  :func:`line_search` runs
-two kernels through :func:`_intervals`: :func:`_hulls` builds every
-sentence's upper envelope in one call, and :func:`_sweep` merges their
-breakpoints into intervals and statistics rows.
+loop (a BLAS product would reorder the sums).  A :class:`SearchPlan`
+holds what every search along one direction shares: the slopes and the
+rows sorted by (sentence, slope, rank), so a search only re-sorts runs
+of equal slope by intercept.  :func:`line_search` runs two kernels
+through :func:`_intervals`: :func:`_hulls` builds every sentence's upper
+envelope in one call, and :func:`_sweep` merges their breakpoints into
+intervals and statistics rows.
 
 Two exact shortcuts keep the search cheap.  A numpy prefilter drops
 every line with a strictly higher intercept on both sides of its slope
@@ -116,6 +119,10 @@ class PackedCorpus:
             )
         return acc
 
+    def plan(self, d: Sequence[float]) -> SearchPlan:
+        """The :class:`SearchPlan` of every line search along ``d``."""
+        return SearchPlan.of(d, self.project(d), self.rank, self.sentence, self.size)
+
     def first_argmax(self, scores: np.ndarray) -> np.ndarray:
         """Rank of the highest score per sentence; ties keep the lowest rank."""
         starts = self.offsets[:-1]
@@ -171,38 +178,88 @@ def _may_reach_hull(intercepts: np.ndarray, owner: np.ndarray, size: int) -> np.
     width = int(column.max(initial=-1)) + 1
     if size * width > PAD_CELLS_PER_LINE * len(owner):
         return np.ones(len(owner), dtype=bool)
+    # Flat cell of each line, and of its mirror in the reversed row.
+    cell = owner * width + column
+    mirror = cell + (width - 1 - 2 * column)
     padded = np.full((size, width), -np.inf)
-    padded[owner, column] = intercepts
-    from_low = np.maximum.accumulate(padded, axis=1)[owner, column]
-    from_high = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1][owner, column]
+    padded.ravel()[cell] = intercepts
+    from_low = np.maximum.accumulate(padded, axis=1).ravel()[cell]
+    from_high = np.maximum.accumulate(padded[:, ::-1], axis=1).ravel()[mirror]
     return (from_low == intercepts) | (from_high == intercepts)
 
 
-def _hulls(
-    intercepts: np.ndarray,
-    slopes: np.ndarray,
-    labels: np.ndarray,
-    sentence: np.ndarray,
-    size: int,
-) -> list[Hull]:
-    """Upper envelope of each of ``size`` sentences (rows tagged by ``sentence``).
+@dataclass(frozen=True, eq=False)
+class SearchPlan:
+    """What every line search along one direction shares.
+
+    ``slopes`` are the lines' slopes along ``direction`` and ``base``
+    orders the rows by (sentence, slope, label).  Rows of a run of equal
+    (sentence, slope) differ only in intercept, so a search re-sorts
+    just those runs (:meth:`order`); ``first`` marks each run's first
+    position, ``tied`` the positions of runs longer than one row and
+    ``run`` the run of each tied position.
+    """
+
+    direction: tuple[float, ...]
+    slopes: np.ndarray  # float64 (N,)
+    labels: np.ndarray  # int64 (N,)
+    sentence: np.ndarray  # int64 (N,)
+    size: int
+    base: np.ndarray  # int64 (N,)
+    first: np.ndarray  # bool (N,)
+    tied: np.ndarray  # int64 (T,)
+    run: np.ndarray  # int64 (T,)
+
+    @staticmethod
+    def of(
+        direction: Sequence[float],
+        slopes: np.ndarray,
+        labels: np.ndarray,
+        sentence: np.ndarray,
+        size: int,
+    ) -> SearchPlan:
+        base = np.lexsort((labels, slopes, sentence))
+        owner = sentence[base]
+        slope = slopes[base]
+        first = np.ones(len(base), dtype=bool)
+        first[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
+        # A position is tied if it or the next one continues a run.
+        continues = ~first
+        tied = np.flatnonzero(continues | np.append(continues[1:], False))
+        run = np.cumsum(first)[tied]
+        return SearchPlan(
+            tuple(direction), slopes, labels, sentence, size, base, first, tied, run
+        )
+
+    def order(self, intercepts: np.ndarray) -> np.ndarray:
+        """``np.lexsort((labels, -intercepts, slopes, sentence))``.
+
+        Each tied run's rows are in label order in ``base``; a stable
+        sort of the tied positions by (run, -intercept) finishes it.
+        """
+        if not len(self.tied):
+            return self.base
+        order = self.base.copy()
+        rows = order[self.tied]
+        order[self.tied] = rows[np.lexsort((-intercepts[rows], self.run))]
+        return order
+
+
+def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> list[Hull]:
+    """Upper envelope of each sentence of ``plan`` at ``intercepts``.
 
     Lines sort by ascending slope; slope ties keep the higher intercept
     (it dominates everywhere), full ties the lowest label.  Lines that
     two others of their sentence dominate are dropped before the stack
     runs (:func:`_may_reach_hull`).
     """
-    order = np.lexsort((labels, -intercepts, slopes, sentence))
-    owner = sentence[order]
-    slope = slopes[order]
-    first_of_slope = np.ones(len(order), dtype=bool)
-    first_of_slope[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
-    kept = order[first_of_slope]
-    kept = kept[_may_reach_hull(intercepts[kept], sentence[kept], size)]
-    bounds = np.searchsorted(sentence[kept], np.arange(size + 1)).tolist()
+    kept = plan.order(intercepts)[plan.first]
+    sentence = plan.sentence
+    kept = kept[_may_reach_hull(intercepts[kept], sentence[kept], plan.size)]
+    bounds = np.searchsorted(sentence[kept], np.arange(plan.size + 1)).tolist()
     a = intercepts[kept].tolist()
-    b = slopes[kept].tolist()
-    k = labels[kept].tolist()
+    b = plan.slopes[kept].tolist()
+    k = plan.labels[kept].tolist()
     return [_hull(a[lo:hi], b[lo:hi], k[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -255,14 +312,14 @@ def _sweep(
 
 
 def _intervals(
-    packed: PackedCorpus, intercepts: np.ndarray, d: Sequence[float]
+    packed: PackedCorpus, intercepts: np.ndarray, plan: SearchPlan
 ) -> tuple[list[Hull], list[float], np.ndarray]:
-    """Sentence hulls, boundaries and interval statistics rows along ``d``.
+    """Sentence hulls, boundaries and interval statistics rows along ``plan``.
 
     ``intercepts`` is ``packed.project(w)``.  These are the kernel calls
     of :func:`line_search`.
     """
-    hulls = _hulls(intercepts, packed.project(d), packed.rank, packed.sentence, packed.size)
+    hulls = _hulls(intercepts, plan)
     boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
     return hulls, boundaries, rows
 
@@ -289,8 +346,13 @@ def _midpoint(lower: float, upper: float) -> float:
     return (lower + upper) / 2.0
 
 
-def line_search(packed: PackedCorpus, w: Sequence[float], d: Sequence[float]) -> LineSearchResult:
+def line_search(
+    packed: PackedCorpus, w: Sequence[float], d: Sequence[float] | SearchPlan
+) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
+
+    ``d`` is a direction or its ``packed.plan(d)``, which a caller
+    searching one direction many times builds once.
 
     Returns the midpoint of the minimum-error interval (offset by 1.0
     into unbounded intervals); interval ties resolve toward the interval
@@ -299,9 +361,12 @@ def line_search(packed: PackedCorpus, w: Sequence[float], d: Sequence[float]) ->
     than staying at gamma = 0, and its error is the error at
     ``w + gamma_star * d``.
     """
+    plan = d if isinstance(d, SearchPlan) else packed.plan(d)
+    if plan.sentence is not packed.sentence:
+        raise ValueError("the search plan was made for another packed corpus")
     intercepts = packed.project(w)
     zero_error = packed.argmax_error(intercepts)
-    _, boundaries, rows = _intervals(packed, intercepts, d)
+    _, boundaries, rows = _intervals(packed, intercepts, plan)
     estimate = row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar
     # minimum; their scalar errors decide, ties as documented above.
@@ -325,7 +390,7 @@ def line_search(packed: PackedCorpus, w: Sequence[float], d: Sequence[float]) ->
         # interval can be too narrow for any stepped weights to select
         # its mix; such an interval is passed over for the next one.
         gamma = _midpoint(*_interval_bounds(boundaries, index))
-        stepped = [wi + gamma * di for wi, di in zip(w, d)]
+        stepped = [wi + gamma * di for wi, di in zip(w, plan.direction)]
         if packed.argmax_error(packed.project(stepped)) == error:
             return LineSearchResult(gamma, error)
     return LineSearchResult(0.0, zero_error)

@@ -12,6 +12,7 @@ selection.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,11 @@ from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, Inva
 ZERO_SNAP = 1e-12
 # Each grid point is a full descent run.
 MAX_GRID_POINTS = 10_001
+# Worker processes start only when the first grid point's CPU time times
+# the number of points left is at least this: twice the remainder at which
+# two workers were measured to first beat one process on wall time, so a
+# pool that starts saves clearly more than its start-up (see the README).
+POOL_MIN_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -245,10 +251,14 @@ def rss_optimize(
 ) -> RssResult:
     """Grid-search rotation strength alpha, one descent run per point.
 
-    Every run starts from the same ``init_w``.  Selection maximizes the
-    closed (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
-    negative one.  The alpha = 0 record, when the grid contains it, is
-    kept as the unrotated baseline.
+    Every run starts from the same ``init_w``.  The first point runs
+    in-process; up to ``jobs`` worker processes run the rest when at
+    least two points remain and the first point's CPU time times their
+    number is at least ``POOL_MIN_SECONDS``, and otherwise they run
+    in-process too.  Selection maximizes the closed (tuning) BLEU; ties
+    prefer the smallest ``|alpha|``, then the negative one.  The
+    alpha = 0 record, when the grid contains it, is kept as the
+    unrotated baseline.
     """
     if closed_corpus.feature_dim != open_corpus.feature_dim:
         raise DimensionMismatch(
@@ -271,16 +281,19 @@ def rss_optimize(
     closed = PackedCorpus.of(closed_corpus)
     opened = PackedCorpus.of(open_corpus)
     task = (closed, opened, init_w, gridded, fixed, config)
-    # Each worker receives the task once (inherited under fork, pickled
-    # once under spawn or forkserver); a grid point sends only its alpha.
-    workers = min(jobs, len(alphas))
-    if workers > 1:
+    started = time.process_time()
+    records = (_grid_point(task, alphas[0]),)
+    rest = alphas[1:]
+    workers = min(jobs, len(rest))
+    if workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS:
         from concurrent.futures import ProcessPoolExecutor
 
+        # Each worker receives the task once (inherited under fork, pickled
+        # once under spawn or forkserver); a grid point sends only its alpha.
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
-            records = tuple(pool.map(_worker_point, alphas))
+            records += tuple(pool.map(_worker_point, rest))
     else:
-        records = tuple(_grid_point(task, alpha) for alpha in alphas)
+        records += tuple(_grid_point(task, alpha) for alpha in rest)
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import rotamert.rotation
 from rotamert.bleu import row_bleu, stats_blocks
 from rotamert.cli import main
 from rotamert.corpus import parse_references
@@ -58,7 +59,7 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
         for seed in range(1000):
             _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
             result = line_search(packed, w, d)
-            hulls, boundaries, rows = _intervals(packed, packed.project(w), d)
+            hulls, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
             oracle_breaks = []
             for (hull_breaks, hull_segments), lines in zip(hulls, lines_per_sentence):
                 breaks, segments = envelope_by_enumeration(lines)
@@ -82,7 +83,7 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
         for seed in range(2000, 2200):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            _, boundaries, _ = _intervals(packed, packed.project(w), d)
+            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(d))
             grid_min = ray_probe_min_error(lines_per_sentence, packed, boundaries)
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 
@@ -239,10 +240,12 @@ def test_criterion_8_grid_cardinality_and_report_layout():
         assert best_alpha[0] in "+-"
 
 
-def test_criterion_9_parallelism_is_byte_identical():
+def test_criterion_9_parallelism_is_byte_identical(monkeypatch):
+    # Workers start for any amount of work; the first point runs in-process.
+    monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
     with criterion(9, "parallel and serial runs produce byte-identical output"):
-        # Two grid points, so the rss process pool really starts workers.
-        grid = (-0.5, 0.5)
+        # Two points after the first, so the rss process pool really starts workers.
+        grid = (-0.5, 0.0, 0.5)
         for seed in list(range(30)) + list(range(0, 1000, 97)):
             corpus = ray_instance(seed, min_features=2)[0]
             serial = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid, jobs=1)

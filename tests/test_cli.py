@@ -18,10 +18,13 @@ from oracles import clipped_stats_by_counting, sum_rows
 
 DATA = Path(__file__).parent / "data"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "rotamert" / "data"
-# The CLI in a fresh interpreter whose pools start workers by spawn.
+# The CLI in a fresh interpreter whose pools start workers by spawn,
+# for any amount of work.
 SPAWN_MAIN = (
     "import multiprocessing, sys\n"
     "multiprocessing.set_start_method('spawn', force=True)\n"
+    "import rotamert.rotation\n"
+    "rotamert.rotation.POOL_MIN_SECONDS = 0.0\n"
     "from rotamert.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )

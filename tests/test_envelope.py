@@ -7,6 +7,7 @@ from rotamert.envelope import (
     RESCORE_BOUND,
     LineSearchResult,
     PackedCorpus,
+    SearchPlan,
     line_search,
     _distance_to_zero,
     _hull,
@@ -62,7 +63,7 @@ class TestPackedProjection:
         # The hulls line_search builds equal those of lines scored by dot.
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
         packed = PackedCorpus.of(corpus)
-        hulls, _, _ = _intervals(packed, packed.project(w), d)
+        hulls, _, _ = _intervals(packed, packed.project(w), packed.plan(d))
         for entry, (breaks, segments) in zip(corpus.entries, hulls):
             want_breaks, want_segments = one_hull(
                 [
@@ -96,14 +97,24 @@ class TestPackedProjection:
             line_search(packed, (1.0, 1.0), (float("nan"), 1.0))
 
 
+def test_plan_of_another_corpus_is_refused():
+    packed, other = (PackedCorpus.of(random_corpus(seed)[0]) for seed in (1, 2))
+    plan = other.plan((1.0,) * other.feature_dim)
+    with pytest.raises(ValueError):
+        line_search(packed, (0.5,) * packed.feature_dim, plan)
+
+
 def one_hull(lines):
     """``_hulls`` on a single sentence: (breakpoints, segments) as tuples."""
-    ((breaks, segments),) = _hulls(
-        np.array([l.intercept for l in lines], dtype=np.float64),
+    plan = SearchPlan.of(
+        (),
         np.array([l.slope for l in lines], dtype=np.float64),
         np.array([l.hyp_index for l in lines], dtype=np.int64),
         np.zeros(len(lines), dtype=np.int64),
         1,
+    )
+    ((breaks, segments),) = _hulls(
+        np.array([l.intercept for l in lines], dtype=np.float64), plan
     )
     return tuple(breaks), tuple(segments)
 
@@ -191,7 +202,7 @@ class TestDominationPrefilter:
         slopes = np.array([b for _, bs in line_sets for b in bs], dtype=float)
         labels = np.array([k for ints, _ in line_sets for k in range(len(ints))])
         sentence = np.repeat(np.arange(len(line_sets)), [len(ints) for ints, _ in line_sets])
-        hulls = _hulls(intercepts, slopes, labels, sentence, len(line_sets))
+        hulls = _hulls(intercepts, SearchPlan.of((), slopes, labels, sentence, len(line_sets)))
         for s, ((breaks, segments), (ints, bs)) in enumerate(zip(hulls, line_sets)):
             want_breaks, want_segments = bare_hull(ints, bs, list(range(len(ints))))
             assert segments == want_segments, f"{context}, sentence {s}"
@@ -275,7 +286,7 @@ class TestSweepIntervals:
     def test_interval_stats_match_from_scratch_reselection(self):
         for seed in range(60):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
-            _, boundaries, rows = _intervals(packed, packed.project(w), d)
+            _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
             expected = reselect_interval_stats(lines_per_sentence, packed, boundaries)
             assert list(map(tuple, rows.tolist())) == expected, f"seed {seed}"
 
@@ -319,7 +330,7 @@ class TestLineSearch:
         for seed in range(40):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            _, boundaries, _ = _intervals(packed, packed.project(w), d)
+            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(d))
             grid_best = ray_probe_min_error(lines_per_sentence, packed, boundaries, points=2001)
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
 
@@ -435,7 +446,7 @@ class TestScaleContract:
         }
         packed = PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
         w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-        _, boundaries, rows = _intervals(packed, packed.project(w), d)
+        _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert boundaries == [2.0**-54, 2.0**-53] and errors[1] < min(errors[0], errors[2])
         result = line_search(packed, w, d)
@@ -490,7 +501,7 @@ def random_stats_rows(seed, count=4000):
 
 def scalar_scan(packed, w, d):
     """Every interval scored by row_bleu; the minimum under line_search's tie rule."""
-    _, boundaries, rows = _intervals(packed, packed.project(w), d)
+    _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
     errors = [row_bleu(row) for row in rows.tolist()]
     best = min(
         range(len(errors)),
@@ -559,7 +570,7 @@ class TestRescoringBound:
         corpus = build_corpus(nbest, refs)
         packed = PackedCorpus.of(corpus)
         w, d = (1.0, 0.0), (0.0, 1.0)
-        _, _, rows = _intervals(packed, packed.project(w), d)
+        _, _, rows = _intervals(packed, packed.project(w), packed.plan(d))
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert errors.count(min(errors)) == 3
         result = line_search(packed, w, d)

@@ -1,18 +1,23 @@
-"""Invariants of the exact line search, checked with ``hypothesis``.
+"""Invariants of the exact line search and the descent, checked with ``hypothesis``.
 
 Corpora are small and integer-valued, so every projected score is
-exact and each property holds bit for bit: the ``repr`` of the
-:class:`LineSearchResult` must not change.  Examples are derandomized
-and bounded so that the suite is deterministic and fast.
+exact and each line-search property holds bit for bit: the ``repr`` of
+the :class:`LineSearchResult` must not change.  The descent and the
+cached line order are checked on tie-heavy and near-parallel inputs.
+Examples are derandomized and bounded so that the suite is
+deterministic and fast.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
+from rotamert.descent import SWEEP_MODES, KcdConfig, basis_directions, kcd_optimize
 from rotamert.envelope import PackedCorpus, line_search
+from rotamert.rotation import CoordinateSystem
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -27,8 +32,8 @@ sentence = st.tuples(
 )
 
 
-def search(sentences, w, d):
-    """``repr`` of line_search on sentences given as (hypotheses, references)."""
+def build(sentences):
+    """A corpus of sentences given as (hypotheses, references)."""
     nbest = {
         s: [
             Hypothesis(s, k, toks, tuple(float(x) for x in feats))
@@ -37,8 +42,12 @@ def search(sentences, w, d):
         for s, (hyps, _) in enumerate(sentences)
     }
     refs = {s: list(references) for s, (_, references) in enumerate(sentences)}
-    corpus = build_corpus(nbest, refs)
-    return repr(line_search(PackedCorpus.of(corpus), w, d))
+    return build_corpus(nbest, refs)
+
+
+def search(sentences, w, d):
+    """``repr`` of line_search on sentences given as (hypotheses, references)."""
+    return repr(line_search(PackedCorpus.of(build(sentences)), w, d))
 
 
 @PROPERTY_SETTINGS
@@ -95,3 +104,106 @@ def test_repeating_features_at_a_higher_rank_changes_nothing(sentences, w, d, da
     grown = list(sentences)
     grown[s] = ([*hyps, (data.draw(tokens), feats)], references)
     assert search(grown, w, d) == search(sentences, w, d)
+
+
+# float32 values: any mantissa, but no magnitude so small that a
+# crossing (a difference over a slope) overflows float64.
+real = st.floats(-4.0, 4.0, width=32)
+real_sentence = st.tuples(
+    st.lists(st.tuples(tokens, st.tuples(real, real, real)), min_size=1, max_size=6),
+    st.lists(tokens, min_size=1, max_size=2),
+)
+
+
+@st.composite
+def ulp_cluster_sentence(draw):
+    # At w = (1, 1, 0) along (0, 0, 1) the two lines cross at
+    # fl(i/10 + j/10) - (i+j)/10: at gamma = 0 or a few ulps off it
+    # (see tests/test_envelope.py::ulp_cluster_corpus).
+    i, j = draw(st.integers(1, 99)), draw(st.integers(1, 99))
+    hyps = [(draw(tokens), (i / 10, j / 10, 0.0)), (draw(tokens), ((i + j) / 10, 0.0, 1.0))]
+    return hyps, [hyps[draw(st.integers(0, 1))][0]]
+
+
+# Corpora whose search from (1, 1, 0) along the third axis meets ulp
+# clusters at gamma = 0, or mixed corpora from any starting point.
+descents = st.one_of(
+    st.tuples(st.lists(ulp_cluster_sentence(), min_size=2, max_size=12), st.just((1.0, 1.0, 0.0))),
+    st.tuples(
+        st.lists(st.one_of(ulp_cluster_sentence(), real_sentence), min_size=1, max_size=6),
+        st.tuples(real, real, real),
+    ),
+)
+
+
+@PROPERTY_SETTINGS
+@given(descents, st.permutations(basis_directions(3)), st.sampled_from(SWEEP_MODES))
+def test_every_trace_error_is_the_error_at_its_weights(descent, directions, mode):
+    sentences, w = descent
+    packed = PackedCorpus.of(build(sentences))
+    system = CoordinateSystem(tuple(directions))
+    weights, trace = kcd_optimize(packed, w, system, KcdConfig(max_iter=4, sweep_mode=mode))
+    replayed = w
+    for step in trace.steps:
+        direction = system.directions[step.dimension]
+        replayed = tuple(wi + step.gamma * di for wi, di in zip(replayed, direction))
+        assert packed.argmax_error(packed.project(replayed)) == step.error
+    assert replayed == weights == trace.final_weights
+    assert trace.steps[-1].error == packed.argmax_error(packed.project(weights))
+
+
+halves = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def tie_heavy_rows(draw, count):
+    # Rows drawn from a few half-valued ones, so rows repeat and slopes
+    # and intercepts tie, signed zeros included.
+    pool = draw(st.lists(st.tuples(halves, halves), min_size=1, max_size=5))
+    return [draw(st.sampled_from(pool)) for _ in range(count)]
+
+
+@st.composite
+def near_parallel_rows(draw, count):
+    # Each column a few ulps around one value: near-parallel slopes and
+    # near-equal intercepts along either axis.
+    bases = [draw(st.floats(-8.0, 8.0).filter(bool)) for _ in range(2)]
+    steps = st.integers(0, 3)
+    return [
+        tuple(base + float(np.spacing(base)) * draw(steps) for base in bases)
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def packs(draw):
+    """A PackedCorpus of one or many sentences; its statistics are unused."""
+    counts = draw(
+        st.one_of(
+            st.lists(st.integers(1, 15), min_size=1, max_size=1),
+            st.lists(st.integers(1, 6), min_size=2, max_size=12),
+        )
+    )
+    rows = draw(st.one_of(tie_heavy_rows(sum(counts)), near_parallel_rows(sum(counts))))
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
+    stats = np.zeros((len(sentence), 10), dtype=np.int64)
+    return PackedCorpus(np.array(rows, dtype=np.float64), offsets, stats, sentence, rank)
+
+
+vectors = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]),
+    st.tuples(halves, halves),
+)
+
+
+@PROPERTY_SETTINGS
+@given(packs(), st.lists(vectors, min_size=1, max_size=3), vectors)
+def test_cached_line_order_is_the_full_sort(packed, weights, d):
+    plan = packed.plan(d)
+    for w in weights:  # one plan serves every search along d
+        intercepts = packed.project(w)
+        full = np.lexsort((packed.rank, -intercepts, plan.slopes, packed.sentence))
+        assert plan.order(intercepts).tolist() == full.tolist()

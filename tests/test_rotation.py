@@ -2,6 +2,7 @@ import concurrent.futures
 
 import pytest
 
+import rotamert.rotation
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
 from rotamert.descent import KcdConfig, kcd_optimize
 from rotamert.envelope import PackedCorpus
@@ -218,7 +219,8 @@ class TestRssOptimize:
         with pytest.raises(DimensionMismatch):
             rss_optimize(corpus, other, rotation_spec=((0, 1),))
 
-    def test_process_parallelism_changes_nothing(self):
+    def test_process_parallelism_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
         corpus = adversarial_instance()
         serial = rss_optimize(
             corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), grid=[-0.2, 0.0, 0.2]
@@ -245,7 +247,39 @@ class TestRssOptimize:
         for spec, expected in zip(specs, serial):
             assert rss_optimize(corpus, corpus, (1.0, 1.0), **spec, jobs=4) == expected
 
+    def test_short_grid_starts_no_pool(self, monkeypatch):
+        # 21 points of a few milliseconds each are far below POOL_MIN_SECONDS.
+        corpus = adversarial_instance()
+        serial = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a short grid must run in-process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
+
+    def test_pool_needs_two_remaining_points_and_enough_work(self, monkeypatch):
+        corpus = adversarial_instance()
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                started.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        spec = dict(rotation_spec=((0, 1),), jobs=4)
+        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.0, 0.5], **spec)
+        assert started == []  # one point left after the first
+        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[-0.5, 0.0, 0.5], **spec)
+        assert started == [2]  # no more workers than points left
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", float("inf"))
+        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[-0.5, 0.0, 0.5], **spec)
+        assert started == [2]
+
     def test_no_corpus_object_crosses_the_process_boundary(self, monkeypatch):
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
         adv = adversarial_instance()
         serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),))
 

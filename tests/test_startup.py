@@ -62,10 +62,12 @@ def test_a_thread_count_the_caller_set_wins(name):
 
 
 def test_cli_import_loads_no_pool_modules():
+    # Nor the synthetic generator, which only the synth command uses.
+    modules = ("concurrent.futures", "multiprocessing", "rotamert.synthetic")
     code = (
         "import sys\n"
         "import rotamert.cli\n"
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
     )
     assert run_fresh(code) == "[]\n"
 

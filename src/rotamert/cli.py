@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -289,16 +289,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _write(out / f"{name}.nbest", format_nbest(corpus))
         for j, stream in enumerate(format_references(corpus)):
             _write(out / f"{name}.ref{j}", stream)
-    header = {
-        "sentences": spec.sentences,
-        "hypotheses": spec.hypotheses,
-        "features": spec.features,
-        "correlated_pairs": [list(p) for p in spec.correlated_pairs],
-        "vocab_size": spec.vocab_size,
-        "ref_count": spec.ref_count,
-        "seed": spec.seed,
-    }
-    _write(out / "synth.json", json.dumps(header, indent=2, sort_keys=True) + "\n")
+    header = json.dumps(asdict(spec), indent=2, sort_keys=True)
+    _write(out / "synth.json", header + "\n")
     return 0
 
 

@@ -15,6 +15,7 @@ reference for that sentence".
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -68,51 +69,31 @@ class TuningCorpus:
         return len(self.feature_names)
 
 
-def _parse_feature_field(
-    text: str, source: str, lineno: int
-) -> tuple[tuple[float, ...], list[str] | None]:
-    """Split a feature field into values plus the labels seen, if any."""
-    values: list[float] = []
+def _is_label(tok: str) -> bool:
+    return len(tok) > 1 and tok.endswith(":")
+
+
+def _feature_names(tokens: Sequence[str]) -> list[str]:
+    """Names of the values of a labeled feature field, in order.
+
+    A label followed by a single value keeps the bare name; a label
+    covering several values gets a positional suffix per value.  A value
+    before the first label is named by its index.
+    """
     slots: list[tuple[str | None, int]] = []  # (label, position within label group)
     label: str | None = None
     group_pos = 0
-    labeled = False
-    for tok in text.split():
-        if len(tok) > 1 and tok.endswith(":"):
-            label = tok[:-1]
-            group_pos = 0
-            labeled = True
-            continue
-        try:
-            value = float(tok)
-        except ValueError:
-            raise NonNumericFeature(
-                f"{source}:{lineno}: feature value {tok!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
-            raise NonNumericFeature(
-                f"{source}:{lineno}: feature value {tok!r} is not finite"
-            )
-        values.append(value)
-        slots.append((label, group_pos))
-        group_pos += 1
-    if not labeled:
-        return tuple(values), None
-    # A label followed by a single value keeps the bare name; a label
-    # covering several values gets a positional suffix per value.
-    group_sizes: dict[str, int] = {}
-    for lab, _ in slots:
-        if lab is not None:
-            group_sizes[lab] = group_sizes.get(lab, 0) + 1
-    names: list[str] = []
-    for idx, (lab, pos) in enumerate(slots):
-        if lab is None:
-            names.append(f"f{idx}")
-        elif group_sizes[lab] == 1:
-            names.append(lab)
+    for tok in tokens:
+        if _is_label(tok):
+            label, group_pos = tok[:-1], 0
         else:
-            names.append(f"{lab}{pos}")
-    return tuple(values), names
+            slots.append((label, group_pos))
+            group_pos += 1
+    sizes = Counter(lab for lab, _ in slots if lab is not None)
+    return [
+        f"f{idx}" if lab is None else lab if sizes[lab] == 1 else f"{lab}{pos}"
+        for idx, (lab, pos) in enumerate(slots)
+    ]
 
 
 def parse_nbest(
@@ -147,15 +128,32 @@ def parse_nbest(
         tokens = tuple(parts[1].split())
         if not tokens:
             raise MalformedLine(f"{source}:{lineno}: empty hypothesis")
-        features, line_names = _parse_feature_field(parts[2], source, lineno)
+        values: list[float] = []
+        labeled = False
+        for tok in parts[2].split():
+            if _is_label(tok):
+                labeled = True
+                continue
+            try:
+                value = float(tok)
+            except ValueError:
+                raise NonNumericFeature(
+                    f"{source}:{lineno}: feature value {tok!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericFeature(
+                    f"{source}:{lineno}: feature value {tok!r} is not finite"
+                )
+            values.append(value)
+        features = tuple(values)
         if expected is None:
             expected = len(features)
         elif len(features) != expected:
             raise InconsistentFeatureCount(
                 f"{source}:{lineno}: expected {expected} features, got {len(features)}"
             )
-        if names is None and line_names is not None:
-            names = line_names
+        if names is None and labeled:
+            names = _feature_names(parts[2].split())
         total_text = parts[3].strip()
         try:
             float(total_text)

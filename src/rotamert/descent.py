@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue
 from .corpus import TuningCorpus
-from .envelope import LineSearchResult, PackedCorpus, line_search
+from .envelope import PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 
 if TYPE_CHECKING:
@@ -121,20 +121,6 @@ def _check_directions(
     return active
 
 
-def _apply_step(
-    w: tuple[float, ...],
-    direction: Sequence[float],
-    result: LineSearchResult,
-    iteration: int,
-    dim_index: int,
-) -> tuple[tuple[float, ...], StepRecord]:
-    """Step to the line search's optimum, which never scores worse than ``w``."""
-    gamma = result.gamma_star
-    # Applied even for gamma = 0: w + 0.0 * d turns a -0.0 weight into 0.0.
-    w = tuple(wi + gamma * di for wi, di in zip(w, direction))
-    return w, StepRecord(iteration, dim_index, gamma, result.error_at_star)
-
-
 def kcd_optimize(
     corpus: TuningCorpus | PackedCorpus,
     init_w: Sequence[float] | None = None,
@@ -144,8 +130,8 @@ def kcd_optimize(
     """Run coordinate descent; returns final weights and the step trace.
 
     Weights default to uniform ``1/M`` and are never normalized.  Each
-    applied step's error is taken from the exact line search, so the
-    trace is non-increasing by construction.  A :class:`TuningCorpus`
+    applied step takes the weights and error of the exact line search,
+    so the trace is non-increasing by construction.  A :class:`TuningCorpus`
     is scored and packed once here and shared by every line search;
     ``corpus`` may instead be a :class:`PackedCorpus` packed earlier.
     """
@@ -168,19 +154,14 @@ def kcd_optimize(
         if config.sweep_mode == "sequential":
             for dim_index in active:
                 result = line_search(packed, w, plans[dim_index])
-                w, step = _apply_step(w, directions[dim_index], result, iteration, dim_index)
-                current = step.error
-                steps.append(step)
-        else:  # best-direction
-            candidates = []
-            for dim_index in active:
-                result = line_search(packed, w, plans[dim_index])
-                candidates.append((result.error_at_star.error, dim_index, result))
-            if candidates:
-                _, dim_index, result = min(candidates, key=lambda c: (c[0], c[1]))
-                w, step = _apply_step(w, directions[dim_index], result, iteration, dim_index)
-                current = step.error
-                steps.append(step)
+                w, current = result.weights, result.error_at_star
+                steps.append(StepRecord(iteration, dim_index, result.gamma_star, current))
+        elif active:  # best-direction
+            results = {dim_index: line_search(packed, w, plans[dim_index]) for dim_index in active}
+            dim_index = min(active, key=lambda i: (results[i].error_at_star.error, i))
+            result = results[dim_index]
+            w, current = result.weights, result.error_at_star
+            steps.append(StepRecord(iteration, dim_index, result.gamma_star, current))
         new_error = current.error
         if previous_sweep is not None and abs(previous_sweep - new_error) <= config.epsilon:
             break

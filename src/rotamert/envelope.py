@@ -14,8 +14,10 @@ and BLEU statistics as flat arrays.  Projection sums feature columns
 left to right from 0.0, so every score is bit-identical to that scalar
 loop (a BLAS product would reorder the sums).  A :class:`SearchPlan`
 holds what every search along one direction shares: the slopes and the
-rows sorted by (sentence, slope, rank), so a search only re-sorts runs
-of equal slope by intercept.  :func:`line_search` runs two kernels
+rows sorted by (sentence, slope, rank), so a search only picks the
+highest intercept of each run of equal slope.  That pick and the 1-best
+of each sentence follow one rule, :func:`_first_max`: the highest value
+wins and ties go to the lowest rank.  :func:`line_search` runs two kernels
 through :func:`_intervals`: :func:`_hulls` builds every sentence's upper
 envelope in one call, and :func:`_sweep` merges their breakpoints into
 intervals and statistics rows.
@@ -27,7 +29,8 @@ the tests check that the hulls do not change.  numpy then estimates
 every interval's error, and only intervals within ``RESCORE_BOUND`` of
 the smallest estimate are scored by the scalar :func:`row_bleu`, which
 decides.  The chosen step is checked with one projection of the stepped
-weights, so the reported error is always the error those weights get.
+weights, which the search returns, so the reported error is always the
+error of the weights the caller adopts.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ PAD_CELLS_PER_LINE = 8
 class LineSearchResult:
     gamma_star: float
     error_at_star: ErrorValue
+    weights: tuple[float, ...]  # w + gamma_star * d, whose error is error_at_star
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +130,7 @@ class PackedCorpus:
     def first_argmax(self, scores: np.ndarray) -> np.ndarray:
         """Rank of the highest score per sentence; ties keep the lowest rank."""
         starts = self.offsets[:-1]
-        best = np.maximum.reduceat(scores, starts)
-        ranks = np.where(scores == best[self.sentence], self.rank, len(scores))
-        return np.minimum.reduceat(ranks, starts)
+        return _first_max(scores, starts, self.sentence) - starts
 
     def argmax_error(self, scores: np.ndarray) -> ErrorValue:
         """Corpus error of each sentence's :meth:`first_argmax` row under ``scores``.
@@ -136,8 +138,19 @@ class PackedCorpus:
         The statistics rows are summed as integers and scored by
         :func:`row_bleu`.
         """
-        rows = self.offsets[:-1] + self.first_argmax(scores)
+        rows = _first_max(scores, self.offsets[:-1], self.sentence)
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
+
+
+def _first_max(values: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Position of the first largest value of each group.
+
+    Groups are consecutive runs of positions beginning at ``starts``;
+    ``group`` holds each position's group.  ``values`` must not be NaN.
+    """
+    best = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == best[group])
+    return hits[np.searchsorted(hits, starts)]
 
 
 Hull = tuple[list[float], list[int]]  # breakpoints, segment labels
@@ -194,10 +207,10 @@ class SearchPlan:
 
     ``slopes`` are the lines' slopes along ``direction`` and ``base``
     orders the rows by (sentence, slope, label).  Rows of a run of equal
-    (sentence, slope) differ only in intercept, so a search re-sorts
-    just those runs (:meth:`order`); ``first`` marks each run's first
-    position, ``tied`` the positions of runs longer than one row and
-    ``run`` the run of each tied position.
+    (sentence, slope) differ only in intercept, so a search keeps one
+    row per run (:meth:`heads`).  ``starts`` holds each run's first
+    position and ``run`` each position's run; both are empty when every
+    run is one row.
     """
 
     direction: tuple[float, ...]
@@ -206,9 +219,8 @@ class SearchPlan:
     sentence: np.ndarray  # int64 (N,)
     size: int
     base: np.ndarray  # int64 (N,)
-    first: np.ndarray  # bool (N,)
-    tied: np.ndarray  # int64 (T,)
-    run: np.ndarray  # int64 (T,)
+    starts: np.ndarray  # int64 (R,), or (0,) if R == N
+    run: np.ndarray  # int64 (N,), or (0,) if R == N
 
     @staticmethod
     def of(
@@ -223,26 +235,18 @@ class SearchPlan:
         slope = slopes[base]
         first = np.ones(len(base), dtype=bool)
         first[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
-        # A position is tied if it or the next one continues a run.
-        continues = ~first
-        tied = np.flatnonzero(continues | np.append(continues[1:], False))
-        run = np.cumsum(first)[tied]
-        return SearchPlan(
-            tuple(direction), slopes, labels, sentence, size, base, first, tied, run
-        )
+        if first.all():
+            starts = run = np.zeros(0, dtype=np.int64)
+        else:
+            starts = np.flatnonzero(first)
+            run = np.cumsum(first) - 1
+        return SearchPlan(tuple(direction), slopes, labels, sentence, size, base, starts, run)
 
-    def order(self, intercepts: np.ndarray) -> np.ndarray:
-        """``np.lexsort((labels, -intercepts, slopes, sentence))``.
-
-        Each tied run's rows are in label order in ``base``; a stable
-        sort of the tied positions by (run, -intercept) finishes it.
-        """
-        if not len(self.tied):
+    def heads(self, intercepts: np.ndarray) -> np.ndarray:
+        """The row of each run with the highest intercept, ties to the lowest label."""
+        if not len(self.run):
             return self.base
-        order = self.base.copy()
-        rows = order[self.tied]
-        order[self.tied] = rows[np.lexsort((-intercepts[rows], self.run))]
-        return order
+        return self.base[_first_max(intercepts[self.base], self.starts, self.run)]
 
 
 def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> list[Hull]:
@@ -253,7 +257,7 @@ def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> list[Hull]:
     two others of their sentence dominate are dropped before the stack
     runs (:func:`_may_reach_hull`).
     """
-    kept = plan.order(intercepts)[plan.first]
+    kept = plan.heads(intercepts)
     sentence = plan.sentence
     kept = kept[_may_reach_hull(intercepts[kept], sentence[kept], plan.size)]
     bounds = np.searchsorted(sentence[kept], np.arange(plan.size + 1)).tolist()
@@ -358,8 +362,8 @@ def line_search(
     into unbounded intervals); interval ties resolve toward the interval
     containing or closest to gamma = 0, then leftmost.  With no
     breakpoints at all the step is 0.  The result never scores worse
-    than staying at gamma = 0, and its error is the error at
-    ``w + gamma_star * d``.
+    than staying at gamma = 0.  Its ``weights`` are ``w + gamma_star *
+    d``, built once here, and its error is the error at those weights.
     """
     plan = d if isinstance(d, SearchPlan) else packed.plan(d)
     if plan.sentence is not packed.sentence:
@@ -380,6 +384,11 @@ def line_search(
             index,
         ),
     )
+
+    def stepped(gamma: float) -> tuple[float, ...]:
+        # Also at gamma = 0: w + 0.0 * d turns a -0.0 weight into 0.0.
+        return tuple(wi + gamma * di for wi, di in zip(w, plan.direction))
+
     for index in ranked:
         error = scored[index]
         # Never move to something worse than the current point (0 on a
@@ -390,7 +399,7 @@ def line_search(
         # interval can be too narrow for any stepped weights to select
         # its mix; such an interval is passed over for the next one.
         gamma = _midpoint(*_interval_bounds(boundaries, index))
-        stepped = [wi + gamma * di for wi, di in zip(w, plan.direction)]
-        if packed.argmax_error(packed.project(stepped)) == error:
-            return LineSearchResult(gamma, error)
-    return LineSearchResult(0.0, zero_error)
+        weights = stepped(gamma)
+        if packed.argmax_error(packed.project(weights)) == error:
+            return LineSearchResult(gamma, error, weights)
+    return LineSearchResult(0.0, zero_error, stepped(0.0))

@@ -5,7 +5,6 @@ from rotamert.bleu import row_bleu, row_errors
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.envelope import (
     RESCORE_BOUND,
-    LineSearchResult,
     PackedCorpus,
     SearchPlan,
     line_search,
@@ -413,7 +412,19 @@ class TestLineSearch:
 
 def error_at_step(packed, w, d, result):
     stepped = tuple(wi + result.gamma_star * di for wi, di in zip(w, d))
+    assert [x.hex() for x in result.weights] == [x.hex() for x in stepped]
     return packed.argmax_error(packed.project(stepped))
+
+
+def test_a_negative_zero_weight_comes_back_as_zero():
+    # Feature 0 is equal for both hypotheses, so the search along it
+    # stays at gamma = 0; w + 0.0 * d still turns -0.0 into 0.0.
+    good, bad = ("g",) * 4, ("b",) * 4
+    nbest = {0: [Hypothesis(0, 0, bad, (1.0, 0.0)), Hypothesis(0, 1, good, (1.0, 1.0))]}
+    packed = PackedCorpus.of(build_corpus(nbest, {0: [good]}))
+    result = line_search(packed, (-0.0, 1.0), (1.0, 0.0))
+    assert result.gamma_star == 0.0
+    assert [x.hex() for x in result.weights] == [(0.0).hex(), (1.0).hex()]
 
 
 def ulp_cluster_corpus(seed, sentences=12):
@@ -528,7 +539,10 @@ class TestRescoringBound:
             (lower, upper), error = scalar_scan(packed, w, d)
             zero = selection_error(packed, packed.first_argmax(packed.project(w)).tolist())
             if zero.error < error.error:  # the gamma = 0 guard
-                assert result == LineSearchResult(0.0, zero), f"seed {seed}"
+                assert result.gamma_star == 0.0, f"seed {seed}"
+                assert result.error_at_star == zero, f"seed {seed}"
+                stepped = tuple(wi + 0.0 * di for wi, di in zip(w, d))
+                assert result.weights == stepped, f"seed {seed}"
             else:
                 assert lower < result.gamma_star < upper, f"seed {seed}"
                 assert result.error_at_star == error, f"seed {seed}"

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.descent import SWEEP_MODES, KcdConfig, basis_directions, kcd_optimize
-from rotamert.envelope import PackedCorpus, line_search
+from rotamert.envelope import PackedCorpus, _intervals, line_search
 from rotamert.rotation import CoordinateSystem
+
+from instances import ray_instance
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -206,4 +208,21 @@ def test_cached_line_order_is_the_full_sort(packed, weights, d):
     for w in weights:  # one plan serves every search along d
         intercepts = packed.project(w)
         full = np.lexsort((packed.rank, -intercepts, plan.slopes, packed.sentence))
-        assert plan.order(intercepts).tolist() == full.tolist()
+        owner, slope = packed.sentence[full], plan.slopes[full]
+        head = np.ones(len(full), dtype=bool)
+        head[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
+        assert plan.heads(intercepts).tolist() == full[head].tolist()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(-30, 35))
+def test_scaling_the_direction_keeps_the_error_and_scales_a_bounded_step(seed, min_features, k):
+    _, packed, _, w, d = ray_instance(seed, min_features=min_features)
+    d_k = tuple(x * 2.0**k for x in d)
+    unscaled, scaled = line_search(packed, w, d), line_search(packed, w, d_k)
+    assert scaled.error_at_star == unscaled.error_at_star
+    # An unbounded winner steps 1.0 past its edge, which does not scale.
+    _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(d))
+    if boundaries and boundaries[0] < unscaled.gamma_star < boundaries[-1]:
+        assert scaled.gamma_star == unscaled.gamma_star * 2.0**-k
+        assert [x.hex() for x in scaled.weights] == [x.hex() for x in unscaled.weights]

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue
 from .corpus import TuningCorpus
-from .envelope import PackedCorpus, line_search
+from .envelope import LineSearchResult, PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 
 if TYPE_CHECKING:
@@ -142,7 +142,8 @@ def kcd_optimize(
         config = KcdConfig()
     active = _check_directions(directions, dim)
     packed = corpus if isinstance(corpus, PackedCorpus) else PackedCorpus.of(corpus)
-    current = packed.argmax_error(packed.project(w))
+    # Each search starts from the previous result and reuses its scores.
+    point = LineSearchResult.at(packed, w)
     # Each direction's slopes and line order, shared by every search along it.
     plans = {dim_index: packed.plan(directions[dim_index]) for dim_index in active}
     steps: list[StepRecord] = []
@@ -153,18 +154,16 @@ def kcd_optimize(
         iterations = iteration
         if config.sweep_mode == "sequential":
             for dim_index in active:
-                result = line_search(packed, w, plans[dim_index])
-                w, current = result.weights, result.error_at_star
-                steps.append(StepRecord(iteration, dim_index, result.gamma_star, current))
+                point = line_search(packed, point, plans[dim_index])
+                steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
         elif active:  # best-direction
-            results = {dim_index: line_search(packed, w, plans[dim_index]) for dim_index in active}
+            results = {dim_index: line_search(packed, point, plans[dim_index]) for dim_index in active}
             dim_index = min(active, key=lambda i: (results[i].error_at_star.error, i))
-            result = results[dim_index]
-            w, current = result.weights, result.error_at_star
-            steps.append(StepRecord(iteration, dim_index, result.gamma_star, current))
-        new_error = current.error
+            point = results[dim_index]
+            steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
+        new_error = point.error_at_star.error
         if previous_sweep is not None and abs(previous_sweep - new_error) <= config.epsilon:
             break
         previous_sweep = new_error
 
-    return w, KcdTrace(tuple(steps), w, iterations)
+    return point.weights, KcdTrace(tuple(steps), point.weights, iterations)

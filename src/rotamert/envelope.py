@@ -9,33 +9,31 @@ sentences' breakpoints yields intervals on which the corpus-wide
 selection is constant, so interval error statistics update by integer
 deltas while walking left to right.
 
-The search runs on a :class:`PackedCorpus`: features, sentence offsets
-and BLEU statistics as flat arrays.  Projection sums feature columns
-left to right from 0.0, so every score is bit-identical to that scalar
-loop (a BLAS product would reorder the sums).  A :class:`SearchPlan`
-holds what every search along one direction shares: the slopes and the
-rows sorted by (sentence, slope, rank), so a search only picks the
-highest intercept of each run of equal slope.  That pick and the 1-best
-of each sentence follow one rule, :func:`_first_max`: the highest value
-wins and ties go to the lowest rank.  :func:`line_search` runs two kernels
-through :func:`_intervals`: :func:`_hulls` builds every sentence's upper
-envelope in one call, and :func:`_sweep` merges their breakpoints into
-intervals and statistics rows.
+The search runs on a :class:`PackedCorpus` of flat arrays.  Projection
+sums feature columns left to right from 0.0, so every score is
+bit-identical to that scalar loop (a BLAS product would reorder the
+sums).  A :class:`SearchPlan` holds what every search along one
+direction shares, and the pack keeps the coordinate axes' plans for
+every descent over it.  :func:`_hulls` builds all sentences' envelopes
+in one stack loop over flat arrays; :func:`_sweep` merges their
+breakpoints with numpy, looping only when some of them group.  Every
+winner is picked by one rule, :func:`_first_max`: the highest value,
+ties to the lowest rank.
 
-Two exact shortcuts keep the search cheap.  A numpy prefilter drops
-every line with a strictly higher intercept on both sides of its slope
-before the Python stack builds the hulls; it only compares floats, and
-the tests check that the hulls do not change.  numpy then estimates
-every interval's error, and only intervals within ``RESCORE_BOUND`` of
-the smallest estimate are scored by the scalar :func:`row_bleu`, which
-decides.  The chosen step is checked with one projection of the stepped
-weights, which the search returns, so the reported error is always the
-error of the weights the caller adopts.
+Two exact shortcuts keep the search cheap: a numpy prefilter drops the
+lines two others dominate before the stack runs, and only intervals
+within ``RESCORE_BOUND`` of the smallest numpy error estimate are scored
+by the scalar :func:`row_bleu`, which decides.  The chosen step is
+checked with one projection of the stepped weights.  The result carries
+those weights and scores, and a search that starts from it reuses both,
+so each point is projected once and the reported error is always the
+error of the weights adopted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,12 +56,23 @@ RESCORE_BOUND = 1e-9
 # _may_reach_hull), in float64 cells per line.
 PAD_CELLS_PER_LINE = 8
 
+Cells = tuple[np.ndarray, np.ndarray, int]  # each line's cell, its mirror's, the row width
+Hulls = tuple[np.ndarray, np.ndarray, np.ndarray]  # breakpoints, segment rows, counts
+
 
 @dataclass(frozen=True)
 class LineSearchResult:
     gamma_star: float
     error_at_star: ErrorValue
     weights: tuple[float, ...]  # w + gamma_star * d, whose error is error_at_star
+    # packed.project(weights): a search that starts here reuses it.
+    scores: np.ndarray = field(repr=False, compare=False)
+
+    @staticmethod
+    def at(packed: PackedCorpus, w: Sequence[float]) -> LineSearchResult:
+        """The zero step at ``w``: the error and scores of ``w`` on ``packed``."""
+        scores = packed.project(w)
+        return LineSearchResult(0.0, packed.argmax_error(scores), tuple(w), scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +88,8 @@ class PackedCorpus:
     stats: np.ndarray  # int64 (N, 10)
     sentence: np.ndarray  # int64 (N,): owning sentence of each row
     rank: np.ndarray  # int64 (N,): row index within its sentence
+    # The plan of each coordinate axis (float 1.0 and +0.0 entries), built once.
+    _axis_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def of(corpus: TuningCorpus) -> PackedCorpus:
@@ -124,19 +135,20 @@ class PackedCorpus:
         return acc
 
     def plan(self, d: Sequence[float]) -> SearchPlan:
-        """The :class:`SearchPlan` of every line search along ``d``."""
-        return SearchPlan.of(d, self.project(d), self.rank, self.sentence, self.size)
-
-    def first_argmax(self, scores: np.ndarray) -> np.ndarray:
-        """Rank of the highest score per sentence; ties keep the lowest rank."""
-        starts = self.offsets[:-1]
-        return _first_max(scores, starts, self.sentence) - starts
+        """The :class:`SearchPlan` along ``d``; a coordinate axis' plan is kept (at most M)."""
+        d = tuple(d)
+        axis = sorted(map(repr, d)) == ["0.0"] * (len(d) - 1) + ["1.0"]
+        plan = self._axis_plans.get(d) if axis else None
+        if plan is None:
+            plan = SearchPlan.of(d, self.project(d), self.rank, self.sentence, self.size)
+            if axis:
+                self._axis_plans[d] = plan
+        return plan
 
     def argmax_error(self, scores: np.ndarray) -> ErrorValue:
-        """Corpus error of each sentence's :meth:`first_argmax` row under ``scores``.
+        """Corpus error of each sentence's highest-scoring row, ties to the lowest rank.
 
-        The statistics rows are summed as integers and scored by
-        :func:`row_bleu`.
+        The statistics rows are summed as integers and scored by :func:`row_bleu`.
         """
         rows = _first_max(scores, self.offsets[:-1], self.sentence)
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
@@ -153,47 +165,33 @@ def _first_max(values: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.
     return hits[np.searchsorted(hits, starts)]
 
 
-Hull = tuple[list[float], list[int]]  # breakpoints, segment labels
+def _pad_cells(owner: np.ndarray, size: int) -> Cells | None:
+    """Cells of lines grouped by ``owner`` in a padded matrix, one row per sentence.
+
+    None if the padding would exceed ``PAD_CELLS_PER_LINE`` cells per
+    line (one sentence far longer than the rest).
+    """
+    column = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    width = int(column.max(initial=-1)) + 1
+    if size * width > PAD_CELLS_PER_LINE * len(owner):
+        return None
+    cell = owner * width + column
+    return cell, cell + (width - 1 - 2 * column), width
 
 
-def _hull(intercepts: list[float], slopes: list[float], labels: list[int]) -> Hull:
-    # One sentence, lines in strictly ascending slope order.
-    stack: list[tuple[float, float, int]] = []
-    breaks: list[float] = []
-    for line in zip(intercepts, slopes, labels):
-        a, b, _ = line
-        while stack:
-            top_a, top_b, _ = stack[-1]
-            crossing = (top_a - a) / (b - top_b)
-            if breaks and crossing <= breaks[-1]:
-                stack.pop()
-                breaks.pop()
-                continue
-            breaks.append(crossing)
-            break
-        stack.append(line)
-    return breaks, [label for _, _, label in stack]
-
-
-def _may_reach_hull(intercepts: np.ndarray, owner: np.ndarray, size: int) -> np.ndarray:
+def _may_reach_hull(intercepts: np.ndarray, cells: Cells | None, size: int) -> np.ndarray:
     """Mask of the lines that no two lines of their sentence dominate.
 
-    Lines come grouped by ``owner`` in strictly ascending slope order.
+    Lines come grouped by sentence in strictly ascending slope order.
     A line with a strictly higher intercept on both sides of its slope
     is below one of those two lines at every gamma.  The kept lines are
     each sentence's running intercept maxima from either end, found on
-    a -inf padded row per sentence by float comparisons only.  If the
-    padding would exceed ``PAD_CELLS_PER_LINE`` cells per line (one
-    sentence far longer than the rest), every line is kept.
+    the -inf padded rows of ``cells`` by float comparisons only.
+    Without cells, every line is kept.
     """
-    starts = np.searchsorted(owner, np.arange(size))
-    column = np.arange(len(owner)) - starts[owner]
-    width = int(column.max(initial=-1)) + 1
-    if size * width > PAD_CELLS_PER_LINE * len(owner):
-        return np.ones(len(owner), dtype=bool)
-    # Flat cell of each line, and of its mirror in the reversed row.
-    cell = owner * width + column
-    mirror = cell + (width - 1 - 2 * column)
+    if cells is None:
+        return np.ones(len(intercepts), dtype=bool)
+    cell, mirror, width = cells
     padded = np.full((size, width), -np.inf)
     padded.ravel()[cell] = intercepts
     from_low = np.maximum.accumulate(padded, axis=1).ravel()[cell]
@@ -210,25 +208,21 @@ class SearchPlan:
     (sentence, slope) differ only in intercept, so a search keeps one
     row per run (:meth:`heads`).  ``starts`` holds each run's first
     position and ``run`` each position's run; both are empty when every
-    run is one row.
+    run is one row.  Each head's sentence is fixed, and so are its ``cells``.
     """
 
     direction: tuple[float, ...]
     slopes: np.ndarray  # float64 (N,)
-    labels: np.ndarray  # int64 (N,)
     sentence: np.ndarray  # int64 (N,)
     size: int
     base: np.ndarray  # int64 (N,)
     starts: np.ndarray  # int64 (R,), or (0,) if R == N
     run: np.ndarray  # int64 (N,), or (0,) if R == N
+    cells: Cells | None  # _pad_cells of the heads
 
     @staticmethod
     def of(
-        direction: Sequence[float],
-        slopes: np.ndarray,
-        labels: np.ndarray,
-        sentence: np.ndarray,
-        size: int,
+        direction: Sequence[float], slopes: np.ndarray, labels: np.ndarray, sentence: np.ndarray, size: int
     ) -> SearchPlan:
         base = np.lexsort((labels, slopes, sentence))
         owner = sentence[base]
@@ -240,7 +234,8 @@ class SearchPlan:
         else:
             starts = np.flatnonzero(first)
             run = np.cumsum(first) - 1
-        return SearchPlan(tuple(direction), slopes, labels, sentence, size, base, starts, run)
+        cells = _pad_cells(owner[first], size)
+        return SearchPlan(tuple(direction), slopes, sentence, size, base, starts, run, cells)
 
     def heads(self, intercepts: np.ndarray) -> np.ndarray:
         """The row of each run with the highest intercept, ties to the lowest label."""
@@ -249,88 +244,87 @@ class SearchPlan:
         return self.base[_first_max(intercepts[self.base], self.starts, self.run)]
 
 
-def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> list[Hull]:
-    """Upper envelope of each sentence of ``plan`` at ``intercepts``.
+def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> Hulls:
+    """Upper envelopes of all sentences of ``plan`` at ``intercepts``, flat.
 
-    Lines sort by ascending slope; slope ties keep the higher intercept
-    (it dominates everywhere), full ties the lowest label.  Lines that
-    two others of their sentence dominate are dropped before the stack
-    runs (:func:`_may_reach_hull`).
+    In sentence order: the breakpoints, each segment's row and each
+    sentence's segment count.  Lines sort by ascending slope; slope ties
+    keep the higher intercept (it dominates everywhere), full ties the
+    lowest label.  Lines that two others of their sentence dominate are
+    dropped (:func:`_may_reach_hull`), then one stack loop runs over all.
     """
     kept = plan.heads(intercepts)
-    sentence = plan.sentence
-    kept = kept[_may_reach_hull(intercepts[kept], sentence[kept], plan.size)]
-    bounds = np.searchsorted(sentence[kept], np.arange(plan.size + 1)).tolist()
-    a = intercepts[kept].tolist()
-    b = plan.slopes[kept].tolist()
-    k = plan.labels[kept].tolist()
-    return [_hull(a[lo:hi], b[lo:hi], k[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    kept = kept[_may_reach_hull(intercepts[kept], plan.cells, plan.size)]
+    owner = plan.sentence[kept]
+    fresh = np.ones(len(kept), dtype=bool)
+    fresh[1:] = owner[1:] != owner[:-1]
+    # The stack as columns, with the gamma where each line starts to win:
+    # NaN for a sentence's first line, so no crossing ever pops it.
+    tops_a: list[float] = []
+    tops_b: list[float] = []
+    rows: list[int] = []
+    breaks: list[float] = []
+    lines = zip(intercepts[kept].tolist(), plan.slopes[kept].tolist(), kept.tolist())
+    for (a, b, row), first in zip(lines, fresh.tolist()):
+        crossing = math.nan
+        if not first:
+            crossing = (tops_a[-1] - a) / (b - tops_b[-1])
+            while crossing <= breaks[-1]:
+                del tops_a[-1], tops_b[-1], rows[-1], breaks[-1]
+                crossing = (tops_a[-1] - a) / (b - tops_b[-1])
+        tops_a.append(a)
+        tops_b.append(b)
+        rows.append(row)
+        breaks.append(crossing)
+    segments = np.array(rows, dtype=np.intp)
+    counts = np.bincount(plan.sentence[segments], minlength=plan.size)
+    return np.delete(np.array(breaks), np.cumsum(counts) - counts), segments, counts
 
 
-def _sweep(
-    hulls: Sequence[tuple[Sequence[float], Sequence[int]]],
-    offsets: Sequence[int],
-    stats: np.ndarray,
-) -> tuple[list[float], np.ndarray]:
+def _sweep(hulls: Hulls, stats: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Boundaries and per-interval statistics rows of merged sentence hulls.
 
-    ``hulls`` are :func:`_hulls`' output and ``offsets`` each sentence's
-    first row.  Events sort stably by gamma; a boundary collects every
-    event within ``COALESCE_REL * |g|`` above its first event ``g``, a
-    rule that scaling the direction leaves unchanged.  Each interval's
-    row is the first interval's row plus the integer cumulative sum of
-    the events' incoming-minus-outgoing statistics.
+    Events sort stably by gamma; a boundary collects every event within
+    ``COALESCE_REL * |g|`` above its first event ``g``, a rule that
+    scaling the direction leaves unchanged.  When every gap between
+    events exceeds that, each event is its own boundary and no loop
+    runs.  Each interval's row is the first interval's row plus the
+    integer cumulative sum of the events' incoming-minus-outgoing rows.
     """
-    gammas: list[float] = []
-    leave: list[int] = []
-    enter: list[int] = []
-    first: list[int] = []
-    for start, (breaks, segments) in zip(offsets, hulls):
-        rows = [start + k for k in segments]
-        first.append(rows[0])
-        gammas.extend(breaks)
-        leave.extend(rows[:-1])
-        enter.extend(rows[1:])
-    points = np.array(gammas, dtype=np.float64)
+    points, segments, counts = hulls
     if not np.isfinite(points).all():
         raise InputError("a breakpoint of the search ray is not finite")
+    firsts = np.cumsum(counts) - counts
+    held = stats[segments]
+    # Each pair of adjacent segments of one sentence is one event.
+    deltas = np.delete(held[1:] - held[:-1], firsts[1:] - 1, axis=0)
+    initial = held[firsts].sum(axis=0)
     order = np.argsort(points, kind="stable")
-    deltas = stats[np.array(enter, dtype=np.intp)] - stats[np.array(leave, dtype=np.intp)]
-    initial = stats[np.array(first, dtype=np.intp)].sum(axis=0)
     running = initial + np.cumsum(deltas[order], axis=0)
-
-    ordered = points[order].tolist()
-    boundaries: list[float] = []
-    ends: list[int] = []
-    i = 0
-    while i < len(ordered):
-        group_start = ordered[i]
-        reach = COALESCE_REL * abs(group_start)
-        i += 1  # a group always takes its first event
-        while i < len(ordered) and ordered[i] - group_start <= reach:
-            i += 1
-        boundaries.append(group_start)
-        ends.append(i - 1)
-    rows = np.vstack((initial, running[np.array(ends, dtype=np.intp)]))
-    return boundaries, rows
+    ordered = points[order]
+    if (ordered[1:] - ordered[:-1] > COALESCE_REL * np.abs(ordered[:-1])).all():
+        return ordered.tolist(), np.vstack((initial, running))
+    ordered = ordered.tolist()
+    starts = [0]  # each group's first event
+    for i, gamma in enumerate(ordered):
+        group_start = ordered[starts[-1]]
+        if gamma - group_start > COALESCE_REL * abs(group_start):
+            starts.append(i)
+    ends = np.array(starts[1:] + [len(ordered)], dtype=np.intp) - 1
+    return [ordered[i] for i in starts], np.vstack((initial, running[ends]))
 
 
 def _intervals(
     packed: PackedCorpus, intercepts: np.ndarray, plan: SearchPlan
-) -> tuple[list[Hull], list[float], np.ndarray]:
-    """Sentence hulls, boundaries and interval statistics rows along ``plan``.
-
-    ``intercepts`` is ``packed.project(w)``.  These are the kernel calls
-    of :func:`line_search`.
-    """
+) -> tuple[Hulls, list[float], np.ndarray]:
+    """The kernel calls of :func:`line_search`: sentence hulls, boundaries and
+    interval statistics rows along ``plan`` at ``intercepts = packed.project(w)``."""
     hulls = _hulls(intercepts, plan)
-    boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+    boundaries, rows = _sweep(hulls, packed.stats)
     return hulls, boundaries, rows
 
 
-def _interval_bounds(
-    boundaries: Sequence[float], index: int
-) -> tuple[float, float]:
+def _interval_bounds(boundaries: Sequence[float], index: int) -> tuple[float, float]:
     lower = boundaries[index - 1] if index > 0 else float("-inf")
     upper = boundaries[index] if index < len(boundaries) else float("inf")
     return lower, upper
@@ -351,12 +345,14 @@ def _midpoint(lower: float, upper: float) -> float:
 
 
 def line_search(
-    packed: PackedCorpus, w: Sequence[float], d: Sequence[float] | SearchPlan
+    packed: PackedCorpus, start: Sequence[float] | LineSearchResult, d: Sequence[float] | SearchPlan
 ) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
 
-    ``d`` is a direction or its ``packed.plan(d)``, which a caller
-    searching one direction many times builds once.
+    ``start`` is ``w``, or the result of an earlier search on ``packed``,
+    whose weights are ``w`` and whose scores and error are reused.  ``d``
+    is a direction or its ``packed.plan(d)``, which a caller searching
+    one direction many times builds once.
 
     Returns the midpoint of the minimum-error interval (offset by 1.0
     into unbounded intervals); interval ties resolve toward the interval
@@ -368,8 +364,9 @@ def line_search(
     plan = d if isinstance(d, SearchPlan) else packed.plan(d)
     if plan.sentence is not packed.sentence:
         raise ValueError("the search plan was made for another packed corpus")
-    intercepts = packed.project(w)
-    zero_error = packed.argmax_error(intercepts)
+    if not isinstance(start, LineSearchResult):
+        start = LineSearchResult.at(packed, start)
+    w, intercepts, zero_error = start.weights, start.scores, start.error_at_star
     _, boundaries, rows = _intervals(packed, intercepts, plan)
     estimate = row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar
@@ -386,7 +383,8 @@ def line_search(
     )
 
     def stepped(gamma: float) -> tuple[float, ...]:
-        # Also at gamma = 0: w + 0.0 * d turns a -0.0 weight into 0.0.
+        # Also at gamma = 0: w + 0.0 * d may turn a -0.0 weight into 0.0,
+        # which changes no score (every sum starts from +0.0).
         return tuple(wi + gamma * di for wi, di in zip(w, plan.direction))
 
     for index in ranked:
@@ -400,6 +398,7 @@ def line_search(
         # its mix; such an interval is passed over for the next one.
         gamma = _midpoint(*_interval_bounds(boundaries, index))
         weights = stepped(gamma)
-        if packed.argmax_error(packed.project(weights)) == error:
-            return LineSearchResult(gamma, error, weights)
-    return LineSearchResult(0.0, zero_error, stepped(0.0))
+        scores = packed.project(weights)
+        if packed.argmax_error(scores) == error:
+            return LineSearchResult(gamma, error, weights, scores)
+    return LineSearchResult(0.0, zero_error, stepped(0.0), intercepts)

@@ -12,6 +12,7 @@ independently of the production sums.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -70,6 +71,57 @@ def selection_error(packed, chosen):
     """Corpus error of picking hypothesis ``chosen[s]`` in each sentence."""
     table = sentence_rows(packed)
     return row_bleu(sum_rows(table[s][k] for s, k in enumerate(chosen)))
+
+
+def first_argmax(packed, scores):
+    """Rank of each sentence's highest score, ties to the lowest rank."""
+    bounds = packed.offsets.tolist()
+    return [int(np.argmax(scores[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def hull_by_stack(intercepts, slopes, labels):
+    """One sentence's upper envelope by the bare float stack.
+
+    Lines come in strictly ascending slope order.  Returns the
+    breakpoints and the labels of the segments between them; the
+    production kernel runs the same stack over all sentences at once.
+    """
+    stack = []
+    breaks = []
+    for line in zip(intercepts, slopes, labels):
+        a, b, _ = line
+        while stack:
+            top_a, top_b, _ = stack[-1]
+            crossing = (top_a - a) / (b - top_b)
+            if breaks and crossing <= breaks[-1]:
+                stack.pop()
+                breaks.pop()
+                continue
+            breaks.append(crossing)
+            break
+        stack.append(line)
+    return breaks, [label for _, _, label in stack]
+
+
+def split_hulls(hulls, labels):
+    """Flat ``_hulls`` output as one (breakpoints, segment labels) pair of
+    tuples per sentence; ``labels[row]`` names a segment's row."""
+    breaks, segments, counts = hulls
+    per_breaks = np.split(breaks, np.cumsum(counts - 1)[:-1])
+    per_rows = np.split(segments, np.cumsum(counts)[:-1])
+    return [(tuple(b.tolist()), tuple(labels[r].tolist())) for b, r in zip(per_breaks, per_rows)]
+
+
+def flat_hulls(hulls, offsets):
+    """Per-sentence (breakpoints, segment ranks) hulls in ``_hulls``' flat form."""
+    breaks = [g for hull_breaks, _ in hulls for g in hull_breaks]
+    rows = [start + k for start, (_, ranks) in zip(offsets, hulls) for k in ranks]
+    counts = [len(ranks) for _, ranks in hulls]
+    return (
+        np.array(breaks, dtype=np.float64),
+        np.array(rows, dtype=np.intp),
+        np.array(counts, dtype=np.int64),
+    )
 
 
 def envelope_by_enumeration(lines):
@@ -175,6 +227,30 @@ def merged_intervals_by_enumeration(lines_per_sentence, packed, per_sentence_bre
     stats = reselect_interval_stats(lines_per_sentence, packed, boundaries)
     errors = [row_bleu(st) for st in stats]
     return boundaries, stats, errors
+
+
+def intervals_from_hulls(hulls, packed):
+    """Boundaries and interval statistics of per-sentence hulls, grouped on its own.
+
+    ``hulls`` holds each sentence's (breakpoints, segment ranks).  The
+    breakpoints are merged and grouped by the relative 2**-30 rule; the
+    row after a group sums, over sentences, the segment that follows
+    every breakpoint up to that group's last one.  Nothing is probed, so
+    intervals narrower than an ulp of their scores are rebuilt exactly.
+    """
+    table = sentence_rows(packed)
+    boundaries, group_ends = [], []
+    for gamma in sorted(g for breaks, _ in hulls for g in breaks):
+        if boundaries and gamma - boundaries[-1] <= 2.0**-30 * abs(boundaries[-1]):
+            group_ends[-1] = gamma
+        else:
+            boundaries.append(gamma)
+            group_ends.append(gamma)
+    rows = [
+        sum_rows(table[s][ranks[bisect_right(breaks, limit)]] for s, (breaks, ranks) in enumerate(hulls))
+        for limit in [float("-inf"), *group_ends]
+    ]
+    return boundaries, rows
 
 
 def ray_probe_min_error(lines_per_sentence, packed, boundaries, points=10001):

@@ -10,7 +10,14 @@ from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
 from instances import random_corpus, random_ray
-from oracles import clipped_stats_by_counting, selection_error, sentence_rows, sum_rows
+from oracles import (
+    clipped_stats_by_counting,
+    first_argmax,
+    flat_hulls,
+    selection_error,
+    sentence_rows,
+    sum_rows,
+)
 
 
 def sentence_row(hyp, refs):
@@ -91,7 +98,7 @@ class TestStatsArithmetic:
         # Sentence 1 swaps from zero to b at 0 and back to zero at 1.
         packed = packed_rows([[a], [zero, b, zero]])
         hulls = [((), (0,)), ((0.0, 1.0), (0, 1, 2))]
-        _, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+        _, rows = _sweep(flat_hulls(hulls, packed.offsets.tolist()), packed.stats)
         start, added, restored = map(tuple, rows.tolist())
         assert added == tuple(x + y for x, y in zip(a, b))
         assert restored == a
@@ -101,7 +108,7 @@ class TestStatsArithmetic:
         a = row((1, 0, 0, 0), (2, 1, 0, 0), 2, 3)
         b = row((2, 1, 0, 0), (3, 2, 1, 0), 3, 3)
         packed = packed_rows([[a], [b]])
-        _, rows = _sweep([((), (0,))] * 2, packed.offsets.tolist(), packed.stats)
+        _, rows = _sweep(flat_hulls([((), (0,))] * 2, packed.offsets.tolist()), packed.stats)
         (agg,) = map(tuple, rows.tolist())
         assert agg == row((3, 1, 0, 0), (5, 3, 1, 0), 5, 6)
 
@@ -219,7 +226,7 @@ class TestCorpusLevelHelpers:
             w, _ = random_ray(rng, corpus.feature_dim)
             for weights in (w, (0.0,) * corpus.feature_dim):
                 scores = packed.project(weights)
-                expected = selection_error(packed, packed.first_argmax(scores).tolist())
+                expected = selection_error(packed, first_argmax(packed, scores))
                 got = packed.argmax_error(scores)
                 assert float.hex(got.error) == float.hex(expected.error), f"seed {seed}"
                 assert float.hex(got.bleu) == float.hex(expected.bleu), f"seed {seed}"

@@ -1,25 +1,27 @@
 import pytest
 
 from rotamert.corpus import Hypothesis, build_corpus
+import rotamert.descent
 from rotamert.descent import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
+    SWEEP_MODES,
     KcdConfig,
     basis_directions,
     kcd_optimize,
     uniform_weights,
 )
-from rotamert.envelope import PackedCorpus
+from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 from rotamert.errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 from rotamert.rotation import CoordinateSystem
 
 from instances import random_corpus
-from oracles import selection_error
+from oracles import first_argmax, selection_error
 
 
 def select(corpus, w):
     packed = PackedCorpus.of(corpus)
-    return packed.first_argmax(packed.project(w)).tolist()
+    return first_argmax(packed, packed.project(w))
 
 
 class TestSelection:
@@ -207,3 +209,27 @@ class TestTraceSerialization:
             assert float(gamma) == step.gamma
             assert float(error) == step.error.error
             assert bleu == f"{step.error.bleu * 100.0:.2f}"
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_a_search_from_the_previous_result_equals_one_from_its_weights(monkeypatch, mode):
+    # Each search of a descent starts from the previous result (the first
+    # from the zero step at the initial weights) and reuses its scores and
+    # error; starting from the bare weights must give the same result.
+    starts = []
+
+    def checked(packed, start, d):
+        assert isinstance(start, LineSearchResult)
+        assert start.scores.tobytes() == packed.project(start.weights).tobytes()
+        result = line_search(packed, start, d)
+        assert repr(result) == repr(line_search(packed, start.weights, d))
+        assert result.scores.tobytes() == packed.project(result.weights).tobytes()
+        starts.append(start)
+        return result
+
+    monkeypatch.setattr(rotamert.descent, "line_search", checked)
+    for seed in range(40):
+        corpus, _ = random_corpus(seed)
+        kcd_optimize(corpus, config=KcdConfig(max_iter=3, sweep_mode=mode))
+    assert len(starts) > 100
+    assert any(start.gamma_star != 0.0 for start in starts)

@@ -9,11 +9,11 @@ from rotamert.envelope import (
     SearchPlan,
     line_search,
     _distance_to_zero,
-    _hull,
     _hulls,
     _interval_bounds,
     _intervals,
     _may_reach_hull,
+    _pad_cells,
     _sweep,
 )
 from rotamert.errors import DimensionMismatch, InputError
@@ -22,10 +22,14 @@ from instances import Line, random_corpus, random_lines, ray_instance
 from oracles import (
     dot,
     envelope_by_enumeration,
+    first_argmax,
+    flat_hulls,
+    hull_by_stack,
     reselect_interval_stats,
     interval_probes,
     ray_probe_min_error,
     selection_error,
+    split_hulls,
 )
 
 
@@ -63,7 +67,7 @@ class TestPackedProjection:
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
         packed = PackedCorpus.of(corpus)
         hulls, _, _ = _intervals(packed, packed.project(w), packed.plan(d))
-        for entry, (breaks, segments) in zip(corpus.entries, hulls):
+        for entry, (breaks, segments) in zip(corpus.entries, split_hulls(hulls, packed.rank)):
             want_breaks, want_segments = one_hull(
                 [
                     Line(dot(w, h.features), dot(d, h.features), k)
@@ -71,7 +75,7 @@ class TestPackedProjection:
                 ]
             )
             assert [x.hex() for x in breaks] == [x.hex() for x in want_breaks]
-            assert tuple(segments) == want_segments
+            assert segments == want_segments
 
     def test_dimension_checked(self):
         packed = PackedCorpus.of(random_corpus(5)[0])
@@ -83,8 +87,8 @@ class TestPackedProjection:
         nbest[0].append(Hypothesis(0, 3, ("u",), (2.0, -1.0)))
         corpus = build_corpus(nbest, {0: [("t",)]})
         packed = PackedCorpus.of(corpus)
-        assert packed.first_argmax(packed.project((1.0, 1.0))).tolist() == [0]
-        assert packed.first_argmax(packed.project((-1.0, -2.0))).tolist() == [3]
+        assert first_argmax(packed, packed.project((1.0, 1.0))) == [0]
+        assert first_argmax(packed, packed.project((-1.0, -2.0))) == [3]
 
     def test_overflowing_scores_are_rejected(self):
         nbest = {0: [Hypothesis(0, 0, ("a",), (1e300, 1.0)), Hypothesis(0, 1, ("b",), (-1e300, 1.0))]}
@@ -96,6 +100,14 @@ class TestPackedProjection:
             line_search(packed, (1.0, 1.0), (float("nan"), 1.0))
 
 
+def test_a_crossing_that_overflows_is_rejected():
+    # The two lines cross at (-1e308 - 1e308) / 1e-300 = -inf.
+    nbest = {0: [Hypothesis(0, 0, ("a",), (-1e308, 0.0)), Hypothesis(0, 1, ("b",), (1e308, 1e-300))]}
+    packed = PackedCorpus.of(build_corpus(nbest, {0: [("a",)]}))
+    with pytest.raises(InputError):
+        line_search(packed, (1.0, 0.0), (0.0, 1.0))
+
+
 def test_plan_of_another_corpus_is_refused():
     packed, other = (PackedCorpus.of(random_corpus(seed)[0]) for seed in (1, 2))
     plan = other.plan((1.0,) * other.feature_dim)
@@ -103,19 +115,31 @@ def test_plan_of_another_corpus_is_refused():
         line_search(packed, (0.5,) * packed.feature_dim, plan)
 
 
+def test_only_coordinate_axes_keep_their_plans_bit_for_bit():
+    packed = PackedCorpus.of(random_corpus(3, min_features=2)[0])
+    dim = packed.feature_dim
+    axis = (1.0,) + (0.0,) * (dim - 1)
+    assert packed.plan(axis) is packed.plan(list(axis))
+    # Equal as tuples, but not the same bits or not an axis: built afresh.
+    for d in ((1.0, -0.0) + (0.0,) * (dim - 2), (2.0,) + (0.0,) * (dim - 1)):
+        plan = packed.plan(d)
+        assert plan is not packed.plan(d) and repr(plan.direction) == repr(d)
+    assert list(packed._axis_plans) == [axis]
+
+
 def one_hull(lines):
-    """``_hulls`` on a single sentence: (breakpoints, segments) as tuples."""
+    """``_hulls`` on a single sentence: (breakpoints, segment labels) as tuples."""
+    labels = np.array([l.hyp_index for l in lines], dtype=np.int64)
     plan = SearchPlan.of(
         (),
         np.array([l.slope for l in lines], dtype=np.float64),
-        np.array([l.hyp_index for l in lines], dtype=np.int64),
+        labels,
         np.zeros(len(lines), dtype=np.int64),
         1,
     )
-    ((breaks, segments),) = _hulls(
-        np.array([l.intercept for l in lines], dtype=np.float64), plan
-    )
-    return tuple(breaks), tuple(segments)
+    hulls = _hulls(np.array([l.intercept for l in lines], dtype=np.float64), plan)
+    ((breaks, segments),) = split_hulls(hulls, labels)
+    return breaks, segments
 
 
 class TestUpperEnvelope:
@@ -161,7 +185,7 @@ def bare_hull(intercepts, slopes, labels):
     kept = [
         i for pos, i in enumerate(order) if pos == 0 or slopes[i] != slopes[order[pos - 1]]
     ]
-    return _hull(
+    return hull_by_stack(
         [intercepts[i] for i in kept],
         [slopes[i] for i in kept],
         [labels[i] for i in kept],
@@ -202,9 +226,11 @@ class TestDominationPrefilter:
         labels = np.array([k for ints, _ in line_sets for k in range(len(ints))])
         sentence = np.repeat(np.arange(len(line_sets)), [len(ints) for ints, _ in line_sets])
         hulls = _hulls(intercepts, SearchPlan.of((), slopes, labels, sentence, len(line_sets)))
-        for s, ((breaks, segments), (ints, bs)) in enumerate(zip(hulls, line_sets)):
+        for s, ((breaks, segments), (ints, bs)) in enumerate(
+            zip(split_hulls(hulls, labels), line_sets)
+        ):
             want_breaks, want_segments = bare_hull(ints, bs, list(range(len(ints))))
-            assert segments == want_segments, f"{context}, sentence {s}"
+            assert list(segments) == want_segments, f"{context}, sentence {s}"
             assert [x.hex() for x in breaks] == [x.hex() for x in want_breaks], (
                 f"{context}, sentence {s}"
             )
@@ -234,8 +260,8 @@ class TestDominationPrefilter:
         slopes = np.sort(rng.normal(0.0, 1.0, 200))
         intercepts = rng.normal(0.0, 1.0, 200)
         owner = np.zeros(200, dtype=np.int64)
-        mask = _may_reach_hull(intercepts, owner, 1)
-        _, segments = _hull(intercepts.tolist(), slopes.tolist(), list(range(200)))
+        mask = _may_reach_hull(intercepts, _pad_cells(owner, 1), 1)
+        _, segments = hull_by_stack(intercepts.tolist(), slopes.tolist(), list(range(200)))
         assert mask[segments].all()
         assert mask[[0, -1]].all()  # the extreme slopes always stay
         assert mask.sum() < 50
@@ -243,12 +269,13 @@ class TestDominationPrefilter:
     def test_equal_intercepts_do_not_dominate(self):
         # The middle line is only tied on its left: it is kept.
         owner = np.zeros(3, dtype=np.int64)
-        assert _may_reach_hull(np.array([1.0, 1.0, 2.0]), owner, 1).tolist() == [
+        cells = _pad_cells(owner, 1)
+        assert _may_reach_hull(np.array([1.0, 1.0, 2.0]), cells, 1).tolist() == [
             True,
             True,
             True,
         ]
-        assert _may_reach_hull(np.array([1.5, 1.0, 2.0]), owner, 1).tolist() == [
+        assert _may_reach_hull(np.array([1.5, 1.0, 2.0]), cells, 1).tolist() == [
             True,
             False,
             True,
@@ -261,9 +288,11 @@ class TestDominationPrefilter:
         sets = [(rng.normal(0.0, 1.0, 300).tolist(), rng.normal(0.0, 1.0, 300).tolist())]
         sets += [([float(rng.normal())], [float(rng.normal())]) for _ in range(60)]
         wave = np.sin(np.arange(300.0))  # most of it dominated
-        assert not _may_reach_hull(wave, np.zeros(300, dtype=np.int64), 1).all()
+        alone = _pad_cells(np.zeros(300, dtype=np.int64), 1)
+        assert not _may_reach_hull(wave, alone, 1).all()
         owner = np.repeat(np.arange(61), [300] + [1] * 60)
-        assert _may_reach_hull(np.concatenate([wave, np.zeros(60)]), owner, 61).all()
+        assert _pad_cells(owner, 61) is None
+        assert _may_reach_hull(np.concatenate([wave, np.zeros(60)]), None, 61).all()
         self.assert_same_hulls(sets, "skewed")
 
 
@@ -277,7 +306,7 @@ def two_hyp_sweep(gammas):
     corpus = build_corpus(nbest, {s: [("b",)] for s in range(len(gammas))})
     packed = PackedCorpus.of(corpus)
     hulls = [((g,), (0, 1)) for g in gammas]
-    boundaries, rows = _sweep(hulls, packed.offsets.tolist(), packed.stats)
+    boundaries, rows = _sweep(flat_hulls(hulls, packed.offsets.tolist()), packed.stats)
     return boundaries, rows[:, 0].tolist()  # unigram matches per interval
 
 
@@ -308,6 +337,21 @@ class TestSweepIntervals:
         assert boundaries == [gammas[0], gammas[2], gammas[3]]
         assert matches == [0, 2, 3, 4]
 
+    def test_singleton_and_grouped_breakpoints(self):
+        # Far apart: every breakpoint is its own boundary, and no grouping
+        # loop runs.  Mixed: the loop groups 1 + 2**-31 with 1 only.
+        boundaries, matches = two_hyp_sweep([0.5, -2.0, 3.0])
+        assert boundaries == [-2.0, 0.5, 3.0]
+        assert matches == [0, 1, 2, 3]
+        boundaries, matches = two_hyp_sweep([3.0, 1.0, 1.0 + 2.0**-31, -2.0, 1.0 + 2.0**-29])
+        assert boundaries == [-2.0, 1.0, 1.0 + 2.0**-29, 3.0]
+        assert matches == [0, 1, 3, 4, 5]
+        # A gap of exactly 2**-30 * |g| still groups; the reach is measured
+        # from the group's first breakpoint, not from the previous one.
+        assert two_hyp_sweep([1.0, 1.0 + 2.0**-30]) == ([1.0], [0, 2])
+        gammas = [1.0, 1.0 + 3 * 2.0**-32, 1.0 + 3 * 2.0**-31]
+        assert two_hyp_sweep(gammas) == ([gammas[0], gammas[2]], [0, 2, 3])
+
     def test_only_equal_breakpoints_group_at_zero(self):
         boundaries, matches = two_hyp_sweep([0.0, -0.0, 5e-324])
         assert boundaries == [0.0, 5e-324]
@@ -337,7 +381,7 @@ class TestLineSearch:
         for seed in range(40):
             _, packed, _, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            at_zero = selection_error(packed, packed.first_argmax(packed.project(w)).tolist())
+            at_zero = selection_error(packed, first_argmax(packed, packed.project(w)))
             assert result.error_at_star.error <= at_zero.error, f"seed {seed}"
 
     def test_no_breakpoints_stays_at_zero(self):
@@ -537,7 +581,7 @@ class TestRescoringBound:
             _, packed, _, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
             (lower, upper), error = scalar_scan(packed, w, d)
-            zero = selection_error(packed, packed.first_argmax(packed.project(w)).tolist())
+            zero = selection_error(packed, first_argmax(packed, packed.project(w)))
             if zero.error < error.error:  # the gamma = 0 guard
                 assert result.gamma_star == 0.0, f"seed {seed}"
                 assert result.error_at_star == zero, f"seed {seed}"

@@ -20,6 +20,7 @@ from rotamert.envelope import PackedCorpus, _intervals, line_search
 from rotamert.rotation import CoordinateSystem
 
 from instances import ray_instance
+from oracles import hull_by_stack, intervals_from_hulls, split_hulls
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -152,6 +153,52 @@ def test_every_trace_error_is_the_error_at_its_weights(descent, directions, mode
         assert packed.argmax_error(packed.project(replayed)) == step.error
     assert replayed == weights == trace.final_weights
     assert trace.steps[-1].error == packed.argmax_error(packed.project(weights))
+
+
+@st.composite
+def ulp_fan_sentence(draw):
+    # Three or four lines through one point at gamma = 0, up to rounding:
+    # at w = (1, 1, 0) along (0, 0, 1) the line (p/10, q/10, s) scores
+    # fl(p/10 + q/10) + gamma * s, and p + q is the same for every line,
+    # so all crossings lie at 0 or a few ulps off it.
+    total = draw(st.integers(0, 198))
+    count = draw(st.integers(3, 4))
+    slopes = draw(st.lists(st.integers(-2, 3), min_size=count, max_size=count, unique=True))
+    parts = st.integers(max(0, total - 99), min(99, total))
+    hyps = []
+    for slope in slopes:
+        p = draw(parts)
+        hyps.append((draw(tokens), (p / 10, (total - p) / 10, slope)))
+    return hyps, [hyps[draw(st.integers(0, count - 1))][0]]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(ulp_fan_sentence(), min_size=1, max_size=8), st.integers(-30, 35))
+def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
+    packed = PackedCorpus.of(build(sentences))
+    w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 2.0**k)
+    intercepts, slopes = packed.project(w), packed.project(d)
+    hulls, boundaries, rows = _intervals(packed, intercepts, packed.plan(d))
+    # The flat stack builds each sentence's hull as the bare stack does.
+    want = []
+    bounds = packed.offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        order = sorted(range(lo, hi), key=lambda row: slopes[row])  # slopes are distinct
+        breaks, ranks = hull_by_stack(
+            [intercepts[r] for r in order], [slopes[r] for r in order], [r - lo for r in order]
+        )
+        want.append((tuple(breaks), tuple(ranks)))
+    got = split_hulls(hulls, packed.rank)
+    assert [[g.hex() for g in b] for b, _ in got] == [[g.hex() for g in b] for b, _ in want]
+    assert got == want
+    # Boundaries and rows equal the grouping written out on its own.
+    want_boundaries, want_rows = intervals_from_hulls(want, packed)
+    assert [g.hex() for g in boundaries] == [g.hex() for g in want_boundaries]
+    assert list(map(tuple, rows.tolist())) == want_rows
+    # The error is the error at the returned weights, at every scale.
+    result = line_search(packed, w, d)
+    assert packed.argmax_error(packed.project(result.weights)) == result.error_at_star
+    assert result.error_at_star == line_search(packed, w, (0.0, 0.0, 1.0)).error_at_star
 
 
 halves = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])

@@ -1,11 +1,13 @@
 import concurrent.futures
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import rotamert.rotation
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
-from rotamert.descent import KcdConfig, kcd_optimize
-from rotamert.envelope import PackedCorpus
+from rotamert.descent import KcdConfig, basis_directions, kcd_optimize
+from rotamert.envelope import PackedCorpus, SearchPlan
 from rotamert.errors import (
     ConfigError,
     DimensionMismatch,
@@ -28,7 +30,7 @@ from rotamert.rotation import (
 from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
 from instances import random_corpus
-from oracles import selection_error
+from oracles import first_argmax, selection_error
 
 
 class TestRotation:
@@ -290,13 +292,56 @@ class TestRssOptimize:
         assert rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
 
 
+def same_arrays(a, b):
+    """Equal values, dtypes and shapes, through tuples; floats by ``repr``."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_arrays, a, b))
+    return repr(a) == repr(b)
+
+
+def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatch):
+    packs, built = [], []
+    pack, plan_of = PackedCorpus.of, SearchPlan.of
+
+    def recording_pack(corpus):
+        packs.append(pack(corpus))
+        return packs[-1]
+
+    def recording_plan(direction, *args):
+        built.append(tuple(direction))
+        return plan_of(direction, *args)
+
+    monkeypatch.setattr(PackedCorpus, "of", staticmethod(recording_pack))
+    monkeypatch.setattr(SearchPlan, "of", staticmethod(recording_plan))
+    corpus, _ = random_corpus(4100, min_features=3)
+    grid = [-0.5, 0.0, 0.5]
+    rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
+    closed = packs[0]
+    dim = closed.feature_dim
+    axes = [repr(axis) for axis in basis_directions(dim)]
+    # Axes 1..M-1 once for the whole grid; the tilted axis once per alpha,
+    # which at alpha = 0 is axis 0 itself.
+    assert len(built) == dim - 1 + len(grid)
+    assert 0 < len(closed._axis_plans) <= dim
+    monkeypatch.undo()
+    for direction, plan in closed._axis_plans.items():
+        assert repr(direction) in axes  # no tilted direction is kept
+        fresh = SearchPlan.of(
+            direction, closed.project(direction), closed.rank, closed.sentence, closed.size
+        )
+        for field in fields(SearchPlan):
+            assert same_arrays(getattr(plan, field.name), getattr(fresh, field.name)), field.name
+
+
 class TestAdversarialFixture:
     def test_plain_descent_stalls_below_global_optimum(self):
         corpus = adversarial_instance()
         cert = adversarial_certificate()
         packed = PackedCorpus.of(corpus)
         weights, _ = kcd_optimize(corpus, tuple(cert["init_weights"]))
-        selection = packed.first_argmax(packed.project(weights)).tolist()
+        selection = first_argmax(packed, packed.project(weights))
         assert selection == cert["stalled_selection"]
         stalled = selection_error(packed, selection)
         assert stalled.bleu == cert["stalled_bleu"]

@@ -295,10 +295,12 @@ def _sweep(hulls: Hulls, stats: np.ndarray) -> tuple[list[float], np.ndarray]:
     if not np.isfinite(points).all():
         raise InputError("a breakpoint of the search ray is not finite")
     firsts = np.cumsum(counts) - counts
-    held = stats[segments]
-    # Each pair of adjacent segments of one sentence is one event.
-    deltas = np.delete(held[1:] - held[:-1], firsts[1:] - 1, axis=0)
-    initial = held[firsts].sum(axis=0)
+    # Each segment but a sentence's first enters at one event, and the
+    # segment before it leaves.
+    enters = np.ones(len(segments), dtype=bool)
+    enters[firsts] = False
+    deltas = stats[segments[1:][enters[1:]]] - stats[segments[:-1][enters[1:]]]
+    initial = stats[segments[firsts]].sum(axis=0)
     order = np.argsort(points, kind="stable")
     running = initial + np.cumsum(deltas[order], axis=0)
     ordered = points[order]

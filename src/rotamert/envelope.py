@@ -347,14 +347,14 @@ def _midpoint(lower: float, upper: float) -> float:
 
 
 def line_search(
-    packed: PackedCorpus, start: Sequence[float] | LineSearchResult, d: Sequence[float] | SearchPlan
+    packed: PackedCorpus, w: Sequence[float] | LineSearchResult, d: Sequence[float] | SearchPlan
 ) -> LineSearchResult:
     """Minimize corpus error along ``w + gamma * d`` exactly.
 
-    ``start`` is ``w``, or the result of an earlier search on ``packed``,
-    whose weights are ``w`` and whose scores and error are reused.  ``d``
-    is a direction or its ``packed.plan(d)``, which a caller searching
-    one direction many times builds once.
+    ``w`` may also be the result of an earlier search on ``packed``: the
+    search starts at its weights and reuses their scores and error.
+    ``d`` is a direction or its ``packed.plan(d)``, which a caller
+    searching one direction many times builds once.
 
     Returns the midpoint of the minimum-error interval (offset by 1.0
     into unbounded intervals); interval ties resolve toward the interval
@@ -366,8 +366,7 @@ def line_search(
     plan = d if isinstance(d, SearchPlan) else packed.plan(d)
     if plan.sentence is not packed.sentence:
         raise ValueError("the search plan was made for another packed corpus")
-    if not isinstance(start, LineSearchResult):
-        start = LineSearchResult.at(packed, start)
+    start = w if isinstance(w, LineSearchResult) else LineSearchResult.at(packed, w)
     w, intercepts, zero_error = start.weights, start.scores, start.error_at_star
     _, boundaries, rows = _intervals(packed, intercepts, plan)
     estimate = row_errors(rows)

@@ -2,11 +2,12 @@
 
 Everything here favors obviousness over speed: scores are scalar
 left-to-right dot products, the clipping oracle counts each n-gram
-order separately, the envelope oracle
-probes between all O(K^2) pairwise crossings, the interval oracle
-re-derives each interval's statistics from scratch at a probe point,
-and the weight-grid scan enumerates every selection a dense grid of
-weight vectors can reach.  Statistics rows are summed as Python ints,
+order separately, the envelope oracle probes between all O(K^2)
+pairwise crossings, the bare stack builds one sentence's hull at a
+time, the interval oracles re-derive each interval's statistics from
+scratch at a probe point or from the hulls' breakpoints, and the
+weight-grid scan enumerates every selection a dense grid of weight
+vectors can reach.  Statistics rows are summed as Python ints,
 independently of the production sums.
 """
 

@@ -23,11 +23,13 @@ takes sentences (hypotheses with their references) in blocks of about
 the corpus.  Within a block every token gets an integer id, and every
 order-n n-gram of a sentence gets a dense id from its order-(n-1)
 prefix id and its last token, so keys stay in ``int64`` for any
-vocabulary.  One stable sort per order groups equal (sentence, n-gram)
+vocabulary.  One sort per order groups equal (sentence, n-gram)
 occurrences, references first; a hypothesis occurrence matches while
 its running count in that hypothesis is at most the largest count in
 any one reference, which sums to ``min(count_hyp, max_r count_r)`` per
-n-gram.
+n-gram.  Only n-grams that occur in a reference and in a hypothesis of
+their sentence extend to the next order: no longer n-gram can match
+without its prefix matching.  Totals come from lengths.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ def _effective_ref_lens(
     return np.where(take_shorter, shorter, longer)
 
 
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative keys, by a faster sort of unique keys."""
+    n = len(key)
+    if (int(key.max(initial=0)) + 1) * n < 2**63:  # ties broken by index, within int64
+        return np.argsort(key * n + np.arange(n))
+    return np.argsort(key, kind="stable")
+
+
 def _block_rows(block: list[Sentence]) -> np.ndarray:
     """Statistics rows of the hypotheses of one block of sentences."""
     refs = list(chain.from_iterable(sentence_refs for _, sentence_refs in block))
@@ -109,30 +119,36 @@ def _block_rows(block: list[Sentence]) -> np.ndarray:
     pos = np.arange(width)
     hyp_lens = lens[n_refs:]
     rows = np.zeros((n_hyps, 10), dtype=np.int64)
+    rows[:, 4:8] = np.maximum(hyp_lens[:, None] - np.arange(NGRAM_ORDER), 0)
     for n in range(1, NGRAM_ORDER + 1):
-        pos = pos[left[pos] >= n]
-        rows[:, NGRAM_ORDER + n - 1] = np.maximum(hyp_lens - (n - 1), 0)
         if not len(pos):
             break
-        # Positions are in sequence order and the sort is stable, so each
-        # run of one n-gram lists its references' occurrences first.
+        # Equal keys share a prefix (at order 1, the sentence) whose
+        # occurrences are in sequence order: pos starts so, and stable
+        # sorts keep it within runs.  So references lead every run.
         key = gram[pos] * width + token[pos + n - 1]
-        order = np.argsort(key, kind="stable")
+        order = _stable_argsort(key)
         key = key[order]
-        owner_seq = seq[pos[order]]
+        at = pos[order]
+        owner_seq = seq[at]
         new_gram = np.empty(len(key), dtype=bool)
         new_gram[0] = True
         np.not_equal(key[1:], key[:-1], out=new_gram[1:])
+        starts = np.flatnonzero(new_gram)
         group = np.cumsum(new_gram) - 1
-        gram[pos[order]] = group
+        gram[at] = group
         new_run = new_gram.copy()
         new_run[1:] |= owner_seq[1:] != owner_seq[:-1]
         index = np.arange(len(key))
         occurrence = index - np.maximum.accumulate(np.where(new_run, index, 0)) + 1
         in_hyp = owner_seq >= n_refs
-        ref_max = np.maximum.reduceat(np.where(in_hyp, 0, occurrence), np.flatnonzero(new_gram))
+        ref_max = np.maximum.reduceat(np.where(in_hyp, 0, occurrence), starts)
         matched = in_hyp & (occurrence <= ref_max[group])
         rows[:, n - 1] = np.bincount(owner_seq[matched] - n_refs, minlength=n_hyps)
+        # An (n+1)-gram fits where n more tokens follow, and can match only if its
+        # prefix run starts with a reference and ends with a hypothesis.
+        live = (ref_max > 0) & in_hyp[np.append(starts[1:], len(key)) - 1]
+        pos = at[live[group] & (left[at] > n)]
     rows[:, 8] = hyp_lens
     rows[:, 9] = _effective_ref_lens(lens[:n_refs], owner[:n_refs], hyp_lens, owner[n_refs:])
     return rows

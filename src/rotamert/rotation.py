@@ -221,9 +221,10 @@ def _grid_point(task: tuple, alpha: float) -> RssRecord:
     closed, opened, init_w, gridded, fixed, config = task
     system = _build_system(closed.feature_dim, gridded, alpha, fixed)
     weights, trace = kcd_optimize(closed, init_w, system, config)
-    closed_bleu = closed.argmax_error(closed.project(weights)).bleu
+    # The last step's line search checked its error at exactly these weights.
+    final = trace.steps[-1].error if trace.steps else closed.argmax_error(closed.project(weights))
     open_bleu = opened.argmax_error(opened.project(weights)).bleu
-    return RssRecord(alpha, weights, closed_bleu, open_bleu, trace)
+    return RssRecord(alpha, weights, final.bleu, open_bleu, trace)
 
 
 # The grid task of an rss pool worker, set by its initializer; None elsewhere.

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rotamert import bleu
 from rotamert.bleu import corpus_stats, row_bleu, stats_blocks
 from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
@@ -256,7 +259,58 @@ def _synth_corpora():
         yield from generate(spec)
 
 
+def _block_sentences(vocab):
+    """Sentences over ``vocab``: short and long hypotheses, short and longer references."""
+
+    def seqs(low, high):
+        return st.lists(st.sampled_from(vocab), min_size=low, max_size=high).map(tuple)
+
+    return st.lists(
+        st.tuples(
+            st.lists(st.one_of(seqs(0, 3), seqs(4, 12)), min_size=1, max_size=4),
+            st.lists(st.one_of(seqs(0, 3), seqs(0, 8)), min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+
+
 class TestStatsKernel:
+    # One to three token types repeat n-grams at every order and share
+    # them across the sentences of a block; long hypotheses against short
+    # references stop matching at order 1 or 2, so the kernel runs out of
+    # n-grams that can match before order 4 while total_4 is positive.
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.sampled_from(["a", "ab", "abc"]).flatmap(_block_sentences))
+    @example([([("a", "b") * 3, ()], [("a", "b"), ("b",)]), ([("b", "a", "b", "b")], [()])])
+    def test_rows_match_counting_oracle_on_tiny_vocabularies(self, sentences):
+        expected = _oracle_rows(sentences)
+        assert _kernel_rows(sentences) == expected
+        assert _kernel_rows(sentences, _block_tokens=1) == expected
+
+    @pytest.mark.parametrize("ties", [1, 3, 1000])
+    def test_unique_key_sort_equals_the_stable_sort(self, ties, monkeypatch):
+        kinds = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        n = 4096
+        draws = np.random.default_rng(ties).integers(0, ties, n)
+        # (key.max() + 1) * n below, at and above 2**63: the unique keys
+        # still fit in int64 only below it.
+        for top, kind in ((2**63 // n - 1, None), (2**63 // n, "stable"), (2**63 // n + 1, "stable")):
+            key = top - 1 - draws
+            key[0] = top - 1
+            kinds.clear()
+            assert bleu._stable_argsort(key).tolist() == argsort(key, kind="stable").tolist()
+            assert kinds[0] == kind
+        key = np.array([], dtype=np.int64)
+        assert bleu._stable_argsort(key).tolist() == []
+
     def test_rows_match_counting_oracle(self):
         corpora = [random_corpus(seed)[0] for seed in range(40)] + list(_synth_corpora())
         for i, corpus in enumerate(corpora):

@@ -6,7 +6,7 @@ import pytest
 
 import rotamert.rotation
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
-from rotamert.descent import KcdConfig, basis_directions, kcd_optimize
+from rotamert.descent import KcdConfig, KcdTrace, basis_directions, kcd_optimize
 from rotamert.envelope import PackedCorpus, SearchPlan
 from rotamert.errors import (
     ConfigError,
@@ -169,6 +169,29 @@ class TestRssOptimize:
             )
             assert result.baseline is not None
             assert result.selected.closed_bleu >= result.baseline.closed_bleu
+
+    def test_closed_bleu_is_the_score_of_the_final_weights(self, monkeypatch):
+        corpus, _ = random_corpus(7, min_features=2)
+        closed = PackedCorpus.of(corpus)
+
+        def fresh_bleu(weights):
+            return closed.argmax_error(closed.project(weights)).bleu
+
+        grid = [-0.5, 0.0, 0.5]
+        result = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
+        for record in result.records:
+            assert record.trace.steps
+            assert record.closed_bleu == fresh_bleu(record.weights)
+        # A descent that records no step is scored afresh.
+        monkeypatch.setattr(
+            rotamert.rotation,
+            "kcd_optimize",
+            lambda corpus, w, system, config: (w, KcdTrace((), w, 1)),
+        )
+        init = (0.3, -1.0) + (0.0,) * (corpus.feature_dim - 2)
+        result = rss_optimize(corpus, corpus, init, rotation_spec=((0, 1),), grid=grid)
+        for record in result.records:
+            assert record.closed_bleu == fresh_bleu(init)
 
     def test_all_tied_selects_zero(self):
         corpus = one_hypothesis_corpus()

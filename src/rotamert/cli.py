@@ -225,13 +225,13 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
+    # Packed here, so the parsed corpus is freed before the descent.
     packed = PackedCorpus.of(_load_corpus(cfg.nbest, cfg.refs, "closed"))
     weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg)
     out = Path(cfg.out)
     _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))
     _write(out / "trace.tsv", trace.to_tsv())
-    final = packed.argmax_error(packed.project(weights))
-    print(f"{final.bleu * 100.0:.2f}")
+    print(f"{trace.final_error.bleu * 100.0:.2f}")
     return 0
 
 

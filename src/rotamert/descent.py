@@ -64,6 +64,7 @@ class KcdTrace:
     steps: tuple[StepRecord, ...]
     final_weights: tuple[float, ...]
     iterations: int
+    final_error: ErrorValue  # the error at final_weights
 
     def to_tsv(self) -> str:
         rows = ["iter\tdim\tgamma\terror\tbleu"]
@@ -131,7 +132,9 @@ def kcd_optimize(
 
     Weights default to uniform ``1/M`` and are never normalized.  Each
     applied step takes the weights and error of the exact line search,
-    so the trace is non-increasing by construction.  A :class:`TuningCorpus`
+    so the trace is non-increasing by construction.  The trace's
+    ``final_error`` is the error at the final weights: the last search
+    checked it there, or, with no step, the start's.  A :class:`TuningCorpus`
     is scored and packed once here and shared by every line search;
     ``corpus`` may instead be a :class:`PackedCorpus` packed earlier.
     """
@@ -166,4 +169,4 @@ def kcd_optimize(
             break
         previous_sweep = new_error
 
-    return point.weights, KcdTrace(tuple(steps), point.weights, iterations)
+    return point.weights, KcdTrace(tuple(steps), point.weights, iterations, point.error_at_star)

@@ -170,14 +170,18 @@ class RssResult:
 RotationSpecItem = tuple  # (from_dim, to_dim) or (from_dim, to_dim, alpha)
 
 
-def _normalize_spec(
-    rotation_spec: Sequence[RotationSpecItem],
-) -> tuple[tuple[int, int] | None, list[Rotation]]:
-    """Split a spec into the gridded leading pair and the fixed rest.
+def grid_systems(
+    dim: int,
+    rotation_spec: Sequence[RotationSpecItem] = (),
+    grid: AlphaGrid | Sequence[float] | None = None,
+) -> tuple[tuple[float, CoordinateSystem], ...]:
+    """The run's grid points: each alpha with its coordinate system, all checked.
 
-    Only the first pair may omit its alpha (that one takes values from
-    the grid); any later pair must fix one explicitly.  A spec whose
-    first pair also fixes alpha runs as a single evaluation.
+    Only the first pair may omit its alpha: it is the gridded one, and
+    any later pair must fix one.  The fixed rotations tilt the identity
+    once; the gridded pair tilts that base once per alpha.  A spec of
+    fixed rotations only is one point, labeled by the first alpha; with
+    no rotation, every alpha gets the unrotated system.
     """
     gridded: tuple[int, int] | None = None
     fixed: list[Rotation] = []
@@ -200,31 +204,28 @@ def _normalize_spec(
                 f"rotation items must be (from, to) or (from, to, alpha), "
                 f"got {item!r}"
             )
-    return gridded, fixed
-
-
-def _build_system(
-    dim: int,
-    gridded: tuple[int, int] | None,
-    alpha: float,
-    fixed: Sequence[Rotation],
-) -> CoordinateSystem:
-    system = identity_system(dim)
-    if gridded is not None:
-        system = apply_rotation(system, Rotation(gridded[0], gridded[1], alpha))
+    grid = AlphaGrid() if grid is None else grid
+    alphas = grid.points() if isinstance(grid, AlphaGrid) else tuple(grid)
+    if gridded is None and fixed:
+        alphas = (fixed[0].alpha,)
+    if not alphas:
+        raise GridEmpty("alpha grid has no points")
+    base = identity_system(dim)
     for rotation in fixed:
-        system = apply_rotation(system, rotation)
-    return system
+        base = apply_rotation(base, rotation)
+    return tuple(
+        (alpha, base if gridded is None else apply_rotation(base, Rotation(*gridded, alpha)))
+        for alpha in alphas
+    )
 
 
-def _grid_point(task: tuple, alpha: float) -> RssRecord:
-    closed, opened, init_w, gridded, fixed, config = task
-    system = _build_system(closed.feature_dim, gridded, alpha, fixed)
+def _grid_point(task: tuple, point: tuple[float, CoordinateSystem]) -> RssRecord:
+    """One alpha's descent, scored on both corpora at its final weights."""
+    closed, opened, init_w, config = task
+    alpha, system = point
     weights, trace = kcd_optimize(closed, init_w, system, config)
-    # The last step's line search checked its error at exactly these weights.
-    final = trace.steps[-1].error if trace.steps else closed.argmax_error(closed.project(weights))
     open_bleu = opened.argmax_error(opened.project(weights)).bleu
-    return RssRecord(alpha, weights, final.bleu, open_bleu, trace)
+    return RssRecord(alpha, weights, trace.final_error.bleu, open_bleu, trace)
 
 
 # The grid task of an rss pool worker, set by its initializer; None elsewhere.
@@ -236,8 +237,8 @@ def _init_worker(task: tuple) -> None:
     _worker_task = task
 
 
-def _worker_point(alpha: float) -> RssRecord:
-    return _grid_point(_worker_task, alpha)
+def _worker_point(point: tuple[float, CoordinateSystem]) -> RssRecord:
+    return _grid_point(_worker_task, point)
 
 
 def rss_optimize(
@@ -252,14 +253,15 @@ def rss_optimize(
 ) -> RssResult:
     """Grid-search rotation strength alpha, one descent run per point.
 
-    Every run starts from the same ``init_w``.  The first point runs
-    in-process; up to ``jobs`` worker processes run the rest when at
-    least two points remain and the first point's CPU time times their
-    number is at least ``POOL_MIN_SECONDS``, and otherwise they run
-    in-process too.  Selection maximizes the closed (tuning) BLEU; ties
-    prefer the smallest ``|alpha|``, then the negative one.  The
-    alpha = 0 record, when the grid contains it, is kept as the
-    unrotated baseline.
+    Every point's system is built by :func:`grid_systems` before either
+    corpus is packed, and every run starts from the same ``init_w``.
+    The first point runs in-process; up to ``jobs`` worker processes run
+    the rest when at least two points remain and the first point's CPU
+    time times their number is at least ``POOL_MIN_SECONDS``, and
+    otherwise they run in-process too.  Selection maximizes the closed
+    (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
+    negative one.  The alpha = 0 record, when the grid contains it, is
+    kept as the unrotated baseline.
     """
     if closed_corpus.feature_dim != open_corpus.feature_dim:
         raise DimensionMismatch(
@@ -269,32 +271,22 @@ def rss_optimize(
     init_w = initial_weights(init_w, closed_corpus.feature_dim)
     if config is None:
         config = KcdConfig()
-    gridded, fixed = _normalize_spec(rotation_spec)
-    if grid is None:
-        grid = AlphaGrid()
-    alphas = tuple(grid.points()) if isinstance(grid, AlphaGrid) else tuple(grid)
-    if gridded is None and fixed:
-        # Fully fixed spec: a single evaluation, labeled by the leading alpha.
-        alphas = (fixed[0].alpha,)
-    if not alphas:
-        raise GridEmpty("alpha grid has no points")
+    points = grid_systems(closed_corpus.feature_dim, rotation_spec, grid)
 
-    closed = PackedCorpus.of(closed_corpus)
-    opened = PackedCorpus.of(open_corpus)
-    task = (closed, opened, init_w, gridded, fixed, config)
+    task = (PackedCorpus.of(closed_corpus), PackedCorpus.of(open_corpus), init_w, config)
     started = time.process_time()
-    records = (_grid_point(task, alphas[0]),)
-    rest = alphas[1:]
+    records = (_grid_point(task, points[0]),)
+    rest = points[1:]
     workers = min(jobs, len(rest))
     if workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS:
         from concurrent.futures import ProcessPoolExecutor
 
         # Each worker receives the task once (inherited under fork, pickled
-        # once under spawn or forkserver); a grid point sends only its alpha.
+        # once under spawn or forkserver); a grid point sends (alpha, system).
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
             records += tuple(pool.map(_worker_point, rest))
     else:
-        records += tuple(_grid_point(task, alpha) for alpha in rest)
+        records += tuple(_grid_point(task, point) for point in rest)
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None)

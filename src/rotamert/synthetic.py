@@ -6,7 +6,8 @@ by tokens that occur in no reference of that sentence, so more quality
 never means fewer n-gram matches).  Feature vectors are linear mixtures
 of ``q`` and Gaussian noise, with designated feature pairs reshaped to a
 target sample correlation.  Closed and open splits come from disjoint
-seed substreams and never share a reference token sequence.
+seed substreams, share one mixture (drawn by the closed split), and
+never share a reference token sequence.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def _generate_split(
     spec: SynthSpec,
     seed_seq: np.random.SeedSequence,
     forbidden: frozenset[Tokens],
-) -> TuningCorpus:
+    mixing: np.ndarray | None = None,
+) -> tuple[TuningCorpus, np.ndarray]:
     rng = np.random.default_rng(seed_seq)
     vocab = [f"w{i}" for i in range(spec.vocab_size)]
     nbest: dict[int, list[Hypothesis]] = {}
@@ -159,9 +161,10 @@ def _generate_split(
         tokens_by_sentence.append(sentence_tokens)
         refs_map[s] = refs
 
-    mixing = rng.uniform(0.6, 1.5, size=spec.features) * rng.choice(
-        [-1.0, 1.0], size=spec.features
-    )
+    if mixing is None:
+        mixing = rng.uniform(0.6, 1.5, size=spec.features) * rng.choice(
+            [-1.0, 1.0], size=spec.features
+        )
     flat_q = qualities.reshape(-1)
     features = (flat_q[:, None] - 0.5) * mixing[None, :]
     features = features + 0.35 * rng.standard_normal(features.shape)
@@ -185,17 +188,15 @@ def _generate_split(
                 )
             )
         nbest[s] = hyps
-    return build_corpus(nbest, refs_map)
+    return build_corpus(nbest, refs_map), mixing
 
 
 def generate(spec: SynthSpec) -> tuple[TuningCorpus, TuningCorpus]:
     """Produce the (closed, open) corpus pair for a spec, deterministically."""
     closed_seq, open_seq = np.random.SeedSequence(spec.seed).spawn(2)
-    closed = _generate_split(spec, closed_seq, frozenset())
-    closed_refs = frozenset(
-        ref for entry in closed.entries for ref in entry.references
-    )
-    opened = _generate_split(spec, open_seq, closed_refs)
+    closed, mixing = _generate_split(spec, closed_seq, frozenset())
+    closed_refs = frozenset(ref for entry in closed.entries for ref in entry.references)
+    opened, _ = _generate_split(spec, open_seq, closed_refs, mixing)
     return closed, opened
 
 

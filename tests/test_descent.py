@@ -233,3 +233,19 @@ def test_a_search_from_the_previous_result_equals_one_from_its_weights(monkeypat
         kcd_optimize(corpus, config=KcdConfig(max_iter=3, sweep_mode=mode))
     assert len(starts) > 100
     assert any(start.gamma_star != 0.0 for start in starts)
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_final_error_is_the_error_at_the_final_weights(mode):
+    for seed in range(30):
+        corpus, rng = random_corpus(seed)
+        packed = PackedCorpus.of(corpus)
+        start = tuple(rng.normal(0.0, 1.0, corpus.feature_dim).tolist())
+        weights, trace = kcd_optimize(packed, start, config=KcdConfig(sweep_mode=mode))
+        assert trace.final_error == packed.argmax_error(packed.project(weights)), f"seed {seed}"
+    # With every direction zero the descent takes no step and ends where it started.
+    zero = CoordinateSystem(((0.0,) * corpus.feature_dim,) * corpus.feature_dim)
+    with pytest.warns(DegenerateDirectionWarning):
+        weights, trace = kcd_optimize(packed, start, zero, KcdConfig(sweep_mode=mode))
+    assert trace.steps == () and weights == start
+    assert trace.final_error == packed.argmax_error(packed.project(start))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rotamert.rotation
+from rotamert.bleu import ErrorValue
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
 from rotamert.descent import KcdConfig, KcdTrace, basis_directions, kcd_optimize
 from rotamert.envelope import PackedCorpus, SearchPlan
@@ -22,6 +23,7 @@ from rotamert.rotation import (
     Rotation,
     apply_rotation,
     format_alpha,
+    grid_systems,
     identity_system,
     rss_optimize,
     summary_rows,
@@ -182,16 +184,16 @@ class TestRssOptimize:
         for record in result.records:
             assert record.trace.steps
             assert record.closed_bleu == fresh_bleu(record.weights)
-        # A descent that records no step is scored afresh.
+        # The closed score is the descent's final error, taken as it is.
+        final = ErrorValue(0.75, 0.25)
         monkeypatch.setattr(
             rotamert.rotation,
             "kcd_optimize",
-            lambda corpus, w, system, config: (w, KcdTrace((), w, 1)),
+            lambda corpus, w, system, config: (w, KcdTrace((), w, 1, final)),
         )
-        init = (0.3, -1.0) + (0.0,) * (corpus.feature_dim - 2)
-        result = rss_optimize(corpus, corpus, init, rotation_spec=((0, 1),), grid=grid)
+        result = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
         for record in result.records:
-            assert record.closed_bleu == fresh_bleu(init)
+            assert record.closed_bleu == final.bleu
 
     def test_all_tied_selects_zero(self):
         corpus = one_hypothesis_corpus()
@@ -225,6 +227,38 @@ class TestRssOptimize:
         assert len(result.records) == 1
         assert result.records[0].alpha == 0.3
         assert result.baseline is None
+
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            (((0, 1),), [0.0, float("nan")]),
+            (((0, 1), (5, 0, 0.5)), [0.0]),
+            (((0, 1, 0.5), (2, 1, 0.5)), None),
+            (((0, 1), (1, 0, 0.5), (1, 0, 0.25)), [0.0]),
+        ],
+    )
+    def test_every_point_is_checked_before_anything_is_packed(self, monkeypatch, spec, grid):
+        def refuse(*args):
+            raise AssertionError("packed or descended before every grid point was checked")
+
+        monkeypatch.setattr(PackedCorpus, "of", staticmethod(refuse))
+        monkeypatch.setattr(rotamert.rotation, "kcd_optimize", refuse)
+        corpus = one_hypothesis_corpus()
+        with pytest.raises(ConfigError):
+            rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid)
+
+    def test_grid_systems_tilt_the_fixed_base_once_per_alpha(self):
+        points = grid_systems(3, ((0, 1), (2, 0, 0.5)), [-0.5, 0.0])
+        assert [alpha for alpha, _ in points] == [-0.5, 0.0]
+        for alpha, system in points:
+            assert system.directions == ((1.0, alpha, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 1.0))
+            assert system.provenance == (Rotation(2, 0, 0.5), Rotation(0, 1, alpha))
+        # Fixed rotations only: one point, labeled by the first alpha.
+        ((alpha, system),) = grid_systems(3, ((1, 2, 0.25), (0, 1, -1.0)))
+        assert alpha == 0.25
+        assert system.directions == ((1.0, -1.0, 0.0), (0.0, 1.0, 0.25), (0.0, 0.0, 1.0))
+        # No rotation: every alpha labels the unrotated system.
+        assert grid_systems(2, (), [0.5, 1.0]) == ((0.5, identity_system(2)), (1.0, identity_system(2)))
 
     def test_later_pair_must_fix_alpha(self):
         corpus = one_hypothesis_corpus()

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rotamert.bleu import stats_blocks
+from rotamert.descent import kcd_optimize, uniform_weights
+from rotamert.envelope import PackedCorpus
 from rotamert.errors import SpecInvalid
 from rotamert.synthetic import (
     MAX_FEATURE_VALUES,
@@ -114,6 +116,31 @@ class TestGenerate:
         closed_refs = {r for e in closed.entries for r in e.references}
         open_refs = {r for e in opened.entries for r in e.references}
         assert closed_refs.isdisjoint(open_refs)
+
+    def test_splits_share_one_feature_model(self):
+        # Each feature moves with quality the same way in both splits, so
+        # the open split tests the task the closed split tunes for.
+        def signs(corpus):
+            features = np.array([h.features for e in corpus.entries for h in e.hypotheses])
+            blocks = stats_blocks((tuple(h.tokens for h in e.hypotheses), e.references) for e in corpus.entries)
+            rows = np.concatenate(list(blocks))
+            precision = rows[:, 0] / rows[:, 4]
+            return [np.sign(np.corrcoef(column, precision)[0, 1]) for column in features.T]
+
+        for seed in range(6):
+            spec = SynthSpec(30, 25, 4, correlated_pairs=((0, 1, 0.9),), seed=seed)
+            closed, opened = generate(spec)
+            assert signs(closed) == signs(opened), f"seed {seed}"
+
+    def test_closed_tuned_weights_carry_over_to_the_open_split(self):
+        for seed in (1, 3, 4, 5):
+            spec = SynthSpec(30, 25, 4, correlated_pairs=((0, 1, 0.9),), seed=seed)
+            closed, opened = generate(spec)
+            weights, _ = kcd_optimize(closed)
+            packed = PackedCorpus.of(opened)
+            tuned = packed.argmax_error(packed.project(weights)).bleu
+            uniform = packed.argmax_error(packed.project(uniform_weights(4))).bleu
+            assert tuned > uniform + 0.15, f"seed {seed}"
 
     def test_kept_positions_lower_bound_unigram_matches(self):
         # Corruption only swaps in tokens that occur in no reference, so

@@ -92,13 +92,17 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _block_rows(block: list[Sentence]) -> np.ndarray:
-    """Statistics rows of the hypotheses of one block of sentences."""
+def _block_rows(block: list[Sentence], seq_lens: list[int]) -> np.ndarray:
+    """Statistics rows of the hypotheses of one block of sentences.
+
+    ``seq_lens`` holds the lengths of the block's references, then of its
+    hypotheses, each in sentence order.
+    """
     refs = list(chain.from_iterable(sentence_refs for _, sentence_refs in block))
     hyps = list(chain.from_iterable(sentence_hyps for sentence_hyps, _ in block))
     n_refs, n_hyps = len(refs), len(hyps)
     seqs = refs + hyps  # references first: they lead every run of equal n-grams
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    lens = np.array(seq_lens, dtype=np.int64)
     ends = np.cumsum(lens)
     width = int(ends[-1])
     # A token's id is the position of its first occurrence in the block.
@@ -163,18 +167,23 @@ def stats_blocks(
     Raises :class:`NoReferences` for a sentence without references.
     """
     block: list[Sentence] = []
+    ref_lens: list[int] = []
+    hyp_lens: list[int] = []
     size = 0
     for sentence_hyps, sentence_refs in sentences:
         if not sentence_refs:
             raise NoReferences("sentence has no references")
         block.append((sentence_hyps, sentence_refs))
-        size += sum(map(len, sentence_hyps)) + sum(map(len, sentence_refs))
-        size += len(sentence_hyps) + len(sentence_refs)
+        refs = list(map(len, sentence_refs))
+        hyps = list(map(len, sentence_hyps))
+        ref_lens += refs
+        hyp_lens += hyps
+        size += sum(refs) + sum(hyps) + len(refs) + len(hyps)
         if size >= _block_tokens:
-            yield _block_rows(block)
-            block, size = [], 0
+            yield _block_rows(block, ref_lens + hyp_lens)
+            block, ref_lens, hyp_lens, size = [], [], [], 0
     if block:
-        yield _block_rows(block)
+        yield _block_rows(block, ref_lens + hyp_lens)
 
 
 def corpus_stats(corpus: TuningCorpus) -> np.ndarray:

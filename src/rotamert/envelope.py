@@ -52,11 +52,6 @@ COALESCE_REL = 2**-30
 # estimate is within 1e-12 of row_bleu, far inside half this bound.
 RESCORE_BOUND = 1e-9
 
-# Memory cap of the domination prefilter's padded matrix (see
-# _may_reach_hull), in float64 cells per line.
-PAD_CELLS_PER_LINE = 8
-
-Cells = tuple[np.ndarray, np.ndarray, int]  # each line's cell, its mirror's, the row width
 Hulls = tuple[np.ndarray, np.ndarray, np.ndarray]  # breakpoints, segment rows, counts
 
 
@@ -165,38 +160,27 @@ def _first_max(values: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.
     return hits[np.searchsorted(hits, starts)]
 
 
-def _pad_cells(owner: np.ndarray, size: int) -> Cells | None:
-    """Cells of lines grouped by ``owner`` in a padded matrix, one row per sentence.
-
-    None if the padding would exceed ``PAD_CELLS_PER_LINE`` cells per
-    line (one sentence far longer than the rest).
-    """
-    column = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    width = int(column.max(initial=-1)) + 1
-    if size * width > PAD_CELLS_PER_LINE * len(owner):
-        return None
-    cell = owner * width + column
-    return cell, cell + (width - 1 - 2 * column), width
-
-
-def _may_reach_hull(intercepts: np.ndarray, cells: Cells | None, size: int) -> np.ndarray:
+def _may_reach_hull(intercepts: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Mask of the lines that no two lines of their sentence dominate.
 
-    Lines come grouped by sentence in strictly ascending slope order.
-    A line with a strictly higher intercept on both sides of its slope
-    is below one of those two lines at every gamma.  The kept lines are
-    each sentence's running intercept maxima from either end, found on
-    the -inf padded rows of ``cells`` by float comparisons only.
-    Without cells, every line is kept.
+    Lines come grouped by ascending sentence ``owner``, each sentence in
+    strictly ascending slope order.  A line with a strictly higher
+    intercept on both sides of its slope is below one of those two lines
+    at every gamma.  The kept lines are each sentence's running intercept
+    maxima from either end.  numpy orders complex numbers by real part,
+    then imaginary part, so one running maximum of ``owner + 1j *
+    intercept`` over all lines restarts at each sentence, and so does one
+    of ``-owner + 1j * intercept`` run from the high end.  Their
+    imaginary parts are compared with the intercepts as floats, so
+    ``-0.0`` ties ``0.0``.  Memory is a few arrays of one value per line.
     """
-    if cells is None:
-        return np.ones(len(intercepts), dtype=bool)
-    cell, mirror, width = cells
-    padded = np.full((size, width), -np.inf)
-    padded.ravel()[cell] = intercepts
-    from_low = np.maximum.accumulate(padded, axis=1).ravel()[cell]
-    from_high = np.maximum.accumulate(padded[:, ::-1], axis=1).ravel()[mirror]
-    return (from_low == intercepts) | (from_high == intercepts)
+    keyed = np.empty(len(intercepts), dtype=np.complex128)
+    keyed.real = owner
+    keyed.imag = intercepts
+    keep = np.maximum.accumulate(keyed).imag == intercepts
+    keyed.real = -owner
+    keep |= np.maximum.accumulate(keyed[::-1]).imag[::-1] == intercepts
+    return keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +192,8 @@ class SearchPlan:
     (sentence, slope) differ only in intercept, so a search keeps one
     row per run (:meth:`heads`).  ``starts`` holds each run's first
     position and ``run`` each position's run; both are empty when every
-    run is one row.  Each head's sentence is fixed, and so are its ``cells``.
+    run is one row.  The heads come in (sentence, slope) order, which is
+    all that :func:`_may_reach_hull` needs of the plan.
     """
 
     direction: tuple[float, ...]
@@ -218,7 +203,6 @@ class SearchPlan:
     base: np.ndarray  # int64 (N,)
     starts: np.ndarray  # int64 (R,), or (0,) if R == N
     run: np.ndarray  # int64 (N,), or (0,) if R == N
-    cells: Cells | None  # _pad_cells of the heads
 
     @staticmethod
     def of(
@@ -234,8 +218,7 @@ class SearchPlan:
         else:
             starts = np.flatnonzero(first)
             run = np.cumsum(first) - 1
-        cells = _pad_cells(owner[first], size)
-        return SearchPlan(tuple(direction), slopes, sentence, size, base, starts, run, cells)
+        return SearchPlan(tuple(direction), slopes, sentence, size, base, starts, run)
 
     def heads(self, intercepts: np.ndarray) -> np.ndarray:
         """The row of each run with the highest intercept, ties to the lowest label."""
@@ -251,11 +234,13 @@ def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> Hulls:
     sentence's segment count.  Lines sort by ascending slope; slope ties
     keep the higher intercept (it dominates everywhere), full ties the
     lowest label.  Lines that two others of their sentence dominate are
-    dropped (:func:`_may_reach_hull`), then one stack loop runs over all.
+    dropped by :func:`_may_reach_hull`, given each head's sentence, then
+    one stack loop runs over all.
     """
     kept = plan.heads(intercepts)
-    kept = kept[_may_reach_hull(intercepts[kept], plan.cells, plan.size)]
     owner = plan.sentence[kept]
+    reach = _may_reach_hull(intercepts[kept], owner)
+    kept, owner = kept[reach], owner[reach]
     fresh = np.ones(len(kept), dtype=bool)
     fresh[1:] = owner[1:] != owner[:-1]
     # The stack as columns, with the gamma where each line starts to win:

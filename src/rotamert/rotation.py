@@ -179,9 +179,10 @@ def grid_systems(
 
     Only the first pair may omit its alpha: it is the gridded one, and
     any later pair must fix one.  The fixed rotations tilt the identity
-    once; the gridded pair tilts that base once per alpha.  A spec of
-    fixed rotations only is one point, labeled by the first alpha; with
-    no rotation, every alpha gets the unrotated system.
+    once; the gridded pair tilts that base once per alpha.  Without a
+    gridded pair there is exactly one point and ``grid`` is not read: a
+    spec of fixed rotations only is labeled by the first alpha, and no
+    rotation at all is the unrotated system labeled ``0.0``.
     """
     gridded: tuple[int, int] | None = None
     fixed: list[Rotation] = []
@@ -204,12 +205,13 @@ def grid_systems(
                 f"rotation items must be (from, to) or (from, to, alpha), "
                 f"got {item!r}"
             )
-    grid = AlphaGrid() if grid is None else grid
-    alphas = grid.points() if isinstance(grid, AlphaGrid) else tuple(grid)
-    if gridded is None and fixed:
-        alphas = (fixed[0].alpha,)
-    if not alphas:
-        raise GridEmpty("alpha grid has no points")
+    if gridded is None:
+        alphas = (fixed[0].alpha if fixed else 0.0,)
+    else:
+        grid = AlphaGrid() if grid is None else grid
+        alphas = grid.points() if isinstance(grid, AlphaGrid) else tuple(grid)
+        if not alphas:
+            raise GridEmpty("alpha grid has no points")
     base = identity_system(dim)
     for rotation in fixed:
         base = apply_rotation(base, rotation)
@@ -261,7 +263,8 @@ def rss_optimize(
     otherwise they run in-process too.  Selection maximizes the closed
     (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
     negative one.  The alpha = 0 record, when the grid contains it, is
-    kept as the unrotated baseline.
+    kept as the unrotated baseline; with no rotation at all, the one
+    point is that record.
     """
     if closed_corpus.feature_dim != open_corpus.feature_dim:
         raise DimensionMismatch(

@@ -4,6 +4,7 @@ Everything here favors obviousness over speed: scores are scalar
 left-to-right dot products, the clipping oracle counts each n-gram
 order separately, the envelope oracle probes between all O(K^2)
 pairwise crossings, the bare stack builds one sentence's hull at a
+time, the domination reference scans one sentence's intercepts at a
 time, the interval oracles re-derive each interval's statistics from
 scratch at a probe point or from the hulls' breakpoints, and the
 weight-grid scan enumerates every selection a dense grid of weight
@@ -102,6 +103,30 @@ def hull_by_stack(intercepts, slopes, labels):
             break
         stack.append(line)
     return breaks, [label for _, _, label in stack]
+
+
+def running_maxima_from_both_ends(sentences):
+    """Per line, whether its intercept is a running maximum of its sentence
+    from the low or from the high end, as one flat list of bools.
+
+    ``sentences`` holds each sentence's intercepts in ascending slope
+    order.  A line fails both only when a strictly higher intercept lies
+    on each side of it.  Maxima are Python floats, one sentence at a time.
+    """
+    mask = []
+    for intercepts in sentences:
+        from_low = []
+        best = float("-inf")
+        for a in intercepts:
+            best = max(best, a)
+            from_low.append(a == best)
+        from_high = []
+        best = float("-inf")
+        for a in reversed(intercepts):
+            best = max(best, a)
+            from_high.append(a == best)
+        mask += [low or high for low, high in zip(from_low, reversed(from_high))]
+    return mask
 
 
 def split_hulls(hulls, labels):

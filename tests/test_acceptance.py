@@ -255,8 +255,10 @@ def test_criterion_9_parallelism_is_byte_identical(monkeypatch):
 
         for seed in range(8):
             corpus, _ = random_corpus(seed)
-            serial = rss_optimize(corpus, corpus, rotation_spec=(), grid=grid, jobs=1)
-            pooled = rss_optimize(corpus, corpus, rotation_spec=(), grid=grid, jobs=4)
+            # One feature has no pair to grid: one point, and no pool.
+            spec = ((0, 1),) if corpus.feature_dim >= 2 else ()
+            serial = rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid, jobs=1)
+            pooled = rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid, jobs=4)
             assert repr(serial) == repr(pooled), f"seed {seed}"
 
         adv = adversarial_instance()

@@ -13,7 +13,6 @@ from rotamert.envelope import (
     _interval_bounds,
     _intervals,
     _may_reach_hull,
-    _pad_cells,
     _sweep,
 )
 from rotamert.errors import DimensionMismatch, InputError
@@ -260,7 +259,7 @@ class TestDominationPrefilter:
         slopes = np.sort(rng.normal(0.0, 1.0, 200))
         intercepts = rng.normal(0.0, 1.0, 200)
         owner = np.zeros(200, dtype=np.int64)
-        mask = _may_reach_hull(intercepts, _pad_cells(owner, 1), 1)
+        mask = _may_reach_hull(intercepts, owner)
         _, segments = hull_by_stack(intercepts.tolist(), slopes.tolist(), list(range(200)))
         assert mask[segments].all()
         assert mask[[0, -1]].all()  # the extreme slopes always stay
@@ -269,30 +268,33 @@ class TestDominationPrefilter:
     def test_equal_intercepts_do_not_dominate(self):
         # The middle line is only tied on its left: it is kept.
         owner = np.zeros(3, dtype=np.int64)
-        cells = _pad_cells(owner, 1)
-        assert _may_reach_hull(np.array([1.0, 1.0, 2.0]), cells, 1).tolist() == [
+        assert _may_reach_hull(np.array([1.0, 1.0, 2.0]), owner).tolist() == [
             True,
             True,
             True,
         ]
-        assert _may_reach_hull(np.array([1.5, 1.0, 2.0]), cells, 1).tolist() == [
+        assert _may_reach_hull(np.array([1.5, 1.0, 2.0]), owner).tolist() == [
             True,
             False,
             True,
         ]
 
-    def test_skewed_sentences_keep_every_line(self):
-        # One long sentence among many one-line sentences: the padded
-        # matrix would be mostly padding, so nothing is filtered.
+    def test_skewed_sentences_filter_each_sentence_alone(self):
+        # One long sentence among many one-line sentences: the long one
+        # gets the mask it gets alone, and every one-line sentence stays.
         rng = np.random.default_rng(5)
         sets = [(rng.normal(0.0, 1.0, 300).tolist(), rng.normal(0.0, 1.0, 300).tolist())]
         sets += [([float(rng.normal())], [float(rng.normal())]) for _ in range(60)]
         wave = np.sin(np.arange(300.0))  # most of it dominated
-        alone = _pad_cells(np.zeros(300, dtype=np.int64), 1)
-        assert not _may_reach_hull(wave, alone, 1).all()
-        owner = np.repeat(np.arange(61), [300] + [1] * 60)
-        assert _pad_cells(owner, 61) is None
-        assert _may_reach_hull(np.concatenate([wave, np.zeros(60)]), None, 61).all()
+        alone = _may_reach_hull(wave, np.zeros(300, dtype=np.int64))
+        assert not alone.all()
+        # One-line sentences on both sides, above and below every wave
+        # line, so a maximum carried across a sentence boundary shows.
+        singles = np.tile([5.0, -5.0], 30)
+        owner = np.repeat(np.arange(61), [1] * 30 + [300] + [1] * 30)
+        mask = _may_reach_hull(np.concatenate([singles[:30], wave, singles[30:]]), owner)
+        assert mask[30:330].tolist() == alone.tolist()
+        assert mask[:30].all() and mask[330:].all()
         self.assert_same_hulls(sets, "skewed")
 
 

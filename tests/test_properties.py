@@ -11,16 +11,21 @@ deterministic and fast.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.descent import SWEEP_MODES, KcdConfig, basis_directions, kcd_optimize
-from rotamert.envelope import PackedCorpus, _intervals, line_search
+from rotamert.envelope import PackedCorpus, _intervals, _may_reach_hull, line_search
 from rotamert.rotation import CoordinateSystem
 
 from instances import ray_instance
-from oracles import hull_by_stack, intervals_from_hulls, split_hulls
+from oracles import (
+    hull_by_stack,
+    intervals_from_hulls,
+    running_maxima_from_both_ends,
+    split_hulls,
+)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -259,6 +264,33 @@ def test_cached_line_order_is_the_full_sort(packed, weights, d):
         head = np.ones(len(full), dtype=bool)
         head[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])
         assert plan.heads(intercepts).tolist() == full[head].tolist()
+
+
+# Few distinct values, so ties and -0.0 against 0.0 are common, and any finite float.
+intercept = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+short_sentences = st.lists(st.lists(intercept, min_size=1, max_size=8), max_size=8)
+# One long sentence at any place among one-line sentences.
+skewed_sentences = st.builds(
+    lambda long, singles, at: singles[:at] + [long] + singles[at:],
+    st.lists(intercept, min_size=50, max_size=300),
+    st.lists(st.lists(intercept, min_size=1, max_size=1), max_size=60),
+    st.integers(0, 60),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(short_sentences, skewed_sentences))
+@example([])
+@example([[0.0, -0.0, 0.0], [-0.0], [0.0, -0.0]])
+@example([[1.0] * 200 + [2.0, 0.5]] + [[3.0], [-3.0]] * 20)
+def test_prefilter_keeps_each_sentences_running_maxima_from_both_ends(sentences):
+    intercepts = np.array([a for ints in sentences for a in ints], dtype=np.float64)
+    owner = np.repeat(np.arange(len(sentences)), [len(ints) for ints in sentences])
+    mask = _may_reach_hull(intercepts, owner)
+    assert mask.tolist() == running_maxima_from_both_ends(sentences)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)

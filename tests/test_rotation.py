@@ -257,8 +257,28 @@ class TestRssOptimize:
         ((alpha, system),) = grid_systems(3, ((1, 2, 0.25), (0, 1, -1.0)))
         assert alpha == 0.25
         assert system.directions == ((1.0, -1.0, 0.0), (0.0, 1.0, 0.25), (0.0, 0.0, 1.0))
-        # No rotation: every alpha labels the unrotated system.
-        assert grid_systems(2, (), [0.5, 1.0]) == ((0.5, identity_system(2)), (1.0, identity_system(2)))
+        # No rotation: one point, the unrotated system labeled 0.0, whatever the grid.
+        for grid in (None, [0.5, 1.0], [], [float("nan")]):
+            assert grid_systems(2, (), grid) == ((0.0, identity_system(2)),)
+
+    def test_no_rotation_runs_one_descent_and_it_is_the_baseline(self, monkeypatch):
+        corpus = adversarial_instance()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kcd_optimize(*args)
+
+        monkeypatch.setattr(rotamert.rotation, "kcd_optimize", counted)
+        result = rss_optimize(corpus, corpus)
+        assert len(calls) == 1
+        (record,) = result.records
+        assert record.alpha == 0.0 and result.selected_alpha == 0.0
+        assert result.baseline is record
+        assert (record.weights, record.trace) == kcd_optimize(corpus)
+        calls.clear()
+        assert rss_optimize(corpus, corpus, grid=[float("nan")]).selected == record
+        assert len(calls) == 1
 
     def test_later_pair_must_fix_alpha(self):
         corpus = one_hypothesis_corpus()

@@ -18,7 +18,9 @@ reference length and ``exp(1 - ref_len / hyp_len)`` otherwise.  Any zero
 match or total at some order pins the whole score to 0 (no smoothing).
 
 All statistics come from one integer kernel, :func:`stats_blocks`.  It
-takes sentences (hypotheses with their references) in blocks of about
+reads token sequences, not corpus objects: ``PackedCorpus.of`` feeds it
+a tuning corpus, and the ``score`` command a translation file.  It takes
+sentences (hypotheses with their references) in blocks of about
 :data:`BLOCK_TOKENS` tokens, so its scratch memory does not grow with
 the corpus.  Within a block every token gets an integer id, and every
 order-n n-gram of a sentence gets a dense id from its order-(n-1)
@@ -41,7 +43,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import TuningCorpus
 from .errors import NoReferences
 
 NGRAM_ORDER = 4
@@ -186,14 +187,6 @@ def stats_blocks(
         yield _block_rows(block, ref_lens + hyp_lens)
 
 
-def corpus_stats(corpus: TuningCorpus) -> np.ndarray:
-    """``int64 (N, 10)`` statistics rows of every hypothesis, in sentence and rank order."""
-    blocks = stats_blocks(
-        ([h.tokens for h in entry.hypotheses], entry.references) for entry in corpus.entries
-    )
-    return np.concatenate([np.zeros((0, 10), dtype=np.int64), *blocks])
-
-
 def row_bleu(row: Sequence[int]) -> ErrorValue:
     """Corpus error and BLEU of one statistics row (a corpus's rows summed)."""
     match_n, total_n, hyp_len, ref_len = row[0:4], row[4:8], row[8], row[9]
@@ -210,6 +203,11 @@ def row_bleu(row: Sequence[int]) -> ErrorValue:
         brevity = math.exp(1.0 - ref_len / hyp_len)
     bleu = brevity * math.exp(log_precision)
     return ErrorValue(1.0 - bleu, bleu)
+
+
+def format_bleu(bleu: float) -> str:
+    """BLEU as every output prints it: times 100, two decimals (``65.68``)."""
+    return f"{bleu * 100.0:.2f}"
 
 
 def row_errors(rows: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bleu import row_bleu, stats_blocks
+from .bleu import format_bleu, row_bleu, stats_blocks
 from .corpus import TuningCorpus, build_corpus, format_nbest, format_references, parse_nbest, parse_references
 from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, kcd_optimize
 from .envelope import PackedCorpus
@@ -122,9 +122,9 @@ class RunConfig:
         rss_only=True,
         flag="--rotate",
     )
-    grid_start: float = _setting(-1.0, float, "first alpha", rss_only=True)
-    grid_end: float = _setting(1.0, float, "last alpha", rss_only=True)
-    grid_step: float = _setting(0.1, float, "alpha spacing", rss_only=True)
+    grid_start: float = _setting(AlphaGrid.start, float, "first alpha", rss_only=True)
+    grid_end: float = _setting(AlphaGrid.end, float, "last alpha", rss_only=True)
+    grid_step: float = _setting(AlphaGrid.step, float, "alpha spacing", rss_only=True)
     out: str = _setting(".", str, "output directory")
     jobs: int = _setting(
         1,
@@ -206,6 +206,11 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _write_weights(out: Path, weights: tuple[float, ...]) -> None:
+    """``weights.txt``: one weight per line, by ``repr`` so it reads back bit-exactly."""
+    _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     hyp_lines = _read_text(args.hyp).splitlines()
     refs = parse_references(
@@ -218,7 +223,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     total = np.zeros(10, dtype=np.int64)
     for rows in stats_blocks(((line.split(),), refs[i]) for i, line in enumerate(hyp_lines)):
         total += rows.sum(axis=0)
-    print(f"{row_bleu(total.tolist()).bleu * 100.0:.2f}")
+    print(format_bleu(row_bleu(total.tolist()).bleu))
     return 0
 
 
@@ -229,9 +234,9 @@ def cmd_mert(args: argparse.Namespace) -> int:
     packed = PackedCorpus.of(_load_corpus(cfg.nbest, cfg.refs, "closed"))
     weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg)
     out = Path(cfg.out)
-    _write(out / "weights.txt", "".join(f"{w!r}\n" for w in weights))
+    _write_weights(out, weights)
     _write(out / "trace.tsv", trace.to_tsv())
-    print(f"{trace.final_error.bleu * 100.0:.2f}")
+    print(format_bleu(trace.final_error.bleu))
     return 0
 
 
@@ -251,9 +256,7 @@ def cmd_rss(args: argparse.Namespace) -> int:
     )
     out = Path(cfg.out)
     _write(out / "report.tsv", report_tsv(result, closed.feature_names))
-    _write(
-        out / "weights.txt", "".join(f"{w!r}\n" for w in result.selected.weights)
-    )
+    _write_weights(out, result.selected.weights)
     print(f"selected alpha: {format_alpha(result.selected_alpha)}")
     print(summary_rows(result), end="")
     return 0
@@ -343,12 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .bleu import ErrorValue
+from .bleu import ErrorValue, format_bleu
 from .corpus import TuningCorpus
 from .envelope import LineSearchResult, PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
@@ -36,7 +36,7 @@ class KcdConfig:
 
     epsilon: float = DEFAULT_EPSILON
     max_iter: int = DEFAULT_MAX_ITER
-    sweep_mode: str = "sequential"
+    sweep_mode: str = SWEEP_MODES[0]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < math.inf:
@@ -71,7 +71,7 @@ class KcdTrace:
         for step in self.steps:
             rows.append(
                 f"{step.iteration}\t{step.dimension}\t{step.gamma!r}"
-                f"\t{step.error.error!r}\t{step.error.bleu * 100.0:.2f}"
+                f"\t{step.error.error!r}\t{format_bleu(step.error.bleu)}"
             )
         return "\n".join(rows) + "\n"
 

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bleu import ErrorValue, corpus_stats, row_bleu, row_errors
+from .bleu import ErrorValue, row_bleu, row_errors, stats_blocks
 from .corpus import TuningCorpus
 from .errors import DimensionMismatch, InputError
 
@@ -88,7 +88,7 @@ class PackedCorpus:
 
     @staticmethod
     def of(corpus: TuningCorpus) -> PackedCorpus:
-        """Pack ``corpus`` with the statistics rows of :func:`corpus_stats`."""
+        """Pack ``corpus``: the one place a :class:`TuningCorpus` becomes arrays."""
         counts = [len(entry.hypotheses) for entry in corpus.entries]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -96,9 +96,11 @@ class PackedCorpus:
             [h.features for entry in corpus.entries for h in entry.hypotheses],
             dtype=np.float64,
         ).reshape(int(offsets[-1]), corpus.feature_dim)
+        sentences = (([h.tokens for h in entry.hypotheses], entry.references) for entry in corpus.entries)
+        stats = np.concatenate([np.zeros((0, 10), dtype=np.int64), *stats_blocks(sentences)])
         sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
-        return PackedCorpus(features, offsets, corpus_stats(corpus), sentence, rank)
+        return PackedCorpus(features, offsets, stats, sentence, rank)
 
     @property
     def size(self) -> int:

@@ -12,10 +12,12 @@ selection.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bleu import format_bleu
 from .corpus import TuningCorpus
 from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize
 from .envelope import PackedCorpus
@@ -156,15 +158,12 @@ class RssRecord:
 @dataclass(frozen=True)
 class RssResult:
     records: tuple[RssRecord, ...]
-    selected_alpha: float
+    selected: RssRecord  # one of records: the best closed BLEU
     baseline: RssRecord | None
 
     @property
-    def selected(self) -> RssRecord:
-        for record in self.records:
-            if record.alpha == self.selected_alpha:
-                return record
-        raise KeyError(f"no record for selected alpha {self.selected_alpha}")
+    def selected_alpha(self) -> float:
+        return self.selected.alpha
 
 
 RotationSpecItem = tuple  # (from_dim, to_dim) or (from_dim, to_dim, alpha)
@@ -257,10 +256,10 @@ def rss_optimize(
 
     Every point's system is built by :func:`grid_systems` before either
     corpus is packed, and every run starts from the same ``init_w``.
-    The first point runs in-process; up to ``jobs`` worker processes run
-    the rest when at least two points remain and the first point's CPU
-    time times their number is at least ``POOL_MIN_SECONDS``, and
-    otherwise they run in-process too.  Selection maximizes the closed
+    The first point runs in-process; up to ``jobs`` worker processes, but
+    no more than the CPU count, run the rest when at least two points
+    remain and the first point's CPU time times their number is at least
+    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  Selection maximizes the closed
     (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
     negative one.  The alpha = 0 record, when the grid contains it, is
     kept as the unrotated baseline; with no rotation at all, the one
@@ -272,15 +271,13 @@ def rss_optimize(
             f"open corpus has {open_corpus.feature_dim}"
         )
     init_w = initial_weights(init_w, closed_corpus.feature_dim)
-    if config is None:
-        config = KcdConfig()
     points = grid_systems(closed_corpus.feature_dim, rotation_spec, grid)
 
     task = (PackedCorpus.of(closed_corpus), PackedCorpus.of(open_corpus), init_w, config)
     started = time.process_time()
     records = (_grid_point(task, points[0]),)
     rest = points[1:]
-    workers = min(jobs, len(rest))
+    workers = min(jobs, len(rest), os.cpu_count() or 1)
     if workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -293,7 +290,7 @@ def rss_optimize(
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None)
-    return RssResult(records, best.alpha, baseline)
+    return RssResult(records, best, baseline)
 
 
 def summary_rows(result: RssResult) -> str:
@@ -301,14 +298,13 @@ def summary_rows(result: RssResult) -> str:
     rows = ["system\talpha\tclosed_bleu\topen_bleu"]
     if result.baseline is not None:
         rows.append(
-            f"baseline\t\t{result.baseline.closed_bleu * 100.0:.2f}"
-            f"\t{result.baseline.open_bleu * 100.0:.2f}"
+            f"baseline\t\t{format_bleu(result.baseline.closed_bleu)}"
+            f"\t{format_bleu(result.baseline.open_bleu)}"
         )
     selected = result.selected
     rows.append(
         f"best\t{format_alpha(selected.alpha)}"
-        f"\t{selected.closed_bleu * 100.0:.2f}"
-        f"\t{selected.open_bleu * 100.0:.2f}"
+        f"\t{format_bleu(selected.closed_bleu)}\t{format_bleu(selected.open_bleu)}"
     )
     return "\n".join(rows) + "\n"
 
@@ -320,8 +316,7 @@ def report_tsv(result: RssResult, feature_names: Sequence[str]) -> str:
     for record in result.records:
         weights = "\t".join(repr(w) for w in record.weights)
         rows.append(
-            f"{format_alpha(record.alpha)}"
-            f"\t{record.closed_bleu * 100.0:.2f}"
-            f"\t{record.open_bleu * 100.0:.2f}\t{weights}"
+            f"{format_alpha(record.alpha)}\t{format_bleu(record.closed_bleu)}"
+            f"\t{format_bleu(record.open_bleu)}\t{weights}"
         )
     return "\n".join(rows) + "\n\n" + summary_rows(result)

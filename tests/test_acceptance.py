@@ -6,6 +6,7 @@ values that must agree bit for bit); runtime budgets are asserted where
 a criterion carries one.
 """
 
+import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -244,6 +245,7 @@ def test_criterion_8_grid_cardinality_and_report_layout():
 def test_criterion_9_parallelism_is_byte_identical(monkeypatch):
     # Workers start for any amount of work; the first point runs in-process.
     monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # and on any host
     with criterion(9, "parallel and serial runs produce byte-identical output"):
         # Two points after the first, so the rss process pool really starts workers.
         grid = (-0.5, 0.0, 0.5)

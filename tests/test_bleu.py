@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert import bleu
-from rotamert.bleu import corpus_stats, row_bleu, stats_blocks
+from rotamert.bleu import row_bleu, stats_blocks
 from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
@@ -177,7 +177,7 @@ class TestCorpusBleu:
 class TestCorpusLevelHelpers:
     def test_hypothesis_stats_shape(self):
         corpus, _ = random_corpus(3)
-        stats = corpus_stats(corpus)
+        stats = PackedCorpus.of(corpus).stats
         assert stats.shape == (sum(len(entry.hypotheses) for entry in corpus.entries), 10)
         assert stats.dtype == np.int64
         table = sentence_rows(PackedCorpus.of(corpus))
@@ -201,7 +201,7 @@ class TestCorpusLevelHelpers:
         assert selection_error(packed, chosen) == direct
 
     def test_shared_reference_maxima_match_per_hypothesis_stats(self):
-        # corpus_stats scores whole blocks of sentences at once;
+        # PackedCorpus.of scores whole blocks of sentences at once;
         # every row must equal scoring that hypothesis on its own.
         for seed in range(40):
             corpus, _ = random_corpus(seed)
@@ -315,7 +315,7 @@ class TestStatsKernel:
         corpora = [random_corpus(seed)[0] for seed in range(40)] + list(_synth_corpora())
         for i, corpus in enumerate(corpora):
             expected = _oracle_rows(_sentences(corpus))
-            assert corpus_stats(corpus).tolist() == expected, f"corpus {i}"
+            assert PackedCorpus.of(corpus).stats.tolist() == expected, f"corpus {i}"
 
     def test_rows_do_not_depend_on_block_boundaries(self):
         corpora = [random_corpus(seed)[0] for seed in range(40)] + list(_synth_corpora())

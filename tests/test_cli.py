@@ -656,6 +656,32 @@ class TestRss:
         assert (code, stdout) == (3, "")
         assert_one_error_line(err, out)
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [("0:x", "rotation '0:x' has non-integer dimensions"),
+         ("0:1=abc", "rotation '0:1=abc' has a non-numeric alpha")],
+    )
+    def test_bad_rotation_item_exits_3_naming_it(self, adversarial_files, item, message, capsys):
+        code, stdout, err = run(self.rss_args(adversarial_files, "--rotate", item), capsys)
+        assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+    def test_empty_rotation_items_are_skipped(self, adversarial_files, tmp_path, capsys):
+        outputs = []
+        for rotate in ("0:1", "0:1,,"):
+            out = tmp_path / rotate
+            code, stdout, _ = run(
+                self.rss_args(adversarial_files, "--rotate", rotate, "--out", str(out)), capsys
+            )
+            assert code == 0
+            files = [(out / name).read_text() for name in ("report.tsv", "weights.txt")]
+            outputs.append((stdout, *files))
+        assert outputs[0] == outputs[1]
+
+    def test_closed_references_are_required(self, adversarial_files, capsys):
+        nbest, _ = adversarial_files
+        code, stdout, err = run(["rss", "--nbest", str(nbest), "--rotate", "0:1"], capsys)
+        assert (code, stdout, err) == (3, "", "error: no closed reference files configured\n")
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
     def test_spawned_workers_write_the_serial_bytes(self, tmp_path, capsys):
         # Spawned workers inherit nothing, so all they need must reach them explicitly.
@@ -762,6 +788,12 @@ class TestSynth:
             capsys,
         )
         assert code == 3
+
+    def test_non_numeric_pair_exits_3(self, tmp_path, capsys):
+        args = ["--sentences", "3", "--hyps", "4", "--features", "3", "--pair", "0:1:x"]
+        code, stdout, err = run(["synth", *args, "--out", str(tmp_path / "out")], capsys)
+        assert (code, stdout, err) == (3, "", "error: pair '0:1:x' has non-numeric parts\n")
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_shape_exits_3_before_allocating(self, tmp_path, capsys):
         args = ["--sentences", "100000000", "--hyps", "100000", "--features", "2"]

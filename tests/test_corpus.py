@@ -220,6 +220,22 @@ class TestBuildCorpus:
         with pytest.raises(IdMismatch):
             build_corpus(nbest, {0: [("a",)]})
 
+    def test_hand_built_maps_are_checked_like_parsed_ones(self):
+        with pytest.raises(MalformedLine, match="^sentence 0: empty hypothesis$"):
+            build_corpus({0: [Hypothesis(0, 0, (), (1.0,))]}, {0: [("a",)]})
+        mixed = {0: [Hypothesis(0, 0, ("a",), (1.0, 2.0)), Hypothesis(0, 1, ("b",), (1.0,))]}
+        with pytest.raises(
+            InconsistentFeatureCount, match="^sentence 0: expected 2 features, got 1$"
+        ):
+            build_corpus(mixed, {0: [("a",)]})
+        with pytest.raises(NoReferences, match="^sentence 0 has no non-empty reference$"):
+            build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0,))]}, {0: [(), ()]})
+
+    def test_remap_sparse_ids_needs_matching_ids(self):
+        nbest = {3: [Hypothesis(3, 0, ("a",), (1.0,))]}
+        with pytest.raises(IdMismatch, match="cannot remap: N-best ids and reference ids differ"):
+            remap_sparse_ids(nbest, {4: [("a",)]})
+
     def test_empty_feature_field_is_malformed(self):
         by_id, names = parse_nbest(["0 ||| a b c ||| ||| 0", "0 ||| a c ||| ||| 0"])
         with pytest.raises(MalformedLine, match="feature field is empty"):

@@ -69,7 +69,7 @@ class TestConfig:
         cfg = KcdConfig()
         assert cfg.epsilon == DEFAULT_EPSILON == 0.001
         assert cfg.max_iter == DEFAULT_MAX_ITER == 25
-        assert cfg.sweep_mode == "sequential"
+        assert cfg.sweep_mode == SWEEP_MODES[0] == "sequential"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -192,6 +192,12 @@ class TestDirections:
         dim = corpus.feature_dim
         system = CoordinateSystem(basis_directions(dim + 1))
         with pytest.raises(DimensionMismatch):
+            kcd_optimize(corpus, system=system)
+
+    def test_direction_length_checked(self):
+        corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
+        system = CoordinateSystem(((1.0,), (0.0, 1.0)))
+        with pytest.raises(DimensionMismatch, match="^direction 0 has length 1, expected 2$"):
             kcd_optimize(corpus, system=system)
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -76,6 +77,10 @@ class TestRotation:
         system = apply_rotation(system, Rotation(1, 2, -0.25))
         assert system.directions[1] == (0.0, 1.0, -0.25)
         assert len(system.provenance) == 2
+
+    def test_identity_needs_a_dimension(self):
+        with pytest.raises(ConfigError, match="^need at least one dimension, got 0$"):
+            identity_system(0)
 
 
 class TestAlphaGrid:
@@ -280,6 +285,13 @@ class TestRssOptimize:
         assert rss_optimize(corpus, corpus, grid=[float("nan")]).selected == record
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("item", [(0,), (0, 1, 0.5, 2)])
+    def test_grid_systems_items_have_two_or_three_parts(self, item):
+        with pytest.raises(
+            ConfigError, match=r"^rotation items must be \(from, to\) or \(from, to, alpha\), got "
+        ):
+            grid_systems(3, (item,))
+
     def test_later_pair_must_fix_alpha(self):
         corpus = one_hypothesis_corpus()
         with pytest.raises(ConfigError):
@@ -300,6 +312,7 @@ class TestRssOptimize:
 
     def test_process_parallelism_changes_nothing(self, monkeypatch):
         monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
         corpus = adversarial_instance()
         serial = rss_optimize(
             corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), grid=[-0.2, 0.0, 0.2]
@@ -348,6 +361,7 @@ class TestRssOptimize:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
         spec = dict(rotation_spec=((0, 1),), jobs=4)
         rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.0, 0.5], **spec)
         assert started == []  # one point left after the first
@@ -357,8 +371,29 @@ class TestRssOptimize:
         rss_optimize(corpus, corpus, (1.0, 1.0), grid=[-0.5, 0.0, 0.5], **spec)
         assert started == [2]
 
+    def test_workers_never_outnumber_the_cpus(self, monkeypatch):
+        # The stub records the pool's size, then raises before any process exists.
+        requested = []
+
+        class NoPool(Exception):
+            pass
+
+        def record(workers, **kwargs):
+            requested.append(workers)
+            raise NoPool
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        corpus = adversarial_instance()
+        spec = dict(rotation_spec=((0, 1),), grid=AlphaGrid(0.0, 10_000.0, 1.0), jobs=10_000)
+        with pytest.raises(NoPool):  # 10,001 points, 10,000 jobs
+            rss_optimize(corpus, corpus, (1.0, 1.0), **spec)
+        assert requested == [2]
+
     def test_no_corpus_object_crosses_the_process_boundary(self, monkeypatch):
         monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
         adv = adversarial_instance()
         serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),))
 

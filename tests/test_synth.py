@@ -189,6 +189,24 @@ class TestGenerate:
         rho = np.corrcoef(rows[:, 0], rows[:, 1])[0, 1]
         assert abs(rho - (-0.6)) < 0.1
 
+    def test_one_hypothesis_correlated_pair_stays_finite(self):
+        # One value has no spread to standardize: the pair's target is noise only.
+        spec = SynthSpec(sentences=1, hypotheses=1, features=2, correlated_pairs=((0, 1, 0.5),))
+        for corpus in generate(spec):
+            assert np.isfinite(corpus.entries[0].hypotheses[0].features).all()
+
+    def test_two_word_vocabulary_replaces_with_fresh_tokens(self):
+        # Every vocabulary word is in some reference, so replacements are
+        # fresh tokens that no reference holds.
+        spec = SynthSpec(sentences=3, hypotheses=4, features=2, vocab_size=2, seed=1)
+        for corpus in generate(spec):
+            for s, entry in enumerate(corpus.entries):
+                in_refs = {tok for ref in entry.references for tok in ref}
+                assert in_refs == {"w0", "w1"}
+                for hyp in entry.hypotheses:
+                    assert all(tok in in_refs or tok.startswith(f"x{s}_") for tok in hyp.tokens)
+                assert any(tok not in in_refs for hyp in entry.hypotheses for tok in hyp.tokens)
+
 
 class TestPackagedFixture:
     def test_instance_loads(self):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import format_bleu, row_bleu, stats_blocks
-from .corpus import TuningCorpus, build_corpus, format_nbest, format_references, parse_nbest, parse_references
+from .corpus import build_corpus, format_nbest, format_references, parse_nbest, parse_references
 from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, kcd_optimize
 from .envelope import PackedCorpus
 from .errors import ConfigError, InputError, LengthMismatch
@@ -186,7 +186,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str) -> TuningCorpus:
+def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str) -> PackedCorpus:
+    """Parse, build and pack one split; the parsed corpus is not kept."""
     if not nbest_path:
         raise ConfigError(f"no {label} N-best file configured")
     if not ref_paths:
@@ -195,7 +196,7 @@ def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str)
     refs = parse_references(
         [_read_text(p).splitlines() for p in ref_paths], sources=list(ref_paths)
     )
-    return build_corpus(by_id, refs, names)
+    return PackedCorpus.of(build_corpus(by_id, refs, names))
 
 
 def _write(path: Path, text: str) -> None:
@@ -230,8 +231,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
-    # Packed here, so the parsed corpus is freed before the descent.
-    packed = PackedCorpus.of(_load_corpus(cfg.nbest, cfg.refs, "closed"))
+    packed = _load_corpus(cfg.nbest, cfg.refs, "closed")
     weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg)
     out = Path(cfg.out)
     _write_weights(out, weights)

@@ -206,10 +206,10 @@ def build_corpus(
 ) -> TuningCorpus:
     """Join parsed N-best lists with references into a validated corpus.
 
-    Sentence ids must line up and be dense ``0..S-1``.  Hypotheses that
-    duplicate another one exactly (same tokens and same features) are
-    dropped, keeping the first occurrence.  The result is stable under a
-    second application of this function to its own maps.
+    Sentence ids must line up and be dense ``0..S-1``; feature values must
+    be finite.  Hypotheses duplicating another exactly (same tokens and
+    features) are dropped, keeping the first.  The result is stable under
+    a second application of this function to its own maps.
     """
     nbest_ids = set(nbest)
     ref_ids = set(refs)
@@ -247,6 +247,13 @@ def build_corpus(
                 raise InconsistentFeatureCount(
                     f"sentence {sentence_id}: expected {dim} features, "
                     f"got {len(hyp.features)}"
+                )
+            # A NaN or infinity makes the sum non-finite, and so may finite values.
+            if not math.isfinite(sum(hyp.features)) and not all(map(math.isfinite, hyp.features)):
+                value = next(v for v in hyp.features if not math.isfinite(v))
+                raise NonNumericFeature(
+                    f"sentence {sentence_id}, hypothesis {hyp.rank}: "
+                    f"feature value {value!r} is not finite"
                 )
             key = (hyp.tokens, hyp.features)
             if key in seen:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue, format_bleu
-from .corpus import TuningCorpus
 from .envelope import LineSearchResult, PackedCorpus, line_search
 from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
 
 if TYPE_CHECKING:
+    from .corpus import TuningCorpus
     from .rotation import CoordinateSystem
 
 SWEEP_MODES = ("sequential", "best-direction")
@@ -134,9 +134,8 @@ def kcd_optimize(
     applied step takes the weights and error of the exact line search,
     so the trace is non-increasing by construction.  The trace's
     ``final_error`` is the error at the final weights: the last search
-    checked it there, or, with no step, the start's.  A :class:`TuningCorpus`
-    is scored and packed once here and shared by every line search;
-    ``corpus`` may instead be a :class:`PackedCorpus` packed earlier.
+    checked it there, or, with no step, the start's.  ``corpus`` is
+    packed by :meth:`PackedCorpus.of`, once, and shared by every line search.
     """
     dim = corpus.feature_dim
     w = initial_weights(init_w, dim)
@@ -144,7 +143,7 @@ def kcd_optimize(
     if config is None:
         config = KcdConfig()
     active = _check_directions(directions, dim)
-    packed = corpus if isinstance(corpus, PackedCorpus) else PackedCorpus.of(corpus)
+    packed = PackedCorpus.of(corpus)
     # Each search starts from the previous result and reuses its scores.
     point = LineSearchResult.at(packed, w)
     # Each direction's slopes and line order, shared by every search along it.

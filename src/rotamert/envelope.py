@@ -72,7 +72,7 @@ class LineSearchResult:
 
 @dataclass(frozen=True, eq=False)
 class PackedCorpus:
-    """A corpus as flat arrays, one row per hypothesis in sentence order.
+    """The tuning corpus as flat arrays, one row per hypothesis in sentence order.
 
     Sentence ``s`` owns rows ``offsets[s]:offsets[s + 1]`` in rank
     order; ``stats`` holds each row's BLEU statistics row.
@@ -82,13 +82,15 @@ class PackedCorpus:
     offsets: np.ndarray  # int64 (S + 1,)
     stats: np.ndarray  # int64 (N, 10)
     sentence: np.ndarray  # int64 (N,): owning sentence of each row
-    rank: np.ndarray  # int64 (N,): row index within its sentence
+    feature_names: tuple[str, ...]
     # The plan of each coordinate axis (float 1.0 and +0.0 entries), built once.
     _axis_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
-    def of(corpus: TuningCorpus) -> PackedCorpus:
-        """Pack ``corpus``: the one place a :class:`TuningCorpus` becomes arrays."""
+    def of(corpus: TuningCorpus | PackedCorpus) -> PackedCorpus:
+        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays; a pack is returned as is."""
+        if isinstance(corpus, PackedCorpus):
+            return corpus
         counts = [len(entry.hypotheses) for entry in corpus.entries]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -99,8 +101,7 @@ class PackedCorpus:
         sentences = (([h.tokens for h in entry.hypotheses], entry.references) for entry in corpus.entries)
         stats = np.concatenate([np.zeros((0, 10), dtype=np.int64), *stats_blocks(sentences)])
         sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
-        return PackedCorpus(features, offsets, stats, sentence, rank)
+        return PackedCorpus(features, offsets, stats, sentence, corpus.feature_names)
 
     @property
     def size(self) -> int:
@@ -137,7 +138,7 @@ class PackedCorpus:
         axis = sorted(map(repr, d)) == ["0.0"] * (len(d) - 1) + ["1.0"]
         plan = self._axis_plans.get(d) if axis else None
         if plan is None:
-            plan = SearchPlan.of(d, self.project(d), self.rank, self.sentence, self.size)
+            plan = SearchPlan.of(d, self.project(d), self.sentence, self.size)
             if axis:
                 self._axis_plans[d] = plan
         return plan
@@ -190,12 +191,13 @@ class SearchPlan:
     """What every line search along one direction shares.
 
     ``slopes`` are the lines' slopes along ``direction`` and ``base``
-    orders the rows by (sentence, slope, label).  Rows of a run of equal
-    (sentence, slope) differ only in intercept, so a search keeps one
-    row per run (:meth:`heads`).  ``starts`` holds each run's first
-    position and ``run`` each position's run; both are empty when every
-    run is one row.  The heads come in (sentence, slope) order, which is
-    all that :func:`_may_reach_hull` needs of the plan.
+    orders the rows by (sentence, slope, rank): rows come in rank order,
+    which the stable sort keeps.  Rows of a run of equal (sentence,
+    slope) differ only in intercept, so a search keeps one row per run
+    (:meth:`heads`).  ``starts`` holds each run's first position and
+    ``run`` each position's run; both are empty when every run is one
+    row.  The heads come in (sentence, slope) order, which is all that
+    :func:`_may_reach_hull` needs of the plan.
     """
 
     direction: tuple[float, ...]
@@ -207,10 +209,8 @@ class SearchPlan:
     run: np.ndarray  # int64 (N,), or (0,) if R == N
 
     @staticmethod
-    def of(
-        direction: Sequence[float], slopes: np.ndarray, labels: np.ndarray, sentence: np.ndarray, size: int
-    ) -> SearchPlan:
-        base = np.lexsort((labels, slopes, sentence))
+    def of(direction: Sequence[float], slopes: np.ndarray, sentence: np.ndarray, size: int) -> SearchPlan:
+        base = np.lexsort((slopes, sentence))
         owner = sentence[base]
         slope = slopes[base]
         first = np.ones(len(base), dtype=bool)
@@ -223,7 +223,7 @@ class SearchPlan:
         return SearchPlan(tuple(direction), slopes, sentence, size, base, starts, run)
 
     def heads(self, intercepts: np.ndarray) -> np.ndarray:
-        """The row of each run with the highest intercept, ties to the lowest label."""
+        """The row of each run with the highest intercept, ties to the lowest rank."""
         if not len(self.run):
             return self.base
         return self.base[_first_max(intercepts[self.base], self.starts, self.run)]
@@ -235,7 +235,7 @@ def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> Hulls:
     In sentence order: the breakpoints, each segment's row and each
     sentence's segment count.  Lines sort by ascending slope; slope ties
     keep the higher intercept (it dominates everywhere), full ties the
-    lowest label.  Lines that two others of their sentence dominate are
+    lowest rank.  Lines that two others of their sentence dominate are
     dropped by :func:`_may_reach_hull`, given each head's sentence, then
     one stack loop runs over all.
     """

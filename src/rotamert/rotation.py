@@ -15,13 +15,15 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bleu import format_bleu
-from .corpus import TuningCorpus
 from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize
 from .envelope import PackedCorpus
 from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, InvalidRotation
+
+if TYPE_CHECKING:
+    from .corpus import TuningCorpus
 
 ZERO_SNAP = 1e-12
 # Each grid point is a full descent run.
@@ -166,12 +168,9 @@ class RssResult:
         return self.selected.alpha
 
 
-RotationSpecItem = tuple  # (from_dim, to_dim) or (from_dim, to_dim, alpha)
-
-
 def grid_systems(
     dim: int,
-    rotation_spec: Sequence[RotationSpecItem] = (),
+    rotation_spec: Sequence[tuple] = (),
     grid: AlphaGrid | Sequence[float] | None = None,
 ) -> tuple[tuple[float, CoordinateSystem], ...]:
     """The run's grid points: each alpha with its coordinate system, all checked.
@@ -186,19 +185,20 @@ def grid_systems(
     gridded: tuple[int, int] | None = None
     fixed: list[Rotation] = []
     for index, item in enumerate(rotation_spec):
-        if isinstance(item, Rotation):
-            fixed.append(item)
-            continue
-        parts = tuple(item)
+        try:
+            from_dim, to_dim, *alpha = item
+            parts = (int(from_dim), int(to_dim), *map(float, alpha))
+        except (TypeError, ValueError):  # not a sequence, too short, or not numbers
+            parts = ()
         if len(parts) == 2:
             if index != 0:
                 raise ConfigError(
                     "only the first rotation may omit alpha (it is the "
                     "gridded one); fix alpha for the others"
                 )
-            gridded = (int(parts[0]), int(parts[1]))
+            gridded = parts
         elif len(parts) == 3:
-            fixed.append(Rotation(int(parts[0]), int(parts[1]), float(parts[2])))
+            fixed.append(Rotation(*parts))
         else:
             raise ConfigError(
                 f"rotation items must be (from, to) or (from, to, alpha), "
@@ -243,10 +243,10 @@ def _worker_point(point: tuple[float, CoordinateSystem]) -> RssRecord:
 
 
 def rss_optimize(
-    closed_corpus: TuningCorpus,
-    open_corpus: TuningCorpus,
+    closed_corpus: TuningCorpus | PackedCorpus,
+    open_corpus: TuningCorpus | PackedCorpus,
     init_w: Sequence[float] | None = None,
-    rotation_spec: Sequence[RotationSpecItem] = (),
+    rotation_spec: Sequence[tuple] = (),
     grid: AlphaGrid | Sequence[float] | None = None,
     config: KcdConfig | None = None,
     *,
@@ -255,12 +255,13 @@ def rss_optimize(
     """Grid-search rotation strength alpha, one descent run per point.
 
     Every point's system is built by :func:`grid_systems` before either
-    corpus is packed, and every run starts from the same ``init_w``.
-    The first point runs in-process; up to ``jobs`` worker processes, but
-    no more than the CPU count, run the rest when at least two points
-    remain and the first point's CPU time times their number is at least
-    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  Selection maximizes the closed
-    (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
+    corpus is packed by :meth:`PackedCorpus.of` (a pack is used as is),
+    and every run starts from the same ``init_w``.  The first point runs
+    in-process; up to ``jobs`` worker processes, but no more than the CPU
+    count, run the rest when at least two points remain and the first
+    point's CPU time times their number is at least ``POOL_MIN_SECONDS``,
+    and otherwise they run in-process too.  Selection maximizes the
+    closed (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
     negative one.  The alpha = 0 record, when the grid contains it, is
     kept as the unrotated baseline; with no rotation at all, the one
     point is that record.

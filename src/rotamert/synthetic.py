@@ -53,6 +53,8 @@ class SynthSpec:
             raise SpecInvalid(f"need at least one hypothesis, got {self.hypotheses}")
         if self.features < 1:
             raise SpecInvalid(f"need at least one feature, got {self.features}")
+        if self.seed < 0:
+            raise SpecInvalid(f"seed must be non-negative, got {self.seed}")
         if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
             raise SpecInvalid(
                 f"vocabulary size must be between 2 and {MAX_VOCAB_SIZE}, got {self.vocab_size}"

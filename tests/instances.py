@@ -46,6 +46,20 @@ def random_corpus(seed, max_sentences=20, max_hyps=16, max_features=5, min_featu
     return build_corpus(nbest, refs), rng
 
 
+def pack_rows(features, counts, stats):
+    """A PackedCorpus of the given rows, ``counts[s]`` of them in sentence ``s``."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    names = tuple(f"f{j}" for j in range(features.shape[1]))
+    return PackedCorpus(features, offsets, stats, sentence, names)
+
+
+def row_ranks(packed):
+    """Each row's rank within its sentence, from the pack's offsets."""
+    return np.arange(len(packed.sentence), dtype=np.int64) - packed.offsets[packed.sentence]
+
+
 def random_ray(rng, dim):
     """A starting point and a non-zero search direction."""
     w = tuple(float(x) for x in rng.normal(0.0, 1.0, dim))
@@ -61,7 +75,7 @@ def ray_instance(seed, **kwargs):
     w, d = random_ray(rng, corpus.feature_dim)
     packed = PackedCorpus.of(corpus)
     lines = list(
-        map(Line, packed.project(w).tolist(), packed.project(d).tolist(), packed.rank.tolist())
+        map(Line, packed.project(w).tolist(), packed.project(d).tolist(), row_ranks(packed).tolist())
     )
     bounds = packed.offsets.tolist()
     lines_per_sentence = [lines[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

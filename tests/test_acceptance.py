@@ -22,7 +22,7 @@ from rotamert.envelope import PackedCorpus, _intervals, line_search
 from rotamert.rotation import AlphaGrid, report_tsv, rss_optimize, summary_rows
 from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
-from instances import random_corpus, ray_instance
+from instances import random_corpus, ray_instance, row_ranks
 from oracles import (
     envelope_by_enumeration,
     first_argmax,
@@ -64,7 +64,7 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
             result = line_search(packed, w, d)
             hulls, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
             oracle_breaks = []
-            for hull, lines in zip(split_hulls(hulls, packed.rank), lines_per_sentence):
+            for hull, lines in zip(split_hulls(hulls, row_ranks(packed)), lines_per_sentence):
                 breaks, segments = envelope_by_enumeration(lines)
                 assert hull == (breaks, segments), f"seed {seed}"
                 oracle_breaks.append(breaks)

@@ -12,7 +12,7 @@ from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import random_corpus, random_ray
+from instances import pack_rows, random_corpus, random_ray
 from oracles import (
     clipped_stats_by_counting,
     first_argmax,
@@ -34,16 +34,8 @@ def row(match_n, total_n, hyp_len, ref_len):
 
 def packed_rows(rows_per_sentence):
     """A one-feature packed corpus holding the given statistics rows."""
-    counts = [len(rows) for rows in rows_per_sentence]
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return PackedCorpus(
-        np.zeros((len(sentence), 1)),
-        offsets,
-        np.array([r for rows in rows_per_sentence for r in rows], dtype=np.int64),
-        sentence,
-        np.arange(len(sentence), dtype=np.int64) - offsets[sentence],
-    )
+    stats = np.array([r for rows in rows_per_sentence for r in rows], dtype=np.int64)
+    return pack_rows(np.zeros((len(stats), 1)), [len(rows) for rows in rows_per_sentence], stats)
 
 
 class TestSentenceStats:

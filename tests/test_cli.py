@@ -1,15 +1,18 @@
+import gc
 import json
 import locale
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
+from rotamert import cli
 from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
 from rotamert.corpus import parse_nbest
@@ -709,6 +712,33 @@ class TestRss:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command, entry", [("mert", "kcd_optimize"), ("rss", "rss_optimize")])
+def test_no_parsed_corpus_outlives_its_pack(command, entry, adversarial_files, tmp_path, capsys, monkeypatch):
+    # Each split is packed as it loads: no TuningCorpus that build_corpus
+    # returned is alive when the descent or the alpha grid starts.
+    built, alive = [], []
+    build, start = cli.build_corpus, getattr(cli, entry)
+
+    def recording_build(*args, **kwargs):
+        corpus = build(*args, **kwargs)
+        built.append(weakref.ref(corpus))
+        return corpus
+
+    def checked_start(*args, **kwargs):
+        gc.collect()
+        alive.extend(ref() is not None for ref in built)
+        return start(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_corpus", recording_build)
+    monkeypatch.setattr(cli, entry, checked_start)
+    nbest, ref = map(str, adversarial_files)
+    argv = [command, "--nbest", nbest, "--refs", ref, "--out", str(tmp_path / "run")]
+    if command == "rss":
+        argv += ["--open-nbest", nbest, "--open-refs", ref, "--rotate", "0:1"]
+    assert run(argv, capsys)[0] == 0
+    assert alive == [False] * (2 if command == "rss" else 1)
+
+
 class TestSynth:
     def test_generates_corpus_pair(self, tmp_path, capsys):
         out_dir = tmp_path / "gen"
@@ -800,6 +830,12 @@ class TestSynth:
         code, _, err = run(["synth", *args, "--out", str(tmp_path / "out")], capsys)
         assert code == 3
         assert_one_error_line(err, "exceed")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        args = ["--sentences", "2", "--hyps", "2", "--features", "2", "--seed", "-1"]
+        code, stdout, err = run(["synth", *args, "--out", str(tmp_path / "out")], capsys)
+        assert (code, stdout, err) == (3, "", "error: seed must be non-negative, got -1\n")
         assert not (tmp_path / "out").exists()
 
     def test_invalid_shape_exits_3(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from rotamert.corpus import (
     parse_references,
     remap_sparse_ids,
 )
+from rotamert.descent import kcd_optimize
 from rotamert.errors import (
     EmptyCorpus,
     IdMismatch,
@@ -230,6 +231,24 @@ class TestBuildCorpus:
             build_corpus(mixed, {0: [("a",)]})
         with pytest.raises(NoReferences, match="^sentence 0 has no non-empty reference$"):
             build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0,))]}, {0: [(), ()]})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_is_rejected_with_its_sentence_and_rank(self, value):
+        nbest = {
+            0: [Hypothesis(0, 0, ("a",), (1.0, 2.0))],
+            1: [Hypothesis(1, 0, ("a",), (1.0, 2.0)), Hypothesis(1, 1, ("b",), (1.0, value))],
+        }
+        with pytest.raises(
+            NonNumericFeature,
+            match=rf"^sentence 1, hypothesis 1: feature value {value!r} is not finite$",
+        ):
+            build_corpus(nbest, {0: [("a",)], 1: [("a",)]})
+        # Finite values are kept, also when their sum overflows.
+        big = {0: [Hypothesis(0, 0, ("a",), (1e308, 1e308, -1e308))]}
+        assert build_corpus(big, {0: [("a",)]}).entries[0].hypotheses == tuple(big[0])
+        # Not blamed on overflow by the descent, as when the corpus was built.
+        with pytest.raises(NonNumericFeature, match="is not finite"):
+            kcd_optimize(build_corpus({0: [Hypothesis(0, 0, ("a",), (value, 1.0))]}, {0: [("a",)]}))
 
     def test_remap_sparse_ids_needs_matching_ids(self):
         nbest = {3: [Hypothesis(3, 0, ("a",), (1.0,))]}

@@ -165,7 +165,9 @@ class TestDescentLoop:
         for seed in range(8):
             corpus, _ = random_corpus(seed)
             serial = kcd_optimize(corpus)
-            w, trace = kcd_optimize(PackedCorpus.of(corpus))
+            packed = PackedCorpus.of(corpus)
+            assert PackedCorpus.of(packed) is packed
+            w, trace = kcd_optimize(packed)
             assert w == serial[0], f"seed {seed}"
             assert trace.to_tsv() == serial[1].to_tsv(), f"seed {seed}"
 

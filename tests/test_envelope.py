@@ -17,7 +17,7 @@ from rotamert.envelope import (
 )
 from rotamert.errors import DimensionMismatch, InputError
 
-from instances import Line, random_corpus, random_lines, ray_instance
+from instances import Line, random_corpus, random_lines, ray_instance, row_ranks
 from oracles import (
     dot,
     envelope_by_enumeration,
@@ -66,7 +66,7 @@ class TestPackedProjection:
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
         packed = PackedCorpus.of(corpus)
         hulls, _, _ = _intervals(packed, packed.project(w), packed.plan(d))
-        for entry, (breaks, segments) in zip(corpus.entries, split_hulls(hulls, packed.rank)):
+        for entry, (breaks, segments) in zip(corpus.entries, split_hulls(hulls, row_ranks(packed))):
             want_breaks, want_segments = one_hull(
                 [
                     Line(dot(w, h.features), dot(d, h.features), k)
@@ -127,14 +127,14 @@ def test_only_coordinate_axes_keep_their_plans_bit_for_bit():
 
 
 def one_hull(lines):
-    """``_hulls`` on a single sentence: (breakpoints, segment labels) as tuples."""
+    """``_hulls`` on a single sentence: (breakpoints, segment labels) as tuples.
+
+    The lines become rows in label order, as a pack's rows come in rank order.
+    """
+    lines = sorted(lines, key=lambda l: l.hyp_index)
     labels = np.array([l.hyp_index for l in lines], dtype=np.int64)
     plan = SearchPlan.of(
-        (),
-        np.array([l.slope for l in lines], dtype=np.float64),
-        labels,
-        np.zeros(len(lines), dtype=np.int64),
-        1,
+        (), np.array([l.slope for l in lines], dtype=np.float64), np.zeros(len(lines), dtype=np.int64), 1
     )
     hulls = _hulls(np.array([l.intercept for l in lines], dtype=np.float64), plan)
     ((breaks, segments),) = split_hulls(hulls, labels)
@@ -224,7 +224,7 @@ class TestDominationPrefilter:
         slopes = np.array([b for _, bs in line_sets for b in bs], dtype=float)
         labels = np.array([k for ints, _ in line_sets for k in range(len(ints))])
         sentence = np.repeat(np.arange(len(line_sets)), [len(ints) for ints, _ in line_sets])
-        hulls = _hulls(intercepts, SearchPlan.of((), slopes, labels, sentence, len(line_sets)))
+        hulls = _hulls(intercepts, SearchPlan.of((), slopes, sentence, len(line_sets)))
         for s, ((breaks, segments), (ints, bs)) in enumerate(
             zip(split_hulls(hulls, labels), line_sets)
         ):

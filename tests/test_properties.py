@@ -19,7 +19,7 @@ from rotamert.descent import SWEEP_MODES, KcdConfig, basis_directions, kcd_optim
 from rotamert.envelope import PackedCorpus, _intervals, _may_reach_hull, line_search
 from rotamert.rotation import CoordinateSystem
 
-from instances import ray_instance
+from instances import pack_rows, ray_instance, row_ranks
 from oracles import (
     hull_by_stack,
     intervals_from_hulls,
@@ -193,7 +193,7 @@ def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
             [intercepts[r] for r in order], [slopes[r] for r in order], [r - lo for r in order]
         )
         want.append((tuple(breaks), tuple(ranks)))
-    got = split_hulls(hulls, packed.rank)
+    got = split_hulls(hulls, row_ranks(packed))
     assert [[g.hex() for g in b] for b, _ in got] == [[g.hex() for g in b] for b, _ in want]
     assert got == want
     # Boundaries and rows equal the grouping written out on its own.
@@ -239,12 +239,8 @@ def packs(draw):
         )
     )
     rows = draw(st.one_of(tie_heavy_rows(sum(counts)), near_parallel_rows(sum(counts))))
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    rank = np.arange(len(sentence), dtype=np.int64) - offsets[sentence]
-    stats = np.zeros((len(sentence), 10), dtype=np.int64)
-    return PackedCorpus(np.array(rows, dtype=np.float64), offsets, stats, sentence, rank)
+    stats = np.zeros((len(rows), 10), dtype=np.int64)
+    return pack_rows(np.array(rows, dtype=np.float64), counts, stats)
 
 
 vectors = st.one_of(
@@ -259,7 +255,7 @@ def test_cached_line_order_is_the_full_sort(packed, weights, d):
     plan = packed.plan(d)
     for w in weights:  # one plan serves every search along d
         intercepts = packed.project(w)
-        full = np.lexsort((packed.rank, -intercepts, plan.slopes, packed.sentence))
+        full = np.lexsort((row_ranks(packed), -intercepts, plan.slopes, packed.sentence))
         owner, slope = packed.sentence[full], plan.slopes[full]
         head = np.ones(len(full), dtype=bool)
         head[1:] = (owner[1:] != owner[:-1]) | (slope[1:] != slope[:-1])

@@ -285,7 +285,9 @@ class TestRssOptimize:
         assert rss_optimize(corpus, corpus, grid=[float("nan")]).selected == record
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("item", [(0,), (0, 1, 0.5, 2)])
+    @pytest.mark.parametrize(
+        "item", [(0,), (0, 1, 0.5, 2), 5, None, (0, "x"), (0, 1, None), Rotation(0, 1, 0.5)]
+    )
     def test_grid_systems_items_have_two_or_three_parts(self, item):
         with pytest.raises(
             ConfigError, match=r"^rotation items must be \(from, to\) or \(from, to, alpha\), got "
@@ -326,6 +328,17 @@ class TestRssOptimize:
             jobs=3,
         )
         assert serial == parallel
+
+    def test_packed_input_changes_nothing(self):
+        settings = dict(rotation_spec=((1, 0),), grid=[-0.5, 0.0, 0.5])
+        for seed in range(4):
+            closed, _ = random_corpus(seed, min_features=2)
+            dim = closed.feature_dim
+            opened, _ = random_corpus(seed + 100, min_features=dim, max_features=dim)
+            result = rss_optimize(closed, opened, **settings)
+            packs = PackedCorpus.of(closed), PackedCorpus.of(opened)
+            assert rss_optimize(*packs, **settings) == result, f"seed {seed}"
+            assert rss_optimize(closed, packs[1], **settings) == result, f"seed {seed}"
 
     def test_one_point_grid_starts_no_pool(self, monkeypatch):
         corpus = adversarial_instance()
@@ -440,9 +453,7 @@ def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatc
     monkeypatch.undo()
     for direction, plan in closed._axis_plans.items():
         assert repr(direction) in axes  # no tilted direction is kept
-        fresh = SearchPlan.of(
-            direction, closed.project(direction), closed.rank, closed.sentence, closed.size
-        )
+        fresh = SearchPlan.of(direction, closed.project(direction), closed.sentence, closed.size)
         for field in fields(SearchPlan):
             assert same_arrays(getattr(plan, field.name), getattr(fresh, field.name)), field.name
 

@@ -119,6 +119,59 @@ def test_package_makes_no_blas_call():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+def runtime_corpus_imports(source):
+    """Line numbers of imports from ``rotamert.corpus`` outside ``if TYPE_CHECKING:``."""
+    tree = ast.parse(source)
+    hints_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+        for statement in block.body
+        for node in ast.walk(statement)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in hints_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {f"{module}.{alias.name}".replace("..", ".") for alias in node.names} | {module}
+            if names & {".corpus", "rotamert.corpus"}:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("rotamert.corpus") for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_corpus_import_check_finds_each_kind_of_import():
+    source = (
+        "from .corpus import TuningCorpus\n"
+        "from . import corpus\n"
+        "from rotamert.corpus import build_corpus\n"
+        "import rotamert.corpus\n"
+        "def f():\n"
+        "    from .corpus import Hypothesis\n"
+        "if TYPE_CHECKING:\n"
+        "    from .corpus import TuningCorpus\n"
+        "else:\n"
+        "    from .corpus import TuningCorpus\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    import rotamert.corpus\n"
+        "from .envelope import PackedCorpus\n"
+        "from . import envelope\n"
+    )
+    assert runtime_corpus_imports(source) == [1, 2, 3, 4, 6, 10]
+
+
+def test_tuning_core_imports_corpus_for_type_hints_only():
+    # The descent and the alpha grid run on packs: PackedCorpus.of is the
+    # one place a TuningCorpus becomes one.
+    for name in ("descent", "rotation"):
+        source = (SRC / "rotamert" / f"{name}.py").read_text(encoding="utf-8")
+        assert runtime_corpus_imports(source) == [], name
+
+
 # The functions the README promises, then the types they take and return.
 DOCUMENTED_EXPORTS = (
     "parse_nbest",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotamert import synthetic
 from rotamert.bleu import stats_blocks
 from rotamert.descent import kcd_optimize, uniform_weights
 from rotamert.envelope import PackedCorpus
@@ -53,6 +54,11 @@ class TestSpecValidation:
         # The documented 400 x 100 x 8 corpus and the benchmark's shapes.
         for shape in ((400, 100, 8), (40, 50, 8), (30, 25, 4), (4000, 1, 1)):
             SynthSpec(*shape)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(SpecInvalid, match="^seed must be non-negative, got -1$"):
+            SynthSpec(sentences=2, hypotheses=2, features=2, seed=-1)
+        SynthSpec(sentences=2, hypotheses=2, features=2, seed=0)
 
     def test_correlated_pairs_checked(self):
         with pytest.raises(SpecInvalid):
@@ -206,6 +212,13 @@ class TestGenerate:
                 for hyp in entry.hypotheses:
                     assert all(tok in in_refs or tok.startswith(f"x{s}_") for tok in hyp.tokens)
                 assert any(tok not in in_refs for hyp in entry.hypotheses for tok in hyp.tokens)
+
+    def test_open_split_that_cannot_avoid_closed_references_is_refused(self, monkeypatch):
+        # Every draw repeats the same references, so the open split finds
+        # none that the closed split does not already hold.
+        monkeypatch.setattr(synthetic, "_draw_references", lambda rng, spec, vocab: [("w0", "w1")])
+        with pytest.raises(SpecInvalid, match="^could not draw references disjoint from the closed split"):
+            generate(SynthSpec(sentences=2, hypotheses=2, features=2))
 
 
 class TestPackagedFixture:

@@ -24,7 +24,7 @@ from .corpus import build_corpus, format_nbest, format_references, parse_nbest, 
 from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, kcd_optimize
 from .envelope import PackedCorpus
 from .errors import ConfigError, InputError, LengthMismatch
-from .rotation import AlphaGrid, format_alpha, report_tsv, rss_optimize, summary_rows
+from .rotation import AlphaGrid, format_alpha, grid_systems, report_tsv, rss_optimize, summary_rows
 
 
 def _read_text(path: str) -> str:
@@ -58,7 +58,7 @@ def _parse_weights(text: str) -> tuple[float, ...]:
 def _parse_rotations(text: str) -> tuple[tuple, ...]:
     """Items like ``0:1`` (gridded) or ``1:2=0.1`` (fixed), comma-separated."""
     items = []
-    for chunk in text.replace(";", ",").split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -249,6 +249,13 @@ def cmd_rss(args: argparse.Namespace) -> int:
         raise ConfigError(f"jobs must be between 1 and {cpus} (the CPU count), got {cfg.jobs}")
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
     grid = AlphaGrid(cfg.grid_start, cfg.grid_end, cfg.grid_step)
+    # Every rotation and alpha is checked before a file is read, against the
+    # largest dimension the spec names, so only their range waits for the data.
+    # That check builds a system of that many axes, each as long: a spec naming
+    # a dimension of 1,000 or more is checked after loading, by rss_optimize.
+    largest = max(d for item in cfg.rotations for d in item[:2])
+    if largest < 1_000:
+        grid_systems(1 + max(0, largest), cfg.rotations, grid)
     closed = _load_corpus(cfg.nbest, cfg.refs, "closed")
     opened = _load_corpus(cfg.open_nbest, cfg.open_refs, "open")
     result = rss_optimize(

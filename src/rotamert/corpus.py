@@ -76,20 +76,19 @@ def _is_label(tok: str) -> bool:
 def _feature_names(tokens: Sequence[str]) -> list[str]:
     """Names of the values of a labeled feature field, in order.
 
-    A label followed by a single value keeps the bare name; a label
-    covering several values gets a positional suffix per value.  A value
-    before the first label is named by its index.
+    A label with a single value keeps the bare name; a label with several
+    values gets a positional suffix per value, numbered on across repeats
+    of the label.  A value before the first label is named by its index.
     """
-    slots: list[tuple[str | None, int]] = []  # (label, position within label group)
+    slots: list[tuple[str | None, int]] = []  # (label, position among the label's values)
     label: str | None = None
-    group_pos = 0
+    sizes: Counter[str | None] = Counter()
     for tok in tokens:
         if _is_label(tok):
-            label, group_pos = tok[:-1], 0
+            label = tok[:-1]
         else:
-            slots.append((label, group_pos))
-            group_pos += 1
-    sizes = Counter(lab for lab, _ in slots if lab is not None)
+            slots.append((label, sizes[label]))
+            sizes[label] += 1
     return [
         f"f{idx}" if lab is None else lab if sizes[lab] == 1 else f"{lab}{pos}"
         for idx, (lab, pos) in enumerate(slots)

@@ -81,15 +81,16 @@ def uniform_weights(dim: int) -> tuple[float, ...]:
 
 
 def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ...]:
-    """Validated starting weights; uniform ``1/M`` when none are given."""
+    """Validated starting weights as floats; uniform ``1/M`` when none are given."""
     if init_w is None:
         return uniform_weights(dim)
     w = tuple(init_w)
     if len(w) != dim:
         raise DimensionMismatch(f"{len(w)} initial weights for {dim} features")
-    if not all(math.isfinite(wi) for wi in w):
+    finite = tuple(float(wi) for wi in w if math.isfinite(wi))
+    if len(finite) != dim:
         raise ConfigError(f"initial weights must be finite, got {' '.join(map(repr, w))}")
-    return w
+    return finite
 
 
 def basis_directions(dim: int) -> tuple[tuple[float, ...], ...]:

@@ -12,9 +12,12 @@ selection.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import format_bleu
@@ -87,9 +90,11 @@ def apply_rotation(system: CoordinateSystem, rotation: Rotation) -> CoordinateSy
         raise InvalidRotation(
             f"dimension {rotation.from_dim} has already been rotated"
         )
-    e_a = basis_directions(dim)[rotation.from_dim]
-    e_b = basis_directions(dim)[rotation.to_dim]
-    tilted = tuple(a + rotation.alpha * b for a, b in zip(e_a, e_b))
+    # e_A + alpha * e_B, one entry at a time: the two axes' entries are 1.0 or 0.0.
+    tilted = tuple(
+        float(j == rotation.from_dim) + rotation.alpha * float(j == rotation.to_dim)
+        for j in range(dim)
+    )
     directions = list(system.directions)
     directions[rotation.from_dim] = tilted
     return CoordinateSystem(tuple(directions), system.provenance + (rotation,))
@@ -168,6 +173,13 @@ class RssResult:
         return self.selected.alpha
 
 
+def _real(value) -> float:
+    """``value`` as a float if it is a real number and not a bool; else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(repr(value))
+    return float(value)
+
+
 def grid_systems(
     dim: int,
     rotation_spec: Sequence[tuple] = (),
@@ -176,18 +188,24 @@ def grid_systems(
     """The run's grid points: each alpha with its coordinate system, all checked.
 
     Only the first pair may omit its alpha: it is the gridded one, and
-    any later pair must fix one.  The fixed rotations tilt the identity
-    once; the gridded pair tilts that base once per alpha.  Without a
-    gridded pair there is exactly one point and ``grid`` is not read: a
-    spec of fixed rotations only is labeled by the first alpha, and no
-    rotation at all is the unrotated system labeled ``0.0``.
+    any later pair must fix one.  Dimensions are read by
+    ``operator.index`` and alphas must be real numbers, neither a
+    ``bool``; every alpha, from an item or from the grid, becomes a
+    ``float``.  The fixed rotations tilt the identity once; the gridded
+    pair tilts that base once per alpha, over at most
+    ``MAX_GRID_POINTS`` grid values.  Without a gridded pair there is
+    exactly one point and ``grid`` is not read: a spec of fixed
+    rotations only is labeled by the first alpha, and no rotation at all
+    is the unrotated system labeled ``0.0``.
     """
     gridded: tuple[int, int] | None = None
     fixed: list[Rotation] = []
     for index, item in enumerate(rotation_spec):
         try:
             from_dim, to_dim, *alpha = item
-            parts = (int(from_dim), int(to_dim), *map(float, alpha))
+            if isinstance(from_dim, bool) or isinstance(to_dim, bool):
+                raise TypeError
+            parts = (operator.index(from_dim), operator.index(to_dim), *map(_real, alpha))
         except (TypeError, ValueError):  # not a sequence, too short, or not numbers
             parts = ()
         if len(parts) == 2:
@@ -208,9 +226,16 @@ def grid_systems(
         alphas = (fixed[0].alpha if fixed else 0.0,)
     else:
         grid = AlphaGrid() if grid is None else grid
-        alphas = grid.points() if isinstance(grid, AlphaGrid) else tuple(grid)
-        if not alphas:
+        values = grid.points() if isinstance(grid, AlphaGrid) else grid
+        values = tuple(islice(values, MAX_GRID_POINTS + 1))
+        if len(values) > MAX_GRID_POINTS:
+            raise InvalidGrid(f"alpha grid has more than {MAX_GRID_POINTS} points")
+        if not values:
             raise GridEmpty("alpha grid has no points")
+        try:
+            alphas = tuple(map(_real, values))
+        except TypeError as exc:
+            raise InvalidGrid(f"alpha grid values must be real numbers, got {exc}") from None
     base = identity_system(dim)
     for rotation in fixed:
         base = apply_rotation(base, rotation)
@@ -262,9 +287,10 @@ def rss_optimize(
     point's CPU time times their number is at least ``POOL_MIN_SECONDS``,
     and otherwise they run in-process too.  Selection maximizes the
     closed (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
-    negative one.  The alpha = 0 record, when the grid contains it, is
-    kept as the unrotated baseline; with no rotation at all, the one
-    point is that record.
+    negative one.  The baseline is the gridded pair's alpha = 0 record,
+    when the grid contains it, with the fixed rotations applied; with no
+    rotation at all, the one point is the baseline, and fixed rotations
+    alone have none.
     """
     if closed_corpus.feature_dim != open_corpus.feature_dim:
         raise DimensionMismatch(
@@ -273,6 +299,8 @@ def rss_optimize(
         )
     init_w = initial_weights(init_w, closed_corpus.feature_dim)
     points = grid_systems(closed_corpus.feature_dim, rotation_spec, grid)
+    # Only the first item may be the gridded pair, (from, to) without alpha.
+    has_baseline = len(rotation_spec) == 0 or len(rotation_spec[0]) == 2
 
     task = (PackedCorpus.of(closed_corpus), PackedCorpus.of(open_corpus), init_w, config)
     started = time.process_time()
@@ -290,7 +318,7 @@ def rss_optimize(
         records += tuple(_grid_point(task, point) for point in rest)
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
-    baseline = next((r for r in records if r.alpha == 0.0), None)
+    baseline = next((r for r in records if r.alpha == 0.0), None) if has_baseline else None
     return RssResult(records, best, baseline)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import rotamert.rotation
 from rotamert import cli
 from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
@@ -667,6 +668,50 @@ class TestRss:
     def test_bad_rotation_item_exits_3_naming_it(self, adversarial_files, item, message, capsys):
         code, stdout, err = run(self.rss_args(adversarial_files, "--rotate", item), capsys)
         assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "rotate, message",
+        [
+            ("0:1,2:3", "only the first rotation may omit alpha (it is the gridded one); "
+                        "fix alpha for the others"),
+            ("0:0", "rotation maps dimension 0 onto itself"),
+            ("0:1=nan", "rotation alpha must be finite, got nan"),
+            ("0:1,0:2=0.5", "dimension 0 has already been rotated"),
+            ("-1:0", "rotation dimensions must be non-negative, got (-1, 0)"),
+            ("0:1;1:2=0.5", "rotation '0:1;1:2=0.5' is not of the form A:B[=alpha]"),
+        ],
+    )
+    def test_rotation_faults_exit_3_before_a_file_is_read(
+        self, adversarial_files, monkeypatch, rotate, message, capsys
+    ):
+        def refuse(path):
+            raise AssertionError(f"read {path} before checking the rotations")
+
+        monkeypatch.setattr(cli, "_read_text", refuse)
+        code, stdout, err = run(self.rss_args(adversarial_files, f"--rotate={rotate}"), capsys)
+        assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+    def test_rotation_range_is_checked_against_the_data(self, adversarial_files, capsys):
+        code, stdout, err = run(self.rss_args(adversarial_files, "--rotate", "0:2"), capsys)
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(err, "out of range for 2 dimensions")
+
+    def test_a_large_named_dimension_is_checked_against_the_data(
+        self, adversarial_files, monkeypatch, capsys
+    ):
+        # Checking it before loading would build a system of that many axes.
+        identity = rotamert.rotation.identity_system
+        built = []
+
+        def small_identity(dim):
+            built.append(dim)
+            return identity(min(dim, 2))
+
+        monkeypatch.setattr(rotamert.rotation, "identity_system", small_identity)
+        code, stdout, err = run(self.rss_args(adversarial_files, "--rotate", "0:1000000"), capsys)
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(err, "(0 -> 1000000) out of range for 2 dimensions")
+        assert built == [2]
 
     def test_empty_rotation_items_are_skipped(self, adversarial_files, tmp_path, capsys):
         outputs = []

@@ -60,6 +60,18 @@ class TestParseNbest:
         _, names = parse_nbest(lines("0 ||| a ||| tm: 1.0 2.0 3.0 lm: 4.0 ||| 10.0"))
         assert names == ["tm0", "tm1", "tm2", "lm"]
 
+    @pytest.mark.parametrize(
+        "field, expected",
+        [
+            ("tm: 1 2 tm: 3", ["tm0", "tm1", "tm2"]),
+            ("lm: 1 lm: 2", ["lm0", "lm1"]),
+            ("lm: 1 tm: 2 3 lm: 4 wp: 5", ["lm0", "tm0", "tm1", "lm1", "wp"]),
+        ],
+    )
+    def test_repeated_labels_number_their_values_on(self, field, expected):
+        _, names = parse_nbest(lines(f"0 ||| a ||| {field} ||| 10.0"))
+        assert names == expected
+
     def test_labels_recorded_from_first_labeled_line_only(self):
         _, names = parse_nbest(
             lines(

@@ -3,7 +3,8 @@
 ``tests/data/golden`` holds a 12 x 10 x 4 closed/open pair with two
 references each (written once by ``rotamert synth``, whose header is
 ``synth.json``) and, under ``expected/``, every file and the stdout
-that each run below printed.  Any change to an output byte fails here.
+that each run below printed.  The ``rss`` runs cover a gridded pair
+alone, with a fixed rotation, and a fixed rotation alone.  Any change to an output byte fails here.
 """
 
 from pathlib import Path
@@ -25,6 +26,14 @@ RUNS = {
         ("weights.txt", "trace.tsv"),
     ),
     "rss": (["rss", "--rotate", "0:1", *CLOSED, *OPEN], ("report.tsv", "weights.txt")),
+    "rss-fixed-and-gridded": (
+        ["rss", "--rotate", "0:1,2:3=0.5", *CLOSED, *OPEN],
+        ("report.tsv", "weights.txt"),
+    ),
+    "rss-fixed-only": (
+        ["rss", "--rotate", "1:2=0.5", *CLOSED, *OPEN],
+        ("report.tsv", "weights.txt"),
+    ),
 }
 
 

@@ -1,5 +1,7 @@
 import concurrent.futures
+import itertools
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -286,13 +288,80 @@ class TestRssOptimize:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "item", [(0,), (0, 1, 0.5, 2), 5, None, (0, "x"), (0, 1, None), Rotation(0, 1, 0.5)]
+        "item",
+        [
+            (0,), (0, 1, 0.5, 2), 5, None, (0, "x"), (0, 1, None), Rotation(0, 1, 0.5),
+            # Read strictly: no number is coerced, and a bool is never a number.
+            (0.9, 1.7), "12", ("0", "1"), (True, 2), (0, 1, "0.5"), (0, 1, True),
+        ],
     )
     def test_grid_systems_items_have_two_or_three_parts(self, item):
         with pytest.raises(
             ConfigError, match=r"^rotation items must be \(from, to\) or \(from, to, alpha\), got "
         ):
             grid_systems(3, (item,))
+
+    def test_grid_systems_reads_numpy_numbers_as_python_ones(self):
+        spec = ((np.int64(0), np.int32(1)), (np.int64(2), 0, np.float64(1)))
+        points = grid_systems(3, spec, np.array([-0.5, 0.0]))
+        assert points == grid_systems(3, ((0, 1), (2, 0, 1)), [-0.5, 0.0])
+        for alpha, system in points:
+            assert type(alpha) is float
+            assert {type(r.alpha) for r in system.provenance} == {float}
+            assert {type(r.from_dim) for r in system.provenance} == {int}
+            assert {type(c) for direction in system.directions for c in direction} == {float}
+        # An int alpha is read as a float, from an item or from the grid.
+        ((alpha, system),) = grid_systems(3, ((1, 2, 1),))
+        assert type(alpha) is float and system.provenance == (Rotation(1, 2, 1.0),)
+        assert [type(a) for a, _ in grid_systems(3, ((0, 1),), [0, 1])] == [float, float]
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, np.bool_(False), 1j])
+    def test_grid_values_must_be_real_numbers(self, value):
+        with pytest.raises(
+            InvalidGrid, match=rf"^alpha grid values must be real numbers, got {re.escape(repr(value))}$"
+        ):
+            grid_systems(3, ((0, 1),), [0.0, value])
+
+    def test_every_grid_is_bounded_as_it_is_read(self, monkeypatch):
+        def endless():
+            for count in itertools.count(1):
+                if count > MAX_GRID_POINTS + 1:
+                    raise AssertionError("read past MAX_GRID_POINTS + 1 values")
+                yield 0.0
+
+        with pytest.raises(InvalidGrid, match=f"^alpha grid has more than {MAX_GRID_POINTS} points$"):
+            grid_systems(2, ((0, 1),), endless())
+        monkeypatch.setattr(rotamert.rotation, "MAX_GRID_POINTS", 3)
+        assert len(grid_systems(2, ((0, 1),), [0.0, 0.1, 0.2])) == 3
+        with pytest.raises(InvalidGrid, match="^alpha grid has more than 3 points$"):
+            grid_systems(2, ((0, 1),), [0.0, 0.1, 0.2, 0.3])
+
+    def test_numpy_inputs_write_the_bytes_of_python_ones(self):
+        closed, _ = random_corpus(5, min_features=3)
+        dim = closed.feature_dim
+        opened, _ = random_corpus(6, min_features=dim, max_features=dim)
+        start = np.linspace(-0.5, 0.5, dim)
+        traces = [kcd_optimize(closed, w)[1].to_tsv() for w in (start, start.tolist())]
+        assert traces[0] == traces[1]
+        reports = [
+            report_tsv(rss_optimize(closed, opened, w, ((0, 1),), grid), closed.feature_names)
+            for w, grid in (
+                (start, np.array([-0.5, 0.0, 0.5])),
+                (start.tolist(), [-0.5, 0.0, 0.5]),
+            )
+        ]
+        assert reports[0] == reports[1]
+        assert "np." not in reports[0]
+
+    def test_fixed_rotations_alone_have_no_baseline(self):
+        corpus = random_corpus(3, min_features=3)[0]
+        for spec in (((0, 1, 0.0), (1, 2, 0.5)), ((0, 1, 0.0),), ((0, 1, 0.5),)):
+            result = rss_optimize(corpus, corpus, rotation_spec=spec)
+            assert result.baseline is None
+            assert "baseline" not in summary_rows(result)
+        # The gridded pair's alpha = 0 point, with the fixed rotations applied, is.
+        result = rss_optimize(corpus, corpus, rotation_spec=((0, 1), (1, 2, 0.5)), grid=[-0.5, 0.0])
+        assert result.baseline is result.records[1]
 
     def test_later_pair_must_fix_alpha(self):
         corpus = one_hypothesis_corpus()

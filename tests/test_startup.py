@@ -1,6 +1,6 @@
 """Process start-up and package surface: one OpenBLAS thread, no pool
 modules, no BLAS calls, an ``__all__`` that is exactly the documented
-names, and a README Python example that runs.
+names, and README examples that run.
 
 ``rotamert/__init__.py`` loads numpy with a single OpenBLAS thread unless
 the caller set a thread count, because the package never calls BLAS.
@@ -267,3 +267,27 @@ def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
     alpha, bleu = capsys.readouterr().out.split()
     assert float(alpha) in AlphaGrid().points()
     assert 0.0 <= float(bleu) <= 1.0
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    from rotamert.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    # The first code block under the README's "## Quick start" heading, and
+    # the paragraph after it, which names the files each command writes.
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    _, block, rest = section.split("```", 2)
+    paragraph = rest.strip().split("\n\n", 1)[0]
+    commands = [line.split() for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert [argv[:2] for argv in commands] == [
+        ["rotamert", "synth"], ["rotamert", "mert"], ["rotamert", "rss"]
+    ]
+    writes = {"mert": ("weights.txt", "trace.tsv"), "rss": ("report.tsv", "weights.txt")}
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        out = Path(argv[argv.index("--out") + 1])
+        for name in writes.get(argv[1], ()):
+            assert f"`{name}`" in paragraph
+            assert (out / name).is_file(), out / name
+    capsys.readouterr()

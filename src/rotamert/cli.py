@@ -251,11 +251,8 @@ def cmd_rss(args: argparse.Namespace) -> int:
     grid = AlphaGrid(cfg.grid_start, cfg.grid_end, cfg.grid_step)
     # Every rotation and alpha is checked before a file is read, against the
     # largest dimension the spec names, so only their range waits for the data.
-    # That check builds a system of that many axes, each as long: a spec naming
-    # a dimension of 1,000 or more is checked after loading, by rss_optimize.
     largest = max(d for item in cfg.rotations for d in item[:2])
-    if largest < 1_000:
-        grid_systems(1 + max(0, largest), cfg.rotations, grid)
+    grid_systems(1 + max(0, largest), cfg.rotations, grid)
     closed = _load_corpus(cfg.nbest, cfg.refs, "closed")
     opened = _load_corpus(cfg.open_nbest, cfg.open_refs, "open")
     result = rss_optimize(

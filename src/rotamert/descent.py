@@ -12,13 +12,13 @@ most profitable step.
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue, format_bleu
 from .envelope import LineSearchResult, PackedCorpus, line_search
-from .errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 
 if TYPE_CHECKING:
     from .corpus import TuningCorpus
@@ -80,47 +80,27 @@ def uniform_weights(dim: int) -> tuple[float, ...]:
     return (1.0 / dim,) * dim
 
 
+def as_real(value) -> float:
+    """``value`` as a float if it is a real number and not a bool; else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(repr(value))
+    return float(value)
+
+
 def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ...]:
-    """Validated starting weights as floats; uniform ``1/M`` when none are given."""
+    """Validated starting weights, each read by :func:`as_real`; uniform ``1/M`` when none are given."""
     if init_w is None:
         return uniform_weights(dim)
     w = tuple(init_w)
     if len(w) != dim:
         raise DimensionMismatch(f"{len(w)} initial weights for {dim} features")
-    finite = tuple(float(wi) for wi in w if math.isfinite(wi))
-    if len(finite) != dim:
+    try:
+        floats = tuple(map(as_real, w))
+    except TypeError:
+        raise ConfigError(f"initial weights must be real numbers, got {' '.join(map(repr, w))}") from None
+    if not all(map(math.isfinite, floats)):
         raise ConfigError(f"initial weights must be finite, got {' '.join(map(repr, w))}")
-    return finite
-
-
-def basis_directions(dim: int) -> tuple[tuple[float, ...], ...]:
-    """The M coordinate axes as direction vectors."""
-    return tuple(
-        tuple(1.0 if j == i else 0.0 for j in range(dim)) for i in range(dim)
-    )
-
-
-def _check_directions(
-    directions: Sequence[Sequence[float]], dim: int
-) -> list[int]:
-    """Validate direction shapes; return indices of usable (nonzero) ones."""
-    if len(directions) != dim:
-        raise DimensionMismatch(f"{len(directions)} directions for {dim} features")
-    active = []
-    for i, direction in enumerate(directions):
-        if len(direction) != dim:
-            raise DimensionMismatch(
-                f"direction {i} has length {len(direction)}, expected {dim}"
-            )
-        if all(c == 0.0 for c in direction):
-            warnings.warn(
-                f"direction {i} is the zero vector; skipping it",
-                DegenerateDirectionWarning,
-                stacklevel=3,
-            )
-        else:
-            active.append(i)
-    return active
+    return floats
 
 
 def kcd_optimize(
@@ -140,15 +120,19 @@ def kcd_optimize(
     """
     dim = corpus.feature_dim
     w = initial_weights(init_w, dim)
-    directions = basis_directions(dim) if system is None else system.directions
+    if system is None:
+        from .rotation import CoordinateSystem  # rotation imports this module
+
+        system = CoordinateSystem(dim)
+    elif system.dim != dim:
+        raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
     if config is None:
         config = KcdConfig()
-    active = _check_directions(directions, dim)
     packed = PackedCorpus.of(corpus)
     # Each search starts from the previous result and reuses its scores.
     point = LineSearchResult.at(packed, w)
-    # Each direction's slopes and line order, shared by every search along it.
-    plans = {dim_index: packed.plan(directions[dim_index]) for dim_index in active}
+    # Each axis' slopes and line order, shared by every search along it.
+    plans = [packed.plan(system.axis(i)) for i in range(dim)]
     steps: list[StepRecord] = []
     previous_sweep: float | None = None
     iterations = 0
@@ -156,12 +140,12 @@ def kcd_optimize(
     for iteration in range(1, config.max_iter + 1):
         iterations = iteration
         if config.sweep_mode == "sequential":
-            for dim_index in active:
-                point = line_search(packed, point, plans[dim_index])
+            for dim_index, plan in enumerate(plans):
+                point = line_search(packed, point, plan)
                 steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
-        elif active:  # best-direction
-            results = {dim_index: line_search(packed, point, plans[dim_index]) for dim_index in active}
-            dim_index = min(active, key=lambda i: (results[i].error_at_star.error, i))
+        else:  # best-direction
+            results = [line_search(packed, point, plan) for plan in plans]
+            dim_index = min(range(dim), key=lambda i: (results[i].error_at_star.error, i))
             point = results[dim_index]
             steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
         new_error = point.error_at_star.error

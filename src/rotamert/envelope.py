@@ -13,12 +13,14 @@ The search runs on a :class:`PackedCorpus` of flat arrays.  Projection
 sums feature columns left to right from 0.0, so every score is
 bit-identical to that scalar loop (a BLAS product would reorder the
 sums).  A :class:`SearchPlan` holds what every search along one
-direction shares, and the pack keeps the coordinate axes' plans for
-every descent over it.  :func:`_hulls` builds all sentences' envelopes
-in one stack loop over flat arrays; :func:`_sweep` merges their
-breakpoints with numpy, looping only when some of them group.  Every
-winner is picked by one rule, :func:`_first_max`: the highest value,
-ties to the lowest rank.
+direction shares.  It projects only the direction's listed ``(index,
+coefficient)`` pairs, so an untilted axis' slopes are its feature
+column added to 0.0, and the pack keeps each untilted axis' plan, by
+index, for every descent over it.  :func:`_hulls` builds all
+sentences' envelopes in one stack loop over flat arrays; :func:`_sweep`
+merges their breakpoints with numpy, looping only when some of them
+group.  Every winner is picked by one rule, :func:`_first_max`: the
+highest value, ties to the lowest rank.
 
 Two exact shortcuts keep the search cheap: a numpy prefilter drops the
 lines two others dominate before the stack runs, and only intervals
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,7 +85,7 @@ class PackedCorpus:
     stats: np.ndarray  # int64 (N, 10)
     sentence: np.ndarray  # int64 (N,): owning sentence of each row
     feature_names: tuple[str, ...]
-    # The plan of each coordinate axis (float 1.0 and +0.0 entries), built once.
+    # The plan of each untilted axis by its index, built once.
     _axis_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
@@ -112,35 +114,37 @@ class PackedCorpus:
         return self.features.shape[1]
 
     def project(self, v: Sequence[float]) -> np.ndarray:
-        """Every row's score ``sum_j features[row, j] * v[j]``, summed left to right.
+        """Every row's score ``sum_j features[row, j] * v[j]``, summed left to right."""
+        return self._sum(_entries(v, self.feature_dim))
 
-        Column by column from 0.0, one fixed order; overflowed scores are
-        rejected.
+    def _sum(self, pairs: Iterable[tuple[int, float]]) -> np.ndarray:
+        """Every row's ``sum features[row, j] * c`` over the ``(j, c)`` pairs, in order from 0.0.
+
+        Overflowed scores are rejected.  The sum is never -0.0, so a ±0.0
+        coefficient changes none of its bits.
         """
-        features = self.features
-        if len(v) != features.shape[1]:
-            raise DimensionMismatch(
-                f"vector of length {len(v)} for {features.shape[1]} features"
-            )
-        acc = np.zeros(len(features))
+        acc = np.zeros(len(self.features))
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, vj in enumerate(v):
-                acc += features[:, j] * vj
+            for j, c in pairs:
+                acc += self.features[:, j] * c
         if not np.isfinite(acc).all():
             raise InputError(
                 "feature values times weights overflow: a hypothesis score is not finite"
             )
         return acc
 
-    def plan(self, d: Sequence[float]) -> SearchPlan:
-        """The :class:`SearchPlan` along ``d``; a coordinate axis' plan is kept (at most M)."""
-        d = tuple(d)
-        axis = sorted(map(repr, d)) == ["0.0"] * (len(d) - 1) + ["1.0"]
-        plan = self._axis_plans.get(d) if axis else None
+    def plan(self, d: Iterable[tuple[int, float]]) -> SearchPlan:
+        """The :class:`SearchPlan` along ``(index, coefficient)`` pairs, unlisted entries 0.0.
+
+        An untilted axis' plan, ``((i, 1.0),)``, is kept by its index.
+        """
+        d = tuple(sorted(d))
+        axis = d[0][0] if len(d) == 1 and d[0][1] == 1.0 else None
+        plan = self._axis_plans.get(axis)
         if plan is None:
-            plan = SearchPlan.of(d, self.project(d), self.sentence, self.size)
-            if axis:
-                self._axis_plans[d] = plan
+            plan = SearchPlan.of(d, self._sum(d), self.sentence, self.size)
+            if axis is not None:
+                self._axis_plans[axis] = plan
         return plan
 
     def argmax_error(self, scores: np.ndarray) -> ErrorValue:
@@ -150,6 +154,13 @@ class PackedCorpus:
         """
         rows = _first_max(scores, self.offsets[:-1], self.sentence)
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
+
+
+def _entries(v: Sequence[float], dim: int) -> enumerate:
+    """The ``(index, coefficient)`` pairs of a vector of ``dim`` entries."""
+    if len(v) != dim:
+        raise DimensionMismatch(f"vector of length {len(v)} for {dim} features")
+    return enumerate(v)
 
 
 def _first_max(values: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -200,7 +211,7 @@ class SearchPlan:
     :func:`_may_reach_hull` needs of the plan.
     """
 
-    direction: tuple[float, ...]
+    direction: tuple[tuple[int, float], ...]  # (index, coefficient) pairs in index order
     slopes: np.ndarray  # float64 (N,)
     sentence: np.ndarray  # int64 (N,)
     size: int
@@ -209,7 +220,9 @@ class SearchPlan:
     run: np.ndarray  # int64 (N,), or (0,) if R == N
 
     @staticmethod
-    def of(direction: Sequence[float], slopes: np.ndarray, sentence: np.ndarray, size: int) -> SearchPlan:
+    def of(
+        direction: Sequence[tuple[int, float]], slopes: np.ndarray, sentence: np.ndarray, size: int
+    ) -> SearchPlan:
         base = np.lexsort((slopes, sentence))
         owner = sentence[base]
         slope = slopes[base]
@@ -340,8 +353,9 @@ def line_search(
 
     ``w`` may also be the result of an earlier search on ``packed``: the
     search starts at its weights and reuses their scores and error.
-    ``d`` is a direction or its ``packed.plan(d)``, which a caller
-    searching one direction many times builds once.
+    ``d`` is a dense direction or a :class:`SearchPlan` from
+    ``packed.plan``, which a caller searching one direction many times
+    builds once; a dense ``d`` is planned as ``enumerate(d)``.
 
     Returns the midpoint of the minimum-error interval (offset by 1.0
     into unbounded intervals); interval ties resolve toward the interval
@@ -350,7 +364,7 @@ def line_search(
     than staying at gamma = 0.  Its ``weights`` are ``w + gamma_star *
     d``, built once here, and its error is the error at those weights.
     """
-    plan = d if isinstance(d, SearchPlan) else packed.plan(d)
+    plan = d if isinstance(d, SearchPlan) else packed.plan(_entries(d, packed.feature_dim))
     if plan.sentence is not packed.sentence:
         raise ValueError("the search plan was made for another packed corpus")
     start = w if isinstance(w, LineSearchResult) else LineSearchResult.at(packed, w)
@@ -370,10 +384,12 @@ def line_search(
         ),
     )
 
+    coefficients = dict(plan.direction)
+
     def stepped(gamma: float) -> tuple[float, ...]:
-        # Also at gamma = 0: w + 0.0 * d may turn a -0.0 weight into 0.0,
-        # which changes no score (every sum starts from +0.0).
-        return tuple(wi + gamma * di for wi, di in zip(w, plan.direction))
+        # Every entry, unlisted ones by 0.0, also at gamma = 0: w + 0.0 * d
+        # may turn a -0.0 weight into 0.0, which changes no score.
+        return tuple(wi + gamma * coefficients.get(j, 0.0) for j, wi in enumerate(w))
 
     for index in ranked:
         error = scored[index]

@@ -49,7 +49,7 @@ class EmptyCorpus(InputError):
 
 
 class DimensionMismatch(ConfigError):
-    """A weight or direction vector does not match the feature dimension."""
+    """A weight vector or coordinate system does not match the feature dimension."""
 
 
 class InvalidRotation(ConfigError):
@@ -66,7 +66,3 @@ class GridEmpty(ConfigError):
 
 class SpecInvalid(ConfigError):
     """A synthetic corpus specification is out of range."""
-
-
-class DegenerateDirectionWarning(UserWarning):
-    """A zero direction vector was skipped during a sweep."""

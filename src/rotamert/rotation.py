@@ -12,7 +12,6 @@ selection.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import os
 import time
@@ -21,7 +20,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import format_bleu
-from .descent import KcdConfig, KcdTrace, basis_directions, initial_weights, kcd_optimize
+from .descent import KcdConfig, KcdTrace, as_real, initial_weights, kcd_optimize
 from .envelope import PackedCorpus
 from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, InvalidRotation
 
@@ -48,9 +47,7 @@ class Rotation:
 
     def __post_init__(self) -> None:
         if self.from_dim == self.to_dim:
-            raise InvalidRotation(
-                f"rotation maps dimension {self.from_dim} onto itself"
-            )
+            raise InvalidRotation(f"rotation maps dimension {self.from_dim} onto itself")
         if self.from_dim < 0 or self.to_dim < 0:
             raise InvalidRotation(
                 f"rotation dimensions must be non-negative, "
@@ -62,42 +59,49 @@ class Rotation:
 
 @dataclass(frozen=True)
 class CoordinateSystem:
-    """Current search directions plus the rotations that produced them."""
+    """The identity of ``dim`` axes, each rotation tilting one axis once.
 
-    directions: tuple[tuple[float, ...], ...]
+    A rotation ``(A, B, alpha)`` replaces axis A by ``e_A + alpha * e_B``
+    (B may itself be tilted by another).  Only the rotations are stored,
+    so a system costs the same at any ``dim``.
+    """
+
+    dim: int
     provenance: tuple[Rotation, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ConfigError(f"need at least one dimension, got {self.dim}")
+        tilted = set()
+        for rotation in self.provenance:
+            if rotation.from_dim >= self.dim or rotation.to_dim >= self.dim:
+                raise InvalidRotation(
+                    f"rotation ({rotation.from_dim} -> {rotation.to_dim}) out of range "
+                    f"for {self.dim} dimensions"
+                )
+            if rotation.from_dim in tilted:
+                raise InvalidRotation(f"dimension {rotation.from_dim} has already been rotated")
+            tilted.add(rotation.from_dim)
 
-def identity_system(dim: int) -> CoordinateSystem:
-    if dim < 1:
-        raise ConfigError(f"need at least one dimension, got {dim}")
-    return CoordinateSystem(basis_directions(dim))
+    def axis(self, i: int) -> tuple[tuple[int, float], ...]:
+        """Axis ``i`` as ``(index, coefficient)`` pairs; every unlisted entry is 0.0.
 
+        The coefficients are the bits of the dense vector: a tilted axis
+        holds ``0.0 + alpha`` at B, so ``alpha = -0.0`` gives ``+0.0``.
+        """
+        for rotation in self.provenance:
+            if rotation.from_dim == i:
+                return ((i, 1.0), (rotation.to_dim, 0.0 + rotation.alpha))
+        return ((i, 1.0),)
 
-def apply_rotation(system: CoordinateSystem, rotation: Rotation) -> CoordinateSystem:
-    """Return a new system with one axis tilted; each axis rotates at most once.
-
-    The target axis of an earlier rotation may itself be rotated later;
-    only re-rotating the same source axis is rejected.
-    """
-    dim = len(system.directions)
-    if rotation.from_dim >= dim or rotation.to_dim >= dim:
-        raise InvalidRotation(
-            f"rotation ({rotation.from_dim} -> {rotation.to_dim}) out of range "
-            f"for {dim} dimensions"
-        )
-    if any(prev.from_dim == rotation.from_dim for prev in system.provenance):
-        raise InvalidRotation(
-            f"dimension {rotation.from_dim} has already been rotated"
-        )
-    # e_A + alpha * e_B, one entry at a time: the two axes' entries are 1.0 or 0.0.
-    tilted = tuple(
-        float(j == rotation.from_dim) + rotation.alpha * float(j == rotation.to_dim)
-        for j in range(dim)
-    )
-    directions = list(system.directions)
-    directions[rotation.from_dim] = tilted
-    return CoordinateSystem(tuple(directions), system.provenance + (rotation,))
+    @property
+    def directions(self) -> tuple[tuple[float, ...], ...]:
+        """Every axis as a dense vector: ``dim`` tuples of ``dim`` floats, built on demand."""
+        dense = [[0.0] * self.dim for _ in range(self.dim)]
+        for i, vector in enumerate(dense):
+            for j, c in self.axis(i):
+                vector[j] = c
+        return tuple(map(tuple, dense))
 
 
 @dataclass(frozen=True)
@@ -173,13 +177,6 @@ class RssResult:
         return self.selected.alpha
 
 
-def _real(value) -> float:
-    """``value`` as a float if it is a real number and not a bool; else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(repr(value))
-    return float(value)
-
-
 def grid_systems(
     dim: int,
     rotation_spec: Sequence[tuple] = (),
@@ -198,6 +195,11 @@ def grid_systems(
     rotations only is labeled by the first alpha, and no rotation at all
     is the unrotated system labeled ``0.0``.
     """
+    return _grid(dim, rotation_spec, grid)[0]
+
+
+def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
+    """:func:`grid_systems`' points, and whether they have a baseline (fixed rotations alone do not)."""
     gridded: tuple[int, int] | None = None
     fixed: list[Rotation] = []
     for index, item in enumerate(rotation_spec):
@@ -205,7 +207,7 @@ def grid_systems(
             from_dim, to_dim, *alpha = item
             if isinstance(from_dim, bool) or isinstance(to_dim, bool):
                 raise TypeError
-            parts = (operator.index(from_dim), operator.index(to_dim), *map(_real, alpha))
+            parts = (operator.index(from_dim), operator.index(to_dim), *map(as_real, alpha))
         except (TypeError, ValueError):  # not a sequence, too short, or not numbers
             parts = ()
         if len(parts) == 2:
@@ -227,22 +229,26 @@ def grid_systems(
     else:
         grid = AlphaGrid() if grid is None else grid
         values = grid.points() if isinstance(grid, AlphaGrid) else grid
-        values = tuple(islice(values, MAX_GRID_POINTS + 1))
+        try:
+            values = tuple(islice(values, MAX_GRID_POINTS + 1))
+        except TypeError:
+            raise InvalidGrid(
+                f"alpha grid must be an AlphaGrid or an iterable of numbers, got {grid!r}"
+            ) from None
         if len(values) > MAX_GRID_POINTS:
             raise InvalidGrid(f"alpha grid has more than {MAX_GRID_POINTS} points")
         if not values:
             raise GridEmpty("alpha grid has no points")
         try:
-            alphas = tuple(map(_real, values))
+            alphas = tuple(map(as_real, values))
         except TypeError as exc:
             raise InvalidGrid(f"alpha grid values must be real numbers, got {exc}") from None
-    base = identity_system(dim)
-    for rotation in fixed:
-        base = apply_rotation(base, rotation)
-    return tuple(
-        (alpha, base if gridded is None else apply_rotation(base, Rotation(*gridded, alpha)))
+    base = CoordinateSystem(dim, tuple(fixed))
+    points = tuple(
+        (alpha, base if gridded is None else CoordinateSystem(dim, (*fixed, Rotation(*gridded, alpha))))
         for alpha in alphas
     )
+    return points, gridded is not None or not fixed
 
 
 def _grid_point(task: tuple, point: tuple[float, CoordinateSystem]) -> RssRecord:
@@ -279,10 +285,10 @@ def rss_optimize(
 ) -> RssResult:
     """Grid-search rotation strength alpha, one descent run per point.
 
-    Every point's system is built by :func:`grid_systems` before either
-    corpus is packed by :meth:`PackedCorpus.of` (a pack is used as is),
-    and every run starts from the same ``init_w``.  The first point runs
-    in-process; up to ``jobs`` worker processes, but no more than the CPU
+    Every point's system is built by :func:`grid_systems`' gate, which
+    reads ``rotation_spec`` once, before either corpus is packed by
+    :meth:`PackedCorpus.of` (a pack is used as is), and every run starts
+    from the same ``init_w``.  The first point runs in-process; up to ``jobs`` worker processes, but no more than the CPU
     count, run the rest when at least two points remain and the first
     point's CPU time times their number is at least ``POOL_MIN_SECONDS``,
     and otherwise they run in-process too.  Selection maximizes the
@@ -298,9 +304,7 @@ def rss_optimize(
             f"open corpus has {open_corpus.feature_dim}"
         )
     init_w = initial_weights(init_w, closed_corpus.feature_dim)
-    points = grid_systems(closed_corpus.feature_dim, rotation_spec, grid)
-    # Only the first item may be the gridded pair, (from, to) without alpha.
-    has_baseline = len(rotation_spec) == 0 or len(rotation_spec[0]) == 2
+    points, has_baseline = _grid(closed_corpus.feature_dim, rotation_spec, grid)
 
     task = (PackedCorpus.of(closed_corpus), PackedCorpus.of(open_corpus), init_w, config)
     started = time.process_time()

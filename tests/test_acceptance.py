@@ -62,7 +62,7 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
         for seed in range(1000):
             _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
             result = line_search(packed, w, d)
-            hulls, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
+            hulls, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
             oracle_breaks = []
             for hull, lines in zip(split_hulls(hulls, row_ranks(packed)), lines_per_sentence):
                 breaks, segments = envelope_by_enumeration(lines)
@@ -85,7 +85,7 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
         for seed in range(2000, 2200):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(d))
+            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
             grid_min = ray_probe_min_error(lines_per_sentence, packed, boundaries)
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import rotamert.rotation
 from rotamert import cli
 from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
@@ -699,19 +698,21 @@ class TestRss:
     def test_a_large_named_dimension_is_checked_against_the_data(
         self, adversarial_files, monkeypatch, capsys
     ):
-        # Checking it before loading would build a system of that many axes.
-        identity = rotamert.rotation.identity_system
-        built = []
-
-        def small_identity(dim):
-            built.append(dim)
-            return identity(min(dim, 2))
-
-        monkeypatch.setattr(rotamert.rotation, "identity_system", small_identity)
         code, stdout, err = run(self.rss_args(adversarial_files, "--rotate", "0:1000000"), capsys)
         assert (code, stdout) == (3, "")
         assert_one_error_line(err, "(0 -> 1000000) out of range for 2 dimensions")
-        assert built == [2]
+
+        def refuse(path):
+            raise AssertionError(f"read {path} before checking the rotations")
+
+        monkeypatch.setattr(cli, "_read_text", refuse)
+        for rotate, message in (
+            ("0:1000000,0:2", "only the first rotation may omit alpha (it is the gridded one); "
+                              "fix alpha for the others"),
+            ("0:1000000,0:5=0.5", "dimension 0 has already been rotated"),
+        ):
+            code, stdout, err = run(self.rss_args(adversarial_files, f"--rotate={rotate}"), capsys)
+            assert (code, stdout, err) == (3, "", f"error: {message}\n")
 
     def test_empty_rotation_items_are_skipped(self, adversarial_files, tmp_path, capsys):
         outputs = []

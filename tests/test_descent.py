@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rotamert.corpus import Hypothesis, build_corpus
@@ -7,12 +9,11 @@ from rotamert.descent import (
     DEFAULT_MAX_ITER,
     SWEEP_MODES,
     KcdConfig,
-    basis_directions,
     kcd_optimize,
     uniform_weights,
 )
 from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
-from rotamert.errors import ConfigError, DegenerateDirectionWarning, DimensionMismatch
+from rotamert.errors import ConfigError, DimensionMismatch
 from rotamert.rotation import CoordinateSystem
 
 from instances import random_corpus
@@ -56,13 +57,6 @@ class TestHelpers:
     def test_uniform_weights(self):
         assert uniform_weights(4) == (0.25, 0.25, 0.25, 0.25)
 
-    def test_basis_directions(self):
-        assert basis_directions(3) == (
-            (1.0, 0.0, 0.0),
-            (0.0, 1.0, 0.0),
-            (0.0, 0.0, 1.0),
-        )
-
 
 class TestConfig:
     def test_defaults(self):
@@ -86,6 +80,14 @@ class TestConfig:
         corpus, _ = random_corpus(4, min_features=2)
         init = (bad,) + (1.0,) * (corpus.feature_dim - 1)
         with pytest.raises(ConfigError):
+            kcd_optimize(corpus, init)
+
+    @pytest.mark.parametrize("init", [["1", "2"], (1.0, True), (None, 1.0), (1.0, 1j)])
+    def test_initial_weights_must_be_real_numbers(self, init):
+        # Read as rotation alphas are: no coercion, and a bool is no number.
+        corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
+        message = "initial weights must be real numbers, got " + " ".join(map(repr, init))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             kcd_optimize(corpus, init)
 
 
@@ -173,34 +175,13 @@ class TestDescentLoop:
 
 
 class TestDirections:
-    def test_zero_direction_warns_and_is_skipped(self):
-        nbest = {
-            0: [
-                Hypothesis(0, 0, ("a",), (1.0, 0.5)),
-                Hypothesis(0, 1, ("b",), (0.0, 2.0)),
-            ]
-        }
-        corpus = build_corpus(nbest, {0: [("a",)]})
-        dim = corpus.feature_dim
-        directions = list(basis_directions(dim))
-        directions[0] = (0.0,) * dim
-        system = CoordinateSystem(tuple(directions))
-        with pytest.warns(DegenerateDirectionWarning):
-            _, trace = kcd_optimize(corpus, config=KcdConfig(max_iter=1), system=system)
-        assert 0 not in {s.dimension for s in trace.steps}
-
     def test_direction_count_checked(self):
         corpus, _ = random_corpus(15)
         dim = corpus.feature_dim
-        system = CoordinateSystem(basis_directions(dim + 1))
-        with pytest.raises(DimensionMismatch):
-            kcd_optimize(corpus, system=system)
-
-    def test_direction_length_checked(self):
-        corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
-        system = CoordinateSystem(((1.0,), (0.0, 1.0)))
-        with pytest.raises(DimensionMismatch, match="^direction 0 has length 1, expected 2$"):
-            kcd_optimize(corpus, system=system)
+        with pytest.raises(
+            DimensionMismatch, match=f"^coordinate system of {dim + 1} dimensions for {dim} features$"
+        ):
+            kcd_optimize(corpus, system=CoordinateSystem(dim + 1))
 
 
 class TestTraceSerialization:
@@ -251,9 +232,3 @@ def test_final_error_is_the_error_at_the_final_weights(mode):
         start = tuple(rng.normal(0.0, 1.0, corpus.feature_dim).tolist())
         weights, trace = kcd_optimize(packed, start, config=KcdConfig(sweep_mode=mode))
         assert trace.final_error == packed.argmax_error(packed.project(weights)), f"seed {seed}"
-    # With every direction zero the descent takes no step and ends where it started.
-    zero = CoordinateSystem(((0.0,) * corpus.feature_dim,) * corpus.feature_dim)
-    with pytest.warns(DegenerateDirectionWarning):
-        weights, trace = kcd_optimize(packed, start, zero, KcdConfig(sweep_mode=mode))
-    assert trace.steps == () and weights == start
-    assert trace.final_error == packed.argmax_error(packed.project(start))

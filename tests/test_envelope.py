@@ -65,7 +65,7 @@ class TestPackedProjection:
         # The hulls line_search builds equal those of lines scored by dot.
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
         packed = PackedCorpus.of(corpus)
-        hulls, _, _ = _intervals(packed, packed.project(w), packed.plan(d))
+        hulls, _, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
         for entry, (breaks, segments) in zip(corpus.entries, split_hulls(hulls, row_ranks(packed))):
             want_breaks, want_segments = one_hull(
                 [
@@ -80,6 +80,11 @@ class TestPackedProjection:
         packed = PackedCorpus.of(random_corpus(5)[0])
         with pytest.raises(DimensionMismatch):
             packed.project((0.0,) * (packed.feature_dim + 1))
+        # A dense direction too, short or long, before it is planned.
+        w = (1.0,) * packed.feature_dim
+        for d in ((1.0,) * (packed.feature_dim - 1), (1.0,) * (packed.feature_dim + 1)):
+            with pytest.raises(DimensionMismatch, match=f"^vector of length {len(d)} for "):
+                line_search(packed, w, d)
 
     def test_packed_selection_keeps_lowest_rank_on_ties(self):
         nbest = {0: [Hypothesis(0, k, ("t", str(k)), (1.0, 0.0)) for k in range(3)]}
@@ -109,7 +114,7 @@ def test_a_crossing_that_overflows_is_rejected():
 
 def test_plan_of_another_corpus_is_refused():
     packed, other = (PackedCorpus.of(random_corpus(seed)[0]) for seed in (1, 2))
-    plan = other.plan((1.0,) * other.feature_dim)
+    plan = other.plan(enumerate((1.0,) * other.feature_dim))
     with pytest.raises(ValueError):
         line_search(packed, (0.5,) * packed.feature_dim, plan)
 
@@ -117,13 +122,16 @@ def test_plan_of_another_corpus_is_refused():
 def test_only_coordinate_axes_keep_their_plans_bit_for_bit():
     packed = PackedCorpus.of(random_corpus(3, min_features=2)[0])
     dim = packed.feature_dim
-    axis = (1.0,) + (0.0,) * (dim - 1)
-    assert packed.plan(axis) is packed.plan(list(axis))
-    # Equal as tuples, but not the same bits or not an axis: built afresh.
-    for d in ((1.0, -0.0) + (0.0,) * (dim - 2), (2.0,) + (0.0,) * (dim - 1)):
+    axis = packed.plan(((1, 1.0),))
+    assert axis is packed.plan([(1, 1.0)])
+    assert axis.slopes.tobytes() == packed.project((0.0, 1.0) + (0.0,) * (dim - 2)).tobytes()
+    # Other pairs, a dense axis too, are planned afresh.
+    for d in (((1, 2.0),), ((0, 1.0), (1, -0.0)), tuple(enumerate((1.0,) + (0.0,) * (dim - 1)))):
         plan = packed.plan(d)
-        assert plan is not packed.plan(d) and repr(plan.direction) == repr(d)
-    assert list(packed._axis_plans) == [axis]
+        assert plan is not packed.plan(d) and plan.direction == d
+    assert list(packed._axis_plans) == [1]
+    # Pairs are projected in index order, whatever order they come in.
+    assert packed.plan(((1, 0.5), (0, 2.0))).direction == ((0, 2.0), (1, 0.5))
 
 
 def one_hull(lines):
@@ -316,7 +324,7 @@ class TestSweepIntervals:
     def test_interval_stats_match_from_scratch_reselection(self):
         for seed in range(60):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
-            _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
+            _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
             expected = reselect_interval_stats(lines_per_sentence, packed, boundaries)
             assert list(map(tuple, rows.tolist())) == expected, f"seed {seed}"
 
@@ -375,7 +383,7 @@ class TestLineSearch:
         for seed in range(40):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(d))
+            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
             grid_best = ray_probe_min_error(lines_per_sentence, packed, boundaries, points=2001)
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
 
@@ -503,7 +511,7 @@ class TestScaleContract:
         }
         packed = PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
         w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-        _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
+        _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert boundaries == [2.0**-54, 2.0**-53] and errors[1] < min(errors[0], errors[2])
         result = line_search(packed, w, d)
@@ -558,7 +566,7 @@ def random_stats_rows(seed, count=4000):
 
 def scalar_scan(packed, w, d):
     """Every interval scored by row_bleu; the minimum under line_search's tie rule."""
-    _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(d))
+    _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
     errors = [row_bleu(row) for row in rows.tolist()]
     best = min(
         range(len(errors)),
@@ -630,7 +638,7 @@ class TestRescoringBound:
         corpus = build_corpus(nbest, refs)
         packed = PackedCorpus.of(corpus)
         w, d = (1.0, 0.0), (0.0, 1.0)
-        _, _, rows = _intervals(packed, packed.project(w), packed.plan(d))
+        _, _, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert errors.count(min(errors)) == 3
         result = line_search(packed, w, d)

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
-from rotamert.descent import SWEEP_MODES, KcdConfig, basis_directions, kcd_optimize
-from rotamert.envelope import PackedCorpus, _intervals, _may_reach_hull, line_search
-from rotamert.rotation import CoordinateSystem
+from rotamert.descent import SWEEP_MODES, KcdConfig, kcd_optimize
+from rotamert.envelope import PackedCorpus, SearchPlan, _intervals, _may_reach_hull, line_search
+from rotamert.rotation import CoordinateSystem, Rotation
 
 from instances import pack_rows, ray_instance, row_ranks
 from oracles import (
@@ -114,6 +114,9 @@ def test_repeating_features_at_a_higher_rank_changes_nothing(sentences, w, d, da
     assert search(grown, w, d) == search(sentences, w, d)
 
 
+halves = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+
+
 # float32 values: any mantissa, but no magnitude so small that a
 # crossing (a difference over a slope) overflows float64.
 real = st.floats(-4.0, 4.0, width=32)
@@ -144,20 +147,60 @@ descents = st.one_of(
 )
 
 
+@st.composite
+def systems(draw, dim=3):
+    """A coordinate system of ``dim`` axes, 0 to 2 of them tilted, often by ±0.0."""
+    alphas = st.one_of(st.sampled_from([-0.0, 0.0, -0.7, 2.5]), real)
+    rotations = []
+    for a in draw(st.lists(st.integers(0, dim - 1), max_size=2, unique=True)):
+        b = draw(st.integers(0, dim - 1).filter(lambda b: b != a))
+        rotations.append(Rotation(a, b, draw(alphas)))
+    return CoordinateSystem(dim, tuple(rotations))
+
+
 @PROPERTY_SETTINGS
-@given(descents, st.permutations(basis_directions(3)), st.sampled_from(SWEEP_MODES))
-def test_every_trace_error_is_the_error_at_its_weights(descent, directions, mode):
+@given(descents, systems(), st.sampled_from(SWEEP_MODES))
+def test_every_trace_error_is_the_error_at_its_weights(descent, system, mode):
     sentences, w = descent
     packed = PackedCorpus.of(build(sentences))
-    system = CoordinateSystem(tuple(directions))
     weights, trace = kcd_optimize(packed, w, system, KcdConfig(max_iter=4, sweep_mode=mode))
     replayed = w
     for step in trace.steps:
         direction = system.directions[step.dimension]
         replayed = tuple(wi + step.gamma * di for wi, di in zip(replayed, direction))
         assert packed.argmax_error(packed.project(replayed)) == step.error
-    assert replayed == weights == trace.final_weights
+    assert repr(replayed) == repr(weights) == repr(trace.final_weights)
     assert trace.steps[-1].error == packed.argmax_error(packed.project(weights))
+
+
+signed_sentence = st.tuples(
+    st.lists(st.tuples(tokens, st.tuples(halves, halves, halves)), min_size=1, max_size=6),
+    st.lists(tokens, min_size=1, max_size=2),
+)
+
+
+def dense_axis(system, i):
+    """Axis ``i`` as a dense vector: ``e_i``, or ``e_A + alpha * e_B`` entry by entry."""
+    for r in system.provenance:
+        if r.from_dim == i:
+            return tuple(float(j == i) + r.alpha * float(j == r.to_dim) for j in range(system.dim))
+    return tuple(float(j == i) for j in range(system.dim))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(signed_sentence, min_size=1, max_size=5), systems(), st.tuples(halves, halves, halves))
+def test_an_axis_plans_and_searches_as_its_dense_vector(sentences, system, w):
+    # Features and weights of ±0.0: the listed pairs give the bits of
+    # the projection over every column.
+    packed = PackedCorpus.of(build(sentences))
+    for i in range(system.dim):
+        dense = dense_axis(system, i)
+        assert repr(system.directions[i]) == repr(dense)
+        plan = packed.plan(system.axis(i))
+        want = SearchPlan.of(tuple(enumerate(dense)), packed.project(dense), packed.sentence, packed.size)
+        for name in ("slopes", "base", "starts", "run"):
+            assert getattr(plan, name).tobytes() == getattr(want, name).tobytes(), name
+        assert repr(line_search(packed, w, plan)) == repr(line_search(packed, w, dense))
 
 
 @st.composite
@@ -183,7 +226,7 @@ def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
     packed = PackedCorpus.of(build(sentences))
     w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 2.0**k)
     intercepts, slopes = packed.project(w), packed.project(d)
-    hulls, boundaries, rows = _intervals(packed, intercepts, packed.plan(d))
+    hulls, boundaries, rows = _intervals(packed, intercepts, packed.plan(enumerate(d)))
     # The flat stack builds each sentence's hull as the bare stack does.
     want = []
     bounds = packed.offsets.tolist()
@@ -204,9 +247,6 @@ def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
     result = line_search(packed, w, d)
     assert packed.argmax_error(packed.project(result.weights)) == result.error_at_star
     assert result.error_at_star == line_search(packed, w, (0.0, 0.0, 1.0)).error_at_star
-
-
-halves = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
 
 
 @st.composite
@@ -252,7 +292,7 @@ vectors = st.one_of(
 @PROPERTY_SETTINGS
 @given(packs(), st.lists(vectors, min_size=1, max_size=3), vectors)
 def test_cached_line_order_is_the_full_sort(packed, weights, d):
-    plan = packed.plan(d)
+    plan = packed.plan(enumerate(d))
     for w in weights:  # one plan serves every search along d
         intercepts = packed.project(w)
         full = np.lexsort((row_ranks(packed), -intercepts, plan.slopes, packed.sentence))
@@ -297,7 +337,7 @@ def test_scaling_the_direction_keeps_the_error_and_scales_a_bounded_step(seed, m
     unscaled, scaled = line_search(packed, w, d), line_search(packed, w, d_k)
     assert scaled.error_at_star == unscaled.error_at_star
     # An unbounded winner steps 1.0 past its edge, which does not scale.
-    _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(d))
+    _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
     if boundaries and boundaries[0] < unscaled.gamma_star < boundaries[-1]:
         assert scaled.gamma_star == unscaled.gamma_star * 2.0**-k
         assert [x.hex() for x in scaled.weights] == [x.hex() for x in unscaled.weights]

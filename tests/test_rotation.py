@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import os
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import rotamert.rotation
 from rotamert.bleu import ErrorValue
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
-from rotamert.descent import KcdConfig, KcdTrace, basis_directions, kcd_optimize
+from rotamert.descent import KcdConfig, KcdTrace, kcd_optimize
 from rotamert.envelope import PackedCorpus, SearchPlan
 from rotamert.errors import (
     ConfigError,
@@ -24,10 +25,8 @@ from rotamert.rotation import (
     AlphaGrid,
     CoordinateSystem,
     Rotation,
-    apply_rotation,
     format_alpha,
     grid_systems,
-    identity_system,
     rss_optimize,
     summary_rows,
     report_tsv,
@@ -40,17 +39,25 @@ from oracles import first_argmax, selection_error
 
 class TestRotation:
     def test_tilts_one_axis_toward_another(self):
-        system = apply_rotation(identity_system(3), Rotation(0, 2, 0.3))
+        system = CoordinateSystem(3, (Rotation(0, 2, 0.3),))
         assert system.directions == (
             (1.0, 0.0, 0.3),
             (0.0, 1.0, 0.0),
             (0.0, 0.0, 1.0),
         )
-        assert system.provenance == (Rotation(0, 2, 0.3),)
+        assert [system.axis(i) for i in range(3)] == [((0, 1.0), (2, 0.3)), ((1, 1.0),), ((2, 1.0),)]
+        assert system.dim == 3 and system.provenance == (Rotation(0, 2, 0.3),)
 
     def test_direction_is_not_normalized(self):
-        system = apply_rotation(identity_system(2), Rotation(0, 1, 1.0))
+        system = CoordinateSystem(2, (Rotation(0, 1, 1.0),))
         assert system.directions[0] == (1.0, 1.0)
+
+    def test_an_axis_holds_the_bits_of_its_dense_vector(self):
+        # e_A + alpha * e_B at B is 0.0 + alpha, so alpha = -0.0 gives +0.0.
+        for alpha in (-0.0, 0.0, -0.7, 2.5):
+            system = CoordinateSystem(3, (Rotation(2, 0, alpha),))
+            assert repr(system.axis(2)) == repr(((2, 1.0), (0, 0.0 + alpha)))
+            assert repr(system.directions[2]) == repr((0.0 + alpha, 0.0, 1.0))
 
     def test_self_rotation_rejected(self):
         with pytest.raises(InvalidRotation):
@@ -61,13 +68,12 @@ class TestRotation:
             Rotation(-1, 0, 0.5)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidRotation):
-            apply_rotation(identity_system(2), Rotation(0, 2, 0.5))
+        with pytest.raises(InvalidRotation, match=r"^rotation \(0 -> 2\) out of range for 2 dimensions$"):
+            CoordinateSystem(2, (Rotation(0, 2, 0.5),))
 
     def test_rotating_same_source_twice_rejected(self):
-        system = apply_rotation(identity_system(3), Rotation(0, 1, 0.5))
-        with pytest.raises(InvalidRotation):
-            apply_rotation(system, Rotation(0, 2, 0.5))
+        with pytest.raises(InvalidRotation, match="^dimension 0 has already been rotated$"):
+            CoordinateSystem(3, (Rotation(0, 1, 0.5), Rotation(0, 2, 0.5)))
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_alpha_rejected(self, alpha):
@@ -75,14 +81,28 @@ class TestRotation:
             Rotation(0, 1, alpha)
 
     def test_rotating_an_earlier_target_is_allowed(self):
-        system = apply_rotation(identity_system(3), Rotation(0, 1, 0.5))
-        system = apply_rotation(system, Rotation(1, 2, -0.25))
+        system = CoordinateSystem(3, (Rotation(0, 1, 0.5), Rotation(1, 2, -0.25)))
         assert system.directions[1] == (0.0, 1.0, -0.25)
         assert len(system.provenance) == 2
 
     def test_identity_needs_a_dimension(self):
         with pytest.raises(ConfigError, match="^need at least one dimension, got 0$"):
-            identity_system(0)
+            CoordinateSystem(0)
+
+    def test_a_system_costs_the_same_at_any_dimension(self):
+        # Only the rotations are stored: no axis is built, at any M.
+        tracemalloc.start()
+        try:
+            big = 10**12
+            system = CoordinateSystem(big, (Rotation(0, big - 1, 0.5), Rotation(big - 1, 3, -1.0)))
+            assert system.axis(big - 1) == ((big - 1, 1.0), (3, -1.0))
+            assert system.axis(7) == ((7, 1.0),)
+            points = grid_systems(10**5, ((0, 10**5 - 1),))
+            assert len(points) == 21
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAlphaGrid:
@@ -266,7 +286,7 @@ class TestRssOptimize:
         assert system.directions == ((1.0, -1.0, 0.0), (0.0, 1.0, 0.25), (0.0, 0.0, 1.0))
         # No rotation: one point, the unrotated system labeled 0.0, whatever the grid.
         for grid in (None, [0.5, 1.0], [], [float("nan")]):
-            assert grid_systems(2, (), grid) == ((0.0, identity_system(2)),)
+            assert grid_systems(2, (), grid) == ((0.0, CoordinateSystem(2)),)
 
     def test_no_rotation_runs_one_descent_and_it_is_the_baseline(self, monkeypatch):
         corpus = adversarial_instance()
@@ -310,6 +330,7 @@ class TestRssOptimize:
             assert {type(r.alpha) for r in system.provenance} == {float}
             assert {type(r.from_dim) for r in system.provenance} == {int}
             assert {type(c) for direction in system.directions for c in direction} == {float}
+            assert {type(c) for i in range(3) for _, c in system.axis(i)} == {float}
         # An int alpha is read as a float, from an item or from the grid.
         ((alpha, system),) = grid_systems(3, ((1, 2, 1),))
         assert type(alpha) is float and system.provenance == (Rotation(1, 2, 1.0),)
@@ -335,6 +356,22 @@ class TestRssOptimize:
         assert len(grid_systems(2, ((0, 1),), [0.0, 0.1, 0.2])) == 3
         with pytest.raises(InvalidGrid, match="^alpha grid has more than 3 points$"):
             grid_systems(2, ((0, 1),), [0.0, 0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("grid", [5, 0.5])
+    def test_a_grid_that_is_not_iterable_is_refused(self, grid):
+        with pytest.raises(
+            InvalidGrid, match=f"^alpha grid must be an AlphaGrid or an iterable of numbers, got {grid}$"
+        ):
+            grid_systems(2, ((0, 1),), grid)
+
+    @pytest.mark.parametrize("spec", [((0, 1),), ((0, 1), (1, 0, 0.5)), ((1, 0, 0.0),), ()])
+    def test_a_spec_is_read_once(self, spec):
+        # An iterator spec gives the result of the tuple, baseline row included.
+        corpus = adversarial_instance()
+        grid = [-0.5, 0.0, 0.5]
+        result = rss_optimize(corpus, corpus, rotation_spec=iter(spec), grid=grid)
+        assert result == rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid)
+        assert (result.baseline is None) == (spec == ((1, 0, 0.0),))
 
     def test_numpy_inputs_write_the_bytes_of_python_ones(self):
         closed, _ = random_corpus(5, min_features=3)
@@ -504,7 +541,7 @@ def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatc
         return packs[-1]
 
     def recording_plan(direction, *args):
-        built.append(tuple(direction))
+        built.append(direction)
         return plan_of(direction, *args)
 
     monkeypatch.setattr(PackedCorpus, "of", staticmethod(recording_pack))
@@ -514,15 +551,16 @@ def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatc
     rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
     closed = packs[0]
     dim = closed.feature_dim
-    axes = [repr(axis) for axis in basis_directions(dim)]
-    # Axes 1..M-1 once for the whole grid; the tilted axis once per alpha,
-    # which at alpha = 0 is axis 0 itself.
+    # Axes 1..M-1 once for the whole grid, by index; the tilted axis once
+    # per alpha, and never kept.
     assert len(built) == dim - 1 + len(grid)
-    assert 0 < len(closed._axis_plans) <= dim
+    assert sorted(closed._axis_plans) == list(range(1, dim))
     monkeypatch.undo()
-    for direction, plan in closed._axis_plans.items():
-        assert repr(direction) in axes  # no tilted direction is kept
-        fresh = SearchPlan.of(direction, closed.project(direction), closed.sentence, closed.size)
+    dense = CoordinateSystem(dim).directions
+    for index, plan in closed._axis_plans.items():
+        assert plan.direction == ((index, 1.0),)
+        # The column's slopes are the bits of the dense axis' projection.
+        fresh = SearchPlan.of(plan.direction, closed.project(dense[index]), closed.sentence, closed.size)
         for field in fields(SearchPlan):
             assert same_arrays(getattr(plan, field.name), getattr(fresh, field.name)), field.name
 

@@ -196,9 +196,12 @@ DOCUMENTED_EXPORTS = (
 )
 
 # Names the package once exported that no longer exist in any module:
-# the statistics objects replaced by int64 rows, and the line-search
-# adapters and corpus maps that only tests called.
+# the statistics objects replaced by int64 rows, the line-search
+# adapters and corpus maps that only tests called, and the builders of
+# direction sets that a coordinate system of rotations replaced.
 REMOVED_EXPORTS = (
+    "apply_rotation",
+    "identity_system",
     "BleuStats",
     "aggregate",
     "corpus_bleu",
@@ -224,8 +227,6 @@ SUBMODULE_ONLY = (
     ("descent", "uniform_weights"),
     ("envelope", "LineSearchResult"),
     ("envelope", "line_search"),
-    ("rotation", "apply_rotation"),
-    ("rotation", "identity_system"),
     ("rotation", "report_tsv"),
     ("synthetic", "SynthSpec"),
     ("synthetic", "adversarial_certificate"),

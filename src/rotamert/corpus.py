@@ -7,9 +7,11 @@ The N-best wire format is one hypothesis per line::
 ``id`` is a non-negative sentence index, the feature field holds one
 finite real per feature (optionally preceded by ``name:`` labels, which
 are recorded once and stripped), and the trailing ``total`` is parsed
-and ignored.  References come as parallel plain-text files, one token
-sequence per line; a blank line means "this file contributes no
-reference for that sentence".
+and ignored.  Every labeled line must carry the first labeled line's
+labels at the same positions, and the names they give must not repeat;
+unlabeled lines are read by position.  References come as parallel
+plain-text files, one token sequence per line; a blank line means "this
+file contributes no reference for that sentence".
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -95,6 +98,11 @@ def _feature_names(tokens: Sequence[str]) -> list[str]:
     ]
 
 
+def _repeated(names: Sequence[str]) -> str:
+    """The names that occur more than once, space-separated; empty when none repeats."""
+    return " ".join(str(name) for name, count in Counter(names).items() if count > 1)
+
+
 def parse_nbest(
     lines: Iterable[str], source: str = "<nbest>"
 ) -> tuple[dict[int, list[Hypothesis]], list[str] | None]:
@@ -102,10 +110,12 @@ def parse_nbest(
 
     Ranks are assigned by file order within each id.  Returns the parsed
     map together with the feature names recorded from the first labeled
-    line (``None`` when no line carried labels).
+    line (``None`` when no line carried labels); a later labeled line
+    must repeat its labels at the same positions.
     """
     by_id: dict[int, list[Hypothesis]] = {}
     names: list[str] | None = None
+    first_field: list[str] = []  # the feature field of the first labeled line
     expected: int | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -127,11 +137,10 @@ def parse_nbest(
         tokens = tuple(parts[1].split())
         if not tokens:
             raise MalformedLine(f"{source}:{lineno}: empty hypothesis")
+        field = parts[2].split()
         values: list[float] = []
-        labeled = False
-        for tok in parts[2].split():
+        for tok in field:
             if _is_label(tok):
-                labeled = True
                 continue
             try:
                 value = float(tok)
@@ -151,8 +160,19 @@ def parse_nbest(
             raise InconsistentFeatureCount(
                 f"{source}:{lineno}: expected {expected} features, got {len(features)}"
             )
-        if names is None and labeled:
-            names = _feature_names(parts[2].split())
+        if len(field) != len(features):  # labeled
+            if names is None:
+                names = _feature_names(field)
+                if repeated := _repeated(names):
+                    raise MalformedLine(f"{source}:{lineno}: feature names repeat: {repeated}")
+                first_field = field
+                labels_of = itemgetter(*(i for i, tok in enumerate(field) if _is_label(tok)))
+                labels = labels_of(field)
+            elif len(field) != len(first_field) or labels_of(field) != labels:
+                raise MalformedLine(
+                    f"{source}:{lineno}: expected the first labeled line's labels at the same "
+                    f"positions: {' '.join(filter(_is_label, first_field))}"
+                )
         total_text = parts[3].strip()
         try:
             float(total_text)
@@ -207,7 +227,8 @@ def build_corpus(
 
     Sentence ids must line up and be dense ``0..S-1``; feature values must
     be finite.  Hypotheses duplicating another exactly (same tokens and
-    features) are dropped, keeping the first.  The result is stable under
+    features) are dropped, keeping the first.  Given feature names must
+    be one per feature and must not repeat.  The result is stable under
     a second application of this function to its own maps.
     """
     nbest_ids = set(nbest)
@@ -277,6 +298,8 @@ def build_corpus(
             raise InconsistentFeatureCount(
                 f"{len(names)} feature names for {dim} features"
             )
+        if repeated := _repeated(names):
+            raise InconsistentFeatureCount(f"feature names repeat: {repeated}")
     return TuningCorpus(tuple(entries), names)
 
 

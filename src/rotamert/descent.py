@@ -1,12 +1,15 @@
 """Coordinate descent over feature weights via exact line searches.
 
-Each iteration sweeps the configured search directions, replacing the
+The descent sweeps a :class:`CoordinateSystem`: the identity of ``M``
+axes, some of them tilted by a :class:`Rotation` to ``e_A + alpha *
+e_B``.  The alpha grid in :mod:`rotamert.rotation` only chooses among
+such systems.  Each iteration sweeps the system's axes, replacing the
 weights by the exact line-search optimum along each one.  The loop stops
 once two consecutive sweeps change the corpus error by at most
 ``epsilon`` (checked from the second iteration on), or after
 ``max_iter`` iterations.  ``best-direction`` mode evaluates every
-direction from the current point per iteration and applies only the
-most profitable step.
+axis from the current point per iteration and applies only the most
+profitable step.
 """
 
 from __future__ import annotations
@@ -18,16 +21,73 @@ from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue, format_bleu
 from .envelope import LineSearchResult, PackedCorpus, line_search
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, InvalidRotation
 
 if TYPE_CHECKING:
     from .corpus import TuningCorpus
-    from .rotation import CoordinateSystem
 
 SWEEP_MODES = ("sequential", "best-direction")
 
 DEFAULT_EPSILON = 0.001
 DEFAULT_MAX_ITER = 25
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """Tilt axis ``from_dim`` toward ``to_dim`` by ``atan(alpha)`` degrees."""
+
+    from_dim: int
+    to_dim: int
+    alpha: float
+
+    def __post_init__(self) -> None:
+        if self.from_dim == self.to_dim:
+            raise InvalidRotation(f"rotation maps dimension {self.from_dim} onto itself")
+        if self.from_dim < 0 or self.to_dim < 0:
+            raise InvalidRotation(
+                f"rotation dimensions must be non-negative, "
+                f"got ({self.from_dim}, {self.to_dim})"
+            )
+        if not math.isfinite(self.alpha):
+            raise InvalidRotation(f"rotation alpha must be finite, got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class CoordinateSystem:
+    """The identity of ``dim`` axes, each rotation tilting one axis once.
+
+    A rotation ``(A, B, alpha)`` replaces axis A by ``e_A + alpha * e_B``
+    (B may itself be tilted by another).  Only the rotations are stored,
+    so a system costs the same at any ``dim``.
+    """
+
+    dim: int
+    provenance: tuple[Rotation, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ConfigError(f"need at least one dimension, got {self.dim}")
+        tilted = set()
+        for rotation in self.provenance:
+            if rotation.from_dim >= self.dim or rotation.to_dim >= self.dim:
+                raise InvalidRotation(
+                    f"rotation ({rotation.from_dim} -> {rotation.to_dim}) out of range "
+                    f"for {self.dim} dimensions"
+                )
+            if rotation.from_dim in tilted:
+                raise InvalidRotation(f"dimension {rotation.from_dim} has already been rotated")
+            tilted.add(rotation.from_dim)
+
+    def axis(self, i: int) -> tuple[tuple[int, float], ...]:
+        """Axis ``i`` as ``(index, coefficient)`` pairs; every unlisted entry is 0.0.
+
+        The coefficients are the bits of the dense vector: a tilted axis
+        holds ``0.0 + alpha`` at B, so ``alpha = -0.0`` gives ``+0.0``.
+        """
+        for rotation in self.provenance:
+            if rotation.from_dim == i:
+                return ((i, 1.0), (rotation.to_dim, 0.0 + rotation.alpha))
+        return ((i, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -91,7 +151,12 @@ def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ..
     """Validated starting weights, each read by :func:`as_real`; uniform ``1/M`` when none are given."""
     if init_w is None:
         return uniform_weights(dim)
-    w = tuple(init_w)
+    try:
+        w = tuple(init_w)
+    except TypeError:
+        raise ConfigError(
+            f"initial weights must be an iterable of real numbers, got {init_w!r}"
+        ) from None
     if len(w) != dim:
         raise DimensionMismatch(f"{len(w)} initial weights for {dim} features")
     try:
@@ -121,8 +186,6 @@ def kcd_optimize(
     dim = corpus.feature_dim
     w = initial_weights(init_w, dim)
     if system is None:
-        from .rotation import CoordinateSystem  # rotation imports this module
-
         system = CoordinateSystem(dim)
     elif system.dim != dim:
         raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")

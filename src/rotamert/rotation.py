@@ -1,12 +1,13 @@
-"""Rotated coordinate systems and the alpha grid search over them.
+"""The alpha grid search, which chooses among rotated coordinate systems.
 
-A rotation replaces search direction A by ``e_A + alpha * e_B`` (left
-unnormalized), tilting that axis toward axis B.  The grid search runs
-the full coordinate descent once per alpha from the same starting
-weights, scores every run on the closed (tuning) corpus and on the open
-(held-out) corpus, and selects the alpha with the best closed score.
-Open scores are recorded for reporting only; they never influence the
-selection.
+A :class:`~rotamert.descent.CoordinateSystem` belongs to the descent
+that sweeps it.  Here each alpha of the grid tilts axis A of the gridded
+pair to ``e_A + alpha * e_B``, on top of any fixed rotations.  The grid
+search runs the full coordinate descent once per alpha from the same
+starting weights, scores every run on the closed (tuning) corpus and on
+the open (held-out) corpus, and selects the alpha with the best closed
+score.  Open scores are recorded for reporting only; they never
+influence the selection.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import format_bleu
-from .descent import KcdConfig, KcdTrace, as_real, initial_weights, kcd_optimize
+from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, as_real, initial_weights, kcd_optimize
 from .envelope import PackedCorpus
-from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, InvalidRotation
+from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid
 
 if TYPE_CHECKING:
     from .corpus import TuningCorpus
@@ -35,73 +36,6 @@ MAX_GRID_POINTS = 10_001
 # two workers were measured to first beat one process on wall time, so a
 # pool that starts saves clearly more than its start-up (see the README).
 POOL_MIN_SECONDS = 0.5
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Tilt axis ``from_dim`` toward ``to_dim`` by ``atan(alpha)`` degrees."""
-
-    from_dim: int
-    to_dim: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.from_dim == self.to_dim:
-            raise InvalidRotation(f"rotation maps dimension {self.from_dim} onto itself")
-        if self.from_dim < 0 or self.to_dim < 0:
-            raise InvalidRotation(
-                f"rotation dimensions must be non-negative, "
-                f"got ({self.from_dim}, {self.to_dim})"
-            )
-        if not math.isfinite(self.alpha):
-            raise InvalidRotation(f"rotation alpha must be finite, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class CoordinateSystem:
-    """The identity of ``dim`` axes, each rotation tilting one axis once.
-
-    A rotation ``(A, B, alpha)`` replaces axis A by ``e_A + alpha * e_B``
-    (B may itself be tilted by another).  Only the rotations are stored,
-    so a system costs the same at any ``dim``.
-    """
-
-    dim: int
-    provenance: tuple[Rotation, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ConfigError(f"need at least one dimension, got {self.dim}")
-        tilted = set()
-        for rotation in self.provenance:
-            if rotation.from_dim >= self.dim or rotation.to_dim >= self.dim:
-                raise InvalidRotation(
-                    f"rotation ({rotation.from_dim} -> {rotation.to_dim}) out of range "
-                    f"for {self.dim} dimensions"
-                )
-            if rotation.from_dim in tilted:
-                raise InvalidRotation(f"dimension {rotation.from_dim} has already been rotated")
-            tilted.add(rotation.from_dim)
-
-    def axis(self, i: int) -> tuple[tuple[int, float], ...]:
-        """Axis ``i`` as ``(index, coefficient)`` pairs; every unlisted entry is 0.0.
-
-        The coefficients are the bits of the dense vector: a tilted axis
-        holds ``0.0 + alpha`` at B, so ``alpha = -0.0`` gives ``+0.0``.
-        """
-        for rotation in self.provenance:
-            if rotation.from_dim == i:
-                return ((i, 1.0), (rotation.to_dim, 0.0 + rotation.alpha))
-        return ((i, 1.0),)
-
-    @property
-    def directions(self) -> tuple[tuple[float, ...], ...]:
-        """Every axis as a dense vector: ``dim`` tuples of ``dim`` floats, built on demand."""
-        dense = [[0.0] * self.dim for _ in range(self.dim)]
-        for i, vector in enumerate(dense):
-            for j, c in self.axis(i):
-                vector[j] = c
-        return tuple(map(tuple, dense))
 
 
 @dataclass(frozen=True)
@@ -202,7 +136,13 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
     """:func:`grid_systems`' points, and whether they have a baseline (fixed rotations alone do not)."""
     gridded: tuple[int, int] | None = None
     fixed: list[Rotation] = []
-    for index, item in enumerate(rotation_spec):
+    try:
+        items = iter(rotation_spec)
+    except TypeError:
+        raise ConfigError(
+            f"rotation spec must be an iterable of rotation items, got {rotation_spec!r}"
+        ) from None
+    for index, item in enumerate(items):
         try:
             from_dim, to_dim, *alpha = item
             if isinstance(from_dim, bool) or isinstance(to_dim, bool):

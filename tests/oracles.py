@@ -8,7 +8,8 @@ time, the domination reference scans one sentence's intercepts at a
 time, the interval oracles re-derive each interval's statistics from
 scratch at a probe point or from the hulls' breakpoints, and the
 weight-grid scan enumerates every selection a dense grid of weight
-vectors can reach.  Statistics rows are summed as Python ints,
+vectors can reach, and a coordinate system's axes are written out as
+dense vectors entry by entry.  Statistics rows are summed as Python ints,
 independently of the production sums.
 """
 
@@ -28,6 +29,14 @@ def dot(u, v):
     for a, b in zip(u, v):
         total += a * b
     return total
+
+
+def dense_axis(system, i):
+    """Axis ``i`` as a dense vector: ``e_i``, or ``e_A + alpha * e_B`` entry by entry."""
+    for r in system.provenance:
+        if r.from_dim == i:
+            return tuple(float(j == i) + r.alpha * float(j == r.to_dim) for j in range(system.dim))
+    return tuple(float(j == i) for j in range(system.dim))
 
 
 def clipped_stats_by_counting(hyp, refs):

@@ -537,6 +537,16 @@ class TestRss:
         assert code == 2
         assert_one_error_line(err, "feature field is empty")
 
+    def test_repeated_feature_names_exit_2(self, tmp_path, capsys):
+        nbest = tmp_path / "named.nbest"
+        ref = tmp_path / "named.ref"
+        nbest.write_text("0 ||| a b ||| tm: 1 2 tm0: 3 ||| 6\n0 ||| a ||| tm: 2 1 tm0: 0 ||| 3\n")
+        ref.write_text("a b\n")
+        args = ["--nbest", nbest, "--refs", ref, "--open-nbest", nbest, "--open-refs", ref]
+        code, stdout, err = run(["rss", *map(str, args), "--rotate", "0:1"], capsys)
+        assert (code, stdout) == (2, "")
+        assert_one_error_line(err, f"{nbest}:1: feature names repeat: tm0")
+
     def test_bad_rotation_syntax_exits_3(self, adversarial_files, capsys):
         nbest, ref = adversarial_files
         code, _, _ = run(

@@ -81,6 +81,31 @@ class TestParseNbest:
         )
         assert names == ["lm", "tm"]
 
+    def test_labeled_lines_must_agree_with_the_first(self):
+        first = "0 ||| a ||| lm: 1.0 tm: 2.0 ||| 0"
+        message = r"^x\.nbest:2: expected the first labeled line's labels at the same positions: lm: tm:$"
+        for later in ("0 ||| b ||| tm: 5.0 lm: 6.0 ||| 0", "0 ||| c ||| tm: 7.0 8.0 ||| 0",
+                      "0 ||| d ||| lm: tm: 7.0 8.0 ||| 0"):
+            with pytest.raises(MalformedLine, match=message):
+                parse_nbest(lines(first, later), source="x.nbest")
+        # An unlabeled line is read by position, and the same labels agree.
+        by_id, names = parse_nbest(
+            lines(first, "0 ||| e ||| 9.0 10.0 ||| 0", "0 ||| f ||| lm: 3.0 tm: 4.0 ||| 0")
+        )
+        assert names == ["lm", "tm"]
+        assert [h.features for h in by_id[0]] == [(1.0, 2.0), (9.0, 10.0), (3.0, 4.0)]
+
+    @pytest.mark.parametrize(
+        "field, repeated", [("tm: 1 2 tm0: 3", "tm0"), ("1 f0: 2", "f0"), ("lm: 1 lm0: 2 lm: 3", "lm0")]
+    )
+    def test_feature_names_never_repeat(self, field, repeated):
+        # Named at the first labeled line, after an unlabeled one.
+        unlabeled = " ".join(tok for tok in field.split() if not tok.endswith(":"))
+        with pytest.raises(MalformedLine, match=f"^x\\.nbest:2: feature names repeat: {repeated}$"):
+            parse_nbest(
+                lines(f"0 ||| a ||| {unlabeled} ||| 0", f"0 ||| b ||| {field} ||| 0"), source="x.nbest"
+            )
+
     def test_wrong_field_count_is_malformed(self):
         with pytest.raises(MalformedLine):
             parse_nbest(lines("0 ||| just tokens ||| 1.0"))
@@ -183,6 +208,11 @@ class TestBuildCorpus:
         nbest, refs = tiny_corpus()
         with pytest.raises(InconsistentFeatureCount):
             build_corpus(nbest, refs, ["only_one"])
+
+    def test_feature_names_must_not_repeat(self):
+        nbest, refs = tiny_corpus()
+        with pytest.raises(InconsistentFeatureCount, match="^feature names repeat: x$"):
+            build_corpus(nbest, refs, ("x", "x"))
 
     def test_id_sets_must_match(self):
         nbest, refs = tiny_corpus()

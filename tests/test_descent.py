@@ -8,13 +8,13 @@ from rotamert.descent import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
     SWEEP_MODES,
+    CoordinateSystem,
     KcdConfig,
     kcd_optimize,
     uniform_weights,
 )
 from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 from rotamert.errors import ConfigError, DimensionMismatch
-from rotamert.rotation import CoordinateSystem
 
 from instances import random_corpus
 from oracles import first_argmax, selection_error
@@ -89,6 +89,12 @@ class TestConfig:
         message = "initial weights must be real numbers, got " + " ".join(map(repr, init))
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             kcd_optimize(corpus, init)
+
+
+    def test_initial_weights_must_be_iterable(self):
+        corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
+        with pytest.raises(ConfigError, match="^initial weights must be an iterable of real numbers, got 5$"):
+            kcd_optimize(corpus, 5)
 
 
 class TestDescentLoop:

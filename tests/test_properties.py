@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
-from rotamert.descent import SWEEP_MODES, KcdConfig, kcd_optimize
+from rotamert.descent import SWEEP_MODES, CoordinateSystem, KcdConfig, Rotation, kcd_optimize
 from rotamert.envelope import PackedCorpus, SearchPlan, _intervals, _may_reach_hull, line_search
-from rotamert.rotation import CoordinateSystem, Rotation
 
 from instances import pack_rows, ray_instance, row_ranks
 from oracles import (
+    dense_axis,
     hull_by_stack,
     intervals_from_hulls,
     running_maxima_from_both_ends,
@@ -166,7 +166,7 @@ def test_every_trace_error_is_the_error_at_its_weights(descent, system, mode):
     weights, trace = kcd_optimize(packed, w, system, KcdConfig(max_iter=4, sweep_mode=mode))
     replayed = w
     for step in trace.steps:
-        direction = system.directions[step.dimension]
+        direction = dense_axis(system, step.dimension)
         replayed = tuple(wi + step.gamma * di for wi, di in zip(replayed, direction))
         assert packed.argmax_error(packed.project(replayed)) == step.error
     assert repr(replayed) == repr(weights) == repr(trace.final_weights)
@@ -179,14 +179,6 @@ signed_sentence = st.tuples(
 )
 
 
-def dense_axis(system, i):
-    """Axis ``i`` as a dense vector: ``e_i``, or ``e_A + alpha * e_B`` entry by entry."""
-    for r in system.provenance:
-        if r.from_dim == i:
-            return tuple(float(j == i) + r.alpha * float(j == r.to_dim) for j in range(system.dim))
-    return tuple(float(j == i) for j in range(system.dim))
-
-
 @PROPERTY_SETTINGS
 @given(st.lists(signed_sentence, min_size=1, max_size=5), systems(), st.tuples(halves, halves, halves))
 def test_an_axis_plans_and_searches_as_its_dense_vector(sentences, system, w):
@@ -195,7 +187,9 @@ def test_an_axis_plans_and_searches_as_its_dense_vector(sentences, system, w):
     packed = PackedCorpus.of(build(sentences))
     for i in range(system.dim):
         dense = dense_axis(system, i)
-        assert repr(system.directions[i]) == repr(dense)
+        # Every listed pair has the dense entry's bits; every other entry is 0.0.
+        listed = dict(system.axis(i))
+        assert repr([listed.get(j, 0.0) for j in range(system.dim)]) == repr(list(dense))
         plan = packed.plan(system.axis(i))
         want = SearchPlan.of(tuple(enumerate(dense)), packed.project(dense), packed.sentence, packed.size)
         for name in ("slopes", "base", "starts", "run"):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import os
+import pickle
 import re
 import tracemalloc
 from dataclasses import fields
@@ -8,6 +9,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import rotamert
+import rotamert.descent
 import rotamert.rotation
 from rotamert.bleu import ErrorValue
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
@@ -34,13 +37,13 @@ from rotamert.rotation import (
 from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
 from instances import random_corpus
-from oracles import first_argmax, selection_error
+from oracles import dense_axis, first_argmax, selection_error
 
 
 class TestRotation:
     def test_tilts_one_axis_toward_another(self):
         system = CoordinateSystem(3, (Rotation(0, 2, 0.3),))
-        assert system.directions == (
+        assert tuple(dense_axis(system, i) for i in range(3)) == (
             (1.0, 0.0, 0.3),
             (0.0, 1.0, 0.0),
             (0.0, 0.0, 1.0),
@@ -50,14 +53,15 @@ class TestRotation:
 
     def test_direction_is_not_normalized(self):
         system = CoordinateSystem(2, (Rotation(0, 1, 1.0),))
-        assert system.directions[0] == (1.0, 1.0)
+        assert dense_axis(system, 0) == (1.0, 1.0)
+        assert system.axis(0) == ((0, 1.0), (1, 1.0))
 
     def test_an_axis_holds_the_bits_of_its_dense_vector(self):
         # e_A + alpha * e_B at B is 0.0 + alpha, so alpha = -0.0 gives +0.0.
         for alpha in (-0.0, 0.0, -0.7, 2.5):
             system = CoordinateSystem(3, (Rotation(2, 0, alpha),))
             assert repr(system.axis(2)) == repr(((2, 1.0), (0, 0.0 + alpha)))
-            assert repr(system.directions[2]) == repr((0.0 + alpha, 0.0, 1.0))
+            assert repr(dense_axis(system, 2)) == repr((0.0 + alpha, 0.0, 1.0))
 
     def test_self_rotation_rejected(self):
         with pytest.raises(InvalidRotation):
@@ -82,8 +86,18 @@ class TestRotation:
 
     def test_rotating_an_earlier_target_is_allowed(self):
         system = CoordinateSystem(3, (Rotation(0, 1, 0.5), Rotation(1, 2, -0.25)))
-        assert system.directions[1] == (0.0, 1.0, -0.25)
+        assert dense_axis(system, 1) == (0.0, 1.0, -0.25)
+        assert system.axis(1) == ((1, 1.0), (2, -0.25))
         assert len(system.provenance) == 2
+
+    def test_the_descent_owns_both_types(self):
+        # The alpha grid and the package re-export them; pool points pickle by that path.
+        for name in ("Rotation", "CoordinateSystem"):
+            assert getattr(rotamert.rotation, name) is getattr(rotamert.descent, name) is getattr(rotamert, name)
+            assert getattr(rotamert.descent, name).__module__ == "rotamert.descent"
+        system = CoordinateSystem(3, (Rotation(0, 2, -0.0),))
+        assert pickle.loads(pickle.dumps(system)) == system
+        assert not hasattr(system, "directions")
 
     def test_identity_needs_a_dimension(self):
         with pytest.raises(ConfigError, match="^need at least one dimension, got 0$"):
@@ -278,12 +292,14 @@ class TestRssOptimize:
         points = grid_systems(3, ((0, 1), (2, 0, 0.5)), [-0.5, 0.0])
         assert [alpha for alpha, _ in points] == [-0.5, 0.0]
         for alpha, system in points:
-            assert system.directions == ((1.0, alpha, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 1.0))
+            axes = tuple(dense_axis(system, i) for i in range(3))
+            assert axes == ((1.0, alpha, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 1.0))
             assert system.provenance == (Rotation(2, 0, 0.5), Rotation(0, 1, alpha))
         # Fixed rotations only: one point, labeled by the first alpha.
         ((alpha, system),) = grid_systems(3, ((1, 2, 0.25), (0, 1, -1.0)))
         assert alpha == 0.25
-        assert system.directions == ((1.0, -1.0, 0.0), (0.0, 1.0, 0.25), (0.0, 0.0, 1.0))
+        axes = tuple(dense_axis(system, i) for i in range(3))
+        assert axes == ((1.0, -1.0, 0.0), (0.0, 1.0, 0.25), (0.0, 0.0, 1.0))
         # No rotation: one point, the unrotated system labeled 0.0, whatever the grid.
         for grid in (None, [0.5, 1.0], [], [float("nan")]):
             assert grid_systems(2, (), grid) == ((0.0, CoordinateSystem(2)),)
@@ -329,7 +345,7 @@ class TestRssOptimize:
             assert type(alpha) is float
             assert {type(r.alpha) for r in system.provenance} == {float}
             assert {type(r.from_dim) for r in system.provenance} == {int}
-            assert {type(c) for direction in system.directions for c in direction} == {float}
+            assert {type(c) for i in range(3) for c in dense_axis(system, i)} == {float}
             assert {type(c) for i in range(3) for _, c in system.axis(i)} == {float}
         # An int alpha is read as a float, from an item or from the grid.
         ((alpha, system),) = grid_systems(3, ((1, 2, 1),))
@@ -363,6 +379,15 @@ class TestRssOptimize:
             InvalidGrid, match=f"^alpha grid must be an AlphaGrid or an iterable of numbers, got {grid}$"
         ):
             grid_systems(2, ((0, 1),), grid)
+
+    def test_a_spec_that_is_not_iterable_is_refused(self, monkeypatch):
+        message = "^rotation spec must be an iterable of rotation items, got 5$"
+        with pytest.raises(ConfigError, match=message):
+            grid_systems(2, 5)
+        monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
+        corpus = one_hypothesis_corpus()
+        with pytest.raises(ConfigError, match=message):
+            rss_optimize(corpus, corpus, rotation_spec=5)
 
     @pytest.mark.parametrize("spec", [((0, 1),), ((0, 1), (1, 0, 0.5)), ((1, 0, 0.0),), ()])
     def test_a_spec_is_read_once(self, spec):
@@ -556,11 +581,11 @@ def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatc
     assert len(built) == dim - 1 + len(grid)
     assert sorted(closed._axis_plans) == list(range(1, dim))
     monkeypatch.undo()
-    dense = CoordinateSystem(dim).directions
     for index, plan in closed._axis_plans.items():
         assert plan.direction == ((index, 1.0),)
         # The column's slopes are the bits of the dense axis' projection.
-        fresh = SearchPlan.of(plan.direction, closed.project(dense[index]), closed.sentence, closed.size)
+        dense = dense_axis(CoordinateSystem(dim), index)
+        fresh = SearchPlan.of(plan.direction, closed.project(dense), closed.sentence, closed.size)
         for field in fields(SearchPlan):
             assert same_arrays(getattr(plan, field.name), getattr(fresh, field.name)), field.name
 

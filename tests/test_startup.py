@@ -172,6 +172,57 @@ def test_tuning_core_imports_corpus_for_type_hints_only():
         assert runtime_corpus_imports(source) == [], name
 
 
+# The package's modules, each importing only modules before it.
+MODULE_ORDER = ("errors", "bleu", "corpus", "envelope", "descent", "rotation", "synthetic", "cli")
+
+
+def package_imports(source):
+    """Line numbers and module names of every import from this package in
+    ``source``: at top level, inside functions and under ``TYPE_CHECKING``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            root, _, module = (node.module or "").partition(".")
+            if node.level:
+                module = node.module
+            elif root != "rotamert":
+                continue
+            found += [(node.lineno, module)] if module else [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                root, _, module = alias.name.partition(".")
+                if root == "rotamert":
+                    found.append((node.lineno, module.split(".")[0] or root))
+    return sorted(found)
+
+
+def test_each_module_imports_only_earlier_ones():
+    source = (
+        "from .corpus import TuningCorpus\n"
+        "from . import bleu, errors\n"
+        "import rotamert.envelope\n"
+        "from rotamert.descent import kcd_optimize\n"
+        "def f():\n"
+        "    from .rotation import CoordinateSystem\n"
+        "if TYPE_CHECKING:\n"
+        "    from rotamert import cli\n"
+        "import rotamert\n"
+        "import numpy\n"
+        "from numpy import rotamert\n"
+    )
+    assert package_imports(source) == [
+        (1, "corpus"), (2, "bleu"), (2, "errors"), (3, "envelope"), (4, "descent"),
+        (6, "rotation"), (8, "cli"), (9, "rotamert"),
+    ]
+    modules = sorted(path.stem for path in (SRC / "rotamert").glob("*.py"))
+    assert sorted(MODULE_ORDER) == [name for name in modules if name != "__init__"]
+    late = {}
+    for index, name in enumerate(MODULE_ORDER):
+        found = package_imports((SRC / "rotamert" / f"{name}.py").read_text(encoding="utf-8"))
+        late[name] = [(line, module) for line, module in found if module not in MODULE_ORDER[:index]]
+    assert {name: found for name, found in late.items() if found} == {}
+
+
 # The functions the README promises, then the types they take and return.
 DOCUMENTED_EXPORTS = (
     "parse_nbest",

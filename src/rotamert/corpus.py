@@ -100,7 +100,7 @@ def _feature_names(tokens: Sequence[str]) -> list[str]:
 
 def _repeated(names: Sequence[str]) -> str:
     """The names that occur more than once, space-separated; empty when none repeats."""
-    return " ".join(str(name) for name, count in Counter(names).items() if count > 1)
+    return " ".join(name for name, count in Counter(names).items() if count > 1)
 
 
 def parse_nbest(
@@ -228,8 +228,8 @@ def build_corpus(
     Sentence ids must line up and be dense ``0..S-1``; feature values must
     be finite.  Hypotheses duplicating another exactly (same tokens and
     features) are dropped, keeping the first.  Given feature names must
-    be one per feature and must not repeat.  The result is stable under
-    a second application of this function to its own maps.
+    be strings, one per feature, and must not repeat.  The result is
+    stable under a second application of this function to its own maps.
     """
     nbest_ids = set(nbest)
     ref_ids = set(refs)
@@ -298,6 +298,8 @@ def build_corpus(
             raise InconsistentFeatureCount(
                 f"{len(names)} feature names for {dim} features"
             )
+        if strange := [name for name in names if not isinstance(name, str)]:
+            raise InconsistentFeatureCount(f"feature names must be strings, got {strange[0]!r}")
         if repeated := _repeated(names):
             raise InconsistentFeatureCount(f"feature names repeat: {repeated}")
     return TuningCorpus(tuple(entries), names)

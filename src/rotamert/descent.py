@@ -15,12 +15,11 @@ profitable step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue, format_bleu
-from .envelope import LineSearchResult, PackedCorpus, line_search
+from .envelope import LineSearchResult, PackedCorpus, as_index, as_real, line_search
 from .errors import ConfigError, DimensionMismatch, InvalidRotation
 
 if TYPE_CHECKING:
@@ -92,16 +91,25 @@ class CoordinateSystem:
 
 @dataclass(frozen=True)
 class KcdConfig:
-    """Loop controls: stopping tolerance, iteration cap, sweep order."""
+    """Loop controls: stopping tolerance, iteration cap, sweep order; the first
+    two are read by :func:`as_real` and :func:`as_index` and stored as given."""
 
     epsilon: float = DEFAULT_EPSILON
     max_iter: int = DEFAULT_MAX_ITER
     sweep_mode: str = SWEEP_MODES[0]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < math.inf:
+        try:
+            epsilon = as_real(self.epsilon)
+        except TypeError:
+            raise ConfigError(f"epsilon must be a real number, got {self.epsilon!r}") from None
+        if not 0.0 < epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iter < 1:
+        try:
+            max_iter = as_index(self.max_iter)
+        except TypeError:
+            raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}") from None
+        if max_iter < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ConfigError(
@@ -140,13 +148,6 @@ def uniform_weights(dim: int) -> tuple[float, ...]:
     return (1.0 / dim,) * dim
 
 
-def as_real(value) -> float:
-    """``value`` as a float if it is a real number and not a bool; else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(repr(value))
-    return float(value)
-
-
 def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ...]:
     """Validated starting weights, each read by :func:`as_real`; uniform ``1/M`` when none are given."""
     if init_w is None:
@@ -181,17 +182,22 @@ def kcd_optimize(
     so the trace is non-increasing by construction.  The trace's
     ``final_error`` is the error at the final weights: the last search
     checked it there, or, with no step, the start's.  ``corpus`` is
-    packed by :meth:`PackedCorpus.of`, once, and shared by every line search.
+    packed by :meth:`PackedCorpus.of` first, once, and shared by every
+    line search.  ``system`` and ``config`` are of their type or None.
     """
-    dim = corpus.feature_dim
+    packed = PackedCorpus.of(corpus)
+    dim = packed.feature_dim
     w = initial_weights(init_w, dim)
     if system is None:
         system = CoordinateSystem(dim)
+    elif not isinstance(system, CoordinateSystem):
+        raise ConfigError(f"system must be a CoordinateSystem or None, got {system!r}")
     elif system.dim != dim:
         raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
     if config is None:
         config = KcdConfig()
-    packed = PackedCorpus.of(corpus)
+    elif not isinstance(config, KcdConfig):
+        raise ConfigError(f"config must be a KcdConfig or None, got {config!r}")
     # Each search starts from the previous result and reuses its scores.
     point = LineSearchResult.at(packed, w)
     # Each axis' slopes and line order, shared by every search along it.

@@ -14,13 +14,15 @@ sums feature columns left to right from 0.0, so every score is
 bit-identical to that scalar loop (a BLAS product would reorder the
 sums).  A :class:`SearchPlan` holds what every search along one
 direction shares.  It projects only the direction's listed ``(index,
-coefficient)`` pairs, so an untilted axis' slopes are its feature
-column added to 0.0, and the pack keeps each untilted axis' plan, by
-index, for every descent over it.  :func:`_hulls` builds all
-sentences' envelopes in one stack loop over flat arrays; :func:`_sweep`
-merges their breakpoints with numpy, looping only when some of them
-group.  Every winner is picked by one rule, :func:`_first_max`: the
-highest value, ties to the lowest rank.
+coefficient)`` pairs, each index in range and listed once, so an
+untilted axis' slopes are its feature column added to 0.0, and the pack
+keeps each untilted axis' plan, by index, for every descent over it.
+:func:`line_search` calls its two kernels once each: :func:`_hulls`
+builds all sentences' envelopes in one stack loop over flat arrays, and
+:func:`_sweep` merges their breakpoints with numpy, looping only when
+some of them group.  Interval ``i`` spans ``edges[i]..edges[i + 1]`` of
+``[-inf, *boundaries, inf]``.  Every winner is picked by one rule,
+:func:`_first_max`: the highest value, ties to the lowest rank.
 
 Two exact shortcuts keep the search cheap: a numpy prefilter drops the
 lines two others dominate before the stack runs, and only intervals
@@ -35,6 +37,8 @@ error of the weights adopted.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,7 +46,7 @@ import numpy as np
 
 from .bleu import ErrorValue, row_bleu, row_errors, stats_blocks
 from .corpus import TuningCorpus
-from .errors import DimensionMismatch, InputError
+from .errors import ConfigError, DimensionMismatch, InputError
 
 # Breakpoints within this fraction of a group's first breakpoint join
 # that group, so the grouping does not depend on the scale of the
@@ -90,16 +94,18 @@ class PackedCorpus:
 
     @staticmethod
     def of(corpus: TuningCorpus | PackedCorpus) -> PackedCorpus:
-        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays; a pack is returned as is."""
+        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays; a pack
+        is returned as is, and anything else is refused by :func:`corpus_dim`."""
         if isinstance(corpus, PackedCorpus):
             return corpus
+        dim = corpus_dim(corpus)
         counts = [len(entry.hypotheses) for entry in corpus.entries]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         features = np.array(
             [h.features for entry in corpus.entries for h in entry.hypotheses],
             dtype=np.float64,
-        ).reshape(int(offsets[-1]), corpus.feature_dim)
+        ).reshape(int(offsets[-1]), dim)
         sentences = (([h.tokens for h in entry.hypotheses], entry.references) for entry in corpus.entries)
         stats = np.concatenate([np.zeros((0, 10), dtype=np.int64), *stats_blocks(sentences)])
         sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
@@ -136,9 +142,11 @@ class PackedCorpus:
     def plan(self, d: Iterable[tuple[int, float]]) -> SearchPlan:
         """The :class:`SearchPlan` along ``(index, coefficient)`` pairs, unlisted entries 0.0.
 
-        An untilted axis' plan, ``((i, 1.0),)``, is kept by its index.
+        Each index is read by :func:`as_index`, lies in ``0..M-1`` and
+        appears once; each coefficient is read by :func:`as_real`.  An
+        untilted axis' plan, ``((i, 1.0),)``, is kept by its index.
         """
-        d = tuple(sorted(d))
+        d = _pairs(d, self.feature_dim)
         axis = d[0][0] if len(d) == 1 and d[0][1] == 1.0 else None
         plan = self._axis_plans.get(axis)
         if plan is None:
@@ -156,11 +164,55 @@ class PackedCorpus:
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
 
 
-def _entries(v: Sequence[float], dim: int) -> enumerate:
-    """The ``(index, coefficient)`` pairs of a vector of ``dim`` entries."""
+def corpus_dim(corpus: TuningCorpus | PackedCorpus) -> int:
+    """The feature count of a corpus or a pack; anything else is a :class:`ConfigError`."""
+    if not isinstance(corpus, (TuningCorpus, PackedCorpus)):
+        raise ConfigError(f"corpus must be a TuningCorpus or a PackedCorpus, got {type(corpus).__name__}")
+    return corpus.feature_dim
+
+
+def as_real(value) -> float:
+    """``value`` as a float if it is a real number and not a bool; else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(repr(value))
+    return float(value)
+
+
+def as_index(value) -> int:
+    """``value`` read by ``operator.index`` if it is not a bool; else TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(repr(value))
+    return operator.index(value)
+
+
+def _entries(v: Sequence[float], dim: int) -> list[tuple[int, float]]:
+    """The ``(index, coefficient)`` pairs of a vector of ``dim`` entries, each read by :func:`as_real`."""
     if len(v) != dim:
         raise DimensionMismatch(f"vector of length {len(v)} for {dim} features")
-    return enumerate(v)
+    try:
+        return list(enumerate(map(as_real, v)))
+    except TypeError:
+        raise ConfigError(f"vector entries must be real numbers, got {' '.join(map(repr, v))}") from None
+
+
+def _pairs(d: Iterable[tuple[int, float]], dim: int) -> tuple[tuple[int, float], ...]:
+    """The ``(index, coefficient)`` pairs of ``d``, checked as :meth:`PackedCorpus.plan` documents, in index order."""
+    pairs: dict[int, float] = {}
+    for item in d:
+        try:
+            index, coefficient = item
+            index, coefficient = as_index(index), as_real(coefficient)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"a direction item must be an (index, coefficient) pair of an integer "
+                f"and a real number, got {item!r}"
+            ) from None
+        if not 0 <= index < dim:
+            raise DimensionMismatch(f"direction index {index} out of range for {dim} features")
+        if index in pairs:
+            raise ConfigError(f"direction index {index} appears more than once")
+        pairs[index] = coefficient
+    return tuple(sorted(pairs.items()))
 
 
 def _first_max(values: np.ndarray, starts: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -316,27 +368,6 @@ def _sweep(hulls: Hulls, stats: np.ndarray) -> tuple[list[float], np.ndarray]:
     return [ordered[i] for i in starts], np.vstack((initial, running[ends]))
 
 
-def _intervals(
-    packed: PackedCorpus, intercepts: np.ndarray, plan: SearchPlan
-) -> tuple[Hulls, list[float], np.ndarray]:
-    """The kernel calls of :func:`line_search`: sentence hulls, boundaries and
-    interval statistics rows along ``plan`` at ``intercepts = packed.project(w)``."""
-    hulls = _hulls(intercepts, plan)
-    boundaries, rows = _sweep(hulls, packed.stats)
-    return hulls, boundaries, rows
-
-
-def _interval_bounds(boundaries: Sequence[float], index: int) -> tuple[float, float]:
-    lower = boundaries[index - 1] if index > 0 else float("-inf")
-    upper = boundaries[index] if index < len(boundaries) else float("inf")
-    return lower, upper
-
-
-def _distance_to_zero(lower: float, upper: float) -> float:
-    # 0 for an interval containing gamma = 0, else gap to the nearer edge.
-    return max(lower, -upper, 0.0)
-
-
 def _midpoint(lower: float, upper: float) -> float:
     # Unbounded intervals step 1.0 past their one edge; no edges, no step.
     if lower == float("-inf"):
@@ -369,19 +400,17 @@ def line_search(
         raise ValueError("the search plan was made for another packed corpus")
     start = w if isinstance(w, LineSearchResult) else LineSearchResult.at(packed, w)
     w, intercepts, zero_error = start.weights, start.scores, start.error_at_star
-    _, boundaries, rows = _intervals(packed, intercepts, plan)
+    boundaries, rows = _sweep(_hulls(intercepts, plan), packed.stats)
+    edges = [-math.inf, *boundaries, math.inf]
     estimate = row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar
     # minimum; their scalar errors decide, ties as documented above.
     candidates = np.flatnonzero(estimate <= estimate.min() + RESCORE_BOUND)
     scored = {index: row_bleu(rows[index].tolist()) for index in candidates.tolist()}
+    # The distance to gamma = 0 is 0 for an interval containing it, else
+    # the gap to its nearer edge.
     ranked = sorted(
-        scored,
-        key=lambda index: (
-            scored[index].error,
-            _distance_to_zero(*_interval_bounds(boundaries, index)),
-            index,
-        ),
+        scored, key=lambda i: (scored[i].error, max(edges[i], -edges[i + 1], 0.0), i)
     )
 
     coefficients = dict(plan.direction)
@@ -400,7 +429,7 @@ def line_search(
         # Crossings near gamma = 0 round by an absolute amount, so an
         # interval can be too narrow for any stepped weights to select
         # its mix; such an interval is passed over for the next one.
-        gamma = _midpoint(*_interval_bounds(boundaries, index))
+        gamma = _midpoint(edges[index], edges[index + 1])
         weights = stepped(gamma)
         scores = packed.project(weights)
         if packed.argmax_error(scores) == error:

@@ -13,7 +13,6 @@ influence the selection.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import format_bleu
-from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, as_real, initial_weights, kcd_optimize
-from .envelope import PackedCorpus
+from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, initial_weights, kcd_optimize
+from .envelope import PackedCorpus, as_index, as_real, corpus_dim
 from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid
 
 if TYPE_CHECKING:
@@ -47,6 +46,11 @@ class AlphaGrid:
     step: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("start", "end", "step"):
+            try:
+                as_real(getattr(self, name))
+            except TypeError:
+                raise InvalidGrid(f"grid {name} must be a real number, got {getattr(self, name)!r}") from None
         if not all(math.isfinite(v) for v in (self.start, self.end, self.step)):
             raise InvalidGrid(
                 f"grid start, end and step must be finite, "
@@ -145,9 +149,7 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
     for index, item in enumerate(items):
         try:
             from_dim, to_dim, *alpha = item
-            if isinstance(from_dim, bool) or isinstance(to_dim, bool):
-                raise TypeError
-            parts = (operator.index(from_dim), operator.index(to_dim), *map(as_real, alpha))
+            parts = (as_index(from_dim), as_index(to_dim), *map(as_real, alpha))
         except (TypeError, ValueError):  # not a sequence, too short, or not numbers
             parts = ()
         if len(parts) == 2:
@@ -225,10 +227,13 @@ def rss_optimize(
 ) -> RssResult:
     """Grid-search rotation strength alpha, one descent run per point.
 
-    Every point's system is built by :func:`grid_systems`' gate, which
-    reads ``rotation_spec`` once, before either corpus is packed by
+    Each corpus is a :class:`TuningCorpus` or a pack.  Every point's
+    system is built by :func:`grid_systems`' gate, which reads
+    ``rotation_spec`` once, before either corpus is packed by
     :meth:`PackedCorpus.of` (a pack is used as is), and every run starts
-    from the same ``init_w``.  The first point runs in-process; up to ``jobs`` worker processes, but no more than the CPU
+    from the same ``init_w``.  The first point runs in-process; up to
+    ``jobs`` worker processes (an integer read by
+    :func:`~rotamert.envelope.as_index`, at least 1), but no more than the CPU
     count, run the rest when at least two points remain and the first
     point's CPU time times their number is at least ``POOL_MIN_SECONDS``,
     and otherwise they run in-process too.  Selection maximizes the
@@ -238,13 +243,18 @@ def rss_optimize(
     rotation at all, the one point is the baseline, and fixed rotations
     alone have none.
     """
-    if closed_corpus.feature_dim != open_corpus.feature_dim:
+    dim = corpus_dim(closed_corpus)
+    if dim != corpus_dim(open_corpus):
         raise DimensionMismatch(
-            f"closed corpus has {closed_corpus.feature_dim} features, "
-            f"open corpus has {open_corpus.feature_dim}"
+            f"closed corpus has {dim} features, open corpus has {open_corpus.feature_dim}"
         )
-    init_w = initial_weights(init_w, closed_corpus.feature_dim)
-    points, has_baseline = _grid(closed_corpus.feature_dim, rotation_spec, grid)
+    try:
+        if as_index(jobs) < 1:
+            raise TypeError
+    except TypeError:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}") from None
+    init_w = initial_weights(init_w, dim)
+    points, has_baseline = _grid(dim, rotation_spec, grid)
 
     task = (PackedCorpus.of(closed_corpus), PackedCorpus.of(open_corpus), init_w, config)
     started = time.process_time()

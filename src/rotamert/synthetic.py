@@ -1,4 +1,4 @@
-"""Deterministic synthetic tuning corpora, plus a frozen stress fixture.
+"""Deterministic synthetic tuning corpora.
 
 Each hypothesis gets a latent quality ``q`` in [0, 1]; its tokens copy a
 fraction of about ``q`` of a reference in place (the rest are replaced
@@ -12,14 +12,12 @@ never share a reference token sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Hypothesis, Tokens, TuningCorpus, build_corpus, parse_nbest, parse_references
+from .corpus import Hypothesis, Tokens, TuningCorpus, build_corpus
 from .errors import SpecInvalid
 
 _MAX_RESAMPLE = 100
@@ -201,30 +199,3 @@ def generate(spec: SynthSpec) -> tuple[TuningCorpus, TuningCorpus]:
     opened, _ = _generate_split(spec, open_seq, closed_refs, mixing)
     return closed, opened
 
-
-def _data_text(name: str) -> str:
-    return resources.files("rotamert").joinpath("data", name).read_text()
-
-
-def adversarial_instance() -> TuningCorpus:
-    """A tiny two-feature corpus on which plain coordinate descent stalls.
-
-    Axis-aligned sweeps from the packaged starting weights converge to a
-    provably suboptimal selection; a tilted first axis escapes to the
-    global optimum.  The instance and its certified scores are frozen
-    package data (see :func:`adversarial_certificate`).
-    """
-    by_id, names = parse_nbest(
-        _data_text("adversarial.nbest").splitlines(), source="adversarial.nbest"
-    )
-    refs = parse_references(
-        [_data_text("adversarial.ref").splitlines()], sources=["adversarial.ref"]
-    )
-    return build_corpus(by_id, refs, names)
-
-
-def adversarial_certificate() -> dict:
-    """Certified values frozen next to the instance: starting weights,
-    the stalled BLEU of plain descent, the exhaustive-scan optimum, and
-    the alpha expected to reach it."""
-    return json.loads(_data_text("adversarial.json"))

@@ -1,4 +1,4 @@
-"""Seeded random test instances.
+"""Seeded random test instances, and the frozen adversarial fixture.
 
 Small corpora with short token sequences over a tiny vocabulary keep
 individual checks fast while still exercising ties, duplicate n-grams,
@@ -7,12 +7,16 @@ and sentences whose hypotheses never match a reference.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from rotamert.corpus import Hypothesis, build_corpus
+from rotamert.corpus import Hypothesis, build_corpus, parse_nbest, parse_references
 from rotamert.envelope import PackedCorpus
+
+DATA = Path(__file__).parent / "data"
 
 
 class Line(NamedTuple):
@@ -98,3 +102,31 @@ def random_lines(seed, max_lines=16):
         Line(float(intercepts[i]), float(slopes[i]), i)
         for i in range(count)
     ]
+
+
+def _data_text(name):
+    return (DATA / name).read_text(encoding="utf-8")
+
+
+def adversarial_instance():
+    """A tiny two-feature corpus on which plain coordinate descent stalls.
+
+    Axis-aligned sweeps from the certified starting weights converge to a
+    provably suboptimal selection; a tilted first axis escapes to the
+    global optimum.  The instance and its certified scores are frozen
+    files under ``data/`` (see :func:`adversarial_certificate`).
+    """
+    by_id, names = parse_nbest(
+        _data_text("adversarial.nbest").splitlines(), source="adversarial.nbest"
+    )
+    refs = parse_references(
+        [_data_text("adversarial.ref").splitlines()], sources=["adversarial.ref"]
+    )
+    return build_corpus(by_id, refs, names)
+
+
+def adversarial_certificate():
+    """Certified values frozen next to the instance: starting weights,
+    the stalled BLEU of plain descent, the exhaustive-scan optimum, and
+    the alpha expected to reach it."""
+    return json.loads(_data_text("adversarial.json"))

@@ -18,11 +18,10 @@ from rotamert.bleu import row_bleu, stats_blocks
 from rotamert.cli import main
 from rotamert.corpus import parse_references
 from rotamert.descent import DEFAULT_MAX_ITER, kcd_optimize, uniform_weights
-from rotamert.envelope import PackedCorpus, _intervals, line_search
+from rotamert.envelope import PackedCorpus, _hulls, _sweep, line_search
 from rotamert.rotation import AlphaGrid, report_tsv, rss_optimize, summary_rows
-from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
-from instances import random_corpus, ray_instance, row_ranks
+from instances import adversarial_certificate, adversarial_instance, random_corpus, ray_instance, row_ranks
 from oracles import (
     envelope_by_enumeration,
     first_argmax,
@@ -62,7 +61,8 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
         for seed in range(1000):
             _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
             result = line_search(packed, w, d)
-            hulls, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+            hulls = _hulls(packed.project(w), packed.plan(enumerate(d)))
+            boundaries, rows = _sweep(hulls, packed.stats)
             oracle_breaks = []
             for hull, lines in zip(split_hulls(hulls, row_ranks(packed)), lines_per_sentence):
                 breaks, segments = envelope_by_enumeration(lines)
@@ -85,7 +85,7 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
         for seed in range(2000, 2200):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+            boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
             grid_min = ray_probe_min_error(lines_per_sentence, packed, boundaries)
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 

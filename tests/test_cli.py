@@ -20,7 +20,6 @@ from rotamert.corpus import parse_nbest
 from oracles import clipped_stats_by_counting, sum_rows
 
 DATA = Path(__file__).parent / "data"
-PACKAGE_DATA = Path(__file__).parent.parent / "src" / "rotamert" / "data"
 # The CLI in a fresh interpreter whose pools start workers by spawn,
 # for any amount of work.
 SPAWN_MAIN = (
@@ -71,8 +70,8 @@ def blocked_out(tmp_path, parts):
 def adversarial_files(tmp_path):
     nbest = tmp_path / "tune.nbest"
     ref = tmp_path / "tune.ref"
-    shutil.copy(PACKAGE_DATA / "adversarial.nbest", nbest)
-    shutil.copy(PACKAGE_DATA / "adversarial.ref", ref)
+    shutil.copy(DATA / "adversarial.nbest", nbest)
+    shutil.copy(DATA / "adversarial.ref", ref)
     return nbest, ref
 
 

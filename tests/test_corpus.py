@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rotamert.corpus import (
@@ -213,6 +215,14 @@ class TestBuildCorpus:
         nbest, refs = tiny_corpus()
         with pytest.raises(InconsistentFeatureCount, match="^feature names repeat: x$"):
             build_corpus(nbest, refs, ("x", "x"))
+
+    @pytest.mark.parametrize("names", [(1, 2), ([1], [2]), ("x", b"y"), ("x", None)])
+    def test_feature_names_must_be_strings(self, names):
+        # Refused before the repeat check, which could not hash a list.
+        nbest, refs = tiny_corpus()
+        bad = next(name for name in names if not isinstance(name, str))
+        with pytest.raises(InconsistentFeatureCount, match=f"^feature names must be strings, got {re.escape(repr(bad))}$"):
+            build_corpus(nbest, refs, names)
 
     def test_id_sets_must_match(self):
         nbest, refs = tiny_corpus()

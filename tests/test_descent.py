@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from rotamert.corpus import Hypothesis, build_corpus
@@ -74,6 +75,46 @@ class TestConfig:
             KcdConfig(max_iter=0)
         with pytest.raises(ConfigError):
             KcdConfig(sweep_mode="zigzag")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_iter", 2.5, "max_iter must be an integer, got 2.5"),
+            ("max_iter", "3", "max_iter must be an integer, got '3'"),
+            ("max_iter", True, "max_iter must be an integer, got True"),
+            ("max_iter", None, "max_iter must be an integer, got None"),
+            ("epsilon", "0.1", "epsilon must be a real number, got '0.1'"),
+            ("epsilon", True, "epsilon must be a real number, got True"),
+            ("epsilon", 1j, "epsilon must be a real number, got 1j"),
+        ],
+    )
+    def test_fields_are_read_one_strict_way(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            KcdConfig(**{field: value})
+        # Integers and numpy numbers are accepted and stored as given.
+        assert KcdConfig(epsilon=1, max_iter=np.int64(2)).max_iter == np.int64(2)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (dict(config="x"), "config must be a KcdConfig or None, got 'x'"),
+            (dict(config=5), "config must be a KcdConfig or None, got 5"),
+            (dict(system=5), "system must be a CoordinateSystem or None, got 5"),
+        ],
+    )
+    def test_kcd_optimize_refuses_what_it_cannot_use(self, args, message):
+        corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            kcd_optimize(corpus, **args)
+
+    @pytest.mark.parametrize("corpus", [5, None, "corpus"])
+    def test_the_corpus_is_checked_before_its_dimension_is_read(self, corpus):
+        name = type(corpus).__name__
+        message = f"corpus must be a TuningCorpus or a PackedCorpus, got {name}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            kcd_optimize(corpus)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            PackedCorpus.of(corpus)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_initial_weights_rejected(self, bad):

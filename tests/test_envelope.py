@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,12 @@ from rotamert.envelope import (
     PackedCorpus,
     SearchPlan,
     line_search,
-    _distance_to_zero,
     _hulls,
-    _interval_bounds,
-    _intervals,
     _may_reach_hull,
     _sweep,
 )
-from rotamert.errors import DimensionMismatch, InputError
+from rotamert.errors import ConfigError, DimensionMismatch, InputError
+from rotamert.synthetic import SynthSpec, generate
 
 from instances import Line, random_corpus, random_lines, ray_instance, row_ranks
 from oracles import (
@@ -65,7 +66,7 @@ class TestPackedProjection:
         # The hulls line_search builds equal those of lines scored by dot.
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
         packed = PackedCorpus.of(corpus)
-        hulls, _, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+        hulls = _hulls(packed.project(w), packed.plan(enumerate(d)))
         for entry, (breaks, segments) in zip(corpus.entries, split_hulls(hulls, row_ranks(packed))):
             want_breaks, want_segments = one_hull(
                 [
@@ -132,6 +133,60 @@ def test_only_coordinate_axes_keep_their_plans_bit_for_bit():
     assert list(packed._axis_plans) == [1]
     # Pairs are projected in index order, whatever order they come in.
     assert packed.plan(((1, 0.5), (0, 2.0))).direction == ((0, 2.0), (1, 0.5))
+
+
+class TestPlanPairs:
+    """A plan reads each item as one (index, coefficient) pair, so a search
+    steps along the direction it searched."""
+
+    def pack(self, seed=1):
+        return PackedCorpus.of(generate(SynthSpec(6, 4, 3, seed=seed))[0]), (0.3,) * 3
+
+    def test_a_repeated_index_is_refused(self):
+        packed, w = self.pack()
+        with pytest.raises(ConfigError, match="^direction index 0 appears more than once$"):
+            packed.plan([(0, 1.0), (0, 2.0)])
+        # The one pair searches and steps along its dense vector.
+        dense = line_search(packed, w, (3.0, 0.0, 0.0))
+        paired = line_search(packed, w, packed.plan([(0, 3.0)]))
+        assert paired == dense and paired.weights == dense.weights
+
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_an_index_out_of_range_is_refused(self, index):
+        packed, _ = self.pack(seed=2)
+        with pytest.raises(DimensionMismatch, match=f"^direction index {index} out of range for 3 features$"):
+            packed.plan([(index, 1.0)])
+
+    @pytest.mark.parametrize(
+        "item", [(0, "x"), (True, 1.0), (0.0, 1.0), ("0", 1.0), (0, None), (0, 1j), (0,), (0, 1.0, 2.0), 5]
+    )
+    def test_an_item_that_is_not_an_integer_real_pair_is_refused(self, item):
+        packed, _ = self.pack()
+        message = "a direction item must be an (index, coefficient) pair of an integer and a real number"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}, got {re.escape(repr(item))}$"):
+            packed.plan([item])
+
+    def test_dense_entries_are_real_numbers(self):
+        packed, w = self.pack()
+        for d in ((1.0, "a", 0.0), (1.0, True, 0.0), (None, 0.0, 0.0)):
+            message = "vector entries must be real numbers, got " + " ".join(map(repr, d))
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                line_search(packed, w, d)
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                packed.project(d)
+
+    def test_numpy_numbers_plan_as_python_ones(self):
+        packed, w = self.pack()
+        plan = packed.plan([(np.int64(2), np.float64(0.5)), (np.intp(0), np.float32(2.0))])
+        assert plan.direction == ((0, 2.0), (2, 0.5))
+        assert all(type(i) is int and type(c) is float for i, c in plan.direction)
+        assert line_search(packed, w, plan) == line_search(packed, w, (2.0, 0.0, 0.5))
+
+    @pytest.mark.parametrize("coefficient", [float("nan"), float("inf")])
+    def test_a_non_finite_coefficient_is_refused_by_the_overflow_check(self, coefficient):
+        packed, _ = self.pack()
+        with pytest.raises(InputError, match="^feature values times weights overflow"):
+            packed.plan([(0, coefficient)])
 
 
 def one_hull(lines):
@@ -324,7 +379,7 @@ class TestSweepIntervals:
     def test_interval_stats_match_from_scratch_reselection(self):
         for seed in range(60):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
-            _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+            boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
             expected = reselect_interval_stats(lines_per_sentence, packed, boundaries)
             assert list(map(tuple, rows.tolist())) == expected, f"seed {seed}"
 
@@ -383,7 +438,7 @@ class TestLineSearch:
         for seed in range(40):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = line_search(packed, w, d)
-            _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+            boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
             grid_best = ray_probe_min_error(lines_per_sentence, packed, boundaries, points=2001)
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
 
@@ -511,7 +566,7 @@ class TestScaleContract:
         }
         packed = PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
         w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-        _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+        boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert boundaries == [2.0**-54, 2.0**-53] and errors[1] < min(errors[0], errors[2])
         result = line_search(packed, w, d)
@@ -565,14 +620,20 @@ def random_stats_rows(seed, count=4000):
 
 
 def scalar_scan(packed, w, d):
-    """Every interval scored by row_bleu; the minimum under line_search's tie rule."""
-    _, boundaries, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+    """Every interval scored by row_bleu; the minimum under line_search's
+    documented tie rule: the least error, then the interval containing or
+    nearest to gamma = 0, then the leftmost."""
+    boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+    intervals = list(zip([-math.inf, *boundaries], [*boundaries, math.inf]))
     errors = [row_bleu(row) for row in rows.tolist()]
-    best = min(
-        range(len(errors)),
-        key=lambda i: (errors[i].error, _distance_to_zero(*_interval_bounds(boundaries, i)), i),
-    )
-    return _interval_bounds(boundaries, best), errors[best]
+
+    def distance_to_zero(lower, upper):
+        if lower <= 0.0 <= upper:
+            return 0.0
+        return lower if lower > 0.0 else -upper
+
+    best = min(range(len(errors)), key=lambda i: (errors[i].error, distance_to_zero(*intervals[i]), i))
+    return intervals[best], errors[best]
 
 
 class TestRescoringBound:
@@ -638,7 +699,7 @@ class TestRescoringBound:
         corpus = build_corpus(nbest, refs)
         packed = PackedCorpus.of(corpus)
         w, d = (1.0, 0.0), (0.0, 1.0)
-        _, _, rows = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+        _, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert errors.count(min(errors)) == 3
         result = line_search(packed, w, d)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.descent import SWEEP_MODES, CoordinateSystem, KcdConfig, Rotation, kcd_optimize
-from rotamert.envelope import PackedCorpus, SearchPlan, _intervals, _may_reach_hull, line_search
+from rotamert.envelope import PackedCorpus, SearchPlan, _hulls, _may_reach_hull, _sweep, line_search
 
 from instances import pack_rows, ray_instance, row_ranks
 from oracles import (
@@ -220,7 +220,8 @@ def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
     packed = PackedCorpus.of(build(sentences))
     w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 2.0**k)
     intercepts, slopes = packed.project(w), packed.project(d)
-    hulls, boundaries, rows = _intervals(packed, intercepts, packed.plan(enumerate(d)))
+    hulls = _hulls(intercepts, packed.plan(enumerate(d)))
+    boundaries, rows = _sweep(hulls, packed.stats)
     # The flat stack builds each sentence's hull as the bare stack does.
     want = []
     bounds = packed.offsets.tolist()
@@ -331,7 +332,7 @@ def test_scaling_the_direction_keeps_the_error_and_scales_a_bounded_step(seed, m
     unscaled, scaled = line_search(packed, w, d), line_search(packed, w, d_k)
     assert scaled.error_at_star == unscaled.error_at_star
     # An unbounded winner steps 1.0 past its edge, which does not scale.
-    _, boundaries, _ = _intervals(packed, packed.project(w), packed.plan(enumerate(d)))
+    boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
     if boundaries and boundaries[0] < unscaled.gamma_star < boundaries[-1]:
         assert scaled.gamma_star == unscaled.gamma_star * 2.0**-k
         assert [x.hex() for x in scaled.weights] == [x.hex() for x in unscaled.weights]

@@ -34,9 +34,8 @@ from rotamert.rotation import (
     summary_rows,
     report_tsv,
 )
-from rotamert.synthetic import adversarial_certificate, adversarial_instance
 
-from instances import random_corpus
+from instances import adversarial_certificate, adversarial_instance, random_corpus
 from oracles import dense_axis, first_argmax, selection_error
 
 
@@ -152,6 +151,18 @@ class TestAlphaGrid:
     def test_non_finite_bounds_rejected(self, bounds):
         with pytest.raises(InvalidGrid):
             AlphaGrid(*bounds)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [(("a", 1, 0.1), "start"), ((0, True, 0.5), "end"), ((0, 1, None), "step"), ((0, 1j, 0.5), "end")],
+    )
+    def test_fields_are_real_numbers(self, args, field):
+        value = args[("start", "end", "step").index(field)]
+        with pytest.raises(InvalidGrid, match=f"^grid {field} must be a real number, got {re.escape(repr(value))}$"):
+            AlphaGrid(*args)
+        # Integers and numpy numbers are accepted and stored as given.
+        grid = AlphaGrid(0, np.float64(1.0), 1)
+        assert (grid.start, grid.end, grid.step) == (0, 1.0, 1) and grid.points() == (0.0, 1.0)
 
     def test_point_count_is_capped_before_materializing(self, monkeypatch):
         def refuse(self):
@@ -388,6 +399,28 @@ class TestRssOptimize:
         corpus = one_hypothesis_corpus()
         with pytest.raises(ConfigError, match=message):
             rss_optimize(corpus, corpus, rotation_spec=5)
+
+    @pytest.mark.parametrize("jobs", ["2", 0, -3, True, 1.5, None])
+    def test_jobs_is_an_integer_of_at_least_one(self, jobs, monkeypatch):
+        # Refused before either corpus is packed, as the CLI refuses --jobs 0.
+        monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
+        corpus = one_hypothesis_corpus()
+        message = f"jobs must be an integer of at least 1, got {jobs!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            rss_optimize(corpus, corpus, rotation_spec=((0, 1),), jobs=jobs)
+
+    def test_a_corpus_is_a_tuning_corpus_or_a_pack(self, monkeypatch):
+        monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
+        corpus = one_hypothesis_corpus()
+        for closed, opened in ((5, corpus), (corpus, None)):
+            name = type(opened if closed is corpus else closed).__name__
+            with pytest.raises(ConfigError, match=f"^corpus must be a TuningCorpus or a PackedCorpus, got {name}$"):
+                rss_optimize(closed, opened, rotation_spec=((0, 1),))
+
+    def test_a_config_that_is_not_a_kcd_config_is_refused(self):
+        corpus = one_hypothesis_corpus()
+        with pytest.raises(ConfigError, match="^config must be a KcdConfig or None, got 'x'$"):
+            rss_optimize(corpus, corpus, rotation_spec=((0, 1),), config="x")
 
     @pytest.mark.parametrize("spec", [((0, 1),), ((0, 1), (1, 0, 0.5)), ((1, 0, 0.0),), ()])
     def test_a_spec_is_read_once(self, spec):

@@ -246,11 +246,18 @@ DOCUMENTED_EXPORTS = (
     "RssRecord",
 )
 
-# Names the package once exported that no longer exist in any module:
-# the statistics objects replaced by int64 rows, the line-search
-# adapters and corpus maps that only tests called, and the builders of
-# direction sets that a coordinate system of rotations replaced.
+# Names the package once exported, or kept only for tests, that no longer
+# exist in any module: the statistics objects replaced by int64 rows, the
+# line-search adapters and corpus maps that only tests called, the
+# builders of direction sets that a coordinate system of rotations
+# replaced, the adversarial fixture's loaders (now in tests/instances.py)
+# and the interval helpers that line_search no longer calls.
 REMOVED_EXPORTS = (
+    "_distance_to_zero",
+    "_interval_bounds",
+    "_intervals",
+    "adversarial_certificate",
+    "adversarial_instance",
     "apply_rotation",
     "identity_system",
     "BleuStats",
@@ -280,8 +287,6 @@ SUBMODULE_ONLY = (
     ("envelope", "line_search"),
     ("rotation", "report_tsv"),
     ("synthetic", "SynthSpec"),
-    ("synthetic", "adversarial_certificate"),
-    ("synthetic", "adversarial_instance"),
     ("synthetic", "generate"),
 )
 
@@ -299,6 +304,14 @@ def test_every_export_exists_and_no_removed_name_returns():
     for module, name in SUBMODULE_ONLY:
         assert hasattr(importlib.import_module(f"rotamert.{module}"), name), (module, name)
         assert not hasattr(rotamert, name), name
+
+
+def test_the_package_ships_only_python_modules():
+    # Fixtures are test data under tests/data: no run of the package reads them.
+    package = SRC / "rotamert"
+    files = [path for path in package.rglob("*") if path.is_file() and "__pycache__" not in path.parts]
+    assert [str(path.relative_to(package)) for path in files if path.suffix != ".py"] == []
+    assert "package-data" not in (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):

@@ -12,11 +12,11 @@ from rotamert.synthetic import (
     MAX_REF_COUNT,
     MAX_VOCAB_SIZE,
     SynthSpec,
-    adversarial_certificate,
-    adversarial_instance,
     corrupt_reference,
     generate,
 )
+
+from instances import adversarial_certificate, adversarial_instance
 
 
 class TestSpecValidation:

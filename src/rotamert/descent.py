@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .bleu import ErrorValue, format_bleu
-from .envelope import LineSearchResult, PackedCorpus, as_index, as_real, line_search
-from .errors import ConfigError, DimensionMismatch, InvalidRotation
+from .envelope import LineSearchResult, PackedCorpus, line_search
+from .errors import ConfigError, DimensionMismatch, InvalidRotation, as_index, as_real, as_reals
 
 if TYPE_CHECKING:
     from .corpus import TuningCorpus
@@ -33,13 +33,19 @@ DEFAULT_MAX_ITER = 25
 
 @dataclass(frozen=True)
 class Rotation:
-    """Tilt axis ``from_dim`` toward ``to_dim`` by ``atan(alpha)`` degrees."""
+    """Tilt axis ``from_dim`` toward ``to_dim`` by ``atan(alpha)`` degrees.
+
+    The dimensions are read by :func:`~rotamert.errors.as_index` and alpha
+    by :func:`~rotamert.errors.as_real`, and stored as int, int and float.
+    """
 
     from_dim: int
     to_dim: int
     alpha: float
 
     def __post_init__(self) -> None:
+        for name, read in (("from_dim", as_index), ("to_dim", as_index), ("alpha", as_real)):
+            object.__setattr__(self, name, read(getattr(self, name), f"rotation {name}", InvalidRotation))
         if self.from_dim == self.to_dim:
             raise InvalidRotation(f"rotation maps dimension {self.from_dim} onto itself")
         if self.from_dim < 0 or self.to_dim < 0:
@@ -57,15 +63,20 @@ class CoordinateSystem:
 
     A rotation ``(A, B, alpha)`` replaces axis A by ``e_A + alpha * e_B``
     (B may itself be tilted by another).  Only the rotations are stored,
-    so a system costs the same at any ``dim``.
+    so a system costs the same at any ``dim``.  ``dim`` is read by
+    :func:`~rotamert.errors.as_index` and stored as an int; ``provenance``
+    is a tuple of :class:`Rotation`.
     """
 
     dim: int
     provenance: tuple[Rotation, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", as_index(self.dim, "dim"))
         if self.dim < 1:
             raise ConfigError(f"need at least one dimension, got {self.dim}")
+        if not isinstance(self.provenance, tuple) or not all(isinstance(r, Rotation) for r in self.provenance):
+            raise InvalidRotation(f"provenance must be a tuple of Rotations, got {self.provenance!r}")
         tilted = set()
         for rotation in self.provenance:
             if rotation.from_dim >= self.dim or rotation.to_dim >= self.dim:
@@ -91,25 +102,18 @@ class CoordinateSystem:
 
 @dataclass(frozen=True)
 class KcdConfig:
-    """Loop controls: stopping tolerance, iteration cap, sweep order; the first
-    two are read by :func:`as_real` and :func:`as_index` and stored as given."""
+    """Loop controls: stopping tolerance, iteration cap, sweep order; the first two are
+    read by :func:`~rotamert.errors.as_real` and :func:`~rotamert.errors.as_index` and
+    stored as given."""
 
     epsilon: float = DEFAULT_EPSILON
     max_iter: int = DEFAULT_MAX_ITER
     sweep_mode: str = SWEEP_MODES[0]
 
     def __post_init__(self) -> None:
-        try:
-            epsilon = as_real(self.epsilon)
-        except TypeError:
-            raise ConfigError(f"epsilon must be a real number, got {self.epsilon!r}") from None
-        if not 0.0 < epsilon < math.inf:
+        if not 0.0 < as_real(self.epsilon, "epsilon") < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        try:
-            max_iter = as_index(self.max_iter)
-        except TypeError:
-            raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}") from None
-        if max_iter < 1:
+        if as_index(self.max_iter, "max_iter") < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ConfigError(
@@ -149,24 +153,14 @@ def uniform_weights(dim: int) -> tuple[float, ...]:
 
 
 def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ...]:
-    """Validated starting weights, each read by :func:`as_real`; uniform ``1/M`` when none are given."""
+    """Starting weights read by :func:`~rotamert.errors.as_reals`, each finite;
+    uniform ``1/M`` when none are given."""
     if init_w is None:
         return uniform_weights(dim)
-    try:
-        w = tuple(init_w)
-    except TypeError:
-        raise ConfigError(
-            f"initial weights must be an iterable of real numbers, got {init_w!r}"
-        ) from None
-    if len(w) != dim:
-        raise DimensionMismatch(f"{len(w)} initial weights for {dim} features")
-    try:
-        floats = tuple(map(as_real, w))
-    except TypeError:
-        raise ConfigError(f"initial weights must be real numbers, got {' '.join(map(repr, w))}") from None
-    if not all(map(math.isfinite, floats)):
+    w = as_reals(init_w, dim, "initial weights")
+    if not all(map(math.isfinite, w)):
         raise ConfigError(f"initial weights must be finite, got {' '.join(map(repr, w))}")
-    return floats
+    return w
 
 
 def kcd_optimize(

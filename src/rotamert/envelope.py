@@ -37,8 +37,6 @@ error of the weights adopted.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -46,7 +44,7 @@ import numpy as np
 
 from .bleu import ErrorValue, row_bleu, row_errors, stats_blocks
 from .corpus import TuningCorpus
-from .errors import ConfigError, DimensionMismatch, InputError
+from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_real, as_reals
 
 # Breakpoints within this fraction of a group's first breakpoint join
 # that group, so the grouping does not depend on the scale of the
@@ -121,7 +119,7 @@ class PackedCorpus:
 
     def project(self, v: Sequence[float]) -> np.ndarray:
         """Every row's score ``sum_j features[row, j] * v[j]``, summed left to right."""
-        return self._sum(_entries(v, self.feature_dim))
+        return self._sum(enumerate(as_reals(v, self.feature_dim, "vector entries")))
 
     def _sum(self, pairs: Iterable[tuple[int, float]]) -> np.ndarray:
         """Every row's ``sum features[row, j] * c`` over the ``(j, c)`` pairs, in order from 0.0.
@@ -171,42 +169,22 @@ def corpus_dim(corpus: TuningCorpus | PackedCorpus) -> int:
     return corpus.feature_dim
 
 
-def as_real(value) -> float:
-    """``value`` as a float if it is a real number and not a bool; else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(repr(value))
-    return float(value)
-
-
-def as_index(value) -> int:
-    """``value`` read by ``operator.index`` if it is not a bool; else TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(repr(value))
-    return operator.index(value)
-
-
-def _entries(v: Sequence[float], dim: int) -> list[tuple[int, float]]:
-    """The ``(index, coefficient)`` pairs of a vector of ``dim`` entries, each read by :func:`as_real`."""
-    if len(v) != dim:
-        raise DimensionMismatch(f"vector of length {len(v)} for {dim} features")
-    try:
-        return list(enumerate(map(as_real, v)))
-    except TypeError:
-        raise ConfigError(f"vector entries must be real numbers, got {' '.join(map(repr, v))}") from None
-
-
 def _pairs(d: Iterable[tuple[int, float]], dim: int) -> tuple[tuple[int, float], ...]:
     """The ``(index, coefficient)`` pairs of ``d``, checked as :meth:`PackedCorpus.plan` documents, in index order."""
+    try:
+        items = iter(d)
+    except TypeError:
+        raise ConfigError(f"a direction must be an iterable of (index, coefficient) pairs, got {d!r}") from None
     pairs: dict[int, float] = {}
-    for item in d:
+    for item in items:
         try:
             index, coefficient = item
-            index, coefficient = as_index(index), as_real(coefficient)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError):  # not a sequence, or not two parts
             raise ConfigError(
                 f"a direction item must be an (index, coefficient) pair of an integer "
                 f"and a real number, got {item!r}"
             ) from None
+        index, coefficient = as_index(index, "direction index"), as_real(coefficient, "direction coefficient")
         if not 0 <= index < dim:
             raise DimensionMismatch(f"direction index {index} out of range for {dim} features")
         if index in pairs:
@@ -395,9 +373,10 @@ def line_search(
     than staying at gamma = 0.  Its ``weights`` are ``w + gamma_star *
     d``, built once here, and its error is the error at those weights.
     """
-    plan = d if isinstance(d, SearchPlan) else packed.plan(_entries(d, packed.feature_dim))
+    dense = not isinstance(d, SearchPlan)
+    plan = packed.plan(enumerate(as_reals(d, packed.feature_dim, "vector entries"))) if dense else d
     if plan.sentence is not packed.sentence:
-        raise ValueError("the search plan was made for another packed corpus")
+        raise ConfigError("the search plan was made for another packed corpus")
     start = w if isinstance(w, LineSearchResult) else LineSearchResult.at(packed, w)
     w, intercepts, zero_error = start.weights, start.scores, start.error_at_star
     boundaries, rows = _sweep(_hulls(intercepts, plan), packed.stats)

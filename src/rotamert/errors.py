@@ -2,10 +2,15 @@
 
 Two families matter to callers: :class:`InputError` covers bad or
 inconsistent data (the CLI maps it to exit code 2), :class:`ConfigError`
-covers invalid settings and parameters (exit code 3).
+covers invalid settings and parameters (exit code 3).  The readers
+:func:`as_real`, :func:`as_index` and :func:`as_reals` are the one place
+where a Python argument that is not a number becomes such an error.
 """
 
 from __future__ import annotations
+
+import numbers
+import operator
 
 
 class RotamertError(Exception):
@@ -53,7 +58,8 @@ class DimensionMismatch(ConfigError):
 
 
 class InvalidRotation(ConfigError):
-    """A rotation names identical, out-of-range, or already-rotated dimensions."""
+    """A rotation is not two distinct in-range integer dimensions and a finite
+    real alpha, or tilts an axis twice; or a system's provenance is not rotations."""
 
 
 class InvalidGrid(ConfigError):
@@ -66,3 +72,31 @@ class GridEmpty(ConfigError):
 
 class SpecInvalid(ConfigError):
     """A synthetic corpus specification is out of range."""
+
+
+def as_real(value, what: str, error: type[RotamertError] = ConfigError) -> float:
+    """``value`` as a float if it is a real number and not a bool; else ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def as_index(value, what: str, error: type[RotamertError] = ConfigError) -> int:
+    """``value`` by ``operator.index`` if it is an integer and not a bool; else ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def as_reals(values, dim: int, what: str) -> tuple[float, ...]:
+    """``values`` as ``dim`` floats, each a real number as :func:`as_real` reads one."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{what} must be an iterable of real numbers, got {values!r}") from None
+    if len(values) != dim:
+        raise DimensionMismatch(f"{len(values)} {what} for {dim} features")
+    reals = tuple(float(v) for v in values if isinstance(v, numbers.Real) and not isinstance(v, bool))
+    if len(reals) != dim:
+        raise ConfigError(f"{what} must be real numbers, got {' '.join(map(repr, values))}")
+    return reals

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .bleu import format_bleu
 from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, initial_weights, kcd_optimize
-from .envelope import PackedCorpus, as_index, as_real, corpus_dim
-from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid
+from .envelope import PackedCorpus, corpus_dim
+from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, as_index, as_real
 
 if TYPE_CHECKING:
     from .corpus import TuningCorpus
@@ -39,7 +39,8 @@ POOL_MIN_SECONDS = 0.5
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Inclusive arithmetic grid ``start, start+step, ..., end``."""
+    """Inclusive arithmetic grid ``start, start+step, ..., end``; each field is read
+    by :func:`~rotamert.errors.as_real` and stored as given."""
 
     start: float = -1.0
     end: float = 1.0
@@ -47,10 +48,7 @@ class AlphaGrid:
 
     def __post_init__(self) -> None:
         for name in ("start", "end", "step"):
-            try:
-                as_real(getattr(self, name))
-            except TypeError:
-                raise InvalidGrid(f"grid {name} must be a real number, got {getattr(self, name)!r}") from None
+            as_real(getattr(self, name), f"grid {name}", InvalidGrid)
         if not all(math.isfinite(v) for v in (self.start, self.end, self.step)):
             raise InvalidGrid(
                 f"grid start, end and step must be finite, "
@@ -123,11 +121,10 @@ def grid_systems(
     """The run's grid points: each alpha with its coordinate system, all checked.
 
     Only the first pair may omit its alpha: it is the gridded one, and
-    any later pair must fix one.  Dimensions are read by
-    ``operator.index`` and alphas must be real numbers, neither a
-    ``bool``; every alpha, from an item or from the grid, becomes a
-    ``float``.  The fixed rotations tilt the identity once; the gridded
-    pair tilts that base once per alpha, over at most
+    any later pair must fix one.  Each item's parts, and every alpha of
+    the grid, are read by :class:`~rotamert.descent.Rotation`, so each
+    alpha becomes a ``float``.  The fixed rotations tilt the identity
+    once; the gridded pair tilts that base once per alpha, over at most
     ``MAX_GRID_POINTS`` grid values.  Without a gridded pair there is
     exactly one point and ``grid`` is not read: a spec of fixed
     rotations only is labeled by the first alpha, and no rotation at all
@@ -138,7 +135,7 @@ def grid_systems(
 
 def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
     """:func:`grid_systems`' points, and whether they have a baseline (fixed rotations alone do not)."""
-    gridded: tuple[int, int] | None = None
+    gridded: Rotation | None = None  # the gridded pair, at alpha 0.0
     fixed: list[Rotation] = []
     try:
         items = iter(rotation_spec)
@@ -149,48 +146,35 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
     for index, item in enumerate(items):
         try:
             from_dim, to_dim, *alpha = item
-            parts = (as_index(from_dim), as_index(to_dim), *map(as_real, alpha))
-        except (TypeError, ValueError):  # not a sequence, too short, or not numbers
-            parts = ()
-        if len(parts) == 2:
-            if index != 0:
-                raise ConfigError(
-                    "only the first rotation may omit alpha (it is the "
-                    "gridded one); fix alpha for the others"
-                )
-            gridded = parts
-        elif len(parts) == 3:
-            fixed.append(Rotation(*parts))
-        else:
+        except (TypeError, ValueError):  # not a sequence, or too short
+            alpha = None
+        if alpha is None or len(alpha) > 1:
+            raise ConfigError(f"rotation items must be (from, to) or (from, to, alpha), got {item!r}")
+        if alpha:
+            fixed.append(Rotation(from_dim, to_dim, *alpha))
+        elif index != 0:
             raise ConfigError(
-                f"rotation items must be (from, to) or (from, to, alpha), "
-                f"got {item!r}"
+                "only the first rotation may omit alpha (it is the "
+                "gridded one); fix alpha for the others"
             )
+        else:
+            gridded = Rotation(from_dim, to_dim, 0.0)
     if gridded is None:
-        alphas = (fixed[0].alpha if fixed else 0.0,)
-    else:
-        grid = AlphaGrid() if grid is None else grid
-        values = grid.points() if isinstance(grid, AlphaGrid) else grid
-        try:
-            values = tuple(islice(values, MAX_GRID_POINTS + 1))
-        except TypeError:
-            raise InvalidGrid(
-                f"alpha grid must be an AlphaGrid or an iterable of numbers, got {grid!r}"
-            ) from None
-        if len(values) > MAX_GRID_POINTS:
-            raise InvalidGrid(f"alpha grid has more than {MAX_GRID_POINTS} points")
-        if not values:
-            raise GridEmpty("alpha grid has no points")
-        try:
-            alphas = tuple(map(as_real, values))
-        except TypeError as exc:
-            raise InvalidGrid(f"alpha grid values must be real numbers, got {exc}") from None
-    base = CoordinateSystem(dim, tuple(fixed))
-    points = tuple(
-        (alpha, base if gridded is None else CoordinateSystem(dim, (*fixed, Rotation(*gridded, alpha))))
-        for alpha in alphas
-    )
-    return points, gridded is not None or not fixed
+        return ((fixed[0].alpha if fixed else 0.0, CoordinateSystem(dim, tuple(fixed))),), not fixed
+    grid = AlphaGrid() if grid is None else grid
+    values = grid.points() if isinstance(grid, AlphaGrid) else grid
+    try:
+        values = tuple(islice(values, MAX_GRID_POINTS + 1))
+    except TypeError:
+        raise InvalidGrid(
+            f"alpha grid must be an AlphaGrid or an iterable of numbers, got {grid!r}"
+        ) from None
+    if len(values) > MAX_GRID_POINTS:
+        raise InvalidGrid(f"alpha grid has more than {MAX_GRID_POINTS} points")
+    if not values:
+        raise GridEmpty("alpha grid has no points")
+    tilts = (Rotation(gridded.from_dim, gridded.to_dim, alpha) for alpha in values)
+    return tuple((tilt.alpha, CoordinateSystem(dim, (*fixed, tilt))) for tilt in tilts), True
 
 
 def _grid_point(task: tuple, point: tuple[float, CoordinateSystem]) -> RssRecord:
@@ -233,7 +217,7 @@ def rss_optimize(
     :meth:`PackedCorpus.of` (a pack is used as is), and every run starts
     from the same ``init_w``.  The first point runs in-process; up to
     ``jobs`` worker processes (an integer read by
-    :func:`~rotamert.envelope.as_index`, at least 1), but no more than the CPU
+    :func:`~rotamert.errors.as_index`, at least 1), but no more than the CPU
     count, run the rest when at least two points remain and the first
     point's CPU time times their number is at least ``POOL_MIN_SECONDS``,
     and otherwise they run in-process too.  Selection maximizes the
@@ -248,11 +232,8 @@ def rss_optimize(
         raise DimensionMismatch(
             f"closed corpus has {dim} features, open corpus has {open_corpus.feature_dim}"
         )
-    try:
-        if as_index(jobs) < 1:
-            raise TypeError
-    except TypeError:
-        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}") from None
+    if as_index(jobs, "jobs") < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     init_w = initial_weights(init_w, dim)
     points, has_baseline = _grid(dim, rotation_spec, grid)
 

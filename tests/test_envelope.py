@@ -84,7 +84,7 @@ class TestPackedProjection:
         # A dense direction too, short or long, before it is planned.
         w = (1.0,) * packed.feature_dim
         for d in ((1.0,) * (packed.feature_dim - 1), (1.0,) * (packed.feature_dim + 1)):
-            with pytest.raises(DimensionMismatch, match=f"^vector of length {len(d)} for "):
+            with pytest.raises(DimensionMismatch, match=f"^{len(d)} vector entries for "):
                 line_search(packed, w, d)
 
     def test_packed_selection_keeps_lowest_rank_on_ties(self):
@@ -116,7 +116,7 @@ def test_a_crossing_that_overflows_is_rejected():
 def test_plan_of_another_corpus_is_refused():
     packed, other = (PackedCorpus.of(random_corpus(seed)[0]) for seed in (1, 2))
     plan = other.plan(enumerate((1.0,) * other.feature_dim))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^the search plan was made for another packed corpus$"):
         line_search(packed, (0.5,) * packed.feature_dim, plan)
 
 
@@ -157,23 +157,42 @@ class TestPlanPairs:
         with pytest.raises(DimensionMismatch, match=f"^direction index {index} out of range for 3 features$"):
             packed.plan([(index, 1.0)])
 
+    # A pair's index and coefficient are read by as_index and as_real, which name them.
+    FIELD_REFUSALS = {
+        (0, "x"): "direction coefficient must be a real number, got 'x'",
+        (True, 1.0): "direction index must be an integer, got True",
+        (0.0, 1.0): "direction index must be an integer, got 0.0",
+        ("0", 1.0): "direction index must be an integer, got '0'",
+        (0, None): "direction coefficient must be a real number, got None",
+        (0, 1j): "direction coefficient must be a real number, got 1j",
+    }
+
     @pytest.mark.parametrize(
         "item", [(0, "x"), (True, 1.0), (0.0, 1.0), ("0", 1.0), (0, None), (0, 1j), (0,), (0, 1.0, 2.0), 5]
     )
     def test_an_item_that_is_not_an_integer_real_pair_is_refused(self, item):
         packed, _ = self.pack()
         message = "a direction item must be an (index, coefficient) pair of an integer and a real number"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}, got {re.escape(repr(item))}$"):
+        message = self.FIELD_REFUSALS.get(item, f"{message}, got {item!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             packed.plan([item])
 
     def test_dense_entries_are_real_numbers(self):
         packed, w = self.pack()
-        for d in ((1.0, "a", 0.0), (1.0, True, 0.0), (None, 0.0, 0.0)):
-            message = "vector entries must be real numbers, got " + " ".join(map(repr, d))
+        bad = ((1.0, "a", 0.0), (1.0, True, 0.0), (None, 0.0, 0.0))
+        cases = [(d, "real numbers, got " + " ".join(map(repr, d))) for d in bad]
+        for d, expected in cases + [(5, "an iterable of real numbers, got 5")]:
+            message = f"vector entries must be {expected}"
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 line_search(packed, w, d)
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                line_search(packed, d, (1.0, 0.0, 0.0))
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 packed.project(d)
+        # A direction of pairs that is not iterable is refused as the vector is.
+        message = "a direction must be an iterable of (index, coefficient) pairs, got 5"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            packed.plan(5)
 
     def test_numpy_numbers_plan_as_python_ones(self):
         packed, w = self.pack()

@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import tracemalloc
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -82,6 +83,45 @@ class TestRotation:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(InvalidRotation):
             Rotation(0, 1, alpha)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # Once stored unread: a system with it ran the unrotated descent.
+            ((0.5, 1, 0.7), "rotation from_dim must be an integer, got 0.5"),
+            ((0, 1, True), "rotation alpha must be a real number, got True"),
+            (("a", 1, 0.1), "rotation from_dim must be an integer, got 'a'"),
+            ((0, np.float64(1.0), 0.1), "rotation to_dim must be an integer, got np.float64(1.0)"),
+            ((0, 1, "x"), "rotation alpha must be a real number, got 'x'"),
+        ],
+    )
+    def test_rotation_fields_are_read_one_strict_way(self, args, message):
+        with pytest.raises(InvalidRotation, match=f"^{re.escape(message)}$"):
+            CoordinateSystem(3, (Rotation(*args),))
+        # Integers and numpy numbers are stored as int, int and float.
+        rotation = Rotation(np.int64(2), np.intp(0), 1)
+        assert rotation == Rotation(2, 0, 1.0)
+        assert [type(v) for v in (rotation.from_dim, rotation.to_dim, rotation.alpha)] == [int, int, float]
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("3",), ConfigError, "dim must be an integer, got '3'"),
+            ((3.0,), ConfigError, "dim must be an integer, got 3.0"),
+            ((True,), ConfigError, "dim must be an integer, got True"),
+            ((3, 5), InvalidRotation, "provenance must be a tuple of Rotations, got 5"),
+            ((3, ((0, 1, 0.5),)), InvalidRotation, "provenance must be a tuple of Rotations, got ((0, 1, 0.5),)"),
+            (
+                (3, [Rotation(0, 1, 0.5)]),
+                InvalidRotation,
+                "provenance must be a tuple of Rotations, got [Rotation(from_dim=0, to_dim=1, alpha=0.5)]",
+            ),
+        ],
+    )
+    def test_system_fields_are_read_one_strict_way(self, args, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CoordinateSystem(*args)
+        assert type(CoordinateSystem(np.int64(3)).dim) is int
 
     def test_rotating_an_earlier_target_is_allowed(self):
         system = CoordinateSystem(3, (Rotation(0, 1, 0.5), Rotation(1, 2, -0.25)))
@@ -334,18 +374,32 @@ class TestRssOptimize:
         assert rss_optimize(corpus, corpus, grid=[float("nan")]).selected == record
         assert len(calls) == 1
 
+    # Items of two or three parts are read by Rotation, which names the field:
+    # no number is coerced, and a bool is never a number.
+    FIELD_REFUSALS = {
+        (0, "x"): "rotation to_dim must be an integer, got 'x'",
+        (0, 1, None): "rotation alpha must be a real number, got None",
+        (0.9, 1.7): "rotation from_dim must be an integer, got 0.9",
+        "12": "rotation from_dim must be an integer, got '1'",
+        ("0", "1"): "rotation from_dim must be an integer, got '0'",
+        (True, 2): "rotation from_dim must be an integer, got True",
+        (0, 1, "0.5"): "rotation alpha must be a real number, got '0.5'",
+        (0, 1, True): "rotation alpha must be a real number, got True",
+    }
+
     @pytest.mark.parametrize(
         "item",
         [
             (0,), (0, 1, 0.5, 2), 5, None, (0, "x"), (0, 1, None), Rotation(0, 1, 0.5),
-            # Read strictly: no number is coerced, and a bool is never a number.
             (0.9, 1.7), "12", ("0", "1"), (True, 2), (0, 1, "0.5"), (0, 1, True),
         ],
     )
     def test_grid_systems_items_have_two_or_three_parts(self, item):
-        with pytest.raises(
-            ConfigError, match=r"^rotation items must be \(from, to\) or \(from, to, alpha\), got "
-        ):
+        if item in self.FIELD_REFUSALS:
+            error, message = InvalidRotation, re.escape(self.FIELD_REFUSALS[item])
+        else:
+            error, message = ConfigError, r"rotation items must be \(from, to\) or \(from, to, alpha\), got "
+        with pytest.raises(error, match=f"^{message}"):
             grid_systems(3, (item,))
 
     def test_grid_systems_reads_numpy_numbers_as_python_ones(self):
@@ -365,8 +419,9 @@ class TestRssOptimize:
 
     @pytest.mark.parametrize("value", ["0.5", True, None, np.bool_(False), 1j])
     def test_grid_values_must_be_real_numbers(self, value):
+        # Each value is the gridded Rotation's alpha, read by Rotation.
         with pytest.raises(
-            InvalidGrid, match=rf"^alpha grid values must be real numbers, got {re.escape(repr(value))}$"
+            InvalidRotation, match=rf"^rotation alpha must be a real number, got {re.escape(repr(value))}$"
         ):
             grid_systems(3, ((0, 1),), [0.0, value])
 
@@ -405,7 +460,10 @@ class TestRssOptimize:
         # Refused before either corpus is packed, as the CLI refuses --jobs 0.
         monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
         corpus = one_hypothesis_corpus()
-        message = f"jobs must be an integer of at least 1, got {jobs!r}"
+        if type(jobs) is int:
+            message = f"jobs must be at least 1, got {jobs}"
+        else:
+            message = f"jobs must be an integer, got {jobs!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             rss_optimize(corpus, corpus, rotation_spec=((0, 1),), jobs=jobs)
 
@@ -517,13 +575,18 @@ class TestRssOptimize:
             assert rss_optimize(corpus, corpus, (1.0, 1.0), **spec, jobs=4) == expected
 
     def test_short_grid_starts_no_pool(self, monkeypatch):
-        # 21 points of a few milliseconds each are far below POOL_MIN_SECONDS.
+        # 20 points left of 3 ms each are far below POOL_MIN_SECONDS.  The
+        # CPU clock is stubbed, so a loaded host cannot start the pool.
         corpus = adversarial_instance()
         serial = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a short grid must run in-process")
 
+        clock = itertools.count(0.0, 0.003)
+        monkeypatch.setattr(rotamert.rotation, "time", types.SimpleNamespace(process_time=lambda: next(clock)))
+        assert 20 * 0.003 < rotamert.rotation.POOL_MIN_SECONDS
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the rule is read on any host
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         assert rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
 

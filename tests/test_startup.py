@@ -1,6 +1,6 @@
 """Process start-up and package surface: one OpenBLAS thread, no pool
-modules, no BLAS calls, an ``__all__`` that is exactly the documented
-names, and README examples that run.
+modules, no BLAS calls, no raise of a builtin exception, an ``__all__``
+that is exactly the documented names, and README examples that run.
 
 ``rotamert/__init__.py`` loads numpy with a single OpenBLAS thread unless
 the caller set a thread count, because the package never calls BLAS.
@@ -9,6 +9,7 @@ has imported numpy and rotamert already.
 """
 
 import ast
+import builtins
 import importlib
 import os
 import pkgutil
@@ -117,6 +118,46 @@ def test_package_makes_no_blas_call():
         for path in sorted((SRC / "rotamert").glob("*.py"))
     }
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def builtin_raises(source):
+    """Line numbers and names of every ``raise`` of a builtin exception class in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Attribute) and ast.unparse(exc.value) == "builtins":
+                exc = ast.Name(exc.attr)
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                found.append((node.lineno, exc.id))
+    return found
+
+
+def test_builtin_raise_check_finds_each_kind_of_raise():
+    source = (
+        "raise TypeError\n"
+        "raise ValueError('x') from None\n"
+        "raise builtins.KeyError(1)\n"
+        "raise ConfigError('x')\n"
+        "raise error(f'{what} must be a real number')\n"
+        "raise\n"
+        "raise Exception\n"
+    )
+    assert builtin_raises(source) == [(1, "TypeError"), (2, "ValueError"), (3, "KeyError"), (7, "Exception")]
+
+
+def test_package_raises_only_its_own_errors():
+    # Every refusal is a RotamertError: the CLI maps each family to an exit code.
+    found = {
+        path.name: builtin_raises(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "rotamert").glob("*.py"))
+    }
+    assert {name: raises for name, raises in found.items() if raises} == {}
 
 
 def runtime_corpus_imports(source):

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    ConfigError,
     EmptyCorpus,
     IdMismatch,
     InconsistentFeatureCount,
@@ -30,6 +31,7 @@ from .errors import (
     MalformedLine,
     NoReferences,
     NonNumericFeature,
+    as_instance,
 )
 
 FIELD_SEP = "|||"
@@ -98,6 +100,18 @@ def _feature_names(tokens: Sequence[str]) -> list[str]:
     ]
 
 
+def _listed(value, what: str, kind: type) -> list:
+    """``value`` as a list, if it is an iterable of ``kind`` items and not a string;
+    else a :class:`ConfigError` naming ``what``."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ConfigError(f"{what} must be an iterable that is not a string, got {type(value).__name__}")
+    items = list(value)
+    for item in items:
+        if not isinstance(item, kind):
+            raise ConfigError(f"{what} must hold only {kind.__name__} items, got {type(item).__name__}")
+    return items
+
+
 def _repeated(names: Sequence[str]) -> str:
     """The names that occur more than once, space-separated; empty when none repeats."""
     return " ".join(name for name, count in Counter(names).items() if count > 1)
@@ -111,13 +125,14 @@ def parse_nbest(
     Ranks are assigned by file order within each id.  Returns the parsed
     map together with the feature names recorded from the first labeled
     line (``None`` when no line carried labels); a later labeled line
-    must repeat its labels at the same positions.
+    must repeat its labels at the same positions.  ``lines`` is an
+    iterable of strings, read at once.
     """
     by_id: dict[int, list[Hypothesis]] = {}
     names: list[str] | None = None
     first_field: list[str] = []  # the feature field of the first labeled line
     expected: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_listed(lines, "lines", str), start=1):
         line = raw.rstrip("\n")
         parts = line.split(FIELD_SEP)
         if len(parts) != 4:
@@ -190,31 +205,24 @@ def parse_references(
 ) -> dict[int, list[Tokens]]:
     """Read parallel reference files into ``{sentence_id: [tokens, ...]}``.
 
-    All streams must have the same line count; blank lines are skipped
-    for that sentence only.
+    All streams, iterables of strings and not strings themselves, must
+    have the same line count; blank lines are skipped for that sentence.
     """
-    if sources is None:
-        sources = [f"<refs[{j}]>" for j in range(len(streams))]
+    streams = [_listed(stream, "a reference stream", str) for stream in _listed(streams, "streams", object)]
     if not streams:
         raise NoReferences("no reference streams given")
-    materialized = [list(stream) for stream in streams]
-    counts = {len(lines) for lines in materialized}
-    if len(counts) > 1:
-        detail = ", ".join(
-            f"{src}: {len(lines)}" for src, lines in zip(sources, materialized)
-        )
+    if len({len(lines) for lines in streams}) > 1:
+        sources = [f"<refs[{j}]>" for j in range(len(streams))] if sources is None else sources
+        detail = ", ".join(f"{src}: {len(lines)}" for src, lines in zip(sources, streams))
         raise LengthMismatch(f"reference files disagree on line counts ({detail})")
-    size = counts.pop()
     refs: dict[int, list[Tokens]] = {}
-    for i in range(size):
-        per_sentence: list[Tokens] = []
-        for lines in materialized:
-            tokens = tuple(lines[i].split())
-            if tokens:
+    for i, row in enumerate(zip(*streams)):
+        refs[i] = per_sentence = []
+        for line in row:
+            if tokens := tuple(line.split()):
                 per_sentence.append(tokens)
         if not per_sentence:
             raise NoReferences(f"sentence {i} has no non-blank reference")
-        refs[i] = per_sentence
     return refs
 
 
@@ -230,9 +238,10 @@ def build_corpus(
     features) are dropped, keeping the first.  Given feature names must
     be strings, one per feature, and must not repeat.  The result is
     stable under a second application of this function to its own maps.
+    Both maps hold iterables, of :class:`Hypothesis` and of token sequences.
     """
-    nbest_ids = set(nbest)
-    ref_ids = set(refs)
+    nbest_ids = set(as_instance(nbest, Mapping, "nbest"))
+    ref_ids = set(as_instance(refs, Mapping, "refs"))
     if nbest_ids != ref_ids:
         raise IdMismatch(
             f"N-best ids and reference ids differ "
@@ -249,7 +258,7 @@ def build_corpus(
     dim: int | None = None
     entries: list[SentenceEntry] = []
     for sentence_id in range(size):
-        hyps = list(nbest[sentence_id])
+        hyps = _listed(nbest[sentence_id], f"nbest[{sentence_id}]", Hypothesis)
         if not hyps:
             raise EmptyCorpus(f"sentence {sentence_id} has no hypotheses")
         seen: set[tuple[Tokens, tuple[float, ...]]] = set()
@@ -261,15 +270,18 @@ def build_corpus(
                 )
             if not hyp.tokens:
                 raise MalformedLine(f"sentence {sentence_id}: empty hypothesis")
+            try:
+                count = len(hyp.features)
+                # A NaN or infinity makes the sum non-finite, and so may finite values.
+                finite = math.isfinite(sum(hyp.features)) or all(map(math.isfinite, hyp.features))
+            except TypeError:  # not a sequence of real numbers
+                message = f"feature values must be real numbers, got {hyp.features!r}"
+                raise NonNumericFeature(f"sentence {sentence_id}, hypothesis {hyp.rank}: {message}") from None
             if dim is None:
-                dim = len(hyp.features)
-            elif len(hyp.features) != dim:
-                raise InconsistentFeatureCount(
-                    f"sentence {sentence_id}: expected {dim} features, "
-                    f"got {len(hyp.features)}"
-                )
-            # A NaN or infinity makes the sum non-finite, and so may finite values.
-            if not math.isfinite(sum(hyp.features)) and not all(map(math.isfinite, hyp.features)):
+                dim = count
+            elif count != dim:
+                raise InconsistentFeatureCount(f"sentence {sentence_id}: expected {dim} features, got {count}")
+            if not finite:
                 value = next(v for v in hyp.features if not math.isfinite(v))
                 raise NonNumericFeature(
                     f"sentence {sentence_id}, hypothesis {hyp.rank}: "
@@ -280,7 +292,8 @@ def build_corpus(
                 continue
             seen.add(key)
             kept.append(hyp)
-        sentence_refs = [tuple(r) for r in refs[sentence_id] if tuple(r)]
+        listed = _listed(refs[sentence_id], f"refs[{sentence_id}]", Iterable)
+        sentence_refs = [r for r in map(tuple, listed) if r]
         if not sentence_refs:
             raise NoReferences(f"sentence {sentence_id} has no non-empty reference")
         entries.append(
@@ -293,7 +306,7 @@ def build_corpus(
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(dim))
     else:
-        names = tuple(feature_names)
+        names = tuple(_listed(feature_names, "feature_names", object))
         if len(names) != dim:
             raise InconsistentFeatureCount(
                 f"{len(names)} feature names for {dim} features"
@@ -309,15 +322,16 @@ def remap_sparse_ids(
     nbest: Mapping[int, Sequence[Hypothesis]],
     refs: Mapping[int, Sequence[Tokens]],
 ) -> tuple[dict[int, list[Hypothesis]], dict[int, list[Tokens]]]:
-    """Compact sparse sentence ids into a dense 0..S-1 numbering."""
-    if set(nbest) != set(refs):
+    """Compact sparse sentence ids into a dense 0..S-1 numbering; the maps
+    are read as :func:`build_corpus` reads them."""
+    if set(as_instance(nbest, Mapping, "nbest")) != set(as_instance(refs, Mapping, "refs")):
         raise IdMismatch("cannot remap: N-best ids and reference ids differ")
     mapping = {old: new for new, old in enumerate(sorted(nbest))}
     new_nbest = {
-        mapping[old]: [replace(h, sentence_id=mapping[old]) for h in hyps]
-        for old, hyps in nbest.items()
+        new: [replace(h, sentence_id=new) for h in _listed(nbest[old], f"nbest[{old}]", Hypothesis)]
+        for old, new in mapping.items()
     }
-    new_refs = {mapping[old]: list(rs) for old, rs in refs.items()}
+    new_refs = {new: _listed(refs[old], f"refs[{old}]", Iterable) for old, new in mapping.items()}
     return new_nbest, new_refs
 
 

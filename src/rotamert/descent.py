@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .bleu import ErrorValue, format_bleu
 from .envelope import LineSearchResult, PackedCorpus, line_search
-from .errors import ConfigError, DimensionMismatch, InvalidRotation, as_index, as_real, as_reals
-
-if TYPE_CHECKING:
-    from .corpus import TuningCorpus
+from .errors import ConfigError, DimensionMismatch, InvalidRotation, as_index, as_instance, as_real, as_reals
 
 SWEEP_MODES = ("sequential", "best-direction")
 
@@ -164,7 +161,7 @@ def initial_weights(init_w: Sequence[float] | None, dim: int) -> tuple[float, ..
 
 
 def kcd_optimize(
-    corpus: TuningCorpus | PackedCorpus,
+    corpus: PackedCorpus,
     init_w: Sequence[float] | None = None,
     system: CoordinateSystem | None = None,
     config: KcdConfig | None = None,
@@ -175,23 +172,18 @@ def kcd_optimize(
     applied step takes the weights and error of the exact line search,
     so the trace is non-increasing by construction.  The trace's
     ``final_error`` is the error at the final weights: the last search
-    checked it there, or, with no step, the start's.  ``corpus`` is
-    packed by :meth:`PackedCorpus.of` first, once, and shared by every
-    line search.  ``system`` and ``config`` are of their type or None.
+    checked it there, or, with no step, the start's.  ``corpus`` is a
+    :class:`PackedCorpus`, shared by every line search; ``system`` and
+    ``config`` are of their type or None.
     """
-    packed = PackedCorpus.of(corpus)
+    packed = as_instance(corpus, PackedCorpus, "corpus")
     dim = packed.feature_dim
     w = initial_weights(init_w, dim)
     if system is None:
         system = CoordinateSystem(dim)
-    elif not isinstance(system, CoordinateSystem):
-        raise ConfigError(f"system must be a CoordinateSystem or None, got {system!r}")
-    elif system.dim != dim:
+    elif as_instance(system, CoordinateSystem, "system").dim != dim:
         raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
-    if config is None:
-        config = KcdConfig()
-    elif not isinstance(config, KcdConfig):
-        raise ConfigError(f"config must be a KcdConfig or None, got {config!r}")
+    config = KcdConfig() if config is None else as_instance(config, KcdConfig, "config")
     # Each search starts from the previous result and reuses its scores.
     point = LineSearchResult.at(packed, w)
     # Each axis' slopes and line order, shared by every search along it.

@@ -29,9 +29,9 @@ lines two others dominate before the stack runs, and only intervals
 within ``RESCORE_BOUND`` of the smallest numpy error estimate are scored
 by the scalar :func:`row_bleu`, which decides.  The chosen step is
 checked with one projection of the stepped weights.  The result carries
-those weights and scores, and a search that starts from it reuses both,
-so each point is projected once and the reported error is always the
-error of the weights adopted.
+those weights, their scores and its pack, and a search that starts from
+it, on that pack only, reuses both, so each point is projected once and
+the reported error is always the error of the weights adopted.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .bleu import ErrorValue, row_bleu, row_errors, stats_blocks
 from .corpus import TuningCorpus
-from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_real, as_reals
+from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_instance, as_real, as_reals
 
 # Breakpoints within this fraction of a group's first breakpoint join
 # that group, so the grouping does not depend on the scale of the
@@ -64,14 +64,15 @@ class LineSearchResult:
     gamma_star: float
     error_at_star: ErrorValue
     weights: tuple[float, ...]  # w + gamma_star * d, whose error is error_at_star
-    # packed.project(weights): a search that starts here reuses it.
+    # packed.project(weights) on the pack below: a search that starts here reuses it.
     scores: np.ndarray = field(repr=False, compare=False)
+    packed: PackedCorpus = field(repr=False, compare=False)
 
     @staticmethod
     def at(packed: PackedCorpus, w: Sequence[float]) -> LineSearchResult:
         """The zero step at ``w``: the error and scores of ``w`` on ``packed``."""
-        scores = packed.project(w)
-        return LineSearchResult(0.0, packed.argmax_error(scores), tuple(w), scores)
+        scores = as_instance(packed, PackedCorpus, "packed").project(w)
+        return LineSearchResult(0.0, packed.argmax_error(scores), tuple(w), scores, packed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +92,9 @@ class PackedCorpus:
     _axis_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
-    def of(corpus: TuningCorpus | PackedCorpus) -> PackedCorpus:
-        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays; a pack
-        is returned as is, and anything else is refused by :func:`corpus_dim`."""
-        if isinstance(corpus, PackedCorpus):
-            return corpus
-        dim = corpus_dim(corpus)
+    def of(corpus: TuningCorpus) -> PackedCorpus:
+        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays."""
+        dim = as_instance(corpus, TuningCorpus, "corpus").feature_dim
         counts = [len(entry.hypotheses) for entry in corpus.entries]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -160,13 +158,6 @@ class PackedCorpus:
         """
         rows = _first_max(scores, self.offsets[:-1], self.sentence)
         return row_bleu(self.stats[rows].sum(axis=0).tolist())
-
-
-def corpus_dim(corpus: TuningCorpus | PackedCorpus) -> int:
-    """The feature count of a corpus or a pack; anything else is a :class:`ConfigError`."""
-    if not isinstance(corpus, (TuningCorpus, PackedCorpus)):
-        raise ConfigError(f"corpus must be a TuningCorpus or a PackedCorpus, got {type(corpus).__name__}")
-    return corpus.feature_dim
 
 
 def _pairs(d: Iterable[tuple[int, float]], dim: int) -> tuple[tuple[int, float], ...]:
@@ -355,16 +346,15 @@ def _midpoint(lower: float, upper: float) -> float:
     return (lower + upper) / 2.0
 
 
-def line_search(
-    packed: PackedCorpus, w: Sequence[float] | LineSearchResult, d: Sequence[float] | SearchPlan
-) -> LineSearchResult:
-    """Minimize corpus error along ``w + gamma * d`` exactly.
+def line_search(packed: PackedCorpus, start: LineSearchResult, plan: SearchPlan) -> LineSearchResult:
+    """Minimize corpus error along ``w + gamma * d`` exactly, ``w`` the start's weights
+    and ``d`` the plan's direction.
 
-    ``w`` may also be the result of an earlier search on ``packed``: the
-    search starts at its weights and reuses their scores and error.
-    ``d`` is a dense direction or a :class:`SearchPlan` from
-    ``packed.plan``, which a caller searching one direction many times
-    builds once; a dense ``d`` is planned as ``enumerate(d)``.
+    ``start`` is :meth:`LineSearchResult.at` or an earlier search's
+    result, whose scores and error the search reuses, and ``plan`` comes
+    from ``packed.plan``, which a caller searching one direction many
+    times builds once.  Each argument of another type, and a start or a
+    plan made on another pack, is a :class:`ConfigError`.
 
     Returns the midpoint of the minimum-error interval (offset by 1.0
     into unbounded intervals); interval ties resolve toward the interval
@@ -373,11 +363,11 @@ def line_search(
     than staying at gamma = 0.  Its ``weights`` are ``w + gamma_star *
     d``, built once here, and its error is the error at those weights.
     """
-    dense = not isinstance(d, SearchPlan)
-    plan = packed.plan(enumerate(as_reals(d, packed.feature_dim, "vector entries"))) if dense else d
-    if plan.sentence is not packed.sentence:
+    as_instance(packed, PackedCorpus, "packed")
+    if as_instance(start, LineSearchResult, "start").packed is not packed:
+        raise ConfigError("the search start was made on another packed corpus")
+    if as_instance(plan, SearchPlan, "plan").sentence is not packed.sentence:
         raise ConfigError("the search plan was made for another packed corpus")
-    start = w if isinstance(w, LineSearchResult) else LineSearchResult.at(packed, w)
     w, intercepts, zero_error = start.weights, start.scores, start.error_at_star
     boundaries, rows = _sweep(_hulls(intercepts, plan), packed.stats)
     edges = [-math.inf, *boundaries, math.inf]
@@ -412,5 +402,5 @@ def line_search(
         weights = stepped(gamma)
         scores = packed.project(weights)
         if packed.argmax_error(scores) == error:
-            return LineSearchResult(gamma, error, weights, scores)
-    return LineSearchResult(0.0, zero_error, stepped(0.0), intercepts)
+            return LineSearchResult(gamma, error, weights, scores, packed)
+    return LineSearchResult(0.0, zero_error, stepped(0.0), intercepts, packed)

@@ -3,8 +3,9 @@
 Two families matter to callers: :class:`InputError` covers bad or
 inconsistent data (the CLI maps it to exit code 2), :class:`ConfigError`
 covers invalid settings and parameters (exit code 3).  The readers
-:func:`as_real`, :func:`as_index` and :func:`as_reals` are the one place
-where a Python argument that is not a number becomes such an error.
+:func:`as_real`, :func:`as_index`, :func:`as_reals` and :func:`as_instance`
+turn a Python argument that is not a number, or not of its type, into
+such an error that names it.
 """
 
 from __future__ import annotations
@@ -100,3 +101,10 @@ def as_reals(values, dim: int, what: str) -> tuple[float, ...]:
     if len(reals) != dim:
         raise ConfigError(f"{what} must be real numbers, got {' '.join(map(repr, values))}")
     return reals
+
+
+def as_instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; else a :class:`ConfigError` naming ``what`` and the type given."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value

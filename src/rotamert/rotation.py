@@ -17,15 +17,12 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .bleu import format_bleu
 from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, initial_weights, kcd_optimize
-from .envelope import PackedCorpus, corpus_dim
-from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, as_index, as_real
-
-if TYPE_CHECKING:
-    from .corpus import TuningCorpus
+from .envelope import PackedCorpus
+from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, as_index, as_instance, as_real
 
 ZERO_SNAP = 1e-12
 # Each grid point is a full descent run.
@@ -200,8 +197,8 @@ def _worker_point(point: tuple[float, CoordinateSystem]) -> RssRecord:
 
 
 def rss_optimize(
-    closed_corpus: TuningCorpus | PackedCorpus,
-    open_corpus: TuningCorpus | PackedCorpus,
+    closed_corpus: PackedCorpus,
+    open_corpus: PackedCorpus,
     init_w: Sequence[float] | None = None,
     rotation_spec: Sequence[tuple] = (),
     grid: AlphaGrid | Sequence[float] | None = None,
@@ -211,24 +208,22 @@ def rss_optimize(
 ) -> RssResult:
     """Grid-search rotation strength alpha, one descent run per point.
 
-    Each corpus is a :class:`TuningCorpus` or a pack.  Every point's
-    system is built by :func:`grid_systems`' gate, which reads
-    ``rotation_spec`` once, before either corpus is packed by
-    :meth:`PackedCorpus.of` (a pack is used as is), and every run starts
-    from the same ``init_w``.  The first point runs in-process; up to
-    ``jobs`` worker processes (an integer read by
-    :func:`~rotamert.errors.as_index`, at least 1), but no more than the CPU
-    count, run the rest when at least two points remain and the first
-    point's CPU time times their number is at least ``POOL_MIN_SECONDS``,
-    and otherwise they run in-process too.  Selection maximizes the
-    closed (tuning) BLEU; ties prefer the smallest ``|alpha|``, then the
-    negative one.  The baseline is the gridded pair's alpha = 0 record,
-    when the grid contains it, with the fixed rotations applied; with no
-    rotation at all, the one point is the baseline, and fixed rotations
-    alone have none.
+    Each corpus is a :class:`PackedCorpus`.  Every point's system is
+    built by :func:`grid_systems`' gate, which reads ``rotation_spec``
+    once, and every run starts from the same ``init_w``.  The first
+    point runs in-process; up to ``jobs`` worker processes (an integer
+    read by :func:`~rotamert.errors.as_index`, at least 1), but no more
+    than the CPU count, run the rest when at least two points remain
+    and the first point's CPU time times their number is at least
+    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.
+    Selection maximizes the closed (tuning) BLEU; ties prefer the
+    smallest ``|alpha|``, then the negative one.  The baseline is the
+    gridded pair's alpha = 0 record, when the grid contains it, with the
+    fixed rotations applied; with no rotation at all, the one point is
+    the baseline, and fixed rotations alone have none.
     """
-    dim = corpus_dim(closed_corpus)
-    if dim != corpus_dim(open_corpus):
+    dim = as_instance(closed_corpus, PackedCorpus, "closed_corpus").feature_dim
+    if dim != as_instance(open_corpus, PackedCorpus, "open_corpus").feature_dim:
         raise DimensionMismatch(
             f"closed corpus has {dim} features, open corpus has {open_corpus.feature_dim}"
         )
@@ -237,7 +232,7 @@ def rss_optimize(
     init_w = initial_weights(init_w, dim)
     points, has_baseline = _grid(dim, rotation_spec, grid)
 
-    task = (PackedCorpus.of(closed_corpus), PackedCorpus.of(open_corpus), init_w, config)
+    task = (closed_corpus, open_corpus, init_w, config)
     started = time.process_time()
     records = (_grid_point(task, points[0]),)
     rest = points[1:]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from rotamert.corpus import Hypothesis, build_corpus, parse_nbest, parse_references
-from rotamert.envelope import PackedCorpus
+from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,6 +84,11 @@ def ray_instance(seed, **kwargs):
     bounds = packed.offsets.tolist()
     lines_per_sentence = [lines[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return corpus, packed, lines_per_sentence, w, d
+
+
+def search(packed, w, d):
+    """The line search on ``packed`` from weights ``w`` along the dense direction ``d``."""
+    return line_search(packed, LineSearchResult.at(packed, w), packed.plan(enumerate(d)))
 
 
 def random_lines(seed, max_lines=16):

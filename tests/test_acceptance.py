@@ -18,7 +18,7 @@ from rotamert.bleu import row_bleu, stats_blocks
 from rotamert.cli import main
 from rotamert.corpus import parse_references
 from rotamert.descent import DEFAULT_MAX_ITER, kcd_optimize, uniform_weights
-from rotamert.envelope import PackedCorpus, _hulls, _sweep, line_search
+from rotamert.envelope import LineSearchResult, PackedCorpus, _hulls, _sweep, line_search
 from rotamert.rotation import AlphaGrid, report_tsv, rss_optimize, summary_rows
 
 from instances import adversarial_certificate, adversarial_instance, random_corpus, ray_instance, row_ranks
@@ -60,8 +60,9 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
     ):
         for seed in range(1000):
             _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
-            result = line_search(packed, w, d)
-            hulls = _hulls(packed.project(w), packed.plan(enumerate(d)))
+            start, plan = LineSearchResult.at(packed, w), packed.plan(enumerate(d))
+            result = line_search(packed, start, plan)
+            hulls = _hulls(start.scores, plan)
             boundaries, rows = _sweep(hulls, packed.stats)
             oracle_breaks = []
             for hull, lines in zip(split_hulls(hulls, row_ranks(packed)), lines_per_sentence):
@@ -84,8 +85,9 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
     ):
         for seed in range(2000, 2200):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
-            result = line_search(packed, w, d)
-            boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+            start, plan = LineSearchResult.at(packed, w), packed.plan(enumerate(d))
+            result = line_search(packed, start, plan)
+            boundaries, _ = _sweep(_hulls(start.scores, plan), packed.stats)
             grid_min = ray_probe_min_error(lines_per_sentence, packed, boundaries)
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 
@@ -98,7 +100,7 @@ def test_criterion_3_descent_is_monotone_and_terminates():
             start = selection_error(
                 packed, first_argmax(packed, packed.project(uniform_weights(corpus.feature_dim)))
             )
-            _, trace = kcd_optimize(corpus)
+            _, trace = kcd_optimize(packed)
             errors = [start.error] + [s.error.error for s in trace.steps]
             assert all(a >= b for a, b in zip(errors, errors[1:])), f"seed {seed}"
             assert 1 <= trace.iterations <= DEFAULT_MAX_ITER, f"seed {seed}"
@@ -106,14 +108,14 @@ def test_criterion_3_descent_is_monotone_and_terminates():
 
 def test_criterion_4_zero_grid_reproduces_plain_descent():
     with criterion(4, "grid {0} reproduces plain descent bit for bit"):
-        cases = [(adversarial_instance(), (1.0, 1.0))]
+        cases = [(PackedCorpus.of(adversarial_instance()), (1.0, 1.0))]
         for seed in range(3000, 3010):
             corpus, _ = random_corpus(seed, min_features=2)
-            cases.append((corpus, None))
-        for corpus, init in cases:
-            plain_w, plain_trace = kcd_optimize(corpus, init)
+            cases.append((PackedCorpus.of(corpus), None))
+        for packed, init in cases:
+            plain_w, plain_trace = kcd_optimize(packed, init)
             result = rss_optimize(
-                corpus, corpus, init, rotation_spec=((0, 1),), grid=[0.0]
+                packed, packed, init, rotation_spec=((0, 1),), grid=[0.0]
             )
             (record,) = result.records
             assert record.weights == plain_w
@@ -125,15 +127,15 @@ def test_criterion_4_zero_grid_reproduces_plain_descent():
 def test_criterion_5_selection_never_regrets_the_baseline():
     with criterion(5, "selected alpha never scores below alpha = 0"):
         runs = []
-        adv = adversarial_instance()
+        adv = PackedCorpus.of(adversarial_instance())
         runs.append(
             rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),))
         )
         grid = [-0.4, -0.2, 0.0, 0.2, 0.4]
         for seed in range(4000, 4008):
-            corpus, _ = random_corpus(seed, max_sentences=8, min_features=2)
+            packed = PackedCorpus.of(random_corpus(seed, max_sentences=8, min_features=2)[0])
             runs.append(
-                rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
+                rss_optimize(packed, packed, rotation_spec=((0, 1),), grid=grid)
             )
         for result in runs:
             assert result.baseline is not None
@@ -149,7 +151,7 @@ def test_criterion_6_rotation_escapes_the_certified_stall():
         packed = PackedCorpus.of(corpus)
         init = tuple(cert["init_weights"])
 
-        weights, _ = kcd_optimize(corpus, init)
+        weights, _ = kcd_optimize(packed, init)
         stalled_sel = first_argmax(packed, packed.project(weights))
         stalled = selection_error(packed, stalled_sel)
         assert stalled_sel == cert["stalled_selection"]
@@ -164,7 +166,7 @@ def test_criterion_6_rotation_escapes_the_certified_stall():
         assert stalled.bleu < best_eval.bleu
 
         result = rss_optimize(
-            corpus, corpus, init, rotation_spec=(tuple(cert["rotation"]),)
+            packed, packed, init, rotation_spec=(tuple(cert["rotation"]),)
         )
         assert result.selected_alpha == cert["selected_alpha"]
         assert result.selected_alpha != 0.0
@@ -222,7 +224,7 @@ def test_criterion_8_grid_cardinality_and_report_layout():
         assert len(points) == 21
         assert points[0] == -1.0 and points[10] == 0.0 and points[20] == 1.0
 
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         result = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),))
         assert len(result.records) == 21
 
@@ -250,20 +252,20 @@ def test_criterion_9_parallelism_is_byte_identical(monkeypatch):
         # Two points after the first, so the rss process pool really starts workers.
         grid = (-0.5, 0.0, 0.5)
         for seed in list(range(30)) + list(range(0, 1000, 97)):
-            corpus = ray_instance(seed, min_features=2)[0]
+            corpus = ray_instance(seed, min_features=2)[1]
             serial = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid, jobs=1)
             pooled = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid, jobs=4)
             assert repr(serial) == repr(pooled), f"seed {seed}"
 
         for seed in range(8):
-            corpus, _ = random_corpus(seed)
+            corpus = PackedCorpus.of(random_corpus(seed)[0])
             # One feature has no pair to grid: one point, and no pool.
             spec = ((0, 1),) if corpus.feature_dim >= 2 else ()
             serial = rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid, jobs=1)
             pooled = rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid, jobs=4)
             assert repr(serial) == repr(pooled), f"seed {seed}"
 
-        adv = adversarial_instance()
+        adv = PackedCorpus.of(adversarial_instance())
         serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),), jobs=1)
         parallel = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),), jobs=4)
         assert serial == parallel

@@ -13,6 +13,7 @@ from rotamert.corpus import (
 )
 from rotamert.descent import kcd_optimize
 from rotamert.errors import (
+    ConfigError,
     EmptyCorpus,
     IdMismatch,
     InconsistentFeatureCount,
@@ -301,6 +302,39 @@ class TestBuildCorpus:
         # Not blamed on overflow by the descent, as when the corpus was built.
         with pytest.raises(NonNumericFeature, match="is not finite"):
             kcd_optimize(build_corpus({0: [Hypothesis(0, 0, ("a",), (value, 1.0))]}, {0: [("a",)]}))
+
+    ONE = {0: [Hypothesis(0, 0, ("a",), (1.0,))]}
+    NOT_A_STRING = "must be an iterable that is not a string, got"
+
+    @pytest.mark.parametrize(
+        "reader, args, message",
+        [
+            (parse_nbest, (5,), f"lines {NOT_A_STRING} int"),
+            (parse_nbest, ([5],), "lines must hold only str items, got int"),
+            (parse_nbest, ("0 ||| a ||| 1 ||| 1",), f"lines {NOT_A_STRING} str"),
+            (parse_references, (5,), f"streams {NOT_A_STRING} int"),
+            (parse_references, ([5],), f"a reference stream {NOT_A_STRING} int"),
+            (parse_references, (["a b"],), f"a reference stream {NOT_A_STRING} str"),
+            (parse_references, ([[5]],), "a reference stream must hold only str items, got int"),
+            (build_corpus, (5, {}), "nbest must be a Mapping, got int"),
+            (build_corpus, ({0: [5]}, {0: [("a",)]}), "nbest[0] must hold only Hypothesis items, got int"),
+            (build_corpus, ({0: 5}, {0: [("a",)]}), f"nbest[0] {NOT_A_STRING} int"),
+            (build_corpus, (ONE, {0: [5]}), "refs[0] must hold only Iterable items, got int"),
+            (build_corpus, (ONE, {0: [("a",)]}, 5), f"feature_names {NOT_A_STRING} int"),
+            (remap_sparse_ids, ({3: [5]}, {3: []}), "nbest[3] must hold only Hypothesis items, got int"),
+            (remap_sparse_ids, ({3: []}, 5), "refs must be a Mapping, got int"),
+        ],
+    )
+    def test_readers_refuse_arguments_of_the_wrong_type(self, reader, args, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            reader(*args)
+
+    @pytest.mark.parametrize("features", [("x",), (1.0, None), (1j,), 5])
+    def test_a_feature_value_that_is_not_a_real_number_is_refused(self, features):
+        nbest = {0: [Hypothesis(0, 0, ("a",), (1.0,))], 1: [Hypothesis(1, 0, ("a",), features)]}
+        message = f"sentence 1, hypothesis 0: feature values must be real numbers, got {features!r}"
+        with pytest.raises(NonNumericFeature, match=f"^{re.escape(message)}$"):
+            build_corpus(nbest, {0: [("a",)], 1: [("a",)]})
 
     def test_remap_sparse_ids_needs_matching_ids(self):
         nbest = {3: [Hypothesis(3, 0, ("a",), (1.0,))]}

@@ -97,31 +97,34 @@ class TestConfig:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (dict(config="x"), "config must be a KcdConfig or None, got 'x'"),
-            (dict(config=5), "config must be a KcdConfig or None, got 5"),
-            (dict(system=5), "system must be a CoordinateSystem or None, got 5"),
+            (dict(config="x"), "config must be a KcdConfig, got str"),
+            (dict(config=5), "config must be a KcdConfig, got int"),
+            (dict(system=5), "system must be a CoordinateSystem, got int"),
         ],
     )
     def test_kcd_optimize_refuses_what_it_cannot_use(self, args, message):
         corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            kcd_optimize(corpus, **args)
+            kcd_optimize(PackedCorpus.of(corpus), **args)
 
     @pytest.mark.parametrize("corpus", [5, None, "corpus"])
     def test_the_corpus_is_checked_before_its_dimension_is_read(self, corpus):
-        name = type(corpus).__name__
-        message = f"corpus must be a TuningCorpus or a PackedCorpus, got {name}"
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            kcd_optimize(corpus)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            PackedCorpus.of(corpus)
+        # The descent takes a pack only, and only a TuningCorpus is packed.
+        tuning, _ = random_corpus(0)
+        for bad in (corpus, tuning):
+            with pytest.raises(ConfigError, match=f"^corpus must be a PackedCorpus, got {type(bad).__name__}$"):
+                kcd_optimize(bad)
+        packed = PackedCorpus.of(tuning)
+        for bad in (corpus, packed):
+            with pytest.raises(ConfigError, match=f"^corpus must be a TuningCorpus, got {type(bad).__name__}$"):
+                PackedCorpus.of(bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_initial_weights_rejected(self, bad):
         corpus, _ = random_corpus(4, min_features=2)
         init = (bad,) + (1.0,) * (corpus.feature_dim - 1)
         with pytest.raises(ConfigError):
-            kcd_optimize(corpus, init)
+            kcd_optimize(PackedCorpus.of(corpus), init)
 
     @pytest.mark.parametrize("init", [["1", "2"], (1.0, True), (None, 1.0), (1.0, 1j)])
     def test_initial_weights_must_be_real_numbers(self, init):
@@ -129,20 +132,20 @@ class TestConfig:
         corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
         message = "initial weights must be real numbers, got " + " ".join(map(repr, init))
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            kcd_optimize(corpus, init)
+            kcd_optimize(PackedCorpus.of(corpus), init)
 
 
     def test_initial_weights_must_be_iterable(self):
         corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
         with pytest.raises(ConfigError, match="^initial weights must be an iterable of real numbers, got 5$"):
-            kcd_optimize(corpus, 5)
+            kcd_optimize(PackedCorpus.of(corpus), 5)
 
 
 class TestDescentLoop:
     def test_trace_errors_never_increase(self):
         for seed in range(25):
             corpus, _ = random_corpus(seed)
-            _, trace = kcd_optimize(corpus)
+            _, trace = kcd_optimize(PackedCorpus.of(corpus))
             errors = [step.error.error for step in trace.steps]
             assert all(a >= b for a, b in zip(errors, errors[1:])), f"seed {seed}"
 
@@ -151,13 +154,13 @@ class TestDescentLoop:
             corpus, _ = random_corpus(seed)
             w0 = uniform_weights(corpus.feature_dim)
             start = selection_error(PackedCorpus.of(corpus), select(corpus, w0))
-            _, trace = kcd_optimize(corpus, w0)
+            _, trace = kcd_optimize(PackedCorpus.of(corpus), w0)
             assert trace.steps[0].error.error <= start.error, f"seed {seed}"
 
     def test_iteration_cap_respected(self):
         for seed in range(25):
             corpus, _ = random_corpus(seed)
-            _, trace = kcd_optimize(corpus)
+            _, trace = kcd_optimize(PackedCorpus.of(corpus))
             assert 1 <= trace.iterations <= DEFAULT_MAX_ITER
             assert max(s.iteration for s in trace.steps) == trace.iterations
 
@@ -167,18 +170,18 @@ class TestDescentLoop:
         # stops the loop there no matter the corpus.
         for seed in (0, 1, 2):
             corpus, _ = random_corpus(seed)
-            _, trace = kcd_optimize(corpus, config=KcdConfig(epsilon=1.0))
+            _, trace = kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(epsilon=1.0))
             assert trace.iterations == 2, f"seed {seed}"
 
     def test_max_iter_one_runs_one_sweep(self):
         corpus, _ = random_corpus(4)
-        _, trace = kcd_optimize(corpus, config=KcdConfig(max_iter=1))
+        _, trace = kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(max_iter=1))
         assert trace.iterations == 1
         assert {s.iteration for s in trace.steps} == {1}
 
     def test_sequential_sweep_touches_every_dimension(self):
         corpus, _ = random_corpus(6)
-        _, trace = kcd_optimize(corpus, config=KcdConfig(max_iter=1))
+        _, trace = kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(max_iter=1))
         dims = [s.dimension for s in trace.steps]
         assert dims == list(range(corpus.feature_dim))
 
@@ -186,7 +189,7 @@ class TestDescentLoop:
         for seed in range(10):
             corpus, _ = random_corpus(seed)
             _, trace = kcd_optimize(
-                corpus, config=KcdConfig(sweep_mode="best-direction")
+                PackedCorpus.of(corpus), config=KcdConfig(sweep_mode="best-direction")
             )
             per_iter = [s.iteration for s in trace.steps]
             assert per_iter == sorted(per_iter)
@@ -196,29 +199,19 @@ class TestDescentLoop:
 
     def test_returned_weights_match_trace(self):
         corpus, _ = random_corpus(8)
-        weights, trace = kcd_optimize(corpus)
+        weights, trace = kcd_optimize(PackedCorpus.of(corpus))
         assert weights == trace.final_weights
 
     def test_weights_start_uniform_by_default(self):
         corpus, _ = random_corpus(9)
-        explicit, _ = kcd_optimize(corpus, uniform_weights(corpus.feature_dim))
-        default, _ = kcd_optimize(corpus)
+        explicit, _ = kcd_optimize(PackedCorpus.of(corpus), uniform_weights(corpus.feature_dim))
+        default, _ = kcd_optimize(PackedCorpus.of(corpus))
         assert explicit == default
 
     def test_init_weight_length_checked(self):
         corpus, _ = random_corpus(10)
         with pytest.raises(DimensionMismatch):
-            kcd_optimize(corpus, (1.0,) * (corpus.feature_dim + 1))
-
-    def test_packed_input_changes_nothing(self):
-        for seed in range(8):
-            corpus, _ = random_corpus(seed)
-            serial = kcd_optimize(corpus)
-            packed = PackedCorpus.of(corpus)
-            assert PackedCorpus.of(packed) is packed
-            w, trace = kcd_optimize(packed)
-            assert w == serial[0], f"seed {seed}"
-            assert trace.to_tsv() == serial[1].to_tsv(), f"seed {seed}"
+            kcd_optimize(PackedCorpus.of(corpus), (1.0,) * (corpus.feature_dim + 1))
 
 
 class TestDirections:
@@ -228,13 +221,13 @@ class TestDirections:
         with pytest.raises(
             DimensionMismatch, match=f"^coordinate system of {dim + 1} dimensions for {dim} features$"
         ):
-            kcd_optimize(corpus, system=CoordinateSystem(dim + 1))
+            kcd_optimize(PackedCorpus.of(corpus), system=CoordinateSystem(dim + 1))
 
 
 class TestTraceSerialization:
     def test_tsv_round_trips_gamma_and_error_exactly(self):
         corpus, _ = random_corpus(16)
-        _, trace = kcd_optimize(corpus)
+        _, trace = kcd_optimize(PackedCorpus.of(corpus))
         rows = trace.to_tsv().splitlines()
         assert rows[0] == "iter\tdim\tgamma\terror\tbleu"
         assert len(rows) == len(trace.steps) + 1
@@ -258,7 +251,7 @@ def test_a_search_from_the_previous_result_equals_one_from_its_weights(monkeypat
         assert isinstance(start, LineSearchResult)
         assert start.scores.tobytes() == packed.project(start.weights).tobytes()
         result = line_search(packed, start, d)
-        assert repr(result) == repr(line_search(packed, start.weights, d))
+        assert repr(result) == repr(line_search(packed, LineSearchResult.at(packed, start.weights), d))
         assert result.scores.tobytes() == packed.project(result.weights).tobytes()
         starts.append(start)
         return result
@@ -266,7 +259,7 @@ def test_a_search_from_the_previous_result_equals_one_from_its_weights(monkeypat
     monkeypatch.setattr(rotamert.descent, "line_search", checked)
     for seed in range(40):
         corpus, _ = random_corpus(seed)
-        kcd_optimize(corpus, config=KcdConfig(max_iter=3, sweep_mode=mode))
+        kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(max_iter=3, sweep_mode=mode))
     assert len(starts) > 100
     assert any(start.gamma_star != 0.0 for start in starts)
 

@@ -8,6 +8,7 @@ from rotamert.bleu import row_bleu, row_errors
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.envelope import (
     RESCORE_BOUND,
+    LineSearchResult,
     PackedCorpus,
     SearchPlan,
     line_search,
@@ -18,7 +19,7 @@ from rotamert.envelope import (
 from rotamert.errors import ConfigError, DimensionMismatch, InputError
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import Line, random_corpus, random_lines, ray_instance, row_ranks
+from instances import Line, random_corpus, random_lines, ray_instance, row_ranks, search
 from oracles import (
     dot,
     envelope_by_enumeration,
@@ -81,11 +82,10 @@ class TestPackedProjection:
         packed = PackedCorpus.of(random_corpus(5)[0])
         with pytest.raises(DimensionMismatch):
             packed.project((0.0,) * (packed.feature_dim + 1))
-        # A dense direction too, short or long, before it is planned.
-        w = (1.0,) * packed.feature_dim
-        for d in ((1.0,) * (packed.feature_dim - 1), (1.0,) * (packed.feature_dim + 1)):
-            with pytest.raises(DimensionMismatch, match=f"^{len(d)} vector entries for "):
-                line_search(packed, w, d)
+        # Starting weights too, short or long, before they are projected.
+        for w in ((1.0,) * (packed.feature_dim - 1), (1.0,) * (packed.feature_dim + 1)):
+            with pytest.raises(DimensionMismatch, match=f"^{len(w)} vector entries for "):
+                LineSearchResult.at(packed, w)
 
     def test_packed_selection_keeps_lowest_rank_on_ties(self):
         nbest = {0: [Hypothesis(0, k, ("t", str(k)), (1.0, 0.0)) for k in range(3)]}
@@ -100,9 +100,9 @@ class TestPackedProjection:
         corpus = build_corpus(nbest, {0: [("a",)]})
         packed = PackedCorpus.of(corpus)
         with pytest.raises(InputError):
-            line_search(packed, (1e10, 1.0), (0.0, 1.0))
+            search(packed, (1e10, 1.0), (0.0, 1.0))
         with pytest.raises(InputError):
-            line_search(packed, (1.0, 1.0), (float("nan"), 1.0))
+            search(packed, (1.0, 1.0), (float("nan"), 1.0))
 
 
 def test_a_crossing_that_overflows_is_rejected():
@@ -110,14 +110,31 @@ def test_a_crossing_that_overflows_is_rejected():
     nbest = {0: [Hypothesis(0, 0, ("a",), (-1e308, 0.0)), Hypothesis(0, 1, ("b",), (1e308, 1e-300))]}
     packed = PackedCorpus.of(build_corpus(nbest, {0: [("a",)]}))
     with pytest.raises(InputError):
-        line_search(packed, (1.0, 0.0), (0.0, 1.0))
+        search(packed, (1.0, 0.0), (0.0, 1.0))
 
 
 def test_plan_of_another_corpus_is_refused():
     packed, other = (PackedCorpus.of(random_corpus(seed)[0]) for seed in (1, 2))
     plan = other.plan(enumerate((1.0,) * other.feature_dim))
+    start = LineSearchResult.at(packed, (0.5,) * packed.feature_dim)
     with pytest.raises(ConfigError, match="^the search plan was made for another packed corpus$"):
-        line_search(packed, (0.5,) * packed.feature_dim, plan)
+        line_search(packed, start, plan)
+
+
+@pytest.mark.parametrize("rows", ["equal", "unequal"])
+def test_a_start_or_a_plan_made_on_another_pack_is_refused(rows):
+    # Closed and open of one synth spec have 30 rows each; a pack of
+    # another spec has 20.  Identity decides, not the row count.
+    closed, opened = (PackedCorpus.of(c) for c in generate(SynthSpec(6, 5, 3, seed=4)))
+    other = opened if rows == "equal" else PackedCorpus.of(generate(SynthSpec(4, 5, 3, seed=4))[0])
+    assert (len(other.features) == len(closed.features)) == (rows == "equal")
+    w = (0.3, -0.2, 0.5)
+    own_start, own_plan = LineSearchResult.at(other, w), other.plan([(1, 1.0)])
+    with pytest.raises(ConfigError, match="^the search start was made on another packed corpus$"):
+        line_search(other, LineSearchResult.at(closed, w), own_plan)
+    with pytest.raises(ConfigError, match="^the search plan was made for another packed corpus$"):
+        line_search(other, own_start, closed.plan([(1, 1.0)]))
+    assert line_search(other, own_start, own_plan) == search(other, w, (0.0, 1.0, 0.0))
 
 
 def test_only_coordinate_axes_keep_their_plans_bit_for_bit():
@@ -147,8 +164,8 @@ class TestPlanPairs:
         with pytest.raises(ConfigError, match="^direction index 0 appears more than once$"):
             packed.plan([(0, 1.0), (0, 2.0)])
         # The one pair searches and steps along its dense vector.
-        dense = line_search(packed, w, (3.0, 0.0, 0.0))
-        paired = line_search(packed, w, packed.plan([(0, 3.0)]))
+        dense = search(packed, w, (3.0, 0.0, 0.0))
+        paired = line_search(packed, LineSearchResult.at(packed, w), packed.plan([(0, 3.0)]))
         assert paired == dense and paired.weights == dense.weights
 
     @pytest.mark.parametrize("index", [-1, 3, 5])
@@ -184,11 +201,15 @@ class TestPlanPairs:
         for d, expected in cases + [(5, "an iterable of real numbers, got 5")]:
             message = f"vector entries must be {expected}"
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                line_search(packed, w, d)
-            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                line_search(packed, d, (1.0, 0.0, 0.0))
+                LineSearchResult.at(packed, d)
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 packed.project(d)
+        # line_search takes a start and a plan, never bare vectors.
+        start, plan = LineSearchResult.at(packed, w), packed.plan([(0, 1.0)])
+        with pytest.raises(ConfigError, match="^start must be a LineSearchResult, got tuple$"):
+            line_search(packed, w, plan)
+        with pytest.raises(ConfigError, match="^plan must be a SearchPlan, got tuple$"):
+            line_search(packed, start, (1.0, 0.0, 0.0))
         # A direction of pairs that is not iterable is refused as the vector is.
         message = "a direction must be an iterable of (index, coefficient) pairs, got 5"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -199,7 +220,7 @@ class TestPlanPairs:
         plan = packed.plan([(np.int64(2), np.float64(0.5)), (np.intp(0), np.float32(2.0))])
         assert plan.direction == ((0, 2.0), (2, 0.5))
         assert all(type(i) is int and type(c) is float for i, c in plan.direction)
-        assert line_search(packed, w, plan) == line_search(packed, w, (2.0, 0.0, 0.5))
+        assert line_search(packed, LineSearchResult.at(packed, w), plan) == search(packed, w, (2.0, 0.0, 0.5))
 
     @pytest.mark.parametrize("coefficient", [float("nan"), float("inf")])
     def test_a_non_finite_coefficient_is_refused_by_the_overflow_check(self, coefficient):
@@ -456,7 +477,7 @@ class TestLineSearch:
     def test_grid_probe_never_beats_the_sweep(self):
         for seed in range(40):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
-            result = line_search(packed, w, d)
+            result = search(packed, w, d)
             boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
             grid_best = ray_probe_min_error(lines_per_sentence, packed, boundaries, points=2001)
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
@@ -464,7 +485,7 @@ class TestLineSearch:
     def test_never_worse_than_staying_put(self):
         for seed in range(40):
             _, packed, _, w, d = ray_instance(seed)
-            result = line_search(packed, w, d)
+            result = search(packed, w, d)
             at_zero = selection_error(packed, first_argmax(packed, packed.project(w)))
             assert result.error_at_star.error <= at_zero.error, f"seed {seed}"
 
@@ -472,7 +493,7 @@ class TestLineSearch:
         # One hypothesis per sentence: the score lines never cross.
         nbest = {0: [Hypothesis(0, 0, ("a", "b"), (1.0, 2.0))]}
         corpus = build_corpus(nbest, {0: [("a", "b")]})
-        result = line_search(PackedCorpus.of(corpus), (1.0, 1.0), (0.5, -0.5))
+        result = search(PackedCorpus.of(corpus), (1.0, 1.0), (0.5, -0.5))
         assert result.gamma_star == 0.0
 
     def test_bounded_optimum_returns_midpoint(self):
@@ -487,7 +508,7 @@ class TestLineSearch:
             [good],
         )
         corpus = build_corpus(nbest, refs)
-        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
+        result = search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.gamma_star == 4.0
         assert result.error_at_star.error == 0.0
 
@@ -498,7 +519,7 @@ class TestLineSearch:
             0, [(0.0, -1.0), (-2.0, 1.0)], [good, bad], [good]
         )
         corpus = build_corpus(nbest, refs)
-        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
+        result = search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.gamma_star == 0.0
 
     def test_right_unbounded_optimum_steps_inside(self):
@@ -508,7 +529,7 @@ class TestLineSearch:
             0, [(0.0, -1.0), (-2.0, 1.0)], [bad, good], [good]
         )
         corpus = build_corpus(nbest, refs)
-        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
+        result = search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.gamma_star == 2.0
 
     def test_tie_prefers_interval_nearest_zero(self):
@@ -523,7 +544,7 @@ class TestLineSearch:
             1, [(-3.0, -1.0), (0.0, 0.0), (1.0, 1.0)], [bad, good, bad], [good]
         )
         corpus = build_corpus({**n0, **n1}, {**r0, **r1})
-        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
+        result = search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.gamma_star == -2.0
 
     def test_equal_distance_tie_prefers_leftmost_interval(self):
@@ -534,7 +555,7 @@ class TestLineSearch:
             0, [(0.0, 1.0), (0.0, -1.0)], [good, good], [good]
         )
         corpus = build_corpus(nbest, refs)
-        result = line_search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
+        result = search(PackedCorpus.of(corpus), (1.0, 0.0), (0.0, 1.0))
         assert result.gamma_star == -1.0
 
 
@@ -550,7 +571,7 @@ def test_a_negative_zero_weight_comes_back_as_zero():
     good, bad = ("g",) * 4, ("b",) * 4
     nbest = {0: [Hypothesis(0, 0, bad, (1.0, 0.0)), Hypothesis(0, 1, good, (1.0, 1.0))]}
     packed = PackedCorpus.of(build_corpus(nbest, {0: [good]}))
-    result = line_search(packed, (-0.0, 1.0), (1.0, 0.0))
+    result = search(packed, (-0.0, 1.0), (1.0, 0.0))
     assert result.gamma_star == 0.0
     assert [x.hex() for x in result.weights] == [(0.0).hex(), (1.0).hex()]
 
@@ -588,7 +609,7 @@ class TestScaleContract:
         boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert boundaries == [2.0**-54, 2.0**-53] and errors[1] < min(errors[0], errors[2])
-        result = line_search(packed, w, d)
+        result = search(packed, w, d)
         assert error_at_step(packed, w, d, result) == result.error_at_star
         assert result.error_at_star.error > errors[1]
 
@@ -596,7 +617,7 @@ class TestScaleContract:
         w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
         for seed in range(200):
             packed = ulp_cluster_corpus(seed)
-            result = line_search(packed, w, d)
+            result = search(packed, w, d)
             assert error_at_step(packed, w, d, result) == result.error_at_star, f"seed {seed}"
 
     @pytest.mark.parametrize("min_features", [1, 2])
@@ -606,7 +627,7 @@ class TestScaleContract:
             found = []
             for k in (-30, 0, 25, 30, 35):
                 d_k = tuple(x * 2.0**k for x in d)
-                result = line_search(packed, w, d_k)
+                result = search(packed, w, d_k)
                 at_step = error_at_step(packed, w, d_k, result)
                 assert at_step == result.error_at_star, f"seed {seed}, scale 2**{k}"
                 found.append(result.error_at_star)
@@ -669,7 +690,7 @@ class TestRescoringBound:
     def test_line_search_equals_a_full_scalar_scan(self):
         for seed in range(200):
             _, packed, _, w, d = ray_instance(seed)
-            result = line_search(packed, w, d)
+            result = search(packed, w, d)
             (lower, upper), error = scalar_scan(packed, w, d)
             zero = selection_error(packed, first_argmax(packed, packed.project(w)))
             if zero.error < error.error:  # the gamma = 0 guard
@@ -688,7 +709,7 @@ class TestRescoringBound:
 
         exact = envelope.row_errors
         cases = [ray_instance(seed) for seed in range(60)]
-        expected = [line_search(packed, w, d) for _, packed, _, w, d in cases]
+        expected = [search(packed, w, d) for _, packed, _, w, d in cases]
         for sign in (1.0, -1.0):
             shift = 0.499 * RESCORE_BOUND * sign
 
@@ -700,7 +721,7 @@ class TestRescoringBound:
 
             monkeypatch.setattr(envelope, "row_errors", shifted)
             for (_, packed, _, w, d), want in zip(cases, expected):
-                assert line_search(packed, w, d) == want
+                assert search(packed, w, d) == want
 
     def test_exact_ties_resolve_by_distance_then_leftmost(self):
         # Each sentence is correct on one interval only: [1, 2], [-2, -1]
@@ -721,7 +742,7 @@ class TestRescoringBound:
         _, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert errors.count(min(errors)) == 3
-        result = line_search(packed, w, d)
+        result = search(packed, w, d)
         assert result.gamma_star == -1.5
         assert scalar_scan(packed, w, d) == ((-2.0, -1.0), result.error_at_star)
 

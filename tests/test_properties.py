@@ -16,9 +16,18 @@ from hypothesis import strategies as st
 
 from rotamert.corpus import Hypothesis, build_corpus
 from rotamert.descent import SWEEP_MODES, CoordinateSystem, KcdConfig, Rotation, kcd_optimize
-from rotamert.envelope import PackedCorpus, SearchPlan, _hulls, _may_reach_hull, _sweep, line_search
+from rotamert.envelope import (
+    LineSearchResult,
+    PackedCorpus,
+    SearchPlan,
+    _hulls,
+    _may_reach_hull,
+    _sweep,
+    line_search,
+)
 
 from instances import pack_rows, ray_instance, row_ranks
+from instances import search as dense_search
 from oracles import (
     dense_axis,
     hull_by_stack,
@@ -55,7 +64,7 @@ def build(sentences):
 
 def search(sentences, w, d):
     """``repr`` of line_search on sentences given as (hypotheses, references)."""
-    return repr(line_search(PackedCorpus.of(build(sentences)), w, d))
+    return repr(dense_search(PackedCorpus.of(build(sentences)), w, d))
 
 
 @PROPERTY_SETTINGS
@@ -194,7 +203,8 @@ def test_an_axis_plans_and_searches_as_its_dense_vector(sentences, system, w):
         want = SearchPlan.of(tuple(enumerate(dense)), packed.project(dense), packed.sentence, packed.size)
         for name in ("slopes", "base", "starts", "run"):
             assert getattr(plan, name).tobytes() == getattr(want, name).tobytes(), name
-        assert repr(line_search(packed, w, plan)) == repr(line_search(packed, w, dense))
+        start = LineSearchResult.at(packed, w)
+        assert repr(line_search(packed, start, plan)) == repr(dense_search(packed, w, dense))
 
 
 @st.composite
@@ -239,9 +249,9 @@ def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
     assert [g.hex() for g in boundaries] == [g.hex() for g in want_boundaries]
     assert list(map(tuple, rows.tolist())) == want_rows
     # The error is the error at the returned weights, at every scale.
-    result = line_search(packed, w, d)
+    result = dense_search(packed, w, d)
     assert packed.argmax_error(packed.project(result.weights)) == result.error_at_star
-    assert result.error_at_star == line_search(packed, w, (0.0, 0.0, 1.0)).error_at_star
+    assert result.error_at_star == dense_search(packed, w, (0.0, 0.0, 1.0)).error_at_star
 
 
 @st.composite
@@ -329,7 +339,7 @@ def test_prefilter_keeps_each_sentences_running_maxima_from_both_ends(sentences)
 def test_scaling_the_direction_keeps_the_error_and_scales_a_bounded_step(seed, min_features, k):
     _, packed, _, w, d = ray_instance(seed, min_features=min_features)
     d_k = tuple(x * 2.0**k for x in d)
-    unscaled, scaled = line_search(packed, w, d), line_search(packed, w, d_k)
+    unscaled, scaled = dense_search(packed, w, d), dense_search(packed, w, d_k)
     assert scaled.error_at_star == unscaled.error_at_star
     # An unbounded winner steps 1.0 past its edge, which does not scale.
     boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)

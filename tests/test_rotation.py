@@ -234,13 +234,13 @@ def one_hypothesis_corpus():
         0: [Hypothesis(0, 0, good, (0.5, -0.5))],
         1: [Hypothesis(1, 0, good, (-0.25, 1.0))],
     }
-    return build_corpus(nbest, {0: [good], 1: [good]})
+    return PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
 
 
 class TestRssOptimize:
     def test_zero_only_grid_reproduces_plain_descent(self):
         for seed in range(10):
-            corpus, _ = random_corpus(seed, max_features=4)
+            corpus = PackedCorpus.of(random_corpus(seed, max_features=4)[0])
             if corpus.feature_dim < 2:
                 continue
             plain_w, plain_trace = kcd_optimize(corpus)
@@ -255,7 +255,7 @@ class TestRssOptimize:
 
     def test_selected_never_below_baseline(self):
         for seed in range(10):
-            corpus, _ = random_corpus(seed, max_features=4)
+            corpus = PackedCorpus.of(random_corpus(seed, max_features=4)[0])
             if corpus.feature_dim < 2:
                 continue
             result = rss_optimize(
@@ -265,8 +265,7 @@ class TestRssOptimize:
             assert result.selected.closed_bleu >= result.baseline.closed_bleu
 
     def test_closed_bleu_is_the_score_of_the_final_weights(self, monkeypatch):
-        corpus, _ = random_corpus(7, min_features=2)
-        closed = PackedCorpus.of(corpus)
+        corpus = closed = PackedCorpus.of(random_corpus(7, min_features=2)[0])
 
         def fresh_bleu(weights):
             return closed.argmax_error(closed.project(weights)).bleu
@@ -312,7 +311,7 @@ class TestRssOptimize:
             assert record.weights == init
 
     def test_fixed_spec_runs_single_evaluation(self):
-        corpus, _ = random_corpus(3, max_features=4)
+        corpus = PackedCorpus.of(random_corpus(3, max_features=4)[0])
         if corpus.feature_dim < 2:
             corpus = one_hypothesis_corpus()
         result = rss_optimize(corpus, corpus, rotation_spec=((0, 1, 0.3),))
@@ -333,9 +332,9 @@ class TestRssOptimize:
         def refuse(*args):
             raise AssertionError("packed or descended before every grid point was checked")
 
+        corpus = one_hypothesis_corpus()
         monkeypatch.setattr(PackedCorpus, "of", staticmethod(refuse))
         monkeypatch.setattr(rotamert.rotation, "kcd_optimize", refuse)
-        corpus = one_hypothesis_corpus()
         with pytest.raises(ConfigError):
             rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid)
 
@@ -356,7 +355,7 @@ class TestRssOptimize:
             assert grid_systems(2, (), grid) == ((0.0, CoordinateSystem(2)),)
 
     def test_no_rotation_runs_one_descent_and_it_is_the_baseline(self, monkeypatch):
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         calls = []
 
         def counted(*args):
@@ -446,19 +445,17 @@ class TestRssOptimize:
         ):
             grid_systems(2, ((0, 1),), grid)
 
-    def test_a_spec_that_is_not_iterable_is_refused(self, monkeypatch):
+    def test_a_spec_that_is_not_iterable_is_refused(self):
         message = "^rotation spec must be an iterable of rotation items, got 5$"
         with pytest.raises(ConfigError, match=message):
             grid_systems(2, 5)
-        monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
         corpus = one_hypothesis_corpus()
         with pytest.raises(ConfigError, match=message):
             rss_optimize(corpus, corpus, rotation_spec=5)
 
     @pytest.mark.parametrize("jobs", ["2", 0, -3, True, 1.5, None])
-    def test_jobs_is_an_integer_of_at_least_one(self, jobs, monkeypatch):
-        # Refused before either corpus is packed, as the CLI refuses --jobs 0.
-        monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
+    def test_jobs_is_an_integer_of_at_least_one(self, jobs):
+        # Refused as the CLI refuses --jobs 0.
         corpus = one_hypothesis_corpus()
         if type(jobs) is int:
             message = f"jobs must be at least 1, got {jobs}"
@@ -467,32 +464,34 @@ class TestRssOptimize:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             rss_optimize(corpus, corpus, rotation_spec=((0, 1),), jobs=jobs)
 
-    def test_a_corpus_is_a_tuning_corpus_or_a_pack(self, monkeypatch):
-        monkeypatch.setattr(PackedCorpus, "of", staticmethod(lambda corpus: pytest.fail("packed")))
+    def test_a_corpus_is_a_pack(self):
         corpus = one_hypothesis_corpus()
-        for closed, opened in ((5, corpus), (corpus, None)):
-            name = type(opened if closed is corpus else closed).__name__
-            with pytest.raises(ConfigError, match=f"^corpus must be a TuningCorpus or a PackedCorpus, got {name}$"):
-                rss_optimize(closed, opened, rotation_spec=((0, 1),))
+        tuning = build_corpus({0: [Hypothesis(0, 0, ("g",), (0.5, -0.5))]}, {0: [("g",)]})
+        for bad in (5, None, tuning):
+            name = type(bad).__name__
+            with pytest.raises(ConfigError, match=f"^closed_corpus must be a PackedCorpus, got {name}$"):
+                rss_optimize(bad, corpus, rotation_spec=((0, 1),))
+            with pytest.raises(ConfigError, match=f"^open_corpus must be a PackedCorpus, got {name}$"):
+                rss_optimize(corpus, bad, rotation_spec=((0, 1),))
 
     def test_a_config_that_is_not_a_kcd_config_is_refused(self):
         corpus = one_hypothesis_corpus()
-        with pytest.raises(ConfigError, match="^config must be a KcdConfig or None, got 'x'$"):
+        with pytest.raises(ConfigError, match="^config must be a KcdConfig, got str$"):
             rss_optimize(corpus, corpus, rotation_spec=((0, 1),), config="x")
 
     @pytest.mark.parametrize("spec", [((0, 1),), ((0, 1), (1, 0, 0.5)), ((1, 0, 0.0),), ()])
     def test_a_spec_is_read_once(self, spec):
         # An iterator spec gives the result of the tuple, baseline row included.
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         grid = [-0.5, 0.0, 0.5]
         result = rss_optimize(corpus, corpus, rotation_spec=iter(spec), grid=grid)
         assert result == rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid)
         assert (result.baseline is None) == (spec == ((1, 0, 0.0),))
 
     def test_numpy_inputs_write_the_bytes_of_python_ones(self):
-        closed, _ = random_corpus(5, min_features=3)
+        closed = PackedCorpus.of(random_corpus(5, min_features=3)[0])
         dim = closed.feature_dim
-        opened, _ = random_corpus(6, min_features=dim, max_features=dim)
+        opened = PackedCorpus.of(random_corpus(6, min_features=dim, max_features=dim)[0])
         start = np.linspace(-0.5, 0.5, dim)
         traces = [kcd_optimize(closed, w)[1].to_tsv() for w in (start, start.tolist())]
         assert traces[0] == traces[1]
@@ -507,7 +506,7 @@ class TestRssOptimize:
         assert "np." not in reports[0]
 
     def test_fixed_rotations_alone_have_no_baseline(self):
-        corpus = random_corpus(3, min_features=3)[0]
+        corpus = PackedCorpus.of(random_corpus(3, min_features=3)[0])
         for spec in (((0, 1, 0.0), (1, 2, 0.5)), ((0, 1, 0.0),), ((0, 1, 0.5),)):
             result = rss_optimize(corpus, corpus, rotation_spec=spec)
             assert result.baseline is None
@@ -528,7 +527,7 @@ class TestRssOptimize:
 
     def test_feature_dims_must_agree(self):
         corpus = one_hypothesis_corpus()
-        other, _ = random_corpus(2, max_features=1)
+        other = PackedCorpus.of(random_corpus(2, max_features=1)[0])
         if other.feature_dim == corpus.feature_dim:
             pytest.skip("random corpus happened to match dimensions")
         with pytest.raises(DimensionMismatch):
@@ -537,7 +536,7 @@ class TestRssOptimize:
     def test_process_parallelism_changes_nothing(self, monkeypatch):
         monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         serial = rss_optimize(
             corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), grid=[-0.2, 0.0, 0.2]
         )
@@ -551,19 +550,8 @@ class TestRssOptimize:
         )
         assert serial == parallel
 
-    def test_packed_input_changes_nothing(self):
-        settings = dict(rotation_spec=((1, 0),), grid=[-0.5, 0.0, 0.5])
-        for seed in range(4):
-            closed, _ = random_corpus(seed, min_features=2)
-            dim = closed.feature_dim
-            opened, _ = random_corpus(seed + 100, min_features=dim, max_features=dim)
-            result = rss_optimize(closed, opened, **settings)
-            packs = PackedCorpus.of(closed), PackedCorpus.of(opened)
-            assert rss_optimize(*packs, **settings) == result, f"seed {seed}"
-            assert rss_optimize(closed, packs[1], **settings) == result, f"seed {seed}"
-
     def test_one_point_grid_starts_no_pool(self, monkeypatch):
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         specs = [dict(rotation_spec=((0, 1),), grid=[0.2]), dict(rotation_spec=((0, 1, 0.2),))]
         serial = [rss_optimize(corpus, corpus, (1.0, 1.0), **spec) for spec in specs]
 
@@ -577,7 +565,7 @@ class TestRssOptimize:
     def test_short_grid_starts_no_pool(self, monkeypatch):
         # 20 points left of 3 ms each are far below POOL_MIN_SECONDS.  The
         # CPU clock is stubbed, so a loaded host cannot start the pool.
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         serial = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),))
 
         def refuse(*args, **kwargs):
@@ -591,7 +579,7 @@ class TestRssOptimize:
         assert rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
 
     def test_pool_needs_two_remaining_points_and_enough_work(self, monkeypatch):
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         started = []
 
         class Spy(concurrent.futures.ProcessPoolExecutor):
@@ -625,7 +613,7 @@ class TestRssOptimize:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
         monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         spec = dict(rotation_spec=((0, 1),), grid=AlphaGrid(0.0, 10_000.0, 1.0), jobs=10_000)
         with pytest.raises(NoPool):  # 10,001 points, 10,000 jobs
             rss_optimize(corpus, corpus, (1.0, 1.0), **spec)
@@ -634,7 +622,7 @@ class TestRssOptimize:
     def test_no_corpus_object_crosses_the_process_boundary(self, monkeypatch):
         monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
-        adv = adversarial_instance()
+        adv = PackedCorpus.of(adversarial_instance())
         serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),))
 
         def refuse(self, protocol):
@@ -654,23 +642,17 @@ def same_arrays(a, b):
 
 
 def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatch):
-    packs, built = [], []
-    pack, plan_of = PackedCorpus.of, SearchPlan.of
-
-    def recording_pack(corpus):
-        packs.append(pack(corpus))
-        return packs[-1]
+    built = []
+    plan_of = SearchPlan.of
 
     def recording_plan(direction, *args):
         built.append(direction)
         return plan_of(direction, *args)
 
-    monkeypatch.setattr(PackedCorpus, "of", staticmethod(recording_pack))
     monkeypatch.setattr(SearchPlan, "of", staticmethod(recording_plan))
-    corpus, _ = random_corpus(4100, min_features=3)
+    closed = PackedCorpus.of(random_corpus(4100, min_features=3)[0])
     grid = [-0.5, 0.0, 0.5]
-    rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
-    closed = packs[0]
+    rss_optimize(closed, closed, rotation_spec=((0, 1),), grid=grid)
     dim = closed.feature_dim
     # Axes 1..M-1 once for the whole grid, by index; the tilted axis once
     # per alpha, and never kept.
@@ -688,10 +670,9 @@ def test_axis_plans_are_built_once_per_pack_and_shared_by_every_alpha(monkeypatc
 
 class TestAdversarialFixture:
     def test_plain_descent_stalls_below_global_optimum(self):
-        corpus = adversarial_instance()
+        packed = PackedCorpus.of(adversarial_instance())
         cert = adversarial_certificate()
-        packed = PackedCorpus.of(corpus)
-        weights, _ = kcd_optimize(corpus, tuple(cert["init_weights"]))
+        weights, _ = kcd_optimize(packed, tuple(cert["init_weights"]))
         selection = first_argmax(packed, packed.project(weights))
         assert selection == cert["stalled_selection"]
         stalled = selection_error(packed, selection)
@@ -699,7 +680,7 @@ class TestAdversarialFixture:
         assert stalled.bleu < cert["grid_best_bleu"]
 
     def test_rotation_grid_escapes_the_stall(self):
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         cert = adversarial_certificate()
         result = rss_optimize(
             corpus,
@@ -715,7 +696,7 @@ class TestAdversarialFixture:
         assert winning == cert["winning_alphas"]
 
     def test_open_scores_are_recorded_but_not_consulted(self):
-        closed = adversarial_instance()
+        closed = PackedCorpus.of(adversarial_instance())
         cert = adversarial_certificate()
         # The open split prefers first-quadrant weights, the opposite of
         # what escaping the stall requires on the closed split.
@@ -727,7 +708,7 @@ class TestAdversarialFixture:
                 Hypothesis(0, 1, bad, (-1.0, -1.0)),
             ]
         }
-        opened = build_corpus(nbest, {0: [good]})
+        opened = PackedCorpus.of(build_corpus(nbest, {0: [good]}))
         result = rss_optimize(
             closed,
             opened,
@@ -741,7 +722,7 @@ class TestAdversarialFixture:
 
 class TestReports:
     def test_summary_has_baseline_and_best_rows(self):
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         cert = adversarial_certificate()
         result = rss_optimize(
             corpus, corpus, tuple(cert["init_weights"]), rotation_spec=((0, 1),)
@@ -752,7 +733,7 @@ class TestReports:
         assert rows[2].startswith("best\t+0.2\t100.00\t")
 
     def test_report_lists_every_grid_point(self):
-        corpus = adversarial_instance()
+        corpus = PackedCorpus.of(adversarial_instance())
         result = rss_optimize(
             corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),)
         )

@@ -151,6 +151,70 @@ def test_builtin_raise_check_finds_each_kind_of_raise():
     assert builtin_raises(source) == [(1, "TypeError"), (2, "ValueError"), (3, "KeyError"), (7, "Exception")]
 
 
+def test_wrong_types_raise_only_rotamert_errors():
+    # Every function of __all__, line_search, LineSearchResult.at and
+    # PackedCorpus.plan, each argument in turn replaced by a wrong-type value.
+    import inspect
+
+    import rotamert
+    from rotamert.corpus import Hypothesis
+    from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
+    from rotamert.errors import RotamertError
+
+    nbest, refs = {0: [Hypothesis(0, 0, ("a", "b"), (1.0, 0.5))]}, {0: [("a", "b")]}
+    corpus = rotamert.build_corpus(nbest, refs)
+    packed = PackedCorpus.of(corpus)
+    start, plan = LineSearchResult.at(packed, (1.0, 1.0)), packed.plan([(0, 1.0)])
+    table = {
+        rotamert.parse_nbest: dict(lines=["0 ||| a b ||| 1 0.5 ||| 1.5"]),
+        rotamert.parse_references: dict(streams=[["a b"]]),
+        rotamert.build_corpus: dict(nbest=nbest, refs=refs),
+        rotamert.remap_sparse_ids: dict(nbest=nbest, refs=refs),
+        rotamert.kcd_optimize: dict(corpus=packed),
+        rotamert.rss_optimize: dict(
+            closed_corpus=packed, open_corpus=packed, rotation_spec=((0, 1),), grid=[0.0]
+        ),
+        line_search: dict(packed=packed, start=start, plan=plan),
+        LineSearchResult.at: dict(packed=packed, w=(1.0, 1.0)),
+        packed.plan: dict(d=[(0, 1.0)]),
+        PackedCorpus.of: dict(corpus=corpus),
+    }
+    functions = {name for name in rotamert.__all__ if inspect.isfunction(getattr(rotamert, name))}
+    assert functions <= {function.__name__ for function in table}
+    bad_values = {"5": 5, "None": None, "'x'": "x", "[5]": [5], "TuningCorpus": corpus, "PackedCorpus": packed}
+    # What each argument may be: a pack where one is due, the labels that
+    # only name a source in messages, a one-value grid and five jobs.
+    accepted = {
+        ("kcd_optimize", "corpus", "PackedCorpus"),
+        ("rss_optimize", "closed_corpus", "PackedCorpus"),
+        ("rss_optimize", "open_corpus", "PackedCorpus"),
+        ("line_search", "packed", "PackedCorpus"),
+        ("at", "packed", "PackedCorpus"),
+        ("of", "corpus", "TuningCorpus"),
+        ("rss_optimize", "grid", "[5]"),
+        ("rss_optimize", "jobs", "5"),
+    }
+    escaped = []
+    for function, good in table.items():
+        for parameter in inspect.signature(function).parameters.values():
+            if parameter.name in ("source", "sources"):
+                continue
+            for label, bad in bad_values.items():
+                if (function.__name__, parameter.name, label) in accepted:
+                    continue
+                if bad is None and parameter.default is None:
+                    continue
+                try:
+                    function(**{**good, parameter.name: bad})
+                except RotamertError:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - any other class is the failure
+                    escaped.append((function.__name__, parameter.name, label, type(exc).__name__))
+                else:
+                    escaped.append((function.__name__, parameter.name, label, "accepted"))
+    assert escaped == []
+
+
 def test_package_raises_only_its_own_errors():
     # Every refusal is a RotamertError: the CLI maps each family to an exit code.
     found = {
@@ -158,59 +222,6 @@ def test_package_raises_only_its_own_errors():
         for path in sorted((SRC / "rotamert").glob("*.py"))
     }
     assert {name: raises for name, raises in found.items() if raises} == {}
-
-
-def runtime_corpus_imports(source):
-    """Line numbers of imports from ``rotamert.corpus`` outside ``if TYPE_CHECKING:``."""
-    tree = ast.parse(source)
-    hints_only = {
-        id(node)
-        for block in ast.walk(tree)
-        if isinstance(block, ast.If) and ast.unparse(block.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
-        for statement in block.body
-        for node in ast.walk(statement)
-    }
-    found = []
-    for node in ast.walk(tree):
-        if id(node) in hints_only:
-            continue
-        if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            names = {f"{module}.{alias.name}".replace("..", ".") for alias in node.names} | {module}
-            if names & {".corpus", "rotamert.corpus"}:
-                found.append(node.lineno)
-        elif isinstance(node, ast.Import):
-            if any(alias.name.startswith("rotamert.corpus") for alias in node.names):
-                found.append(node.lineno)
-    return sorted(found)
-
-
-def test_corpus_import_check_finds_each_kind_of_import():
-    source = (
-        "from .corpus import TuningCorpus\n"
-        "from . import corpus\n"
-        "from rotamert.corpus import build_corpus\n"
-        "import rotamert.corpus\n"
-        "def f():\n"
-        "    from .corpus import Hypothesis\n"
-        "if TYPE_CHECKING:\n"
-        "    from .corpus import TuningCorpus\n"
-        "else:\n"
-        "    from .corpus import TuningCorpus\n"
-        "if typing.TYPE_CHECKING:\n"
-        "    import rotamert.corpus\n"
-        "from .envelope import PackedCorpus\n"
-        "from . import envelope\n"
-    )
-    assert runtime_corpus_imports(source) == [1, 2, 3, 4, 6, 10]
-
-
-def test_tuning_core_imports_corpus_for_type_hints_only():
-    # The descent and the alpha grid run on packs: PackedCorpus.of is the
-    # one place a TuningCorpus becomes one.
-    for name in ("descent", "rotation"):
-        source = (SRC / "rotamert" / f"{name}.py").read_text(encoding="utf-8")
-        assert runtime_corpus_imports(source) == [], name
 
 
 # The package's modules, each importing only modules before it.
@@ -264,6 +275,15 @@ def test_each_module_imports_only_earlier_ones():
     assert {name: found for name, found in late.items() if found} == {}
 
 
+def test_tuning_core_imports_corpus_for_type_hints_only():
+    # The descent and the alpha grid run on packs, and PackedCorpus.of is
+    # the one place a TuningCorpus becomes one: neither module imports
+    # rotamert.corpus at all, not even for type hints.
+    for name in ("descent", "rotation"):
+        found = package_imports((SRC / "rotamert" / f"{name}.py").read_text(encoding="utf-8"))
+        assert [(line, module) for line, module in found if module == "corpus"] == [], name
+
+
 # The functions the README promises, then the types they take and return.
 DOCUMENTED_EXPORTS = (
     "parse_nbest",
@@ -294,6 +314,7 @@ DOCUMENTED_EXPORTS = (
 # replaced, the adversarial fixture's loaders (now in tests/instances.py)
 # and the interval helpers that line_search no longer calls.
 REMOVED_EXPORTS = (
+    "corpus_dim",
     "_distance_to_zero",
     "_interval_bounds",
     "_intervals",

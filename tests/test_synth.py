@@ -142,7 +142,7 @@ class TestGenerate:
         for seed in (1, 3, 4, 5):
             spec = SynthSpec(30, 25, 4, correlated_pairs=((0, 1, 0.9),), seed=seed)
             closed, opened = generate(spec)
-            weights, _ = kcd_optimize(closed)
+            weights, _ = kcd_optimize(PackedCorpus.of(closed))
             packed = PackedCorpus.of(opened)
             tuned = packed.argmax_error(packed.project(weights)).bleu
             uniform = packed.argmax_error(packed.project(uniform_weights(4))).bleu

@@ -17,6 +17,7 @@ file contributes no reference for that sentence".
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -126,8 +127,11 @@ def parse_nbest(
     map together with the feature names recorded from the first labeled
     line (``None`` when no line carried labels); a later labeled line
     must repeat its labels at the same positions.  ``lines`` is an
-    iterable of strings, read at once.
+    iterable of strings, read at once.  Equal tokens share one ``str``
+    per call, so token storage grows with the vocabulary plus one tuple
+    slot per token.
     """
+    canonical = {}.setdefault  # one object per distinct token
     by_id: dict[int, list[Hypothesis]] = {}
     names: list[str] | None = None
     first_field: list[str] = []  # the feature field of the first labeled line
@@ -149,7 +153,8 @@ def parse_nbest(
             ) from None
         if sentence_id < 0:
             raise MalformedLine(f"{source}:{lineno}: negative sentence id {sentence_id}")
-        tokens = tuple(parts[1].split())
+        words = parts[1].split()
+        tokens = tuple(map(canonical, words, words))
         if not tokens:
             raise MalformedLine(f"{source}:{lineno}: empty hypothesis")
         field = parts[2].split()
@@ -207,6 +212,8 @@ def parse_references(
 
     All streams, iterables of strings and not strings themselves, must
     have the same line count; blank lines are skipped for that sentence.
+    Equal tokens share one ``str`` across all streams, so token storage
+    grows with the vocabulary plus one tuple slot per token.
     """
     streams = [_listed(stream, "a reference stream", str) for stream in _listed(streams, "streams", object)]
     if not streams:
@@ -215,15 +222,31 @@ def parse_references(
         sources = [f"<refs[{j}]>" for j in range(len(streams))] if sources is None else sources
         detail = ", ".join(f"{src}: {len(lines)}" for src, lines in zip(sources, streams))
         raise LengthMismatch(f"reference files disagree on line counts ({detail})")
+    canonical = {}.setdefault  # one object per distinct token
     refs: dict[int, list[Tokens]] = {}
     for i, row in enumerate(zip(*streams)):
         refs[i] = per_sentence = []
         for line in row:
-            if tokens := tuple(line.split()):
+            words = line.split()
+            if tokens := tuple(map(canonical, words, words)):
                 per_sentence.append(tokens)
         if not per_sentence:
             raise NoReferences(f"sentence {i} has no non-blank reference")
     return refs
+
+
+def _sentence_ids(ids: Mapping[int, object], what: str) -> set[int]:
+    """The keys of the mapping ``ids``, which must all be integers."""
+    if strange := [i for i in as_instance(ids, Mapping, what) if not isinstance(i, numbers.Integral)]:
+        raise IdMismatch(f"{what} sentence ids must be integers, got {strange[0]!r}")
+    return set(ids)
+
+
+def _bad_tokens(hyp: Hypothesis) -> MalformedLine:
+    """The error for a hypothesis whose tokens are not a tuple of strings."""
+    return MalformedLine(
+        f"sentence {hyp.sentence_id}, hypothesis {hyp.rank}: tokens must be a tuple of strings, got {hyp.tokens!r}"
+    )
 
 
 def build_corpus(
@@ -233,15 +256,16 @@ def build_corpus(
 ) -> TuningCorpus:
     """Join parsed N-best lists with references into a validated corpus.
 
-    Sentence ids must line up and be dense ``0..S-1``; feature values must
-    be finite.  Hypotheses duplicating another exactly (same tokens and
+    Sentence ids must be integers, line up and be dense ``0..S-1``; each
+    hypothesis holds a tuple of tokens and a tuple of finite feature
+    values.  Hypotheses duplicating another exactly (same tokens and
     features) are dropped, keeping the first.  Given feature names must
     be strings, one per feature, and must not repeat.  The result is
     stable under a second application of this function to its own maps.
     Both maps hold iterables, of :class:`Hypothesis` and of token sequences.
     """
-    nbest_ids = set(as_instance(nbest, Mapping, "nbest"))
-    ref_ids = set(as_instance(refs, Mapping, "refs"))
+    nbest_ids = _sentence_ids(nbest, "nbest")
+    ref_ids = _sentence_ids(refs, "refs")
     if nbest_ids != ref_ids:
         raise IdMismatch(
             f"N-best ids and reference ids differ "
@@ -268,6 +292,8 @@ def build_corpus(
                 raise IdMismatch(
                     f"hypothesis tagged {hyp.sentence_id} filed under {sentence_id}"
                 )
+            if not isinstance(hyp.tokens, tuple):
+                raise _bad_tokens(hyp)
             if not hyp.tokens:
                 raise MalformedLine(f"sentence {sentence_id}: empty hypothesis")
             try:
@@ -277,6 +303,9 @@ def build_corpus(
             except TypeError:  # not a sequence of real numbers
                 message = f"feature values must be real numbers, got {hyp.features!r}"
                 raise NonNumericFeature(f"sentence {sentence_id}, hypothesis {hyp.rank}: {message}") from None
+            if not isinstance(hyp.features, tuple):
+                message = f"feature values must be a tuple, got {hyp.features!r}"
+                raise NonNumericFeature(f"sentence {sentence_id}, hypothesis {hyp.rank}: {message}")
             if dim is None:
                 dim = count
             elif count != dim:
@@ -288,8 +317,11 @@ def build_corpus(
                     f"feature value {value!r} is not finite"
                 )
             key = (hyp.tokens, hyp.features)
-            if key in seen:
-                continue
+            try:
+                if key in seen:
+                    continue
+            except TypeError:  # a token that cannot be hashed
+                raise _bad_tokens(hyp) from None
             seen.add(key)
             kept.append(hyp)
         listed = _listed(refs[sentence_id], f"refs[{sentence_id}]", Iterable)
@@ -324,7 +356,7 @@ def remap_sparse_ids(
 ) -> tuple[dict[int, list[Hypothesis]], dict[int, list[Tokens]]]:
     """Compact sparse sentence ids into a dense 0..S-1 numbering; the maps
     are read as :func:`build_corpus` reads them."""
-    if set(as_instance(nbest, Mapping, "nbest")) != set(as_instance(refs, Mapping, "refs")):
+    if _sentence_ids(nbest, "nbest") != _sentence_ids(refs, "refs"):
         raise IdMismatch("cannot remap: N-best ids and reference ids differ")
     mapping = {old: new for new, old in enumerate(sorted(nbest))}
     new_nbest = {

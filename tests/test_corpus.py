@@ -1,4 +1,7 @@
+import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -152,6 +155,16 @@ class TestParseNbest:
                 source="list.nbest",
             )
 
+    def test_equal_tokens_are_one_object(self):
+        by_id, _ = parse_nbest(
+            lines("0 ||| the cat saw the dog ||| 1.0 ||| 1.0", "1 ||| the dog ||| 2.0 ||| 2.0")
+        )
+        first, second = by_id[0][0].tokens, by_id[1][0].tokens
+        assert first == ("the", "cat", "saw", "the", "dog")
+        assert second == ("the", "dog")
+        assert first[0] is first[3] is second[0]
+        assert first[4] is second[1]
+
 
 class TestParseReferences:
     def test_parallel_files(self):
@@ -175,6 +188,29 @@ class TestParseReferences:
     def test_no_streams(self):
         with pytest.raises(NoReferences):
             parse_references([])
+
+    def test_equal_tokens_are_one_object_across_streams(self):
+        refs = parse_references([["the cat saw the dog", "a dog"], ["the dog", ""]])
+        assert refs == {0: [("the", "cat", "saw", "the", "dog"), ("the", "dog")], 1: [("a", "dog")]}
+        (first, second), (third,) = refs[0], refs[1]
+        assert first[0] is first[3] is second[0]
+        assert first[4] is second[1] is third[1]
+
+    def test_token_storage_grows_with_the_vocabulary_not_the_token_count(self):
+        # The lines exist before tracing starts, so what stays traced is the parsed
+        # map. A fresh str per token would alone exceed the bound; a shared one
+        # leaves a tuple slot per token plus each line's tuple, list and dict entry.
+        vocab = [f"word{i:02d}" for i in range(50)]
+        rng = random.Random(7)
+        stream = [" ".join(rng.choices(vocab, k=16)) for _ in range(40_000)]
+        tracemalloc.start()
+        try:
+            refs = parse_references([stream])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(tokens) for (tokens,) in refs.values()) == 16 * 40_000
+        assert held / (16 * 40_000) < sys.getsizeof(vocab[0]) / 2, held
 
 
 def tiny_corpus():
@@ -335,6 +371,29 @@ class TestBuildCorpus:
         message = f"sentence 1, hypothesis 0: feature values must be real numbers, got {features!r}"
         with pytest.raises(NonNumericFeature, match=f"^{re.escape(message)}$"):
             build_corpus(nbest, {0: [("a",)], 1: [("a",)]})
+
+    @pytest.mark.parametrize(
+        "hyp, error, message",
+        [
+            (Hypothesis(1, 1, ["a"], (1.0,)), MalformedLine, "tokens must be a tuple of strings, got ['a']"),
+            (Hypothesis(1, 1, 5, (1.0,)), MalformedLine, "tokens must be a tuple of strings, got 5"),
+            (Hypothesis(1, 1, (["a"],), (1.0,)), MalformedLine, "tokens must be a tuple of strings, got (['a'],)"),
+            (Hypothesis(1, 1, ("a",), [1.0]), NonNumericFeature, "feature values must be a tuple, got [1.0]"),
+        ],
+    )
+    def test_tokens_and_features_must_be_tuples(self, hyp, error, message):
+        nbest = {0: [Hypothesis(0, 0, ("a",), (1.0,))], 1: [Hypothesis(1, 0, ("b",), (1.0,)), hyp]}
+        with pytest.raises(error, match=f"^{re.escape('sentence 1, hypothesis 1: ' + message)}$"):
+            build_corpus(nbest, {0: [("a",)], 1: [("b",)]})
+
+    def test_sentence_ids_must_be_integers(self):
+        one = [Hypothesis(0, 0, ("a",), (1.0,))]
+        with pytest.raises(IdMismatch, match="^nbest sentence ids must be integers, got 'a'$"):
+            build_corpus({0: one, "a": one}, {1: [("a",)], 2: [("a",)]})
+        with pytest.raises(IdMismatch, match="^refs sentence ids must be integers, got 1.0$"):
+            build_corpus({0: one}, {0: [("a",)], 1.0: [("a",)]})
+        with pytest.raises(IdMismatch, match="^nbest sentence ids must be integers, got 'a'$"):
+            remap_sparse_ids({0: one, "a": one}, {0: [("a",)], "a": [("a",)]})
 
     def test_remap_sparse_ids_needs_matching_ids(self):
         nbest = {3: [Hypothesis(3, 0, ("a",), (1.0,))]}

@@ -17,15 +17,21 @@ with ``BP = 1`` when the hypothesis side is longer than the effective
 reference length and ``exp(1 - ref_len / hyp_len)`` otherwise.  Any zero
 match or total at some order pins the whole score to 0 (no smoothing).
 
-All statistics come from one integer kernel, :func:`stats_blocks`.  It
-reads token sequences, not corpus objects: ``PackedCorpus.of`` feeds it
-a tuning corpus, and the ``score`` command a translation file.  It takes
-sentences (hypotheses with their references) in blocks of about
+All statistics come from one integer kernel.  It takes sentences
+(hypotheses with their references) in blocks of about
 :data:`BLOCK_TOKENS` tokens, so its scratch memory does not grow with
-the corpus.  Within a block every token gets an integer id, and every
-order-n n-gram of a sentence gets a dense id from its order-(n-1)
-prefix id and its last token, so keys stay in ``int64`` for any
-vocabulary.  One sort per order groups equal (sentence, n-gram)
+the corpus, and it reads integer token ids, sequence lengths and the
+sentence that owns each sequence, never strings.  Two feeders cut the
+blocks and say where the ids come from.  :func:`stats_blocks` takes
+token sequences, not corpus objects (``PackedCorpus.of`` feeds it a
+tuning corpus), and a token's id is its first position in its block.
+:func:`column_blocks` takes the ``int32`` id columns that the ``score``
+command reads its files into, one file at a time, with one
+``rotamert.corpus.Vocabulary`` for hypotheses and references alike.
+``score`` keeps those columns, the vocabulary and one block's scratch;
+a file's lines live only while that file is read.  Every order-n n-gram of a sentence gets a dense
+id from its order-(n-1) prefix id and its last token, so keys stay in
+``int64`` for any vocabulary.  One sort per order groups equal (sentence, n-gram)
 occurrences, references first; a hypothesis occurrence matches while
 its running count in that hypothesis is at most the largest count in
 any one reference, which sums to ``min(count_hyp, max_r count_r)`` per
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +61,13 @@ BLOCK_TOKENS = 8192
 
 # One sentence as the kernel takes it: its hypotheses and its references.
 Sentence = tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]]
+
+
+class Column(NamedTuple):
+    """One file's lines as token ids: the ids of every line in order, and each line's token count."""
+
+    tokens: np.ndarray  # int32
+    lengths: np.ndarray  # int32, one per line
 
 
 @dataclass(frozen=True)
@@ -93,32 +106,21 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _block_rows(block: list[Sentence], seq_lens: list[int]) -> np.ndarray:
+def _block_rows(token: np.ndarray, lens: np.ndarray, owner: np.ndarray, n_refs: int) -> np.ndarray:
     """Statistics rows of the hypotheses of one block of sentences.
 
-    ``seq_lens`` holds the lengths of the block's references, then of its
-    hypotheses, each in sentence order.
+    ``token`` holds the block's token ids, sequence after sequence: any
+    non-negative integers, equal for equal tokens.  ``lens`` holds each
+    sequence's length and ``owner`` the block's sentence it belongs to.
+    The first ``n_refs`` sequences are references, the rest hypotheses,
+    one row each in order; every hypothesis's owner owns a reference.
     """
-    refs = list(chain.from_iterable(sentence_refs for _, sentence_refs in block))
-    hyps = list(chain.from_iterable(sentence_hyps for sentence_hyps, _ in block))
-    n_refs, n_hyps = len(refs), len(hyps)
-    seqs = refs + hyps  # references first: they lead every run of equal n-grams
-    lens = np.array(seq_lens, dtype=np.int64)
+    lens = lens.astype(np.int64, copy=False)
+    n_hyps = len(lens) - n_refs
     ends = np.cumsum(lens)
     width = int(ends[-1])
-    # A token's id is the position of its first occurrence in the block.
-    first_seen: dict[str, int] = {}
-    token = np.fromiter(
-        map(first_seen.setdefault, chain.from_iterable(seqs), count()), dtype=np.int64, count=width
-    )
-    sentences = np.arange(len(block))
-    owner = np.concatenate(
-        (
-            np.repeat(sentences, [len(sentence_refs) for _, sentence_refs in block]),
-            np.repeat(sentences, [len(sentence_hyps) for sentence_hyps, _ in block]),
-        )
-    )
-    seq = np.repeat(np.arange(len(seqs)), lens)  # sequence of each position
+    span = int(token.max(initial=0)) + 1  # every id is below it
+    seq = np.repeat(np.arange(len(lens)), lens)  # sequence of each position
     left = np.repeat(ends, lens) - np.arange(width)  # tokens from a position to its sequence's end
     gram = owner[seq]  # order-0 id of each position: its sentence
     pos = np.arange(width)
@@ -131,7 +133,7 @@ def _block_rows(block: list[Sentence], seq_lens: list[int]) -> np.ndarray:
         # Equal keys share a prefix (at order 1, the sentence) whose
         # occurrences are in sequence order: pos starts so, and stable
         # sorts keep it within runs.  So references lead every run.
-        key = gram[pos] * width + token[pos + n - 1]
+        key = gram[pos] * span + token[pos + n - 1]
         order = _stable_argsort(key)
         key = key[order]
         at = pos[order]
@@ -159,6 +161,26 @@ def _block_rows(block: list[Sentence], seq_lens: list[int]) -> np.ndarray:
     return rows
 
 
+def _sentence_rows(block: list[Sentence]) -> np.ndarray:
+    """:func:`_block_rows` of a block of sentences; a token's id is its first position in the block."""
+    refs = [ref for _, sentence_refs in block for ref in sentence_refs]
+    hyps = [hyp for sentence_hyps, _ in block for hyp in sentence_hyps]
+    seqs = refs + hyps
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    first_seen: dict[str, int] = {}
+    token = np.fromiter(
+        map(first_seen.setdefault, chain.from_iterable(seqs), count()), dtype=np.int64, count=int(lens.sum())
+    )
+    sentences = np.arange(len(block))
+    owner = np.concatenate(
+        (
+            np.repeat(sentences, [len(sentence_refs) for _, sentence_refs in block]),
+            np.repeat(sentences, [len(sentence_hyps) for sentence_hyps, _ in block]),
+        )
+    )
+    return _block_rows(token, lens, owner, len(refs))
+
+
 def stats_blocks(
     sentences: Iterable[Sentence], *, _block_tokens: int = BLOCK_TOKENS
 ) -> Iterator[np.ndarray]:
@@ -168,23 +190,49 @@ def stats_blocks(
     Raises :class:`NoReferences` for a sentence without references.
     """
     block: list[Sentence] = []
-    ref_lens: list[int] = []
-    hyp_lens: list[int] = []
     size = 0
     for sentence_hyps, sentence_refs in sentences:
         if not sentence_refs:
             raise NoReferences("sentence has no references")
         block.append((sentence_hyps, sentence_refs))
-        refs = list(map(len, sentence_refs))
-        hyps = list(map(len, sentence_hyps))
-        ref_lens += refs
-        hyp_lens += hyps
-        size += sum(refs) + sum(hyps) + len(refs) + len(hyps)
+        size += sum(map(len, sentence_refs)) + sum(map(len, sentence_hyps))
+        size += len(sentence_refs) + len(sentence_hyps)
         if size >= _block_tokens:
-            yield _block_rows(block, ref_lens + hyp_lens)
-            block, ref_lens, hyp_lens, size = [], [], [], 0
+            yield _sentence_rows(block)
+            block, size = [], 0
     if block:
-        yield _block_rows(block, ref_lens + hyp_lens)
+        yield _sentence_rows(block)
+
+
+def column_blocks(
+    hyps: Column, refs: Sequence[Column], *, _block_tokens: int = BLOCK_TOKENS
+) -> Iterator[np.ndarray]:
+    """Statistics rows of each line of ``hyps`` against the same line of every ``refs`` column.
+
+    Yields one ``int64 (n, 10)`` array per block of lines, cut where
+    :func:`stats_blocks` would cut.  Every column holds one line per
+    sentence, and its ids are those of one vocabulary for all columns.
+    A blank reference line is no reference; the reader checks that
+    every sentence keeps one.
+    """
+    hyp_lens = hyps.lengths
+    columns = [*refs, hyps]  # references first
+    offsets = [np.concatenate(([0], np.cumsum(column.lengths, dtype=np.int64))) for column in columns]
+    # Block sizes as stats_blocks counts them: tokens, plus one per sequence.
+    size = sum((ref.lengths + (ref.lengths > 0) for ref in refs), hyp_lens.astype(np.int64) + 1)
+    ends = np.concatenate(([0], np.cumsum(size)))
+    start = 0
+    while start < len(hyp_lens):
+        stop = int(np.searchsorted(ends, ends[start] + _block_tokens))
+        stop = min(max(stop, start + 1), len(hyp_lens))
+        block = slice(start, stop)
+        token = np.concatenate([column.tokens[at[start] : at[stop]] for column, at in zip(columns, offsets)])
+        kept = [np.flatnonzero(ref.lengths[block]) for ref in refs]  # blank lines are no reference
+        ref_lens = [ref.lengths[block][k] for ref, k in zip(refs, kept)]
+        lens = np.concatenate([*ref_lens, hyp_lens[block]])
+        owner = np.concatenate([*kept, np.arange(stop - start)])
+        yield _block_rows(token, lens, owner, len(lens) - (stop - start))
+        start = stop
 
 
 def row_bleu(row: Sequence[int]) -> ErrorValue:

@@ -19,8 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bleu import format_bleu, row_bleu, stats_blocks
-from .corpus import build_corpus, format_nbest, format_references, parse_nbest, parse_references
+from .bleu import column_blocks, format_bleu, row_bleu
+from .corpus import (
+    Vocabulary,
+    build_corpus,
+    format_nbest,
+    format_references,
+    parse_nbest,
+    parse_references,
+    reference_columns,
+)
 from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, kcd_optimize
 from .envelope import PackedCorpus
 from .errors import ConfigError, InputError, LengthMismatch
@@ -213,16 +221,15 @@ def _write_weights(out: Path, weights: tuple[float, ...]) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    hyp_lines = _read_text(args.hyp).splitlines()
-    refs = parse_references(
-        [_read_text(p).splitlines() for p in args.refs], sources=list(args.refs)
-    )
-    if len(hyp_lines) != len(refs):
-        raise LengthMismatch(
-            f"{args.hyp} has {len(hyp_lines)} lines, references have {len(refs)}"
-        )
+    # One file's text at a time becomes token ids; only the id columns are kept.
+    vocabulary = Vocabulary()
+    hyps = vocabulary.column(_read_text(args.hyp).splitlines())
+    refs = reference_columns((_read_text(p).splitlines() for p in args.refs), args.refs, vocabulary)
+    lines, sentences = len(hyps.lengths), len(refs[0].lengths)
+    if lines != sentences:
+        raise LengthMismatch(f"{args.hyp} has {lines} lines, references have {sentences}")
     total = np.zeros(10, dtype=np.int64)
-    for rows in stats_blocks(((line.split(),), refs[i]) for i, line in enumerate(hyp_lines)):
+    for rows in column_blocks(hyps, refs):
         total += rows.sum(axis=0)
     print(format_bleu(row_bleu(total.tolist()).bleu))
     return 0

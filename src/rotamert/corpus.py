@@ -12,6 +12,10 @@ labels at the same positions, and the names they give must not repeat;
 unlabeled lines are read by position.  References come as parallel
 plain-text files, one token sequence per line; a blank line means "this
 file contributes no reference for that sentence".
+
+``score`` reads its files as ``bleu.Column`` arrays of token ids from
+one :class:`Vocabulary`; :func:`reference_columns` checks reference
+files as :func:`parse_references` does.
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ import numbers
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import itemgetter
 
+import numpy as np
+
+from .bleu import Column
 from .errors import (
     ConfigError,
     EmptyCorpus,
     IdMismatch,
     InconsistentFeatureCount,
+    InputError,
     LengthMismatch,
     MalformedLine,
     NoReferences,
@@ -38,6 +47,9 @@ from .errors import (
 FIELD_SEP = "|||"
 
 Tokens = tuple[str, ...]
+
+# Token ids are int32, so one vocabulary holds at most this many tokens.
+MAX_VOCABULARY = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,23 @@ def parse_nbest(
     return by_id, names
 
 
+def _check_line_counts(counts: Sequence[int], sources: Sequence[str] | None) -> None:
+    """Parallel reference streams, given by their line counts: at least one, all of one count."""
+    if not counts:
+        raise NoReferences("no reference streams given")
+    if len(set(counts)) > 1:
+        sources = [f"<refs[{j}]>" for j in range(len(counts))] if sources is None else sources
+        detail = ", ".join(f"{src}: {count}" for src, count in zip(sources, counts))
+        raise LengthMismatch(f"reference files disagree on line counts ({detail})")
+
+
+def _check_every_sentence_has_a_reference(counts: Iterable[int]) -> None:
+    """``counts`` holds each sentence's number of non-blank references; none may be 0."""
+    for i, count in enumerate(counts):
+        if not count:
+            raise NoReferences(f"sentence {i} has no non-blank reference")
+
+
 def parse_references(
     streams: Sequence[Iterable[str]], sources: Sequence[str] | None = None
 ) -> dict[int, list[Tokens]]:
@@ -216,12 +245,7 @@ def parse_references(
     grows with the vocabulary plus one tuple slot per token.
     """
     streams = [_listed(stream, "a reference stream", str) for stream in _listed(streams, "streams", object)]
-    if not streams:
-        raise NoReferences("no reference streams given")
-    if len({len(lines) for lines in streams}) > 1:
-        sources = [f"<refs[{j}]>" for j in range(len(streams))] if sources is None else sources
-        detail = ", ".join(f"{src}: {len(lines)}" for src, lines in zip(sources, streams))
-        raise LengthMismatch(f"reference files disagree on line counts ({detail})")
+    _check_line_counts([len(lines) for lines in streams], sources)
     canonical = {}.setdefault  # one object per distinct token
     refs: dict[int, list[Tokens]] = {}
     for i, row in enumerate(zip(*streams)):
@@ -230,9 +254,41 @@ def parse_references(
             words = line.split()
             if tokens := tuple(map(canonical, words, words)):
                 per_sentence.append(tokens)
-        if not per_sentence:
-            raise NoReferences(f"sentence {i} has no non-blank reference")
+    _check_every_sentence_has_a_reference(map(len, refs.values()))
     return refs
+
+
+class Vocabulary(dict):
+    """Token ids of one run: ``vocabulary[token]`` is dense from 0, in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= MAX_VOCABULARY:
+            raise InputError(f"the input holds more than {MAX_VOCABULARY} distinct tokens")
+        self[token] = new = len(self)
+        return new
+
+    def column(self, lines: Sequence[str]) -> Column:
+        """The tokens of ``lines``, each line split at whitespace, as one column of ids."""
+        # Each line is split twice, for its length and then for its ids, so only
+        # one line's token strings exist at a time.
+        lengths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int32, count=len(lines))
+        words = chain.from_iterable(map(str.split, lines))
+        tokens = np.fromiter(map(self.__getitem__, words), dtype=np.int32, count=int(lengths.sum()))
+        return Column(tokens, lengths)
+
+
+def reference_columns(
+    streams: Iterable[Sequence[str]], sources: Sequence[str], vocabulary: Vocabulary
+) -> list[Column]:
+    """Parallel reference files as columns, each stream read in turn and then let go.
+
+    Checked as :func:`parse_references` checks its streams; a blank
+    line (no tokens) is no reference.
+    """
+    columns = [vocabulary.column(lines) for lines in streams]
+    _check_line_counts([len(column.lengths) for column in columns], sources)
+    _check_every_sentence_has_a_reference(sum(column.lengths > 0 for column in columns).tolist())
+    return columns
 
 
 def _sentence_ids(ids: Mapping[int, object], what: str) -> set[int]:
@@ -240,6 +296,15 @@ def _sentence_ids(ids: Mapping[int, object], what: str) -> set[int]:
     if strange := [i for i in as_instance(ids, Mapping, what) if not isinstance(i, numbers.Integral)]:
         raise IdMismatch(f"{what} sentence ids must be integers, got {strange[0]!r}")
     return set(ids)
+
+
+def _all_strings(tokens: tuple) -> bool:
+    """Whether every item of ``tokens`` is a ``str``, tested at C speed by joining them."""
+    try:
+        "".join(tokens)
+    except TypeError:
+        return False
+    return True
 
 
 def _bad_tokens(hyp: Hypothesis) -> MalformedLine:
@@ -257,9 +322,10 @@ def build_corpus(
     """Join parsed N-best lists with references into a validated corpus.
 
     Sentence ids must be integers, line up and be dense ``0..S-1``; each
-    hypothesis holds a tuple of tokens and a tuple of finite feature
-    values.  Hypotheses duplicating another exactly (same tokens and
-    features) are dropped, keeping the first.  Given feature names must
+    hypothesis holds a tuple of ``str`` tokens and a tuple of finite
+    feature values, and each reference a sequence of ``str`` tokens
+    that is not itself a string.  Hypotheses duplicating another exactly
+    (same tokens and features) are dropped, keeping the first.  Given feature names must
     be strings, one per feature, and must not repeat.  The result is
     stable under a second application of this function to its own maps.
     Both maps hold iterables, of :class:`Hypothesis` and of token sequences.
@@ -292,7 +358,7 @@ def build_corpus(
                 raise IdMismatch(
                     f"hypothesis tagged {hyp.sentence_id} filed under {sentence_id}"
                 )
-            if not isinstance(hyp.tokens, tuple):
+            if not isinstance(hyp.tokens, tuple) or not _all_strings(hyp.tokens):
                 raise _bad_tokens(hyp)
             if not hyp.tokens:
                 raise MalformedLine(f"sentence {sentence_id}: empty hypothesis")
@@ -320,12 +386,21 @@ def build_corpus(
             try:
                 if key in seen:
                     continue
-            except TypeError:  # a token that cannot be hashed
-                raise _bad_tokens(hyp) from None
+            except TypeError:  # the tokens are strings, so a feature value that cannot be hashed
+                message = f"feature values must be real numbers, got {hyp.features!r}"
+                raise NonNumericFeature(f"sentence {sentence_id}, hypothesis {hyp.rank}: {message}") from None
             seen.add(key)
             kept.append(hyp)
-        listed = _listed(refs[sentence_id], f"refs[{sentence_id}]", Iterable)
-        sentence_refs = [r for r in map(tuple, listed) if r]
+        sentence_refs = []
+        for j, ref in enumerate(_listed(refs[sentence_id], f"refs[{sentence_id}]", Iterable)):
+            tokens = tuple(ref)
+            if isinstance(ref, str) or not _all_strings(tokens):
+                raise MalformedLine(
+                    f"sentence {sentence_id}, reference {j}: tokens must be a sequence of strings "
+                    f"and not a string, got {ref!r}"
+                )
+            if tokens:
+                sentence_refs.append(tokens)
         if not sentence_refs:
             raise NoReferences(f"sentence {sentence_id} has no non-empty reference")
         entries.append(

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert import bleu
-from rotamert.bleu import row_bleu, stats_blocks
+from rotamert.bleu import column_blocks, row_bleu, stats_blocks
+from rotamert.corpus import Vocabulary, reference_columns
 from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
@@ -383,3 +384,77 @@ class TestStatsKernel:
                 tracemalloc.stop()
             assert total[8] == sum(lens[0] for lens in lengths)
         assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
+def _column_rows(hyp_lines, ref_files, **kwargs):
+    """The rows ``score`` computes: files read into columns, then ``column_blocks``."""
+    vocabulary = Vocabulary()
+    hyps = vocabulary.column(hyp_lines)
+    refs = reference_columns(iter(ref_files), [f"ref{j}" for j in range(len(ref_files))], vocabulary)
+    return np.concatenate(
+        [np.zeros((0, 10), dtype=np.int64), *column_blocks(hyps, refs, **kwargs)]
+    ).tolist()
+
+
+def _line_rows(hyp_lines, ref_files):
+    """``stats_blocks`` rows of the same lines: one hypothesis per line, blank references left out."""
+    sentences = zip(hyp_lines, zip(*ref_files))
+    return _kernel_rows([((line.split(),), [ref.split() for ref in refs if ref.split()]) for line, refs in sentences])
+
+
+def _score_lines(rng, sentences, ref_count, vocab, lengths):
+    """A hypothesis file and ``ref_count`` reference files of random lines, every length in
+    ``lengths`` drawn as often (0 is a blank line); every sentence keeps one non-blank reference."""
+
+    vocab = np.array(vocab)
+
+    def line():
+        return " ".join(vocab[rng.integers(len(vocab), size=rng.choice(lengths))].tolist())
+
+    hyp = [line() for _ in range(sentences)]
+    refs = [[line() for _ in range(sentences)] for _ in range(ref_count)]
+    for i in range(sentences):
+        while not any(ref[i] for ref in refs):
+            refs[rng.integers(ref_count)][i] = line()
+    return hyp, refs
+
+
+# Non-ASCII tokens; composed and decomposed "e acute" are different tokens.
+UNICODE = ["größe", "日本", "語", "\u00e9", "e\u0301", "🙂"]
+
+
+class TestColumnBlocks:
+    """``column_blocks``, which ``score`` runs, equals ``stats_blocks`` bit for bit."""
+
+    @pytest.mark.parametrize("block_tokens", [1, 7, 100, bleu.BLOCK_TOKENS])
+    def test_blank_lines_and_many_blocks(self, block_tokens):
+        rng = np.random.default_rng(block_tokens)
+        vocab = [f"w{i}" for i in range(12)] + UNICODE
+        hyp, refs = _score_lines(rng, 400, 3, vocab, [0, 0, 1, 2, 3, 5, 9, 14])
+        assert sum(not line for line in hyp) > 20 and sum(not line for ref in refs for line in ref) > 60
+        assert _column_rows(hyp, refs, _block_tokens=block_tokens) == _line_rows(hyp, refs)
+
+    @pytest.mark.parametrize("block_tokens", [50, bleu.BLOCK_TOKENS])
+    def test_a_sentence_longer_than_a_block(self, block_tokens):
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(40)] + UNICODE
+        hyp, refs = _score_lines(rng, 30, 2, vocab, [0, 3, 8])
+        long = 3 * bleu.BLOCK_TOKENS
+        hyp[11] = " ".join(rng.choice(vocab, long))
+        refs[0][11] = " ".join(rng.choice(vocab, long + 5))
+        refs[1][12] = " ".join(rng.choice(vocab, long - 5))
+        assert _column_rows(hyp, refs, _block_tokens=block_tokens) == _line_rows(hyp, refs)
+
+    def test_more_than_2_16_distinct_tokens(self):
+        rng = np.random.default_rng(16)
+        vocab = [f"t{i}" for i in range(80_000)] + UNICODE
+        hyp, refs = _score_lines(rng, 3_000, 4, vocab, [0, 10, 20, 30])
+        distinct = {token for line in hyp + [r for ref in refs for r in ref] for token in line.split()}
+        assert len(distinct) > 2**16
+        # Shared words make matches at every order.
+        hyp[:100] = refs[0][:100]
+        assert _column_rows(hyp, refs) == _line_rows(hyp, refs)
+
+    def test_empty_files(self):
+        assert _column_rows([], [[], []]) == [] == _line_rows([], [[], []])
+        assert _column_rows([], [[]], _block_tokens=1) == []

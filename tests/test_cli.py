@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rotamert import cli
+from rotamert import cli, corpus
 from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
 from rotamert.corpus import parse_nbest
@@ -157,6 +157,49 @@ class TestScore:
         assert code == 2
         assert "error:" in err
 
+
+    # Each case also breaks every later check, so the error printed is the first in
+    # the order: hypothesis file, reference files, reference line counts, a sentence
+    # whose references are all blank, the hypothesis line count.
+    @pytest.mark.parametrize(
+        "files, message",
+        [
+            (
+                {"ref0": "a\n\n", "ref1": "b\n"},
+                "cannot read {hyp}: [Errno 2] No such file or directory: '{hyp}'",
+            ),
+            (
+                {"hyp": "a\nb\nc\n", "ref0": "a\n\n", "ref2": "b\n"},
+                "cannot read {ref1}: [Errno 2] No such file or directory: '{ref1}'",
+            ),
+            (
+                {"hyp": "a\nb\nc\n", "ref0": "a\n\n", "ref1": " \n\t\n", "ref2": "b\n"},
+                "reference files disagree on line counts ({ref0}: 2, {ref1}: 2, {ref2}: 1)",
+            ),
+            (
+                {"hyp": "a\nb\nc\n", "ref0": "a\n\n", "ref1": "b\n \n", "ref2": "c\n\t\n"},
+                "sentence 1 has no non-blank reference",
+            ),
+            (
+                {"hyp": "a\nb\nc\n", "ref0": "a\n\n", "ref1": "b\nc\n", "ref2": "\n\n"},
+                "{hyp} has 3 lines, references have 2",
+            ),
+        ],
+    )
+    def test_refusals_keep_their_order_and_text(self, tmp_path, files, message, capsys):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("hyp", "ref0", "ref1", "ref2")}
+        for name, text in files.items():
+            paths[name].write_text(text)
+        code, out, err = run(["score", *map(str, paths.values())], capsys)
+        assert (code, out, err) == (2, "", f"error: {message.format_map(paths)}\n")
+
+    def test_a_vocabulary_too_large_for_its_ids_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(corpus, "MAX_VOCABULARY", 3)
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("a b\na\n")
+        ref.write_text("b c\nd\n")
+        code, out, err = run(["score", str(hyp), str(ref)], capsys)
+        assert (code, out, err) == (2, "", "error: the input holds more than 3 distinct tokens\n")
 
     @needs_strict_encoding
     @pytest.mark.parametrize("bad", ["hyp", "ref"])

@@ -3,15 +3,19 @@ import re
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from rotamert import corpus
 from rotamert.corpus import (
     Hypothesis,
+    Vocabulary,
     build_corpus,
     format_nbest,
     format_references,
     parse_nbest,
     parse_references,
+    reference_columns,
     remap_sparse_ids,
 )
 from rotamert.descent import kcd_optimize
@@ -20,6 +24,7 @@ from rotamert.errors import (
     EmptyCorpus,
     IdMismatch,
     InconsistentFeatureCount,
+    InputError,
     LengthMismatch,
     MalformedLine,
     NoReferences,
@@ -196,6 +201,42 @@ class TestParseReferences:
         assert first[0] is first[3] is second[0]
         assert first[4] is second[1] is third[1]
 
+    @pytest.mark.parametrize(
+        "streams",
+        [
+            [],
+            [["a", "b"], ["c"]],
+            [["a b", ""], ["c d", "  "]],
+            [["", "a"], ["\t", "b"], ["", "c"]],
+        ],
+    )
+    def test_reference_columns_refuse_what_parse_references_refuses(self, streams):
+        sources = [f"ref{j}" for j in range(len(streams))]
+        with pytest.raises(InputError) as parsed:
+            parse_references(streams, sources)
+        with pytest.raises(InputError) as read:
+            reference_columns(iter(streams), sources, Vocabulary())
+        assert (type(read.value), str(read.value)) == (type(parsed.value), str(parsed.value))
+
+    def test_columns_hold_one_id_per_distinct_token_across_files(self):
+        vocabulary = Vocabulary()
+        hyps = vocabulary.column(["the cat", "", "größe  the"])
+        refs = reference_columns(iter([["the dog", "a", "größe"], ["", "cat", "x y"]]), ["r0", "r1"], vocabulary)
+        assert dict(vocabulary) == {"the": 0, "cat": 1, "größe": 2, "dog": 3, "a": 4, "x": 5, "y": 6}
+        assert [(c.tokens.tolist(), c.lengths.tolist()) for c in (hyps, *refs)] == [
+            ([0, 1, 2, 0], [2, 0, 2]),
+            ([0, 3, 4, 2], [2, 1, 1]),
+            ([1, 5, 6], [0, 1, 2]),
+        ]
+        assert {array.dtype for column in (hyps, *refs) for array in column} == {np.dtype(np.int32)}
+
+    def test_a_vocabulary_too_large_for_int32_ids_is_refused(self, monkeypatch):
+        monkeypatch.setattr(corpus, "MAX_VOCABULARY", 3)
+        vocabulary = Vocabulary()
+        assert vocabulary.column(["a b a", "c"]).tokens.tolist() == [0, 1, 0, 2]
+        with pytest.raises(InputError, match="^the input holds more than 3 distinct tokens$"):
+            vocabulary.column(["a d"])
+
     def test_token_storage_grows_with_the_vocabulary_not_the_token_count(self):
         # The lines exist before tracing starts, so what stays traced is the parsed
         # map. A fresh str per token would alone exceed the bound; a shared one
@@ -365,7 +406,7 @@ class TestBuildCorpus:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             reader(*args)
 
-    @pytest.mark.parametrize("features", [("x",), (1.0, None), (1j,), 5])
+    @pytest.mark.parametrize("features", [("x",), (1.0, None), (1j,), 5, (np.array(1.0),)])
     def test_a_feature_value_that_is_not_a_real_number_is_refused(self, features):
         nbest = {0: [Hypothesis(0, 0, ("a",), (1.0,))], 1: [Hypothesis(1, 0, ("a",), features)]}
         message = f"sentence 1, hypothesis 0: feature values must be real numbers, got {features!r}"
@@ -378,6 +419,8 @@ class TestBuildCorpus:
             (Hypothesis(1, 1, ["a"], (1.0,)), MalformedLine, "tokens must be a tuple of strings, got ['a']"),
             (Hypothesis(1, 1, 5, (1.0,)), MalformedLine, "tokens must be a tuple of strings, got 5"),
             (Hypothesis(1, 1, (["a"],), (1.0,)), MalformedLine, "tokens must be a tuple of strings, got (['a'],)"),
+            (Hypothesis(1, 1, (5,), (1.0,)), MalformedLine, "tokens must be a tuple of strings, got (5,)"),
+            (Hypothesis(1, 1, ("a", None), (1.0,)), MalformedLine, "tokens must be a tuple of strings, got ('a', None)"),
             (Hypothesis(1, 1, ("a",), [1.0]), NonNumericFeature, "feature values must be a tuple, got [1.0]"),
         ],
     )
@@ -385,6 +428,13 @@ class TestBuildCorpus:
         nbest = {0: [Hypothesis(0, 0, ("a",), (1.0,))], 1: [Hypothesis(1, 0, ("b",), (1.0,)), hyp]}
         with pytest.raises(error, match=f"^{re.escape('sentence 1, hypothesis 1: ' + message)}$"):
             build_corpus(nbest, {0: [("a",)], 1: [("b",)]})
+
+    @pytest.mark.parametrize("ref", ["ab", "", (["a"],), ("a", 5), b"ab"])
+    def test_references_must_be_sequences_of_strings(self, ref):
+        nbest = {0: [Hypothesis(0, 0, ("a",), (1.0,))], 1: [Hypothesis(1, 0, ("b",), (1.0,))]}
+        message = f"sentence 1, reference 1: tokens must be a sequence of strings and not a string, got {ref!r}"
+        with pytest.raises(MalformedLine, match=f"^{re.escape(message)}$"):
+            build_corpus(nbest, {0: [("a",)], 1: [("b",), ref]})
 
     def test_sentence_ids_must_be_integers(self):
         one = [Hypothesis(0, 0, ("a",), (1.0,))]

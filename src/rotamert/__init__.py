@@ -30,7 +30,6 @@ from .corpus import (
     build_corpus,
     parse_nbest,
     parse_references,
-    remap_sparse_ids,
 )
 from .descent import KcdConfig, KcdTrace, StepRecord, kcd_optimize
 from .envelope import PackedCorpus
@@ -51,7 +50,6 @@ __all__ = [
     "parse_nbest",
     "parse_references",
     "build_corpus",
-    "remap_sparse_ids",
     "kcd_optimize",
     "rss_optimize",
     "AlphaGrid",

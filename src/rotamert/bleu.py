@@ -17,19 +17,17 @@ with ``BP = 1`` when the hypothesis side is longer than the effective
 reference length and ``exp(1 - ref_len / hyp_len)`` otherwise.  Any zero
 match or total at some order pins the whole score to 0 (no smoothing).
 
-All statistics come from one integer kernel.  It takes sentences
-(hypotheses with their references) in blocks of about
-:data:`BLOCK_TOKENS` tokens, so its scratch memory does not grow with
-the corpus, and it reads integer token ids, sequence lengths and the
-sentence that owns each sequence, never strings.  Two feeders cut the
-blocks and say where the ids come from.  :func:`stats_blocks` takes
-token sequences, not corpus objects (``PackedCorpus.of`` feeds it a
-tuning corpus), and a token's id is its first position in its block.
-:func:`column_blocks` takes the ``int32`` id columns that the ``score``
-command reads its files into, one file at a time, with one
-``rotamert.corpus.Vocabulary`` for hypotheses and references alike.
-``score`` keeps those columns, the vocabulary and one block's scratch;
-a file's lines live only while that file is read.  Every order-n n-gram of a sentence gets a dense
+All statistics come from one integer kernel, fed by one feeder,
+:func:`stats_blocks`.  It takes ``int32`` id columns: the hypotheses
+in order with each sentence's count of them, and one reference column
+per reference slot, one line per sentence (a blank line is no
+reference).  Every id comes from one
+``rotamert.corpus.Vocabulary`` for hypotheses and references alike,
+the only place tokens become ids.  The feeder cuts sentences into
+blocks of about :data:`BLOCK_TOKENS` tokens, so the kernel's scratch
+memory does not grow with the corpus, and the kernel reads integer
+token ids, sequence lengths and the sentence that owns each sequence,
+never strings.  Every order-n n-gram of a sentence gets a dense
 id from its order-(n-1) prefix id and its last token, so keys stay in
 ``int64`` for any vocabulary.  One sort per order groups equal (sentence, n-gram)
 occurrences, references first; a hypothesis occurrence matches while
@@ -44,8 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +56,9 @@ NGRAM_ORDER = 4
 # at sentence boundaries, so one long sentence makes one larger block.
 BLOCK_TOKENS = 8192
 
-# One sentence as the kernel takes it: its hypotheses and its references.
-Sentence = tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]]
-
 
 class Column(NamedTuple):
-    """One file's lines as token ids: the ids of every line in order, and each line's token count."""
+    """Lines as token ids: the ids of every line in order, and each line's token count."""
 
     tokens: np.ndarray  # int32
     lengths: np.ndarray  # int32, one per line
@@ -78,24 +72,15 @@ class ErrorValue:
     bleu: float
 
 
-def _effective_ref_lens(
-    ref_lens: np.ndarray, ref_owner: np.ndarray, hyp_lens: np.ndarray, hyp_owner: np.ndarray
-) -> np.ndarray:
-    """Per hypothesis, the length of its owner's reference closest to it, ties to the shorter.
+def _effective_ref_lens(ref_lens: np.ndarray, hyp_lens: np.ndarray) -> np.ndarray:
+    """Per hypothesis, the reference length closest to its length, ties to the shorter.
 
-    ``*_owner`` are sentence indices; every owner of a hypothesis owns
-    at least one reference.
+    ``ref_lens`` holds one row per reference slot and one column per
+    hypothesis; 0 is no reference, and every column holds a reference.
     """
-    span = int(max(ref_lens.max(), hyp_lens.max(initial=0))) + 1
-    keys = np.sort(ref_owner * span + ref_lens)
-    base = hyp_owner * span
-    first = np.searchsorted(keys, base)
-    end = np.searchsorted(keys, base + span)
-    at = np.searchsorted(keys, base + hyp_lens)  # first reference at least as long
-    longer = keys[np.minimum(at, len(keys) - 1)] - base
-    shorter = keys[np.maximum(at - 1, 0)] - base
-    take_shorter = (at > first) & ((at == end) | (hyp_lens - shorter <= longer - hyp_lens))
-    return np.where(take_shorter, shorter, longer)
+    # Rank by distance, the shorter of two equally distant references first; no reference last.
+    rank = np.where(ref_lens > 0, 2 * np.abs(ref_lens - hyp_lens) + (ref_lens > hyp_lens), np.iinfo(np.int64).max)
+    return np.take_along_axis(ref_lens, rank.argmin(axis=0)[None], axis=0)[0]
 
 
 def _stable_argsort(key: np.ndarray) -> np.ndarray:
@@ -113,7 +98,7 @@ def _block_rows(token: np.ndarray, lens: np.ndarray, owner: np.ndarray, n_refs: 
     non-negative integers, equal for equal tokens.  ``lens`` holds each
     sequence's length and ``owner`` the block's sentence it belongs to.
     The first ``n_refs`` sequences are references, the rest hypotheses,
-    one row each in order; every hypothesis's owner owns a reference.
+    one row each in order.  The feeder fills in the reference length.
     """
     lens = lens.astype(np.int64, copy=False)
     n_hyps = len(lens) - n_refs
@@ -157,82 +142,43 @@ def _block_rows(token: np.ndarray, lens: np.ndarray, owner: np.ndarray, n_refs: 
         live = (ref_max > 0) & in_hyp[np.append(starts[1:], len(key)) - 1]
         pos = at[live[group] & (left[at] > n)]
     rows[:, 8] = hyp_lens
-    rows[:, 9] = _effective_ref_lens(lens[:n_refs], owner[:n_refs], hyp_lens, owner[n_refs:])
     return rows
 
 
-def _sentence_rows(block: list[Sentence]) -> np.ndarray:
-    """:func:`_block_rows` of a block of sentences; a token's id is its first position in the block."""
-    refs = [ref for _, sentence_refs in block for ref in sentence_refs]
-    hyps = [hyp for sentence_hyps, _ in block for hyp in sentence_hyps]
-    seqs = refs + hyps
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    first_seen: dict[str, int] = {}
-    token = np.fromiter(
-        map(first_seen.setdefault, chain.from_iterable(seqs), count()), dtype=np.int64, count=int(lens.sum())
-    )
-    sentences = np.arange(len(block))
-    owner = np.concatenate(
-        (
-            np.repeat(sentences, [len(sentence_refs) for _, sentence_refs in block]),
-            np.repeat(sentences, [len(sentence_hyps) for sentence_hyps, _ in block]),
-        )
-    )
-    return _block_rows(token, lens, owner, len(refs))
-
-
 def stats_blocks(
-    sentences: Iterable[Sentence], *, _block_tokens: int = BLOCK_TOKENS
+    hyps: Column, counts: Sequence[int], refs: Sequence[Column], *, _block_tokens: int = BLOCK_TOKENS
 ) -> Iterator[np.ndarray]:
-    """Statistics rows of every hypothesis, as one ``int64 (n, 10)`` array per block.
+    """Statistics rows of every line of ``hyps``, as one ``int64 (n, 10)`` array per block.
 
-    Rows follow the input order, laid out as the module docstring says.
+    Sentence ``s`` owns the next ``counts[s]`` lines of ``hyps`` and
+    line ``s`` of every ``refs`` column; all ids come from one
+    vocabulary.  A blank reference line is no reference.  Rows follow
+    the lines of ``hyps``, laid out as the module docstring says.
     Raises :class:`NoReferences` for a sentence without references.
     """
-    block: list[Sentence] = []
-    size = 0
-    for sentence_hyps, sentence_refs in sentences:
-        if not sentence_refs:
-            raise NoReferences("sentence has no references")
-        block.append((sentence_hyps, sentence_refs))
-        size += sum(map(len, sentence_refs)) + sum(map(len, sentence_hyps))
-        size += len(sentence_refs) + len(sentence_hyps)
-        if size >= _block_tokens:
-            yield _sentence_rows(block)
-            block, size = [], 0
-    if block:
-        yield _sentence_rows(block)
-
-
-def column_blocks(
-    hyps: Column, refs: Sequence[Column], *, _block_tokens: int = BLOCK_TOKENS
-) -> Iterator[np.ndarray]:
-    """Statistics rows of each line of ``hyps`` against the same line of every ``refs`` column.
-
-    Yields one ``int64 (n, 10)`` array per block of lines, cut where
-    :func:`stats_blocks` would cut.  Every column holds one line per
-    sentence, and its ids are those of one vocabulary for all columns.
-    A blank reference line is no reference; the reader checks that
-    every sentence keeps one.
-    """
-    hyp_lens = hyps.lengths
-    columns = [*refs, hyps]  # references first
-    offsets = [np.concatenate(([0], np.cumsum(column.lengths, dtype=np.int64))) for column in columns]
-    # Block sizes as stats_blocks counts them: tokens, plus one per sequence.
-    size = sum((ref.lengths + (ref.lengths > 0) for ref in refs), hyp_lens.astype(np.int64) + 1)
+    hyp_offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    hyp_tokens = np.concatenate(([0], np.cumsum(hyps.lengths, dtype=np.int64)))[hyp_offsets]
+    # Block sizes: tokens, plus one per sequence.
+    size = sum((ref.lengths + (ref.lengths > 0) for ref in refs), np.diff(hyp_tokens + hyp_offsets))
     ends = np.concatenate(([0], np.cumsum(size)))
-    start = 0
-    while start < len(hyp_lens):
+    start, ref_at = 0, np.zeros(len(refs), dtype=np.int64)  # each reference column's next token
+    while start < len(size):
         stop = int(np.searchsorted(ends, ends[start] + _block_tokens))
-        stop = min(max(stop, start + 1), len(hyp_lens))
-        block = slice(start, stop)
-        token = np.concatenate([column.tokens[at[start] : at[stop]] for column, at in zip(columns, offsets)])
-        kept = [np.flatnonzero(ref.lengths[block]) for ref in refs]  # blank lines are no reference
-        ref_lens = [ref.lengths[block][k] for ref, k in zip(refs, kept)]
-        lens = np.concatenate([*ref_lens, hyp_lens[block]])
-        owner = np.concatenate([*kept, np.arange(stop - start)])
-        yield _block_rows(token, lens, owner, len(lens) - (stop - start))
-        start = stop
+        stop = min(max(stop, start + 1), len(size))
+        # Reference lengths by slot and sentence; a blank line (0) is no reference.
+        ref_lens = np.array([ref.lengths[start:stop] for ref in refs], dtype=np.int64).reshape(-1, stop - start)
+        if lacking := np.flatnonzero(~ref_lens.any(axis=0)).tolist():
+            raise NoReferences(f"sentence {start + lacking[0]} has no non-blank reference")
+        ref_end = ref_at + ref_lens.sum(axis=1)
+        ref_tokens = [ref.tokens[lo:hi] for ref, lo, hi in zip(refs, ref_at, ref_end)]
+        token = np.concatenate([*ref_tokens, hyps.tokens[hyp_tokens[start] : hyp_tokens[stop]]])
+        slot, ref_owner = np.nonzero(ref_lens)  # slot by slot, as the tokens are
+        hyp_owner = np.repeat(np.arange(stop - start), np.diff(hyp_offsets[start : stop + 1]))
+        lens = np.concatenate([ref_lens[slot, ref_owner], hyps.lengths[hyp_offsets[start] : hyp_offsets[stop]]])
+        rows = _block_rows(token, lens, np.concatenate([ref_owner, hyp_owner]), len(ref_owner))
+        rows[:, 9] = _effective_ref_lens(ref_lens[:, hyp_owner], rows[:, 8])
+        yield rows
+        start, ref_at = stop, ref_end
 
 
 def row_bleu(row: Sequence[int]) -> ErrorValue:

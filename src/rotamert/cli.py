@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bleu import column_blocks, format_bleu, row_bleu
+from .bleu import format_bleu, row_bleu, stats_blocks
 from .corpus import (
     Vocabulary,
     build_corpus,
@@ -223,13 +223,13 @@ def _write_weights(out: Path, weights: tuple[float, ...]) -> None:
 def cmd_score(args: argparse.Namespace) -> int:
     # One file's text at a time becomes token ids; only the id columns are kept.
     vocabulary = Vocabulary()
-    hyps = vocabulary.column(_read_text(args.hyp).splitlines())
+    hyps = vocabulary.column(_read_text(args.hyp).splitlines(), str.split)
     refs = reference_columns((_read_text(p).splitlines() for p in args.refs), args.refs, vocabulary)
     lines, sentences = len(hyps.lengths), len(refs[0].lengths)
     if lines != sentences:
         raise LengthMismatch(f"{args.hyp} has {lines} lines, references have {sentences}")
     total = np.zeros(10, dtype=np.int64)
-    for rows in column_blocks(hyps, refs):
+    for rows in stats_blocks(hyps, np.ones(lines, dtype=np.int64), refs):
         total += rows.sum(axis=0)
     print(format_bleu(row_bleu(total.tolist()).bleu))
     return 0

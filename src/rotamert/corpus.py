@@ -13,9 +13,11 @@ unlabeled lines are read by position.  References come as parallel
 plain-text files, one token sequence per line; a blank line means "this
 file contributes no reference for that sentence".
 
-``score`` reads its files as ``bleu.Column`` arrays of token ids from
-one :class:`Vocabulary`; :func:`reference_columns` checks reference
-files as :func:`parse_references` does.
+Tokens become ids in one place, :class:`Vocabulary`, whose columns
+(``bleu.Column``) feed every BLEU statistic: ``score`` reads its files
+into them, and :func:`reference_columns` checks reference files as
+:func:`parse_references` does; ``PackedCorpus.of`` builds them from a
+corpus, with the reference slots of :func:`reference_slots`.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from typing import TypeVar
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .errors import (
 FIELD_SEP = "|||"
 
 Tokens = tuple[str, ...]
+T = TypeVar("T")
 
 # Token ids are int32, so one vocabulary holds at most this many tokens.
 MAX_VOCABULARY = 2**31 - 1
@@ -267,12 +271,12 @@ class Vocabulary(dict):
         self[token] = new = len(self)
         return new
 
-    def column(self, lines: Sequence[str]) -> Column:
-        """The tokens of ``lines``, each line split at whitespace, as one column of ids."""
+    def column(self, lines: Sequence[T], split: Callable[[T], Sequence[str]]) -> Column:
+        """The tokens ``split(line)`` of ``lines`` as ids: ``str.split`` for text, ``tuple`` for tokens."""
         # Each line is split twice, for its length and then for its ids, so only
         # one line's token strings exist at a time.
-        lengths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int32, count=len(lines))
-        words = chain.from_iterable(map(str.split, lines))
+        lengths = np.fromiter(map(len, map(split, lines)), dtype=np.int32, count=len(lines))
+        words = chain.from_iterable(map(split, lines))
         tokens = np.fromiter(map(self.__getitem__, words), dtype=np.int32, count=int(lengths.sum()))
         return Column(tokens, lengths)
 
@@ -285,7 +289,7 @@ def reference_columns(
     Checked as :func:`parse_references` checks its streams; a blank
     line (no tokens) is no reference.
     """
-    columns = [vocabulary.column(lines) for lines in streams]
+    columns = [vocabulary.column(lines, str.split) for lines in streams]
     _check_line_counts([len(column.lengths) for column in columns], sources)
     _check_every_sentence_has_a_reference(sum(column.lengths > 0 for column in columns).tolist())
     return columns
@@ -425,23 +429,6 @@ def build_corpus(
     return TuningCorpus(tuple(entries), names)
 
 
-def remap_sparse_ids(
-    nbest: Mapping[int, Sequence[Hypothesis]],
-    refs: Mapping[int, Sequence[Tokens]],
-) -> tuple[dict[int, list[Hypothesis]], dict[int, list[Tokens]]]:
-    """Compact sparse sentence ids into a dense 0..S-1 numbering; the maps
-    are read as :func:`build_corpus` reads them."""
-    if _sentence_ids(nbest, "nbest") != _sentence_ids(refs, "refs"):
-        raise IdMismatch("cannot remap: N-best ids and reference ids differ")
-    mapping = {old: new for new, old in enumerate(sorted(nbest))}
-    new_nbest = {
-        new: [replace(h, sentence_id=new) for h in _listed(nbest[old], f"nbest[{old}]", Hypothesis)]
-        for old, new in mapping.items()
-    }
-    new_refs = {new: _listed(refs[old], f"refs[{old}]", Iterable) for old, new in mapping.items()}
-    return new_nbest, new_refs
-
-
 def format_nbest(corpus: TuningCorpus) -> str:
     """Serialize a corpus to the N-best wire format.
 
@@ -464,14 +451,12 @@ def format_nbest(corpus: TuningCorpus) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_references(corpus: TuningCorpus) -> list[str]:
-    """Serialize references to parallel file bodies, blank-padding short rows."""
+def reference_slots(corpus: TuningCorpus) -> list[tuple[Tokens, ...]]:
+    """Reference ``j`` of every sentence, for each ``j``; ``()`` where a sentence has fewer."""
     width = max(len(entry.references) for entry in corpus.entries)
-    streams = []
-    for j in range(width):
-        rows = [
-            " ".join(entry.references[j]) if j < len(entry.references) else ""
-            for entry in corpus.entries
-        ]
-        streams.append("\n".join(rows) + "\n")
-    return streams
+    return list(zip(*(entry.references + ((),) * (width - len(entry.references)) for entry in corpus.entries)))
+
+
+def format_references(corpus: TuningCorpus) -> list[str]:
+    """Serialize references to parallel file bodies, one per slot; a padding ``()`` is a blank line."""
+    return ["".join(" ".join(ref) + "\n" for ref in slot) for slot in reference_slots(corpus)]

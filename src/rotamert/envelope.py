@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bleu import ErrorValue, row_bleu, row_errors, stats_blocks
-from .corpus import TuningCorpus
+from .corpus import TuningCorpus, Vocabulary, reference_slots
 from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_instance, as_real, as_reals
 
 # Breakpoints within this fraction of a group's first breakpoint join
@@ -75,6 +75,19 @@ class LineSearchResult:
         return LineSearchResult(0.0, packed.argmax_error(scores), tuple(w), scores, packed)
 
 
+def _statistics(corpus: TuningCorpus, counts: list[int]) -> np.ndarray:
+    """Every hypothesis' statistics row, in row order."""
+    vocabulary = Vocabulary()
+    hyps = vocabulary.column([h.tokens for entry in corpus.entries for h in entry.hypotheses], tuple)
+    refs = [vocabulary.column(slot, tuple) for slot in reference_slots(corpus)]
+    stats = np.empty((len(hyps.lengths), 10), dtype=np.int64)
+    end = 0
+    for rows in stats_blocks(hyps, counts, refs):
+        stats[end : end + len(rows)] = rows
+        end += len(rows)
+    return stats
+
+
 @dataclass(frozen=True, eq=False)
 class PackedCorpus:
     """The tuning corpus as flat arrays, one row per hypothesis in sentence order.
@@ -93,17 +106,23 @@ class PackedCorpus:
 
     @staticmethod
     def of(corpus: TuningCorpus) -> PackedCorpus:
-        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays."""
+        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays.
+
+        The statistics come from ``bleu.stats_blocks`` on id columns of
+        one :class:`Vocabulary`, as ``score`` computes its own: every
+        hypothesis in row order, and each reference slot of
+        :func:`reference_slots`, whose ``()`` padding is no reference.
+        """
         dim = as_instance(corpus, TuningCorpus, "corpus").feature_dim
         counts = [len(entry.hypotheses) for entry in corpus.entries]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
+        # The statistics first, so their id columns are let go before the features are built.
+        stats = _statistics(corpus, counts)
         features = np.array(
             [h.features for entry in corpus.entries for h in entry.hypotheses],
             dtype=np.float64,
         ).reshape(int(offsets[-1]), dim)
-        sentences = (([h.tokens for h in entry.hypotheses], entry.references) for entry in corpus.entries)
-        stats = np.concatenate([np.zeros((0, 10), dtype=np.int64), *stats_blocks(sentences)])
         sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         return PackedCorpus(features, offsets, stats, sentence, corpus.feature_names)
 

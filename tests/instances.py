@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rotamert.corpus import Hypothesis, build_corpus, parse_nbest, parse_references
+from rotamert.bleu import stats_blocks
+from rotamert.corpus import Hypothesis, Vocabulary, build_corpus, parse_nbest, parse_references
 from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 
 DATA = Path(__file__).parent / "data"
@@ -48,6 +49,28 @@ def random_corpus(seed, max_sentences=20, max_hyps=16, max_features=5, min_featu
         nbest[s] = hyps
         refs[s] = [draw_tokens() for _ in range(int(rng.integers(1, 4)))]
     return build_corpus(nbest, refs), rng
+
+
+def token_columns(sentences):
+    """The feeder's input for ``(hypotheses, references)`` sentences of token sequences.
+
+    Hypotheses and references become id columns of one vocabulary;
+    reference column ``j`` holds each sentence's reference ``j``, or
+    ``()`` (no reference) where a sentence has fewer.
+    """
+    vocabulary = Vocabulary()
+    hyps = vocabulary.column([hyp for sentence_hyps, _ in sentences for hyp in sentence_hyps], tuple)
+    width = max((len(sentence_refs) for _, sentence_refs in sentences), default=0)
+    refs = [
+        vocabulary.column([r[j] if j < len(r) else () for _, r in sentences], tuple) for j in range(width)
+    ]
+    return hyps, [len(sentence_hyps) for sentence_hyps, _ in sentences], refs
+
+
+def kernel_rows(sentences, **kwargs):
+    """Statistics rows of every hypothesis of ``sentences``, by ``bleu.stats_blocks``, as lists of ints."""
+    blocks = stats_blocks(*token_columns(list(sentences)), **kwargs)
+    return np.concatenate([np.zeros((0, 10), dtype=np.int64), *blocks]).tolist()
 
 
 def pack_rows(features, counts, stats):

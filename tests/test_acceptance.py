@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 
 import rotamert.rotation
-from rotamert.bleu import row_bleu, stats_blocks
+from rotamert.bleu import row_bleu
 from rotamert.cli import main
 from rotamert.corpus import parse_references
 from rotamert.descent import DEFAULT_MAX_ITER, kcd_optimize, uniform_weights
 from rotamert.envelope import LineSearchResult, PackedCorpus, _hulls, _sweep, line_search
 from rotamert.rotation import AlphaGrid, report_tsv, rss_optimize, summary_rows
 
-from instances import adversarial_certificate, adversarial_instance, random_corpus, ray_instance, row_ranks
+from instances import adversarial_certificate, adversarial_instance, kernel_rows, random_corpus, ray_instance, row_ranks
 from oracles import (
     envelope_by_enumeration,
     first_argmax,
@@ -208,7 +208,7 @@ def test_criterion_7_bleu_reference_behaviors(tmp_path, capsys):
         )
         hyp_lines = (DATA / "score.hyp").read_text().splitlines()
         stats = [
-            tuple(next(stats_blocks([((line.split(),), refs[i])]))[0].tolist())
+            tuple(kernel_rows([((line.split(),), refs[i])])[0])
             for i, line in enumerate(hyp_lines)
         ]
         direct = row_bleu(sum_rows(stats))

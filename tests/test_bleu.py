@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert import bleu
-from rotamert.bleu import column_blocks, row_bleu, stats_blocks
-from rotamert.corpus import Vocabulary, reference_columns
+from rotamert.bleu import row_bleu, stats_blocks
+from rotamert.corpus import Hypothesis, Vocabulary, build_corpus, reference_columns, reference_slots
 from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import pack_rows, random_corpus, random_ray
+from instances import kernel_rows, pack_rows, random_corpus, random_ray, token_columns
 from oracles import (
     clipped_stats_by_counting,
     first_argmax,
@@ -26,7 +26,7 @@ from oracles import (
 
 def sentence_row(hyp, refs):
     """The statistics row of one hypothesis against its references."""
-    return tuple(next(stats_blocks([((hyp,), refs)]))[0].tolist())
+    return tuple(kernel_rows([((hyp,), refs)])[0])
 
 
 def row(match_n, total_n, hyp_len, ref_len):
@@ -214,6 +214,25 @@ class TestCorpusLevelHelpers:
                     expected = clipped_stats_by_counting(hyp.tokens, entry.references)
                     assert table[s][k] == expected, f"seed {seed} sentence {s} hyp {k}"
 
+    def test_packing_pads_sentences_with_fewer_references(self):
+        # The middle sentence has the most references; the others' missing
+        # slots are () padding, which no row may count as a reference.
+        nbest = {
+            0: [Hypothesis(0, 0, ("a", "b"), (1.0,))],
+            1: [Hypothesis(1, 0, ("c",), (1.0,)), Hypothesis(1, 1, ("c", "d"), (0.0,))],
+            2: [Hypothesis(2, 0, ("e",), (2.0,))],
+        }
+        refs = {0: [("a",)], 1: [("c", "d"), ("d",), ("c", "c", "d")], 2: [("e", "f")]}
+        corpus = build_corpus(nbest, refs)
+        assert [len(slot) for slot in reference_slots(corpus)] == [3, 3, 3]
+        assert reference_slots(corpus)[2] == ((), ("c", "c", "d"), ())
+        expected = [
+            list(clipped_stats_by_counting(hyp.tokens, entry.references))
+            for entry in corpus.entries
+            for hyp in entry.hypotheses
+        ]
+        assert PackedCorpus.of(corpus).stats.tolist() == expected
+
     def test_packed_argmax_error_equals_selection_error(self):
         # All-zero weights tie every hypothesis, so the lowest rank must win.
         for seed in range(40):
@@ -228,15 +247,10 @@ class TestCorpusLevelHelpers:
                 assert float.hex(got.bleu) == float.hex(expected.bleu), f"seed {seed}"
 
 
-def _kernel_rows(sentences, **kwargs):
-    return np.concatenate(
-        [np.zeros((0, 10), dtype=np.int64), *stats_blocks(sentences, **kwargs)]
-    ).tolist()
-
-
 def _oracle_rows(sentences):
+    """Counting-oracle rows; a blank reference is no reference."""
     return [
-        list(clipped_stats_by_counting(tuple(hyp), refs))
+        list(clipped_stats_by_counting(tuple(hyp), [ref for ref in refs if ref]))
         for hyps, refs in sentences
         for hyp in hyps
     ]
@@ -253,7 +267,8 @@ def _synth_corpora():
 
 
 def _block_sentences(vocab):
-    """Sentences over ``vocab``: short and long hypotheses, short and longer references."""
+    """Sentences over ``vocab``: short and long hypotheses, short and longer references,
+    blank ones among them but never all."""
 
     def seqs(low, high):
         return st.lists(st.sampled_from(vocab), min_size=low, max_size=high).map(tuple)
@@ -261,7 +276,7 @@ def _block_sentences(vocab):
     return st.lists(
         st.tuples(
             st.lists(st.one_of(seqs(0, 3), seqs(4, 12)), min_size=1, max_size=4),
-            st.lists(st.one_of(seqs(0, 3), seqs(0, 8)), min_size=1, max_size=3),
+            st.lists(st.one_of(seqs(0, 3), seqs(0, 8)), min_size=1, max_size=3).filter(any),
         ),
         min_size=1,
         max_size=5,
@@ -275,11 +290,11 @@ class TestStatsKernel:
     # n-grams that can match before order 4 while total_4 is positive.
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(st.sampled_from(["a", "ab", "abc"]).flatmap(_block_sentences))
-    @example([([("a", "b") * 3, ()], [("a", "b"), ("b",)]), ([("b", "a", "b", "b")], [()])])
+    @example([([("a", "b") * 3, ()], [("a", "b"), ("b",)]), ([("b", "a", "b", "b")], [(), ("a",)])])
     def test_rows_match_counting_oracle_on_tiny_vocabularies(self, sentences):
         expected = _oracle_rows(sentences)
-        assert _kernel_rows(sentences) == expected
-        assert _kernel_rows(sentences, _block_tokens=1) == expected
+        assert kernel_rows(sentences) == expected
+        assert kernel_rows(sentences, _block_tokens=1) == expected
 
     @pytest.mark.parametrize("ties", [1, 3, 1000])
     def test_unique_key_sort_equals_the_stable_sort(self, ties, monkeypatch):
@@ -314,11 +329,11 @@ class TestStatsKernel:
         corpora = [random_corpus(seed)[0] for seed in range(40)] + list(_synth_corpora())
         for i, corpus in enumerate(corpora):
             sentences = _sentences(corpus)
-            whole = _kernel_rows(sentences)
-            one_by_one = [row for sentence in sentences for row in _kernel_rows([sentence])]
+            whole = kernel_rows(sentences)
+            one_by_one = [row for sentence in sentences for row in kernel_rows([sentence])]
             assert one_by_one == whole, f"corpus {i}"
             for block_tokens in (1, 40, 333):
-                got = _kernel_rows(sentences, _block_tokens=block_tokens)
+                got = kernel_rows(sentences, _block_tokens=block_tokens)
                 assert got == whole, f"corpus {i}, blocks of {block_tokens}"
 
     @pytest.mark.parametrize(
@@ -335,14 +350,14 @@ class TestStatsKernel:
                 [("größe", "日本", "語", "\u00e9", "🙂"), ("e\u0301", "日本", "語")],
                 [("日本", "語", "größe"), ("\u00e9", "🙂", "日本", "語")],
             ),
-            # One reference is empty; the closest length may be 0.
+            # One reference is blank, which is no reference, so the closest length is 3.
             ([("q",), ()], [(), ("q", "r", "s")]),
         ],
     )
     def test_edge_cases_match_counting_oracle(self, hyps, refs):
         sentences = [(hyps, refs), ([("a", "b", "c", "d")], [("a", "b", "c", "d")])]
-        assert _kernel_rows(sentences) == _oracle_rows(sentences)
-        assert _kernel_rows(sentences, _block_tokens=1) == _oracle_rows(sentences)
+        assert kernel_rows(sentences) == _oracle_rows(sentences)
+        assert kernel_rows(sentences, _block_tokens=1) == _oracle_rows(sentences)
 
     def test_repeated_ngram_is_clipped_to_reference_maximum(self):
         st = sentence_row(("a",) * 6, [("a", "a", "b"), ("a", "a", "a", "c")])
@@ -355,12 +370,14 @@ class TestStatsKernel:
         assert st == row((0, 0, 0, 0), (0, 0, 0, 0), 0, 2)
 
     def test_sentence_without_references_raises(self):
-        sentences = [([("a",)], [("a",)]), ([("b",)], [])]
-        with pytest.raises(NoReferences):
-            _kernel_rows(sentences)
+        # No reference at all, or only blank ones.
+        for second in ([], [()], [(), ()]):
+            sentences = [([("a",)], [("a",)]), ([("b",)], second)]
+            with pytest.raises(NoReferences, match="sentence 1 "):
+                kernel_rows(sentences)
 
     def test_memory_is_bounded_by_the_block_not_the_corpus(self):
-        # tracemalloc sees numpy's buffers; the inputs exist before tracing starts.
+        # tracemalloc sees numpy's buffers; the id columns exist before tracing starts.
         peaks = []
         for size in (4_000, 16_000):
             rng = np.random.default_rng(size)
@@ -374,10 +391,11 @@ class TestStatsKernel:
                 )
                 for seqs, lens in zip(words, lengths)
             ]
+            columns = token_columns(sentences)
             tracemalloc.start()
             try:
                 total = np.zeros(10, dtype=np.int64)
-                for rows in stats_blocks(sentences):
+                for rows in stats_blocks(*columns):
                     total += rows.sum(axis=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -387,19 +405,17 @@ class TestStatsKernel:
 
 
 def _column_rows(hyp_lines, ref_files, **kwargs):
-    """The rows ``score`` computes: files read into columns, then ``column_blocks``."""
+    """The rows ``score`` computes: files read into columns, then ``stats_blocks``, one line per sentence."""
     vocabulary = Vocabulary()
-    hyps = vocabulary.column(hyp_lines)
+    hyps = vocabulary.column(hyp_lines, str.split)
     refs = reference_columns(iter(ref_files), [f"ref{j}" for j in range(len(ref_files))], vocabulary)
-    return np.concatenate(
-        [np.zeros((0, 10), dtype=np.int64), *column_blocks(hyps, refs, **kwargs)]
-    ).tolist()
+    blocks = stats_blocks(hyps, [1] * len(hyp_lines), refs, **kwargs)
+    return np.concatenate([np.zeros((0, 10), dtype=np.int64), *blocks]).tolist()
 
 
 def _line_rows(hyp_lines, ref_files):
-    """``stats_blocks`` rows of the same lines: one hypothesis per line, blank references left out."""
-    sentences = zip(hyp_lines, zip(*ref_files))
-    return _kernel_rows([((line.split(),), [ref.split() for ref in refs if ref.split()]) for line, refs in sentences])
+    """Counting-oracle rows of the same lines: one hypothesis per line, blank references left out."""
+    return _oracle_rows([((line.split(),), [ref.split() for ref in refs]) for line, refs in zip(hyp_lines, zip(*ref_files))])
 
 
 def _score_lines(rng, sentences, ref_count, vocab, lengths):
@@ -424,7 +440,7 @@ UNICODE = ["größe", "日本", "語", "\u00e9", "e\u0301", "🙂"]
 
 
 class TestColumnBlocks:
-    """``column_blocks``, which ``score`` runs, equals ``stats_blocks`` bit for bit."""
+    """``stats_blocks`` on id columns, as ``score``, ``mert`` and ``rss`` run it, equals the counting oracle."""
 
     @pytest.mark.parametrize("block_tokens", [1, 7, 100, bleu.BLOCK_TOKENS])
     def test_blank_lines_and_many_blocks(self, block_tokens):
@@ -458,3 +474,30 @@ class TestColumnBlocks:
     def test_empty_files(self):
         assert _column_rows([], [[], []]) == [] == _line_rows([], [[], []])
         assert _column_rows([], [[]], _block_tokens=1) == []
+
+    @pytest.mark.parametrize("block_tokens", [1, bleu.BLOCK_TOKENS])
+    def test_blank_reference_lines_raise(self, block_tokens):
+        # Lines read as score reads them: a blank line is no reference, so
+        # sentence 1 has none, and its row must not borrow sentence 0's length.
+        vocabulary = Vocabulary()
+        hyps = vocabulary.column(["a b c", "d e f g h"], str.split)
+        refs = [vocabulary.column(["a b c", ""], str.split)]
+        with pytest.raises(NoReferences, match="sentence 1 "):
+            list(stats_blocks(hyps, [1, 1], refs, _block_tokens=block_tokens))
+
+    @pytest.mark.parametrize("block_tokens", [1, bleu.BLOCK_TOKENS])
+    def test_nbest_shaped_sentences(self, block_tokens):
+        # Several hypotheses per sentence and uneven reference counts, as PackedCorpus.of feeds them.
+        rng = np.random.default_rng(29)
+        vocab = [f"w{i}" for i in range(8)] + UNICODE
+
+        def seq(low, high):
+            return tuple(rng.choice(vocab, int(rng.integers(low, high + 1))).tolist())
+
+        sentences = [
+            ([seq(1, 12) for _ in range(rng.integers(1, 9))], [seq(1, 10) for _ in range(rng.integers(1, 5))])
+            for _ in range(60)
+        ]
+        sentences[7][1].append(seq(25, 30))  # one sentence with more references than any other
+        assert len({len(refs) for _, refs in sentences}) > 2
+        assert kernel_rows(sentences, _block_tokens=block_tokens) == _oracle_rows(sentences)

@@ -16,7 +16,6 @@ from rotamert.corpus import (
     parse_nbest,
     parse_references,
     reference_columns,
-    remap_sparse_ids,
 )
 from rotamert.descent import kcd_optimize
 from rotamert.errors import (
@@ -220,7 +219,7 @@ class TestParseReferences:
 
     def test_columns_hold_one_id_per_distinct_token_across_files(self):
         vocabulary = Vocabulary()
-        hyps = vocabulary.column(["the cat", "", "größe  the"])
+        hyps = vocabulary.column(["the cat", "", "größe  the"], str.split)
         refs = reference_columns(iter([["the dog", "a", "größe"], ["", "cat", "x y"]]), ["r0", "r1"], vocabulary)
         assert dict(vocabulary) == {"the": 0, "cat": 1, "größe": 2, "dog": 3, "a": 4, "x": 5, "y": 6}
         assert [(c.tokens.tolist(), c.lengths.tolist()) for c in (hyps, *refs)] == [
@@ -230,12 +229,21 @@ class TestParseReferences:
         ]
         assert {array.dtype for column in (hyps, *refs) for array in column} == {np.dtype(np.int32)}
 
+    def test_token_tuples_take_the_ids_of_their_lines(self):
+        # Token tuples, as PackedCorpus.of passes them, and lines, as score reads them.
+        vocabulary = Vocabulary()
+        lines = vocabulary.column(["the cat", "", "größe  the"], str.split)
+        tuples = vocabulary.column([("the", "cat"), (), ("größe", "the")], tuple)
+        assert dict(vocabulary) == {"the": 0, "cat": 1, "größe": 2}
+        for column in (lines, tuples):
+            assert (column.tokens.tolist(), column.lengths.tolist()) == ([0, 1, 2, 0], [2, 0, 2])
+
     def test_a_vocabulary_too_large_for_int32_ids_is_refused(self, monkeypatch):
         monkeypatch.setattr(corpus, "MAX_VOCABULARY", 3)
         vocabulary = Vocabulary()
-        assert vocabulary.column(["a b a", "c"]).tokens.tolist() == [0, 1, 0, 2]
+        assert vocabulary.column(["a b a", "c"], str.split).tokens.tolist() == [0, 1, 0, 2]
         with pytest.raises(InputError, match="^the input holds more than 3 distinct tokens$"):
-            vocabulary.column(["a d"])
+            vocabulary.column(["a d"], str.split)
 
     def test_token_storage_grows_with_the_vocabulary_not_the_token_count(self):
         # The lines exist before tracing starts, so what stays traced is the parsed
@@ -314,13 +322,6 @@ class TestBuildCorpus:
         with pytest.raises(IdMismatch):
             build_corpus(nbest, refs)
 
-    def test_remap_sparse_ids_makes_ids_dense(self):
-        nbest = {3: [Hypothesis(3, 0, ("a",), (1.0,))], 7: [Hypothesis(7, 0, ("b",), (2.0,))]}
-        refs = {3: [("a",)], 7: [("b",)]}
-        corpus = build_corpus(*remap_sparse_ids(nbest, refs))
-        assert [e.sentence_id for e in corpus.entries] == [0, 1]
-        assert corpus.entries[1].hypotheses[0].tokens == ("b",)
-
     def test_exact_duplicates_drop_keeping_first(self):
         nbest = {
             0: [
@@ -398,8 +399,6 @@ class TestBuildCorpus:
             (build_corpus, ({0: 5}, {0: [("a",)]}), f"nbest[0] {NOT_A_STRING} int"),
             (build_corpus, (ONE, {0: [5]}), "refs[0] must hold only Iterable items, got int"),
             (build_corpus, (ONE, {0: [("a",)]}, 5), f"feature_names {NOT_A_STRING} int"),
-            (remap_sparse_ids, ({3: [5]}, {3: []}), "nbest[3] must hold only Hypothesis items, got int"),
-            (remap_sparse_ids, ({3: []}, 5), "refs must be a Mapping, got int"),
         ],
     )
     def test_readers_refuse_arguments_of_the_wrong_type(self, reader, args, message):
@@ -442,13 +441,6 @@ class TestBuildCorpus:
             build_corpus({0: one, "a": one}, {1: [("a",)], 2: [("a",)]})
         with pytest.raises(IdMismatch, match="^refs sentence ids must be integers, got 1.0$"):
             build_corpus({0: one}, {0: [("a",)], 1.0: [("a",)]})
-        with pytest.raises(IdMismatch, match="^nbest sentence ids must be integers, got 'a'$"):
-            remap_sparse_ids({0: one, "a": one}, {0: [("a",)], "a": [("a",)]})
-
-    def test_remap_sparse_ids_needs_matching_ids(self):
-        nbest = {3: [Hypothesis(3, 0, ("a",), (1.0,))]}
-        with pytest.raises(IdMismatch, match="cannot remap: N-best ids and reference ids differ"):
-            remap_sparse_ids(nbest, {4: [("a",)]})
 
     def test_empty_feature_field_is_malformed(self):
         by_id, names = parse_nbest(["0 ||| a b c ||| ||| 0", "0 ||| a c ||| ||| 0"])

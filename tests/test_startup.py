@@ -169,7 +169,6 @@ def test_wrong_types_raise_only_rotamert_errors():
         rotamert.parse_nbest: dict(lines=["0 ||| a b ||| 1 0.5 ||| 1.5"]),
         rotamert.parse_references: dict(streams=[["a b"]]),
         rotamert.build_corpus: dict(nbest=nbest, refs=refs),
-        rotamert.remap_sparse_ids: dict(nbest=nbest, refs=refs),
         rotamert.kcd_optimize: dict(corpus=packed),
         rotamert.rss_optimize: dict(
             closed_corpus=packed, open_corpus=packed, rotation_spec=((0, 1),), grid=[0.0]
@@ -289,7 +288,6 @@ DOCUMENTED_EXPORTS = (
     "parse_nbest",
     "parse_references",
     "build_corpus",
-    "remap_sparse_ids",
     "kcd_optimize",
     "rss_optimize",
     "Hypothesis",

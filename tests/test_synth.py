@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rotamert import synthetic
-from rotamert.bleu import stats_blocks
 from rotamert.descent import kcd_optimize, uniform_weights
 from rotamert.envelope import PackedCorpus
 from rotamert.errors import SpecInvalid
@@ -16,7 +15,7 @@ from rotamert.synthetic import (
     generate,
 )
 
-from instances import adversarial_certificate, adversarial_instance
+from instances import adversarial_certificate, adversarial_instance, kernel_rows
 
 
 class TestSpecValidation:
@@ -128,8 +127,7 @@ class TestGenerate:
         # the open split tests the task the closed split tunes for.
         def signs(corpus):
             features = np.array([h.features for e in corpus.entries for h in e.hypotheses])
-            blocks = stats_blocks((tuple(h.tokens for h in e.hypotheses), e.references) for e in corpus.entries)
-            rows = np.concatenate(list(blocks))
+            rows = np.array(kernel_rows([(tuple(h.tokens for h in e.hypotheses), e.references) for e in corpus.entries]))
             precision = rows[:, 0] / rows[:, 4]
             return [np.sign(np.corrcoef(column, precision)[0, 1]) for column in features.T]
 
@@ -161,7 +159,7 @@ class TestGenerate:
                     for tok, ref_tok in zip(hyp.tokens, entry.references[0])
                     if tok == ref_tok
                 )
-                (row,) = next(stats_blocks([((hyp.tokens,), entry.references)]))
+                (row,) = kernel_rows([((hyp.tokens,), entry.references)])
                 unigram = row[0]
                 assert unigram >= kept
 

@@ -21,11 +21,14 @@ All statistics come from one integer kernel, fed by one feeder,
 :func:`stats_blocks`.  It takes ``int32`` id columns: the hypotheses
 in order with each sentence's count of them, and one reference column
 per reference slot, one line per sentence (a blank line is no
-reference).  Every id comes from one
-``rotamert.corpus.Vocabulary`` for hypotheses and references alike,
-the only place tokens become ids.  The feeder cuts sentences into
-blocks of about :data:`BLOCK_TOKENS` tokens, so the kernel's scratch
-memory does not grow with the corpus, and the kernel reads integer
+reference).  Every id comes from one :class:`Vocabulary` for
+hypotheses and references alike, the only place tokens become ids:
+``score`` reads its files into columns here, hypotheses by
+:meth:`Vocabulary.column` and references by :func:`reference_columns`,
+so it needs no other rotamert module, and ``PackedCorpus.of`` builds
+them from a corpus.  The feeder cuts sentences into blocks of about
+:data:`BLOCK_TOKENS` tokens, so the kernel's scratch memory does not
+grow with the corpus, and the kernel reads integer
 token ids, sequence lengths and the sentence that owns each sequence,
 never strings.  Every order-n n-gram of a sentence gets a dense
 id from its order-(n-1) prefix id and its last token, so keys stay in
@@ -41,12 +44,14 @@ without its prefix matching.  Totals come from lengths.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
-from .errors import NoReferences
+from .errors import InputError, LengthMismatch, NoReferences
 
 NGRAM_ORDER = 4
 
@@ -56,12 +61,67 @@ NGRAM_ORDER = 4
 # at sentence boundaries, so one long sentence makes one larger block.
 BLOCK_TOKENS = 8192
 
+# Token ids are int32, so one vocabulary holds at most this many tokens.
+MAX_VOCABULARY = 2**31 - 1
+
+T = TypeVar("T")
+
 
 class Column(NamedTuple):
     """Lines as token ids: the ids of every line in order, and each line's token count."""
 
     tokens: np.ndarray  # int32
     lengths: np.ndarray  # int32, one per line
+
+
+def _check_line_counts(counts: Sequence[int], sources: Sequence[str] | None) -> None:
+    """Parallel reference streams, given by their line counts: at least one, all of one count."""
+    if not counts:
+        raise NoReferences("no reference streams given")
+    if len(set(counts)) > 1:
+        sources = [f"<refs[{j}]>" for j in range(len(counts))] if sources is None else sources
+        detail = ", ".join(f"{src}: {count}" for src, count in zip(sources, counts))
+        raise LengthMismatch(f"reference files disagree on line counts ({detail})")
+
+
+def _check_every_sentence_has_a_reference(counts: Iterable[int]) -> None:
+    """``counts`` holds each sentence's number of non-blank references; none may be 0."""
+    for i, count in enumerate(counts):
+        if not count:
+            raise NoReferences(f"sentence {i} has no non-blank reference")
+
+
+class Vocabulary(dict):
+    """Token ids of one run: ``vocabulary[token]`` is dense from 0, in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= MAX_VOCABULARY:
+            raise InputError(f"the input holds more than {MAX_VOCABULARY} distinct tokens")
+        self[token] = new = len(self)
+        return new
+
+    def column(self, lines: Sequence[T], split: Callable[[T], Sequence[str]]) -> Column:
+        """The tokens ``split(line)`` of ``lines`` as ids: ``str.split`` for text, ``tuple`` for tokens."""
+        # Each line is split twice, for its length and then for its ids, so only
+        # one line's token strings exist at a time.
+        lengths = np.fromiter(map(len, map(split, lines)), dtype=np.int32, count=len(lines))
+        words = chain.from_iterable(map(split, lines))
+        tokens = np.fromiter(map(self.__getitem__, words), dtype=np.int32, count=int(lengths.sum()))
+        return Column(tokens, lengths)
+
+
+def reference_columns(
+    streams: Iterable[Sequence[str]], sources: Sequence[str], vocabulary: Vocabulary
+) -> list[Column]:
+    """Parallel reference files as columns, each stream read in turn and then let go.
+
+    Checked as ``corpus.parse_references`` checks its streams; a blank
+    line (no tokens) is no reference.
+    """
+    columns = [vocabulary.column(lines, str.split) for lines in streams]
+    _check_line_counts([len(column.lengths) for column in columns], sources)
+    _check_every_sentence_has_a_reference(sum(column.lengths > 0 for column in columns).tolist())
+    return columns
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from dataclasses import Field, asdict, dataclass, field, fields
@@ -19,20 +20,39 @@ from pathlib import Path
 
 import numpy as np
 
-from .bleu import format_bleu, row_bleu, stats_blocks
-from .corpus import (
-    Vocabulary,
-    build_corpus,
-    format_nbest,
-    format_references,
-    parse_nbest,
-    parse_references,
-    reference_columns,
-)
-from .descent import DEFAULT_EPSILON, DEFAULT_MAX_ITER, SWEEP_MODES, KcdConfig, kcd_optimize
-from .envelope import PackedCorpus
+from .bleu import Vocabulary, format_bleu, reference_columns, row_bleu, stats_blocks
 from .errors import ConfigError, InputError, LengthMismatch
-from .rotation import AlphaGrid, format_alpha, grid_systems, report_tsv, rss_optimize, summary_rows
+
+# What the commands use of the modules that only some of them run, bound
+# here by _bind when a command starts, so that each command loads only
+# what it runs: score loads none of them.
+_LATE_NAMES = {
+    "corpus": ("build_corpus", "format_nbest", "format_references", "parse_nbest", "parse_references"),
+    "envelope": ("PackedCorpus",),
+    "descent": ("KcdConfig", "kcd_optimize"),
+    "rotation": ("AlphaGrid", "format_alpha", "grid_systems", "report_tsv", "rss_optimize", "summary_rows"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind here the names of :data:`_LATE_NAMES` they hold.
+
+    A name already bound keeps its value, so a wrapper or a stand-in set
+    on this module wins over the function it replaces.
+    """
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _LATE_NAMES[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    # Reading one of the names from outside, as a wrapper does, binds its module's names.
+    for module, names in _LATE_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_text(path: str) -> str:
@@ -116,12 +136,12 @@ class RunConfig:
     init_weights: tuple[float, ...] | None = _setting(
         None, _parse_weights, "starting weights: inline numbers or a file, one per line"
     )
-    epsilon: float = _setting(
-        DEFAULT_EPSILON, float, "stop once the error delta is this small"
-    )
-    max_iter: int = _setting(DEFAULT_MAX_ITER, int, "iteration cap")
+    # The defaults of KcdConfig() and AlphaGrid() and the SWEEP_MODES, written
+    # out so that reading flags loads no tuning module; a test pins them.
+    epsilon: float = _setting(0.001, float, "stop once the error delta is this small")
+    max_iter: int = _setting(25, int, "iteration cap")
     sweep_mode: str = _setting(
-        SWEEP_MODES[0], str, f"order in which directions are searched: {', '.join(SWEEP_MODES)}"
+        "sequential", str, "order in which directions are searched: sequential, best-direction"
     )
     rotations: tuple[tuple, ...] = _setting(
         (),
@@ -130,9 +150,9 @@ class RunConfig:
         rss_only=True,
         flag="--rotate",
     )
-    grid_start: float = _setting(AlphaGrid.start, float, "first alpha", rss_only=True)
-    grid_end: float = _setting(AlphaGrid.end, float, "last alpha", rss_only=True)
-    grid_step: float = _setting(AlphaGrid.step, float, "alpha spacing", rss_only=True)
+    grid_start: float = _setting(-1.0, float, "first alpha", rss_only=True)
+    grid_end: float = _setting(1.0, float, "last alpha", rss_only=True)
+    grid_step: float = _setting(0.1, float, "alpha spacing", rss_only=True)
     out: str = _setting(".", str, "output directory")
     jobs: int = _setting(
         1,
@@ -237,6 +257,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_mert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _bind("corpus", "envelope", "descent")
     kcd_cfg = KcdConfig(cfg.epsilon, cfg.max_iter, cfg.sweep_mode)
     packed = _load_corpus(cfg.nbest, cfg.refs, "closed")
     weights, trace = kcd_optimize(packed, cfg.init_weights, None, kcd_cfg)
@@ -249,6 +270,7 @@ def cmd_mert(args: argparse.Namespace) -> int:
 
 def cmd_rss(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _bind("corpus", "envelope", "descent", "rotation")
     if not cfg.rotations:
         raise ConfigError("rss needs at least one rotation (e.g. --rotate 0:1)")
     cpus = os.cpu_count() or 1
@@ -278,6 +300,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
     from .synthetic import SynthSpec, generate
+
+    _bind("corpus")
 
     pairs = []
     for chunk in args.pair or []:

@@ -13,11 +13,11 @@ unlabeled lines are read by position.  References come as parallel
 plain-text files, one token sequence per line; a blank line means "this
 file contributes no reference for that sentence".
 
-Tokens become ids in one place, :class:`Vocabulary`, whose columns
-(``bleu.Column``) feed every BLEU statistic: ``score`` reads its files
-into them, and :func:`reference_columns` checks reference files as
-:func:`parse_references` does; ``PackedCorpus.of`` builds them from a
-corpus, with the reference slots of :func:`reference_slots`.
+Tokens become ids in ``bleu``, not here: ``PackedCorpus.of`` turns a
+corpus into ``bleu.Vocabulary`` columns, with the reference slots of
+:func:`reference_slots`, and :func:`parse_references` checks its
+streams with the checks of ``bleu.reference_columns``, the reader that
+``score`` uses.
 """
 
 from __future__ import annotations
@@ -25,22 +25,16 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
-from typing import TypeVar
 
-import numpy as np
-
-from .bleu import Column
+from .bleu import _check_every_sentence_has_a_reference, _check_line_counts
 from .errors import (
     ConfigError,
     EmptyCorpus,
     IdMismatch,
     InconsistentFeatureCount,
-    InputError,
-    LengthMismatch,
     MalformedLine,
     NoReferences,
     NonNumericFeature,
@@ -50,10 +44,6 @@ from .errors import (
 FIELD_SEP = "|||"
 
 Tokens = tuple[str, ...]
-T = TypeVar("T")
-
-# Token ids are int32, so one vocabulary holds at most this many tokens.
-MAX_VOCABULARY = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -221,23 +211,6 @@ def parse_nbest(
     return by_id, names
 
 
-def _check_line_counts(counts: Sequence[int], sources: Sequence[str] | None) -> None:
-    """Parallel reference streams, given by their line counts: at least one, all of one count."""
-    if not counts:
-        raise NoReferences("no reference streams given")
-    if len(set(counts)) > 1:
-        sources = [f"<refs[{j}]>" for j in range(len(counts))] if sources is None else sources
-        detail = ", ".join(f"{src}: {count}" for src, count in zip(sources, counts))
-        raise LengthMismatch(f"reference files disagree on line counts ({detail})")
-
-
-def _check_every_sentence_has_a_reference(counts: Iterable[int]) -> None:
-    """``counts`` holds each sentence's number of non-blank references; none may be 0."""
-    for i, count in enumerate(counts):
-        if not count:
-            raise NoReferences(f"sentence {i} has no non-blank reference")
-
-
 def parse_references(
     streams: Sequence[Iterable[str]], sources: Sequence[str] | None = None
 ) -> dict[int, list[Tokens]]:
@@ -260,39 +233,6 @@ def parse_references(
                 per_sentence.append(tokens)
     _check_every_sentence_has_a_reference(map(len, refs.values()))
     return refs
-
-
-class Vocabulary(dict):
-    """Token ids of one run: ``vocabulary[token]`` is dense from 0, in order of first sight."""
-
-    def __missing__(self, token: str) -> int:
-        if len(self) >= MAX_VOCABULARY:
-            raise InputError(f"the input holds more than {MAX_VOCABULARY} distinct tokens")
-        self[token] = new = len(self)
-        return new
-
-    def column(self, lines: Sequence[T], split: Callable[[T], Sequence[str]]) -> Column:
-        """The tokens ``split(line)`` of ``lines`` as ids: ``str.split`` for text, ``tuple`` for tokens."""
-        # Each line is split twice, for its length and then for its ids, so only
-        # one line's token strings exist at a time.
-        lengths = np.fromiter(map(len, map(split, lines)), dtype=np.int32, count=len(lines))
-        words = chain.from_iterable(map(split, lines))
-        tokens = np.fromiter(map(self.__getitem__, words), dtype=np.int32, count=int(lengths.sum()))
-        return Column(tokens, lengths)
-
-
-def reference_columns(
-    streams: Iterable[Sequence[str]], sources: Sequence[str], vocabulary: Vocabulary
-) -> list[Column]:
-    """Parallel reference files as columns, each stream read in turn and then let go.
-
-    Checked as :func:`parse_references` checks its streams; a blank
-    line (no tokens) is no reference.
-    """
-    columns = [vocabulary.column(lines, str.split) for lines in streams]
-    _check_line_counts([len(column.lengths) for column in columns], sources)
-    _check_every_sentence_has_a_reference(sum(column.lengths > 0 for column in columns).tolist())
-    return columns
 
 
 def _sentence_ids(ids: Mapping[int, object], what: str) -> set[int]:

@@ -42,8 +42,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bleu import ErrorValue, row_bleu, row_errors, stats_blocks
-from .corpus import TuningCorpus, Vocabulary, reference_slots
+from .bleu import ErrorValue, Vocabulary, row_bleu, row_errors, stats_blocks
+from .corpus import TuningCorpus, reference_slots
 from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_instance, as_real, as_reals
 
 # Breakpoints within this fraction of a group's first breakpoint join

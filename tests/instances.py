@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rotamert.bleu import stats_blocks
-from rotamert.corpus import Hypothesis, Vocabulary, build_corpus, parse_nbest, parse_references
+from rotamert.bleu import Vocabulary, stats_blocks
+from rotamert.corpus import Hypothesis, build_corpus, parse_nbest, parse_references
 from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 
 DATA = Path(__file__).parent / "data"

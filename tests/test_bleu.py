@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotamert import bleu
-from rotamert.bleu import row_bleu, stats_blocks
-from rotamert.corpus import Hypothesis, Vocabulary, build_corpus, reference_columns, reference_slots
+from rotamert.bleu import Vocabulary, reference_columns, row_bleu, stats_blocks
+from rotamert.corpus import Hypothesis, build_corpus, reference_slots
 from rotamert.envelope import PackedCorpus, _sweep
 from rotamert.errors import NoReferences
 from rotamert.synthetic import SynthSpec, generate

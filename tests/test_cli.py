@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from rotamert import cli, corpus
+from rotamert import bleu, cli
 from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
 from rotamert.corpus import parse_nbest
+from rotamert.descent import SWEEP_MODES, KcdConfig
+from rotamert.rotation import AlphaGrid
 
 from oracles import clipped_stats_by_counting, sum_rows
 
@@ -194,7 +196,7 @@ class TestScore:
         assert (code, out, err) == (2, "", f"error: {message.format_map(paths)}\n")
 
     def test_a_vocabulary_too_large_for_its_ids_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(corpus, "MAX_VOCABULARY", 3)
+        monkeypatch.setattr(bleu, "MAX_VOCABULARY", 3)
         hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
         hyp.write_text("a b\na\n")
         ref.write_text("b c\nd\n")
@@ -244,6 +246,14 @@ class TestSettings:
         assert from_flag == from_file
         if value != "1":  # jobs on a one-CPU machine can only be the default
             assert getattr(from_flag, key) != getattr(RunConfig(), key)
+
+    def test_defaults_are_the_tuning_cores(self):
+        # RunConfig writes them out so that reading flags loads no tuning module.
+        cfg, kcd, grid = RunConfig(), KcdConfig(), AlphaGrid()
+        assert (cfg.epsilon, cfg.max_iter, cfg.sweep_mode) == (kcd.epsilon, kcd.max_iter, kcd.sweep_mode)
+        assert (cfg.grid_start, cfg.grid_end, cfg.grid_step) == (grid.start, grid.end, grid.step)
+        sweep_help = next(spec for spec in fields(RunConfig) if spec.name == "sweep_mode").metadata["help"]
+        assert sweep_help.endswith(": " + ", ".join(SWEEP_MODES))
 
 
 class TestMert:

@@ -6,16 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotamert import corpus
+from rotamert import bleu
+from rotamert.bleu import Vocabulary, reference_columns
 from rotamert.corpus import (
     Hypothesis,
-    Vocabulary,
     build_corpus,
     format_nbest,
     format_references,
     parse_nbest,
     parse_references,
-    reference_columns,
 )
 from rotamert.descent import kcd_optimize
 from rotamert.errors import (
@@ -239,7 +238,7 @@ class TestParseReferences:
             assert (column.tokens.tolist(), column.lengths.tolist()) == ([0, 1, 2, 0], [2, 0, 2])
 
     def test_a_vocabulary_too_large_for_int32_ids_is_refused(self, monkeypatch):
-        monkeypatch.setattr(corpus, "MAX_VOCABULARY", 3)
+        monkeypatch.setattr(bleu, "MAX_VOCABULARY", 3)
         vocabulary = Vocabulary()
         assert vocabulary.column(["a b a", "c"], str.split).tokens.tolist() == [0, 1, 0, 2]
         with pytest.raises(InputError, match="^the input holds more than 3 distinct tokens$"):

@@ -1,6 +1,7 @@
-"""Process start-up and package surface: one OpenBLAS thread, no pool
-modules, no BLAS calls, no raise of a builtin exception, an ``__all__``
-that is exactly the documented names, and README examples that run.
+"""Process start-up and package surface: one OpenBLAS thread, only the
+modules each command runs, no BLAS calls, no raise of a builtin
+exception, an ``__all__`` that is exactly the documented names and
+loads each submodule on first use, and README examples that run.
 
 ``rotamert/__init__.py`` loads numpy with a single OpenBLAS thread unless
 the caller set a thread count, because the package never calls BLAS.
@@ -62,15 +63,50 @@ def test_a_thread_count_the_caller_set_wins(name):
     assert run_fresh(THREADS_AFTER_IMPORT, **{name: "2"}) == "2 True\n"
 
 
-def test_cli_import_loads_no_pool_modules():
-    # Nor the synthetic generator, which only the synth command uses.
-    modules = ("concurrent.futures", "multiprocessing", "rotamert.synthetic")
+# What each start-up loads of rotamert: a command only the modules it runs.
+# No run loads a pool module (rss starts its pool only for --jobs above 1
+# and a long grid) or the synthetic generator, which only synth uses.
+BASE_MODULES = ("rotamert", "rotamert.bleu", "rotamert.cli", "rotamert.errors")
+TUNING_MODULES = ("rotamert.corpus", "rotamert.descent", "rotamert.envelope")
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+STARTUPS = {
+    "import": (None, BASE_MODULES),
+    "score": (["score", "{hyp}", "{ref}"], BASE_MODULES),
+    "mert": (["mert", "--nbest", "{nbest}", "--refs", "{ref}", "--out", "{out}"], BASE_MODULES + TUNING_MODULES),
+    "rss": (
+        ["rss", "--rotate", "0:1", "--nbest", "{nbest}", "--refs", "{ref}",
+         "--open-nbest", "{nbest}", "--open-refs", "{ref}", "--out", "{out}"],
+        BASE_MODULES + TUNING_MODULES + ("rotamert.rotation",),
+    ),
+    "synth": (
+        ["synth", "--sentences", "2", "--hyps", "2", "--features", "2", "--out", "{out}"],
+        BASE_MODULES + ("rotamert.corpus", "rotamert.synthetic"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STARTUPS)
+def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
+    argv, expected = STARTUPS[name]
+    files = {"hyp": "a b c\n", "ref": "a b c\n", "nbest": "0 ||| a b c ||| 1 0.5 ||| 1.5\n0 ||| a c ||| 0.5 1 ||| 1.5\n"}
+    paths = {key: tmp_path / key for key in files}
+    for key, text in files.items():
+        paths[key].write_text(text)
+    paths["out"] = tmp_path / "out"
+    argv = None if argv is None else [arg.format_map(paths) for arg in argv]
     code = (
         "import sys\n"
-        "import rotamert.cli\n"
-        f"print([m for m in {modules!r} if m in sys.modules])\n"
+        "from contextlib import redirect_stdout\n"
+        "from io import StringIO\n"
+        "from rotamert.cli import main\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    with redirect_stdout(StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'rotamert')\n"
+        f"print(loaded, [m for m in {POOL_MODULES!r} if m in sys.modules])\n"
     )
-    assert run_fresh(code) == "[]\n"
+    assert run_fresh(code) == f"{sorted(expected)} []\n"
 
 
 def blas_uses(source):
@@ -125,17 +161,38 @@ BUILTIN_EXCEPTIONS = {
 }
 
 
+def _own_nodes(function):
+    """The nodes of ``function``'s body outside any function or class defined in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def builtin_raises(source):
-    """Line numbers and names of every ``raise`` of a builtin exception class in ``source``."""
+    """Line numbers and names of every ``raise`` of a builtin exception class in ``source``.
+
+    The one exemption is the protocol of a module-level ``__getattr__``
+    (PEP 562): an ``AttributeError`` raised directly in its body.
+    """
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Attribute) and ast.unparse(exc.value) == "builtins":
                 exc = ast.Name(exc.attr)
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
-                found.append((node.lineno, exc.id))
-    return found
+                found.append((node, exc.id))
+    protocol = {
+        node
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name == "__getattr__"
+        for node in _own_nodes(function)
+    }
+    return [(node.lineno, name) for node, name in found if not (node in protocol and name == "AttributeError")]
 
 
 def test_builtin_raise_check_finds_each_kind_of_raise():
@@ -149,6 +206,26 @@ def test_builtin_raise_check_finds_each_kind_of_raise():
         "raise Exception\n"
     )
     assert builtin_raises(source) == [(1, "TypeError"), (2, "ValueError"), (3, "KeyError"), (7, "Exception")]
+    # The AttributeError of a module-level __getattr__ is exempt; the same raise
+    # anywhere else, and any other raise there, is found.
+    source = (
+        "def __getattr__(name):\n"
+        "    if name == 'x':\n"
+        "        raise AttributeError(name)\n"
+        "    raise KeyError(name)\n"
+        "def f(name):\n"
+        "    raise AttributeError(name)\n"
+        "class C:\n"
+        "    def __getattr__(self, name):\n"
+        "        raise AttributeError(name)\n"
+        "def __getattr__(name):\n"
+        "    def inner():\n"
+        "        raise AttributeError(name)\n"
+        "    raise builtins.AttributeError(name)\n"
+    )
+    assert sorted(builtin_raises(source)) == [
+        (4, "KeyError"), (6, "AttributeError"), (9, "AttributeError"), (12, "AttributeError")
+    ]
 
 
 def test_wrong_types_raise_only_rotamert_errors():
@@ -364,6 +441,25 @@ def test_every_export_exists_and_no_removed_name_returns():
     for module, name in SUBMODULE_ONLY:
         assert hasattr(importlib.import_module(f"rotamert.{module}"), name), (module, name)
         assert not hasattr(rotamert, name), name
+
+
+def test_lazy_exports_keep_the_api():
+    # Each export loads its submodule on first use: a bare import loads none
+    # of them, yet dir() lists every export and a star import binds each to
+    # the object its submodule holds.
+    code = (
+        "import importlib, sys\n"
+        "import rotamert\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'rotamert'))\n"
+        "print(sorted(set(rotamert.__all__) - set(dir(rotamert))), hasattr(rotamert, 'nope'))\n"
+        "names = {}\n"
+        "exec('from rotamert import *', names)\n"
+        "print(sorted(names.keys() - {'__builtins__'}) == sorted(rotamert.__all__))\n"
+        "home = {name: importlib.import_module(value.__module__) for name, value in names.items() if name in rotamert.__all__}\n"
+        "print(sorted(name for name, module in home.items() if getattr(module, name) is not names[name] or module is rotamert))\n"
+        f"print([name for _, name in {SUBMODULE_ONLY!r} if hasattr(rotamert, name)])\n"
+    )
+    assert run_fresh(code) == "['rotamert']\n[] False\nTrue\n[]\n[]\n"
 
 
 def test_the_package_ships_only_python_modules():

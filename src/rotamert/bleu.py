@@ -25,8 +25,11 @@ reference).  Every id comes from one :class:`Vocabulary` for
 hypotheses and references alike, the only place tokens become ids:
 ``score`` reads its files into columns here, hypotheses by
 :meth:`Vocabulary.column` and references by :func:`reference_columns`,
-so it needs no other rotamert module, and ``PackedCorpus.of`` builds
-them from a corpus.  The feeder cuts sentences into blocks of about
+so it needs no other rotamert module.  ``mert`` and ``rss`` read their
+references by :func:`reference_columns` too, and their N-best lists by
+``corpus.read_nbest``, into columns of the same vocabulary, which
+``PackedCorpus.pack`` packs; ``PackedCorpus.of`` builds the same
+columns from a corpus.  The feeder cuts sentences into blocks of about
 :data:`BLOCK_TOKENS` tokens, so the kernel's scratch memory does not
 grow with the corpus, and the kernel reads integer
 token ids, sequence lengths and the sentence that owns each sequence,
@@ -74,23 +77,6 @@ class Column(NamedTuple):
     lengths: np.ndarray  # int32, one per line
 
 
-def _check_line_counts(counts: Sequence[int], sources: Sequence[str] | None) -> None:
-    """Parallel reference streams, given by their line counts: at least one, all of one count."""
-    if not counts:
-        raise NoReferences("no reference streams given")
-    if len(set(counts)) > 1:
-        sources = [f"<refs[{j}]>" for j in range(len(counts))] if sources is None else sources
-        detail = ", ".join(f"{src}: {count}" for src, count in zip(sources, counts))
-        raise LengthMismatch(f"reference files disagree on line counts ({detail})")
-
-
-def _check_every_sentence_has_a_reference(counts: Iterable[int]) -> None:
-    """``counts`` holds each sentence's number of non-blank references; none may be 0."""
-    for i, count in enumerate(counts):
-        if not count:
-            raise NoReferences(f"sentence {i} has no non-blank reference")
-
-
 class Vocabulary(dict):
     """Token ids of one run: ``vocabulary[token]`` is dense from 0, in order of first sight."""
 
@@ -111,16 +97,25 @@ class Vocabulary(dict):
 
 
 def reference_columns(
-    streams: Iterable[Sequence[str]], sources: Sequence[str], vocabulary: Vocabulary
+    streams: Iterable[Sequence[str]], sources: Sequence[str] | None, vocabulary: Vocabulary
 ) -> list[Column]:
     """Parallel reference files as columns, each stream read in turn and then let go.
 
-    Checked as ``corpus.parse_references`` checks its streams; a blank
-    line (no tokens) is no reference.
+    The only reference reader.  There must be at least one stream, all of
+    one line count (``sources`` names them in that error, ``<refs[j]>``
+    when ``None``); a blank line (no tokens) is no reference, and every
+    sentence needs a reference.
     """
     columns = [vocabulary.column(lines, str.split) for lines in streams]
-    _check_line_counts([len(column.lengths) for column in columns], sources)
-    _check_every_sentence_has_a_reference(sum(column.lengths > 0 for column in columns).tolist())
+    if not columns:
+        raise NoReferences("no reference streams given")
+    counts = [len(column.lengths) for column in columns]
+    if len(set(counts)) > 1:
+        sources = [f"<refs[{j}]>" for j in range(len(counts))] if sources is None else sources
+        detail = ", ".join(f"{src}: {count}" for src, count in zip(sources, counts))
+        raise LengthMismatch(f"reference files disagree on line counts ({detail})")
+    if lacking := np.flatnonzero(sum(column.lengths > 0 for column in columns) == 0).tolist():
+        raise NoReferences(f"sentence {lacking[0]} has no non-blank reference")
     return columns
 
 

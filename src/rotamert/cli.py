@@ -27,7 +27,7 @@ from .errors import ConfigError, InputError, LengthMismatch
 # here by _bind when a command starts, so that each command loads only
 # what it runs: score loads none of them.
 _LATE_NAMES = {
-    "corpus": ("build_corpus", "format_nbest", "format_references", "parse_nbest", "parse_references"),
+    "corpus": ("format_nbest", "format_references", "read_nbest"),
     "envelope": ("PackedCorpus",),
     "descent": ("KcdConfig", "kcd_optimize"),
     "rotation": ("AlphaGrid", "format_alpha", "grid_systems", "report_tsv", "rss_optimize", "summary_rows"),
@@ -215,16 +215,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str) -> PackedCorpus:
-    """Parse, build and pack one split; the parsed corpus is not kept."""
+    """Read one split into id columns of one vocabulary, N-best file first, and pack them."""
     if not nbest_path:
         raise ConfigError(f"no {label} N-best file configured")
     if not ref_paths:
         raise ConfigError(f"no {label} reference files configured")
-    by_id, names = parse_nbest(_read_text(nbest_path).splitlines(), source=nbest_path)
-    refs = parse_references(
-        [_read_text(p).splitlines() for p in ref_paths], sources=list(ref_paths)
-    )
-    return PackedCorpus.of(build_corpus(by_id, refs, names))
+    vocabulary = Vocabulary()
+    nbest = read_nbest(_read_text(nbest_path).splitlines(), nbest_path, vocabulary)
+    refs = reference_columns((_read_text(p).splitlines() for p in ref_paths), ref_paths, vocabulary)
+    return PackedCorpus.pack(nbest, refs)
 
 
 def _write(path: Path, text: str) -> None:

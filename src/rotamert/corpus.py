@@ -13,23 +13,27 @@ unlabeled lines are read by position.  References come as parallel
 plain-text files, one token sequence per line; a blank line means "this
 file contributes no reference for that sentence".
 
-Tokens become ids in ``bleu``, not here: ``PackedCorpus.of`` turns a
-corpus into ``bleu.Vocabulary`` columns, with the reference slots of
-:func:`reference_slots`, and :func:`parse_references` checks its
-streams with the checks of ``bleu.reference_columns``, the reader that
-``score`` uses.
+Each format has one reader, which checks it: :func:`read_nbest` for
+N-best lists and ``bleu.reference_columns`` for references, both into
+columns of one ``bleu.Vocabulary`` that ``PackedCorpus.pack`` packs.
+:func:`parse_nbest` and :func:`parse_references` are views of them, and
+:func:`build_corpus` checks maps built by hand.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
-from .bleu import _check_every_sentence_has_a_reference, _check_line_counts
+import numpy as np
+
+from .bleu import Column, Vocabulary, reference_columns
 from .errors import (
     ConfigError,
     EmptyCorpus,
@@ -124,27 +128,29 @@ def _repeated(names: Sequence[str]) -> str:
     return " ".join(name for name, count in Counter(names).items() if count > 1)
 
 
-def parse_nbest(
-    lines: Iterable[str], source: str = "<nbest>"
-) -> tuple[dict[int, list[Hypothesis]], list[str] | None]:
-    """Parse N-best wire lines into ``{sentence_id: [Hypothesis, ...]}``.
+class Nbest(NamedTuple):
+    """An N-best list as columns, its rows sorted stably by sentence id."""
 
-    Ranks are assigned by file order within each id.  Returns the parsed
-    map together with the feature names recorded from the first labeled
-    line (``None`` when no line carried labels); a later labeled line
-    must repeat its labels at the same positions.  ``lines`` is an
-    iterable of strings, read at once.  Equal tokens share one ``str``
-    per call, so token storage grows with the vocabulary plus one tuple
-    slot per token.
+    ids: list[int]  # the sentence id of each row
+    hyps: Column  # each row's tokens as ids
+    features: np.ndarray  # float64 (rows, M)
+    names: list[str] | None  # from the first labeled line; None when no line carried labels
+
+
+def read_nbest(lines: Sequence[str], source: str, vocabulary: Vocabulary) -> Nbest:
+    """Read N-best wire lines into columns, tokens as ids of ``vocabulary``.
+
+    Lines are checked in file order, and a fault names ``source`` and the
+    line.  Rows keep their file order within each sentence: their rank.
     """
-    canonical = {}.setdefault  # one object per distinct token
-    by_id: dict[int, list[Hypothesis]] = {}
+    ids: list[int] = []
+    token_fields: list[str] = []
+    values = array("d")
     names: list[str] | None = None
     first_field: list[str] = []  # the feature field of the first labeled line
     expected: int | None = None
-    for lineno, raw in enumerate(_listed(lines, "lines", str), start=1):
-        line = raw.rstrip("\n")
-        parts = line.split(FIELD_SEP)
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.rstrip("\n").split(FIELD_SEP)
         if len(parts) != 4:
             raise MalformedLine(
                 f"{source}:{lineno}: expected 4 fields separated by "
@@ -159,14 +165,12 @@ def parse_nbest(
             ) from None
         if sentence_id < 0:
             raise MalformedLine(f"{source}:{lineno}: negative sentence id {sentence_id}")
-        words = parts[1].split()
-        tokens = tuple(map(canonical, words, words))
-        if not tokens:
+        if not parts[1].strip():
             raise MalformedLine(f"{source}:{lineno}: empty hypothesis")
         field = parts[2].split()
-        values: list[float] = []
+        features: list[float] = []
         for tok in field:
-            if _is_label(tok):
+            if tok[-1] == ":" and tok != ":":  # _is_label(tok), inline for speed
                 continue
             try:
                 value = float(tok)
@@ -178,15 +182,16 @@ def parse_nbest(
                 raise NonNumericFeature(
                     f"{source}:{lineno}: feature value {tok!r} is not finite"
                 )
-            values.append(value)
-        features = tuple(values)
+            features.append(value)
+        values.extend(features)
+        count = len(features)
         if expected is None:
-            expected = len(features)
-        elif len(features) != expected:
+            expected = count
+        elif count != expected:
             raise InconsistentFeatureCount(
-                f"{source}:{lineno}: expected {expected} features, got {len(features)}"
+                f"{source}:{lineno}: expected {expected} features, got {count}"
             )
-        if len(field) != len(features):  # labeled
+        if len(field) != count:  # labeled
             if names is None:
                 names = _feature_names(field)
                 if repeated := _repeated(names):
@@ -206,33 +211,53 @@ def parse_nbest(
             raise NonNumericFeature(
                 f"{source}:{lineno}: total field {total_text!r} is not a number"
             ) from None
+        ids.append(sentence_id)
+        token_fields.append(parts[1])
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    features = np.frombuffer(values).reshape(len(ids), expected or 0)[order]
+    hyps = vocabulary.column([token_fields[i] for i in order], str.split)
+    return Nbest([ids[i] for i in order], hyps, features, names)
+
+
+def _token_lines(column: Column, vocabulary: Vocabulary) -> list[Tokens]:
+    """The lines of ``column`` as token tuples, each token the one ``str`` that ``vocabulary`` keys."""
+    tokens = np.array(list(vocabulary), dtype=object)[column.tokens].tolist()
+    ends = np.cumsum(column.lengths).tolist()
+    return [tuple(tokens[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+def parse_nbest(
+    lines: Iterable[str], source: str = "<nbest>"
+) -> tuple[dict[int, list[Hypothesis]], list[str] | None]:
+    """Parse N-best wire lines into ``{sentence_id: [Hypothesis, ...]}``, and the feature names.
+
+    A view of :func:`read_nbest`; ``lines`` is an iterable of strings,
+    read at once.  Equal tokens share one ``str`` per call.
+    """
+    vocabulary = Vocabulary()
+    nbest = read_nbest(_listed(lines, "lines", str), source, vocabulary)
+    by_id: dict[int, list[Hypothesis]] = {}
+    for sentence_id, tokens, features in zip(
+        nbest.ids, _token_lines(nbest.hyps, vocabulary), nbest.features.tolist()
+    ):
         bucket = by_id.setdefault(sentence_id, [])
-        bucket.append(Hypothesis(sentence_id, len(bucket), tokens, features))
-    return by_id, names
+        bucket.append(Hypothesis(sentence_id, len(bucket), tokens, tuple(features)))
+    return by_id, nbest.names
 
 
 def parse_references(
     streams: Sequence[Iterable[str]], sources: Sequence[str] | None = None
 ) -> dict[int, list[Tokens]]:
-    """Read parallel reference files into ``{sentence_id: [tokens, ...]}``.
+    """Read parallel reference files into ``{sentence_id: [tokens, ...]}``, blank lines skipped.
 
-    All streams, iterables of strings and not strings themselves, must
-    have the same line count; blank lines are skipped for that sentence.
-    Equal tokens share one ``str`` across all streams, so token storage
-    grows with the vocabulary plus one tuple slot per token.
+    A view of ``bleu.reference_columns``; each stream is an iterable of
+    strings and not a string.  Equal tokens share one ``str`` per call.
     """
     streams = [_listed(stream, "a reference stream", str) for stream in _listed(streams, "streams", object)]
-    _check_line_counts([len(lines) for lines in streams], sources)
-    canonical = {}.setdefault  # one object per distinct token
-    refs: dict[int, list[Tokens]] = {}
-    for i, row in enumerate(zip(*streams)):
-        refs[i] = per_sentence = []
-        for line in row:
-            words = line.split()
-            if tokens := tuple(map(canonical, words, words)):
-                per_sentence.append(tokens)
-    _check_every_sentence_has_a_reference(map(len, refs.values()))
-    return refs
+    vocabulary = Vocabulary()
+    columns = reference_columns(streams, sources, vocabulary)
+    rows = zip(*(_token_lines(column, vocabulary) for column in columns))
+    return {i: [tokens for tokens in row if tokens] for i, row in enumerate(rows)}
 
 
 def _sentence_ids(ids: Mapping[int, object], what: str) -> set[int]:
@@ -240,6 +265,30 @@ def _sentence_ids(ids: Mapping[int, object], what: str) -> set[int]:
     if strange := [i for i in as_instance(ids, Mapping, what) if not isinstance(i, numbers.Integral)]:
         raise IdMismatch(f"{what} sentence ids must be integers, got {strange[0]!r}")
     return set(ids)
+
+
+def _check_ids(nbest_ids: set[int], ref_ids: set[int]) -> int:
+    """N-best and reference sentence ids, which must be one dense set ``0..S-1``; returns ``S``."""
+    if nbest_ids != ref_ids:
+        raise IdMismatch(
+            f"N-best ids and reference ids differ "
+            f"(only in N-best: {sorted(nbest_ids - ref_ids)[:5]}, "
+            f"only in refs: {sorted(ref_ids - nbest_ids)[:5]})"
+        )
+    if not nbest_ids:
+        raise EmptyCorpus("corpus has no sentences")
+    size = len(nbest_ids)
+    if nbest_ids != set(range(size)):
+        raise IdMismatch(
+            f"sentence ids must be dense 0..{size - 1}, got {sorted(nbest_ids)[:8]}"
+        )
+    return size
+
+
+def _check_feature_dim(dim: int | None) -> None:
+    """Hypotheses of ``dim`` feature values, which must be at least one."""
+    if not dim:
+        raise MalformedLine("the feature field is empty: hypotheses need at least one feature value")
 
 
 def _all_strings(tokens: tuple) -> bool:
@@ -268,35 +317,19 @@ def build_corpus(
     Sentence ids must be integers, line up and be dense ``0..S-1``; each
     hypothesis holds a tuple of ``str`` tokens and a tuple of finite
     feature values, and each reference a sequence of ``str`` tokens
-    that is not itself a string.  Hypotheses duplicating another exactly
-    (same tokens and features) are dropped, keeping the first.  Given feature names must
+    that is not itself a string.  Every hypothesis is kept, in order,
+    exact duplicates too.  Given feature names must
     be strings, one per feature, and must not repeat.  The result is
     stable under a second application of this function to its own maps.
     Both maps hold iterables, of :class:`Hypothesis` and of token sequences.
     """
-    nbest_ids = _sentence_ids(nbest, "nbest")
-    ref_ids = _sentence_ids(refs, "refs")
-    if nbest_ids != ref_ids:
-        raise IdMismatch(
-            f"N-best ids and reference ids differ "
-            f"(only in N-best: {sorted(nbest_ids - ref_ids)[:5]}, "
-            f"only in refs: {sorted(ref_ids - nbest_ids)[:5]})"
-        )
-    if not nbest_ids:
-        raise EmptyCorpus("corpus has no sentences")
-    size = len(nbest_ids)
-    if nbest_ids != set(range(size)):
-        raise IdMismatch(
-            f"sentence ids must be dense 0..{size - 1}, got {sorted(nbest_ids)[:8]}"
-        )
+    size = _check_ids(_sentence_ids(nbest, "nbest"), _sentence_ids(refs, "refs"))
     dim: int | None = None
     entries: list[SentenceEntry] = []
     for sentence_id in range(size):
         hyps = _listed(nbest[sentence_id], f"nbest[{sentence_id}]", Hypothesis)
         if not hyps:
             raise EmptyCorpus(f"sentence {sentence_id} has no hypotheses")
-        seen: set[tuple[Tokens, tuple[float, ...]]] = set()
-        kept: list[Hypothesis] = []
         for hyp in hyps:
             if hyp.sentence_id != sentence_id:
                 raise IdMismatch(
@@ -326,15 +359,11 @@ def build_corpus(
                     f"sentence {sentence_id}, hypothesis {hyp.rank}: "
                     f"feature value {value!r} is not finite"
                 )
-            key = (hyp.tokens, hyp.features)
             try:
-                if key in seen:
-                    continue
-            except TypeError:  # the tokens are strings, so a feature value that cannot be hashed
+                hash(hyp.features)
+            except TypeError:  # the values sum and compare as finite, yet one cannot be hashed
                 message = f"feature values must be real numbers, got {hyp.features!r}"
                 raise NonNumericFeature(f"sentence {sentence_id}, hypothesis {hyp.rank}: {message}") from None
-            seen.add(key)
-            kept.append(hyp)
         sentence_refs = []
         for j, ref in enumerate(_listed(refs[sentence_id], f"refs[{sentence_id}]", Iterable)):
             tokens = tuple(ref)
@@ -348,12 +377,9 @@ def build_corpus(
         if not sentence_refs:
             raise NoReferences(f"sentence {sentence_id} has no non-empty reference")
         entries.append(
-            SentenceEntry(sentence_id, tuple(kept), tuple(sentence_refs))
+            SentenceEntry(sentence_id, tuple(hyps), tuple(sentence_refs))
         )
-    if not dim:
-        raise MalformedLine(
-            "the feature field is empty: hypotheses need at least one feature value"
-        )
+    _check_feature_dim(dim)
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(dim))
     else:
@@ -393,7 +419,8 @@ def format_nbest(corpus: TuningCorpus) -> str:
 
 def reference_slots(corpus: TuningCorpus) -> list[tuple[Tokens, ...]]:
     """Reference ``j`` of every sentence, for each ``j``; ``()`` where a sentence has fewer."""
-    width = max(len(entry.references) for entry in corpus.entries)
+    # At least one slot: a hand-built corpus without references packs blank, which stats_blocks refuses.
+    width = max(1, max(len(entry.references) for entry in corpus.entries))
     return list(zip(*(entry.references + ((),) * (width - len(entry.references)) for entry in corpus.entries)))
 
 

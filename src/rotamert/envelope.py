@@ -9,7 +9,10 @@ sentences' breakpoints yields intervals on which the corpus-wide
 selection is constant, so interval error statistics update by integer
 deltas while walking left to right.
 
-The search runs on a :class:`PackedCorpus` of flat arrays.  Projection
+The search runs on a :class:`PackedCorpus` of flat arrays, which
+:meth:`PackedCorpus.pack` builds from the id columns of the readers
+(:meth:`PackedCorpus.of` turns a ``TuningCorpus`` into such columns and
+packs them the same way).  Projection
 sums feature columns left to right from 0.0, so every score is
 bit-identical to that scalar loop (a BLAS product would reorder the
 sums).  A :class:`SearchPlan` holds what every search along one
@@ -42,8 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bleu import ErrorValue, Vocabulary, row_bleu, row_errors, stats_blocks
-from .corpus import TuningCorpus, reference_slots
+from .bleu import Column, ErrorValue, Vocabulary, row_bleu, row_errors, stats_blocks
+from .corpus import Nbest, TuningCorpus, _check_feature_dim, _check_ids, reference_slots
 from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_instance, as_real, as_reals
 
 # Breakpoints within this fraction of a group's first breakpoint join
@@ -75,19 +78,6 @@ class LineSearchResult:
         return LineSearchResult(0.0, packed.argmax_error(scores), tuple(w), scores, packed)
 
 
-def _statistics(corpus: TuningCorpus, counts: list[int]) -> np.ndarray:
-    """Every hypothesis' statistics row, in row order."""
-    vocabulary = Vocabulary()
-    hyps = vocabulary.column([h.tokens for entry in corpus.entries for h in entry.hypotheses], tuple)
-    refs = [vocabulary.column(slot, tuple) for slot in reference_slots(corpus)]
-    stats = np.empty((len(hyps.lengths), 10), dtype=np.int64)
-    end = 0
-    for rows in stats_blocks(hyps, counts, refs):
-        stats[end : end + len(rows)] = rows
-        end += len(rows)
-    return stats
-
-
 @dataclass(frozen=True, eq=False)
 class PackedCorpus:
     """The tuning corpus as flat arrays, one row per hypothesis in sentence order.
@@ -105,26 +95,39 @@ class PackedCorpus:
     _axis_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
-    def of(corpus: TuningCorpus) -> PackedCorpus:
-        """Pack ``corpus``, the one place a :class:`TuningCorpus` becomes arrays.
+    def pack(nbest: Nbest, refs: Sequence[Column]) -> PackedCorpus:
+        """Pack the columns of ``corpus.read_nbest`` and ``bleu.reference_columns``, of one vocabulary.
 
-        The statistics come from ``bleu.stats_blocks`` on id columns of
-        one :class:`Vocabulary`, as ``score`` computes its own: every
-        hypothesis in row order, and each reference slot of
-        :func:`reference_slots`, whose ``()`` padding is no reference.
+        The one place a corpus becomes arrays.  The N-best ids are checked
+        against the reference lines before anything is sized by them.
         """
-        dim = as_instance(corpus, TuningCorpus, "corpus").feature_dim
-        counts = [len(entry.hypotheses) for entry in corpus.entries]
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        size = _check_ids(set(nbest.ids), set(range(len(refs[0].lengths))))
+        rows, dim = nbest.features.shape
+        _check_feature_dim(dim)
+        counts = np.bincount(nbest.ids, minlength=size)
+        offsets = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        # The statistics first, so their id columns are let go before the features are built.
-        stats = _statistics(corpus, counts)
-        features = np.array(
-            [h.features for entry in corpus.entries for h in entry.hypotheses],
-            dtype=np.float64,
-        ).reshape(int(offsets[-1]), dim)
-        sentence = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        return PackedCorpus(features, offsets, stats, sentence, corpus.feature_names)
+        stats = np.empty((rows, 10), dtype=np.int64)
+        end = 0
+        for block in stats_blocks(nbest.hyps, counts, refs):
+            stats[end : end + len(block)] = block
+            end += len(block)
+        sentence = np.repeat(np.arange(size, dtype=np.int64), counts)
+        names = tuple(f"f{i}" for i in range(dim)) if nbest.names is None else tuple(nbest.names)
+        return PackedCorpus(nbest.features, offsets, stats, sentence, names)
+
+    @staticmethod
+    def of(corpus: TuningCorpus) -> PackedCorpus:
+        """Pack ``corpus`` by :meth:`pack`: its hypotheses in row order, and each
+        reference slot of :func:`reference_slots`, whose ``()`` padding is no reference."""
+        dim = as_instance(corpus, TuningCorpus, "corpus").feature_dim
+        hyps = [h for entry in corpus.entries for h in entry.hypotheses]
+        vocabulary = Vocabulary()
+        tokens = vocabulary.column([h.tokens for h in hyps], tuple)
+        features = np.array([h.features for h in hyps], dtype=np.float64).reshape(len(hyps), dim)
+        ids = [s for s, entry in enumerate(corpus.entries) for _ in entry.hypotheses]
+        nbest = Nbest(ids, tokens, features, corpus.feature_names)
+        return PackedCorpus.pack(nbest, [vocabulary.column(slot, tuple) for slot in reference_slots(corpus)])
 
     @property
     def size(self) -> int:

@@ -1,11 +1,9 @@
-import gc
 import json
 import locale
 import os
 import shutil
 import subprocess
 import sys
-import weakref
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
@@ -15,8 +13,9 @@ import pytest
 from rotamert import bleu, cli
 from rotamert.bleu import row_bleu
 from rotamert.cli import RunConfig, build_parser, main, resolve_config
-from rotamert.corpus import parse_nbest
+from rotamert.corpus import build_corpus, parse_nbest, parse_references
 from rotamert.descent import SWEEP_MODES, KcdConfig
+from rotamert.errors import InputError
 from rotamert.rotation import AlphaGrid
 
 from oracles import clipped_stats_by_counting, sum_rows
@@ -820,31 +819,78 @@ class TestRss:
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command, entry", [("mert", "kcd_optimize"), ("rss", "rss_optimize")])
-def test_no_parsed_corpus_outlives_its_pack(command, entry, adversarial_files, tmp_path, capsys, monkeypatch):
-    # Each split is packed as it loads: no TuningCorpus that build_corpus
-    # returned is alive when the descent or the alpha grid starts.
-    built, alive = [], []
-    build, start = cli.build_corpus, getattr(cli, entry)
+# Malformed inputs: N-best text, reference texts, and the error class and
+# message that mert prints, which the object API raises too.  {nbest} and
+# {ref0} stand for the files' paths.
+GOOD_NBEST = "0 ||| a b ||| 1.0 2.0 ||| 3.0\n1 ||| c ||| 0.5 0.25 ||| 0.75\n"
+MALFORMED = {
+    "field count": ("0 ||| a b ||| 1.0 2.0\n", ["a b\n"], "MalformedLine",
+                    "{nbest}:1: expected 4 fields separated by '|||', got 3"),
+    "id": ("x ||| a ||| 1.0 ||| 1.0\n", ["a\n"], "MalformedLine", "{nbest}:1: sentence id 'x' is not an integer"),
+    "negative id": ("-1 ||| a ||| 1.0 ||| 1.0\n", ["a\n"], "MalformedLine", "{nbest}:1: negative sentence id -1"),
+    "empty hypothesis": ("0 ||| a ||| 1.0 ||| 1.0\n0 |||  ||| 1.0 ||| 1.0\n", ["a\n"], "MalformedLine",
+                         "{nbest}:2: empty hypothesis"),
+    "non-numeric feature": ("0 ||| a ||| 1.0 oops ||| 1.0\n", ["a\n"], "NonNumericFeature",
+                            "{nbest}:1: feature value 'oops' is not a number"),
+    "non-finite feature": ("0 ||| a ||| 1.0 nan ||| 1.0\n", ["a\n"], "NonNumericFeature",
+                           "{nbest}:1: feature value 'nan' is not finite"),
+    # The first faulty value of a line is the one reported.
+    "non-finite, then non-numeric": ("0 ||| a ||| inf oops ||| 1.0\n", ["a\n"], "NonNumericFeature",
+                                     "{nbest}:1: feature value 'inf' is not finite"),
+    "finite values overflowing their sum": ("0 ||| a ||| 1e308 1e308 x ||| 1.0\n", ["a\n"], "NonNumericFeature",
+                                            "{nbest}:1: feature value 'x' is not a number"),
+    "feature count": ("0 ||| a ||| 1.0 2.0 ||| 3.0\n0 ||| b ||| 1.0 ||| 1.0\n", ["a\n"], "InconsistentFeatureCount",
+                      "{nbest}:2: expected 2 features, got 1"),
+    "label order": ("0 ||| a ||| lm: 1 tm: 2 ||| 3\n0 ||| b ||| tm: 1 lm: 2 ||| 3\n", ["a\n"], "MalformedLine",
+                    "{nbest}:2: expected the first labeled line's labels at the same positions: lm: tm:"),
+    "repeated names": ("0 ||| a ||| tm: 1 2 tm0: 3 ||| 6\n", ["a\n"], "MalformedLine",
+                       "{nbest}:1: feature names repeat: tm0"),
+    "total field": ("0 ||| a ||| 1.0 ||| total\n", ["a\n"], "NonNumericFeature",
+                    "{nbest}:1: total field 'total' is not a number"),
+    "id mismatch": (GOOD_NBEST, ["a b\n"], "IdMismatch",
+                    "N-best ids and reference ids differ (only in N-best: [1], only in refs: [])"),
+    "an id far beyond the references": ("0 ||| a ||| 1.0 ||| 1.0\n1000000000000 ||| a ||| 1.0 ||| 1.0\n", ["a\n"],
+                                        "IdMismatch",
+                                        "N-best ids and reference ids differ (only in N-best: [1000000000000], only in refs: [])"),
+    "empty corpus": ("", [""], "EmptyCorpus", "corpus has no sentences"),
+    "empty N-best file": ("", ["a\n"], "IdMismatch",
+                          "N-best ids and reference ids differ (only in N-best: [], only in refs: [0])"),
+    "empty feature field": ("0 ||| a b ||| ||| 0\n0 ||| a ||| ||| 0\n", ["a b\n"], "MalformedLine",
+                            "the feature field is empty: hypotheses need at least one feature value"),
+    "reference line counts": (GOOD_NBEST, ["a b\nc\n", "a\n"], "LengthMismatch",
+                              "reference files disagree on line counts ({ref0}: 2, {ref1}: 1)"),
+    "all-blank reference row": (GOOD_NBEST, ["a b\n\n", "a\n  \n"], "NoReferences",
+                                "sentence 1 has no non-blank reference"),
+    # The N-best file is read first, so its fault wins over the references'.
+    "N-best and reference faults": ("0 ||| a ||| oops ||| 1\n", ["a\n", "a\nb\n"], "NonNumericFeature",
+                                    "{nbest}:1: feature value 'oops' is not a number"),
+}
 
-    def recording_build(*args, **kwargs):
-        corpus = build(*args, **kwargs)
-        built.append(weakref.ref(corpus))
-        return corpus
 
-    def checked_start(*args, **kwargs):
-        gc.collect()
-        alive.extend(ref() is not None for ref in built)
-        return start(*args, **kwargs)
+def object_api_error(nbest, refs):
+    """The class name and message of what parse_nbest, parse_references and build_corpus raise."""
+    try:
+        by_id, names = parse_nbest(Path(nbest).read_text().splitlines(), source=nbest)
+        references = parse_references([Path(p).read_text().splitlines() for p in refs], sources=refs)
+        build_corpus(by_id, references, names)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    return None
 
-    monkeypatch.setattr(cli, "build_corpus", recording_build)
-    monkeypatch.setattr(cli, entry, checked_start)
-    nbest, ref = map(str, adversarial_files)
-    argv = [command, "--nbest", nbest, "--refs", ref, "--out", str(tmp_path / "run")]
-    if command == "rss":
-        argv += ["--open-nbest", nbest, "--open-refs", ref, "--rotate", "0:1"]
-    assert run(argv, capsys)[0] == 0
-    assert alive == [False] * (2 if command == "rss" else 1)
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_mert_prints_the_error_the_object_api_raises(case, tmp_path, capsys):
+    nbest_text, ref_texts, error, message = MALFORMED[case]
+    nbest = tmp_path / "tune.nbest"
+    nbest.write_text(nbest_text)
+    refs = []
+    for j, text in enumerate(ref_texts):
+        refs.append(str(tmp_path / f"tune.ref{j}"))
+        Path(refs[-1]).write_text(text)
+    expected = message.format(nbest=nbest, **{f"ref{j}": ref for j, ref in enumerate(refs)})
+    assert object_api_error(str(nbest), refs) == (error, expected)
+    argv = ["mert", "--nbest", str(nbest), "--refs", ",".join(refs), "--out", str(tmp_path / "run")]
+    assert run(argv, capsys) == (2, "", f"error: {expected}\n")
 
 
 class TestSynth:

@@ -15,6 +15,7 @@ from rotamert.corpus import (
     format_references,
     parse_nbest,
     parse_references,
+    read_nbest,
 )
 from rotamert.descent import kcd_optimize
 from rotamert.errors import (
@@ -157,6 +158,16 @@ class TestParseNbest:
                 lines("0 ||| a ||| 1.0 ||| 1.0", "0 ||| ||| 1.0 ||| 1.0"),
                 source="list.nbest",
             )
+
+    def test_read_nbest_gives_columns_sorted_stably_by_id(self):
+        vocabulary = Vocabulary()
+        nbest = read_nbest(["1 ||| a b ||| 1.5 ||| 0", "0 ||| b ||| 0.1 ||| 0", "1 ||| c ||| -2 ||| 0"], "x", vocabulary)
+        assert nbest.ids == [0, 1, 1]
+        assert dict(vocabulary) == {"b": 0, "a": 1, "c": 2}
+        assert (nbest.hyps.tokens.tolist(), nbest.hyps.lengths.tolist()) == ([0, 1, 0, 2], [1, 2, 1])
+        assert nbest.features.dtype == np.float64
+        assert nbest.features.tolist() == [[0.1], [1.5], [-2.0]]
+        assert nbest.names is None
 
     def test_equal_tokens_are_one_object(self):
         by_id, _ = parse_nbest(
@@ -321,7 +332,7 @@ class TestBuildCorpus:
         with pytest.raises(IdMismatch):
             build_corpus(nbest, refs)
 
-    def test_exact_duplicates_drop_keeping_first(self):
+    def test_exact_duplicates_are_kept_in_order(self):
         nbest = {
             0: [
                 Hypothesis(0, 0, ("a",), (1.0,)),
@@ -330,8 +341,7 @@ class TestBuildCorpus:
             ]
         }
         corpus = build_corpus(nbest, {0: [("a",)]})
-        kept = corpus.entries[0].hypotheses
-        assert [h.rank for h in kept] == [0, 2]
+        assert corpus.entries[0].hypotheses == tuple(nbest[0])
 
     def test_same_tokens_different_features_both_kept(self):
         nbest = {

@@ -1,11 +1,20 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rotamert.bleu import row_bleu, row_errors
-from rotamert.corpus import Hypothesis, build_corpus
+from rotamert.bleu import Vocabulary, reference_columns, row_bleu, row_errors
+from rotamert.corpus import (
+    Hypothesis,
+    SentenceEntry,
+    TuningCorpus,
+    build_corpus,
+    parse_nbest,
+    parse_references,
+    read_nbest,
+)
 from rotamert.envelope import (
     RESCORE_BOUND,
     LineSearchResult,
@@ -16,7 +25,7 @@ from rotamert.envelope import (
     _may_reach_hull,
     _sweep,
 )
-from rotamert.errors import ConfigError, DimensionMismatch, InputError
+from rotamert.errors import ConfigError, DimensionMismatch, InputError, NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
 from instances import Line, random_corpus, random_lines, ray_instance, row_ranks, search
@@ -103,6 +112,40 @@ class TestPackedProjection:
             search(packed, (1e10, 1.0), (0.0, 1.0))
         with pytest.raises(InputError):
             search(packed, (1.0, 1.0), (float("nan"), 1.0))
+
+
+@pytest.mark.parametrize(
+    "nbest, refs",
+    [
+        ("adversarial.nbest", ["adversarial.ref"]),
+        ("golden/closed.nbest", ["golden/closed.ref0", "golden/closed.ref1"]),
+        ("golden/open.nbest", ["golden/open.ref0", "golden/open.ref1"]),
+    ],
+)
+def test_the_readers_pack_what_the_parsed_corpus_packs(nbest, refs):
+    # Lines interleaved across sentences and an exact duplicate, too.
+    data = Path(__file__).parent / "data"
+    lines = (data / nbest).read_text().splitlines()
+    lines = sorted(lines + lines[1:2], key=lambda line: -len(line))
+    streams = [(data / ref).read_text().splitlines() for ref in refs]
+    vocabulary = Vocabulary()
+    read = read_nbest(lines, nbest, vocabulary)
+    packed = PackedCorpus.pack(read, reference_columns(streams, refs, vocabulary))
+    by_id, names = parse_nbest(lines)
+    parsed = PackedCorpus.of(build_corpus(by_id, parse_references(streams), names))
+    assert read.ids == sorted(read.ids)
+    for attribute in ("features", "offsets", "stats", "sentence"):
+        expected = getattr(parsed, attribute)
+        assert getattr(packed, attribute).dtype == expected.dtype
+        np.testing.assert_array_equal(getattr(packed, attribute), expected)
+    assert packed.feature_names == parsed.feature_names
+
+
+def test_a_hand_built_corpus_without_references_is_refused():
+    hyp = Hypothesis(0, 0, ("a",), (1.0,))
+    corpus = TuningCorpus((SentenceEntry(0, (hyp,), ()),), ("f0",))
+    with pytest.raises(NoReferences, match="^sentence 0 has no non-blank reference$"):
+        PackedCorpus.of(corpus)
 
 
 def test_a_crossing_that_overflows_is_rejected():

@@ -7,19 +7,23 @@ such systems.  Each iteration sweeps the system's axes, replacing the
 weights by the exact line-search optimum along each one.  The loop stops
 once two consecutive sweeps change the corpus error by at most
 ``epsilon`` (checked from the second iteration on), or after
-``max_iter`` iterations.  ``best-direction`` mode evaluates every
-axis from the current point per iteration and applies only the most
-profitable step.
+``max_iter`` iterations; the trace records which (``KcdTrace.stopped``).
+``best-direction`` mode evaluates every axis from the current point per
+iteration and applies only the most profitable step.
+
+:func:`kcd_lockstep` runs one descent per system in lockstep, each step
+one batched :func:`~rotamert.envelope.line_search` over every running
+descent, and :func:`kcd_optimize` is its one-system case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .bleu import ErrorValue, format_bleu
-from .envelope import LineSearchResult, PackedCorpus, line_search
+from .envelope import LineSearchResult, PackedCorpus, SearchPlan, line_search
 from .errors import ConfigError, DimensionMismatch, InvalidRotation, as_index, as_instance, as_real, as_reals
 
 SWEEP_MODES = ("sequential", "best-direction")
@@ -134,6 +138,7 @@ class KcdTrace:
     final_weights: tuple[float, ...]
     iterations: int
     final_error: ErrorValue  # the error at final_weights
+    stopped: str  # "epsilon" or "max_iter": why the loop ended
 
     def to_tsv(self) -> str:
         rows = ["iter\tdim\tgamma\terror\tbleu"]
@@ -173,39 +178,91 @@ def kcd_optimize(
     so the trace is non-increasing by construction.  The trace's
     ``final_error`` is the error at the final weights: the last search
     checked it there, or, with no step, the start's.  ``corpus`` is a
-    :class:`PackedCorpus`, shared by every line search; ``system`` and
-    ``config`` are of their type or None.
+    :class:`PackedCorpus`, shared by every line search; ``system`` (the
+    identity when None) and ``config`` are of their type or None.  This
+    is :func:`kcd_lockstep` of the one system.
+    """
+    packed = as_instance(corpus, PackedCorpus, "corpus")
+    if system is None:
+        system = CoordinateSystem(packed.feature_dim)
+    ((weights, trace),) = kcd_lockstep(packed, [system], init_w, config)
+    return weights, trace
+
+
+@dataclass(eq=False)
+class _Descent:
+    """One descent of a lockstep run: its axes' plans, its point and its trace so far."""
+
+    plans: list[SearchPlan]  # each axis' slopes and line order, shared by every search along it
+    point: LineSearchResult  # each search starts from the previous result and reuses its scores
+    steps: list[StepRecord] = field(default_factory=list)
+    iterations: int = 0
+    previous: float | None = None  # the error after the previous sweep
+    stopped: str | None = None
+
+    def take(self, iteration: int, dim_index: int, point: LineSearchResult) -> None:
+        self.point = point
+        self.steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
+
+    def trace(self) -> KcdTrace:
+        weights, error = self.point.weights, self.point.error_at_star
+        return KcdTrace(tuple(self.steps), weights, self.iterations, error, self.stopped or "max_iter")
+
+
+def kcd_lockstep(
+    corpus: PackedCorpus,
+    systems: Sequence[CoordinateSystem],
+    init_w: Sequence[float] | None = None,
+    config: KcdConfig | None = None,
+) -> list[tuple[tuple[float, ...], KcdTrace]]:
+    """Run one descent per system in lockstep; returns each one's final weights and trace.
+
+    Every descent starts from ``init_w`` and each equals a lone descent
+    over its system bit for bit, as :func:`kcd_optimize` documents it:
+    each keeps its own stop rule and trace.  The descents share each
+    step instead: a sequential sweep searches axis ``i`` of every running
+    descent in one :func:`line_search` call, and best-direction every
+    axis of every running descent.  A descent that stops leaves the
+    batch.  ``systems`` is a sequence of :class:`CoordinateSystem` of the
+    corpus' dimension.
     """
     packed = as_instance(corpus, PackedCorpus, "corpus")
     dim = packed.feature_dim
     w = initial_weights(init_w, dim)
-    if system is None:
-        system = CoordinateSystem(dim)
-    elif as_instance(system, CoordinateSystem, "system").dim != dim:
-        raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
+    try:
+        systems = tuple(systems)
+    except TypeError:
+        raise ConfigError(f"systems must be a sequence of CoordinateSystems, got {systems!r}") from None
+    for system in systems:
+        if as_instance(system, CoordinateSystem, "system").dim != dim:
+            raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
     config = KcdConfig() if config is None else as_instance(config, KcdConfig, "config")
-    # Each search starts from the previous result and reuses its scores.
-    point = LineSearchResult.at(packed, w)
-    # Each axis' slopes and line order, shared by every search along it.
-    plans = [packed.plan(system.axis(i)) for i in range(dim)]
-    steps: list[StepRecord] = []
-    previous_sweep: float | None = None
-    iterations = 0
+    start = LineSearchResult.at(packed, w)
+    runs = [_Descent([packed.plan(system.axis(i)) for i in range(dim)], start) for system in systems]
+    running = runs
 
     for iteration in range(1, config.max_iter + 1):
-        iterations = iteration
         if config.sweep_mode == "sequential":
-            for dim_index, plan in enumerate(plans):
-                point = line_search(packed, point, plan)
-                steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
+            for dim_index in range(dim):
+                points = line_search(packed, [run.point for run in running], [run.plans[dim_index] for run in running])
+                for run, point in zip(running, points):
+                    run.take(iteration, dim_index, point)
         else:  # best-direction
-            results = [line_search(packed, point, plan) for plan in plans]
-            dim_index = min(range(dim), key=lambda i: (results[i].error_at_star.error, i))
-            point = results[dim_index]
-            steps.append(StepRecord(iteration, dim_index, point.gamma_star, point.error_at_star))
-        new_error = point.error_at_star.error
-        if previous_sweep is not None and abs(previous_sweep - new_error) <= config.epsilon:
+            points = line_search(
+                packed, [run.point for run in running for _ in range(dim)], [p for run in running for p in run.plans]
+            )
+            for k, run in enumerate(running):
+                axes = points[k * dim : (k + 1) * dim]
+                dim_index = min(range(dim), key=lambda i: (axes[i].error_at_star.error, i))
+                run.take(iteration, dim_index, axes[dim_index])
+        for run in running:
+            run.iterations = iteration
+            new_error = run.point.error_at_star.error
+            if run.previous is not None and abs(run.previous - new_error) <= config.epsilon:
+                run.stopped = "epsilon"
+            run.previous = new_error
+        running = [run for run in running if run.stopped is None]
+        if not running:
             break
-        previous_sweep = new_error
 
-    return point.weights, KcdTrace(tuple(steps), point.weights, iterations, point.error_at_star)
+    return [(run.point.weights, run.trace()) for run in runs]

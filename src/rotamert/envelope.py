@@ -20,15 +20,18 @@ direction shares.  It projects only the direction's listed ``(index,
 coefficient)`` pairs, each index in range and listed once, so an
 untilted axis' slopes are its feature column added to 0.0, and the pack
 keeps each untilted axis' plan, by index, for every descent over it.
-:func:`line_search` calls its two kernels once each: :func:`_hulls`
-builds all sentences' envelopes in one stack loop over flat arrays, and
-:func:`_sweep` merges their breakpoints with numpy, looping only when
-some of them group.  Interval ``i`` spans ``edges[i]..edges[i + 1]`` of
+:func:`line_search` takes a batch of (start, plan) pairs on one pack,
+from one pair to a block of grid points' searches, and calls its two
+kernels once per batch: :func:`_hulls` builds every envelope of every
+search by numpy pruning passes over flat arrays, and :func:`_sweep`
+merges each search's breakpoints with one sort, looping only for the
+searches where some of them group.  Each result is bit-identical to its
+search run alone.  Interval ``i`` spans ``edges[i]..edges[i + 1]`` of
 ``[-inf, *boundaries, inf]``.  Every winner is picked by one rule,
 :func:`_first_max`: the highest value, ties to the lowest rank.
 
 Two exact shortcuts keep the search cheap: a numpy prefilter drops the
-lines two others dominate before the stack runs, and only intervals
+lines two others dominate before the passes run, and only intervals
 within ``RESCORE_BOUND`` of the smallest numpy error estimate are scored
 by the scalar :func:`row_bleu`, which decides.  The chosen step is
 checked with one projection of the stepped weights.  The result carries
@@ -59,7 +62,14 @@ COALESCE_REL = 2**-30
 # estimate is within 1e-12 of row_bleu, far inside half this bound.
 RESCORE_BOUND = 1e-9
 
-Hulls = tuple[np.ndarray, np.ndarray, np.ndarray]  # breakpoints, segment rows, counts
+# Pruning passes over all envelopes before the stack loop takes the
+# survivors.  A descent's searches converge in a handful of passes.  A
+# pass that drops few lines costs about 1/75 of the stack loop over the
+# same lines (measured at 40,000 lines), so passes that run up to the cap
+# and then the stack cost under three stack loops.
+HULL_PASSES = 128
+
+Hulls = tuple[np.ndarray, np.ndarray, np.ndarray]  # breakpoints, segment rows, (searches, sentences) counts
 
 
 @dataclass(frozen=True)
@@ -285,78 +295,139 @@ class SearchPlan:
         return self.base[_first_max(intercepts[self.base], self.starts, self.run)]
 
 
-def _hulls(intercepts: np.ndarray, plan: SearchPlan) -> Hulls:
-    """Upper envelopes of all sentences of ``plan`` at ``intercepts``, flat.
+def _hulls(intercepts: Sequence[np.ndarray], plans: Sequence[SearchPlan]) -> Hulls:
+    """Upper envelopes of every sentence of every search, flat.
 
-    In sentence order: the breakpoints, each segment's row and each
-    sentence's segment count.  Lines sort by ascending slope; slope ties
-    keep the higher intercept (it dominates everywhere), full ties the
-    lowest rank.  Lines that two others of their sentence dominate are
-    dropped by :func:`_may_reach_hull`, given each head's sentence, then
-    one stack loop runs over all.
+    Search ``i`` scores its lines at ``intercepts[i]`` along
+    ``plans[i]``, all plans of one pack.  In (search, sentence) order:
+    the breakpoints, each segment's row and, shaped (searches,
+    sentences), each envelope's segment count.  Lines sort by ascending
+    slope; slope ties keep the higher intercept (it dominates
+    everywhere), full ties the lowest rank.  Lines that two others of
+    their sentence dominate are dropped by :func:`_may_reach_hull`, once
+    over all searches, given each head's (search, sentence) group.
+
+    Then pruning passes run over all groups at once.  Each pass takes
+    every line with a neighbour of its group on both sides and drops it
+    where it leaves the envelope no later than it enters: ``leave <=
+    enter``, with ``enter`` the crossing with its left neighbour and
+    ``leave`` the one with its right, the stack loop's own crossing
+    formula and pop test.  Passes repeat until one drops nothing.  A
+    line a pass drops lies below its two neighbours everywhere, so the
+    stack drops it too, and the breakpoints are the crossings of
+    adjacent survivors.  After ``HULL_PASSES`` passes that still drop
+    lines, the survivors go through the stack loop, so no input costs
+    more than that many passes and one loop.
     """
-    kept = plan.heads(intercepts)
-    owner = plan.sentence[kept]
-    reach = _may_reach_hull(intercepts[kept], owner)
-    kept, owner = kept[reach], owner[reach]
-    fresh = np.ones(len(kept), dtype=bool)
+    size = plans[0].size
+    kept = [plan.heads(a) for a, plan in zip(intercepts, plans)]
+    rows = np.concatenate(kept)
+    a = np.concatenate([x[k] for x, k in zip(intercepts, kept)])
+    b = np.concatenate([plan.slopes[k] for plan, k in zip(plans, kept)])
+    owner = np.concatenate([plan.sentence[k] + i * size for i, (plan, k) in enumerate(zip(plans, kept))])
+    reach = _may_reach_hull(a, owner)
+    a, b, rows, owner = a[reach], b[reach], rows[reach], owner[reach]
+    for _ in range(HULL_PASSES):
+        same, crossing = _crossings(a, b, owner)
+        drop = same[:-1] & same[1:] & (crossing[1:] <= crossing[:-1])
+        if not drop.any():
+            break
+        keep = np.ones(len(a), dtype=bool)
+        keep[1:-1] = ~drop
+        a, b, rows, owner = a[keep], b[keep], rows[keep], owner[keep]
+    else:
+        keep = _stack(a, b, owner)
+        a, b, rows, owner = a[keep], b[keep], rows[keep], owner[keep]
+        same, crossing = _crossings(a, b, owner)
+    counts = np.bincount(owner, minlength=len(plans) * size).reshape(len(plans), size)
+    return crossing[same], rows, counts
+
+
+def _crossings(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each pair of adjacent lines shares its group, and the gamma where
+    the right one overtakes the left, ``(a[i] - a[i + 1]) / (b[i + 1] - b[i])``."""
+    with np.errstate(all="ignore"):
+        return owner[1:] == owner[:-1], (a[:-1] - a[1:]) / (b[1:] - b[:-1])
+
+
+def _stack(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> list[int]:
+    """Positions of the envelope lines, by one stack loop over every group.
+
+    The stack holds each kept line with the gamma where it starts to
+    win: NaN for a group's first line, so no crossing ever pops it.
+    """
+    fresh = np.ones(len(a), dtype=bool)
     fresh[1:] = owner[1:] != owner[:-1]
-    # The stack as columns, with the gamma where each line starts to win:
-    # NaN for a sentence's first line, so no crossing ever pops it.
     tops_a: list[float] = []
     tops_b: list[float] = []
-    rows: list[int] = []
+    kept: list[int] = []
     breaks: list[float] = []
-    lines = zip(intercepts[kept].tolist(), plan.slopes[kept].tolist(), kept.tolist())
-    for (a, b, row), first in zip(lines, fresh.tolist()):
+    for i, (x, y, first) in enumerate(zip(a.tolist(), b.tolist(), fresh.tolist())):
         crossing = math.nan
         if not first:
-            crossing = (tops_a[-1] - a) / (b - tops_b[-1])
+            crossing = (tops_a[-1] - x) / (y - tops_b[-1])
             while crossing <= breaks[-1]:
-                del tops_a[-1], tops_b[-1], rows[-1], breaks[-1]
-                crossing = (tops_a[-1] - a) / (b - tops_b[-1])
-        tops_a.append(a)
-        tops_b.append(b)
-        rows.append(row)
+                del tops_a[-1], tops_b[-1], kept[-1], breaks[-1]
+                crossing = (tops_a[-1] - x) / (y - tops_b[-1])
+        tops_a.append(x)
+        tops_b.append(y)
+        kept.append(i)
         breaks.append(crossing)
-    segments = np.array(rows, dtype=np.intp)
-    counts = np.bincount(plan.sentence[segments], minlength=plan.size)
-    return np.delete(np.array(breaks), np.cumsum(counts) - counts), segments, counts
+    return kept
 
 
-def _sweep(hulls: Hulls, stats: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Boundaries and per-interval statistics rows of merged sentence hulls.
+def _sweep(hulls: Hulls, stats: np.ndarray) -> list[tuple[list[float], np.ndarray]]:
+    """Boundaries and per-interval statistics rows of each search's merged hulls.
 
-    Events sort stably by gamma; a boundary collects every event within
-    ``COALESCE_REL * |g|`` above its first event ``g``, a rule that
-    scaling the direction leaves unchanged.  When every gap between
-    events exceeds that, each event is its own boundary and no loop
-    runs.  Each interval's row is the first interval's row plus the
-    integer cumulative sum of the events' incoming-minus-outgoing rows.
+    Events sort by (search, gamma), stably; a boundary collects every
+    event of its search within ``COALESCE_REL * |g|`` above its first
+    event ``g``, a rule that scaling the direction leaves unchanged.
+    When every gap between a search's events exceeds that, each event is
+    its own boundary, and the grouping loop runs only for the searches
+    where some do not.  Each interval's row is the search's first
+    interval's row plus the integer cumulative sum of its events'
+    incoming-minus-outgoing rows.
     """
     points, segments, counts = hulls
     if not np.isfinite(points).all():
         raise InputError("a breakpoint of the search ray is not finite")
+    searches = len(counts)
+    counts = counts.ravel()
     firsts = np.cumsum(counts) - counts
     # Each segment but a sentence's first enters at one event, and the
     # segment before it leaves.
     enters = np.ones(len(segments), dtype=bool)
     enters[firsts] = False
     deltas = stats[segments[1:][enters[1:]]] - stats[segments[:-1][enters[1:]]]
-    initial = stats[segments[firsts]].sum(axis=0)
-    order = np.argsort(points, kind="stable")
-    running = initial + np.cumsum(deltas[order], axis=0)
+    initial = stats[segments[firsts]].reshape(searches, -1, stats.shape[1]).sum(axis=1)
+    events = (counts - 1).reshape(searches, -1).sum(axis=1)
+    search = np.repeat(np.arange(searches), events)
+    order = np.lexsort((points, search))
+    # Integer sums are exact, so each search's running sum is the global
+    # one less its value before the search's first event.
+    total = np.zeros((len(order) + 1, stats.shape[1]), dtype=stats.dtype)
+    np.cumsum(deltas[order], axis=0, out=total[1:])
+    ends = np.cumsum(events)
+    begins = ends - events
+    running = total[1:] - (total[begins] - initial)[search]
     ordered = points[order]
-    if (ordered[1:] - ordered[:-1] > COALESCE_REL * np.abs(ordered[:-1])).all():
-        return ordered.tolist(), np.vstack((initial, running))
-    ordered = ordered.tolist()
-    starts = [0]  # each group's first event
-    for i, gamma in enumerate(ordered):
-        group_start = ordered[starts[-1]]
-        if gamma - group_start > COALESCE_REL * abs(group_start):
-            starts.append(i)
-    ends = np.array(starts[1:] + [len(ordered)], dtype=np.intp) - 1
-    return [ordered[i] for i in starts], np.vstack((initial, running[ends]))
+    spread = ordered[1:] - ordered[:-1] > COALESCE_REL * np.abs(ordered[:-1])
+    grouped = np.zeros(searches, dtype=bool)
+    grouped[search[1:][~spread & (search[1:] == search[:-1])]] = True
+    sweeps = []
+    for i, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
+        gammas = ordered[begin:end].tolist()
+        if not grouped[i]:
+            sweeps.append((gammas, np.vstack((initial[i], running[begin:end]))))
+            continue
+        starts = [0]  # each group's first event
+        for j, gamma in enumerate(gammas):
+            group_start = gammas[starts[-1]]
+            if gamma - group_start > COALESCE_REL * abs(group_start):
+                starts.append(j)
+        last = np.array(starts[1:] + [len(gammas)], dtype=np.intp) - 1
+        sweeps.append(([gammas[j] for j in starts], np.vstack((initial[i], running[begin:end][last]))))
+    return sweeps
 
 
 def _midpoint(lower: float, upper: float) -> float:
@@ -368,32 +439,85 @@ def _midpoint(lower: float, upper: float) -> float:
     return (lower + upper) / 2.0
 
 
-def line_search(packed: PackedCorpus, start: LineSearchResult, plan: SearchPlan) -> LineSearchResult:
-    """Minimize corpus error along ``w + gamma * d`` exactly, ``w`` the start's weights
-    and ``d`` the plan's direction.
+def line_search(
+    packed: PackedCorpus, starts: Sequence[LineSearchResult], plans: Sequence[SearchPlan]
+) -> list[LineSearchResult]:
+    """Minimize corpus error exactly along ``w + gamma * d`` for each (start, plan)
+    pair, ``w`` the start's weights and ``d`` the plan's direction.
 
-    ``start`` is :meth:`LineSearchResult.at` or an earlier search's
-    result, whose scores and error the search reuses, and ``plan`` comes
-    from ``packed.plan``, which a caller searching one direction many
-    times builds once.  Each argument of another type, and a start or a
-    plan made on another pack, is a :class:`ConfigError`.
+    Each start is :meth:`LineSearchResult.at` or an earlier search's
+    result, whose scores and error the search reuses, and each plan
+    comes from ``packed.plan``, which a caller searching one direction
+    many times builds once.  ``starts`` and ``plans`` are sequences of
+    equal length; each argument of another type, and a start or a plan
+    made on another pack, is a :class:`ConfigError`.  The searches run as
+    one: :func:`_hulls`, :func:`_sweep` and :func:`row_errors` each run
+    once over all of them, and only the choice of each step is made one
+    search at a time.  Each result is bit-identical to the search's run
+    alone; when some search raises, the searches run again one at a time,
+    so the error is the one the first failing search raises alone.
 
-    Returns the midpoint of the minimum-error interval (offset by 1.0
-    into unbounded intervals); interval ties resolve toward the interval
-    containing or closest to gamma = 0, then leftmost.  With no
-    breakpoints at all the step is 0.  The result never scores worse
-    than staying at gamma = 0.  Its ``weights`` are ``w + gamma_star *
-    d``, built once here, and its error is the error at those weights.
+    Each search returns the midpoint of the minimum-error interval
+    (offset by 1.0 into unbounded intervals); interval ties resolve
+    toward the interval containing or closest to gamma = 0, then
+    leftmost.  With no breakpoints at all the step is 0.  The result
+    never scores worse than staying at gamma = 0.  Its ``weights`` are
+    ``w + gamma_star * d``, built once here, and its error is the error
+    at those weights.
     """
     as_instance(packed, PackedCorpus, "packed")
-    if as_instance(start, LineSearchResult, "start").packed is not packed:
-        raise ConfigError("the search start was made on another packed corpus")
-    if as_instance(plan, SearchPlan, "plan").sentence is not packed.sentence:
-        raise ConfigError("the search plan was made for another packed corpus")
+    starts, plans = _items(starts, "starts"), _items(plans, "plans")
+    if len(starts) != len(plans):
+        raise ConfigError(f"{len(starts)} search starts for {len(plans)} plans")
+    for start in starts:
+        if as_instance(start, LineSearchResult, "start").packed is not packed:
+            raise ConfigError("the search start was made on another packed corpus")
+    for plan in plans:
+        if as_instance(plan, SearchPlan, "plan").sentence is not packed.sentence:
+            raise ConfigError("the search plan was made for another packed corpus")
+    try:
+        return _searches(packed, starts, plans)
+    except InputError:
+        if len(plans) < 2:
+            raise
+        return [_searches(packed, [start], [plan])[0] for start, plan in zip(starts, plans)]
+
+
+def _items(values, what: str) -> tuple:
+    """``values`` as a tuple; a :class:`ConfigError` naming ``what`` when they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{what} must be a sequence, got {values!r}") from None
+
+
+def _searches(
+    packed: PackedCorpus, starts: Sequence[LineSearchResult], plans: Sequence[SearchPlan]
+) -> list[LineSearchResult]:
+    """:func:`line_search` on checked arguments, all searches at once."""
+    if not plans:
+        return []
+    sweeps = _sweep(_hulls([start.scores for start in starts], plans), packed.stats)
+    # One numpy estimate over every interval of every search.
+    counts = [len(rows) for _, rows in sweeps]
+    estimates = np.split(row_errors(np.vstack([rows for _, rows in sweeps])), np.cumsum(counts[:-1]))
+    return [
+        _step(packed, start, plan, boundaries, rows, estimate)
+        for start, plan, (boundaries, rows), estimate in zip(starts, plans, sweeps, estimates)
+    ]
+
+
+def _step(
+    packed: PackedCorpus,
+    start: LineSearchResult,
+    plan: SearchPlan,
+    boundaries: list[float],
+    rows: np.ndarray,
+    estimate: np.ndarray,
+) -> LineSearchResult:
+    """One search's choice among its intervals, given their rows and error estimates."""
     w, intercepts, zero_error = start.weights, start.scores, start.error_at_star
-    boundaries, rows = _sweep(_hulls(intercepts, plan), packed.stats)
     edges = [-math.inf, *boundaries, math.inf]
-    estimate = row_errors(rows)
     # Only intervals near the smallest estimate can hold the scalar
     # minimum; their scalar errors decide, ties as documented above.
     candidates = np.flatnonzero(estimate <= estimate.min() + RESCORE_BOUND)

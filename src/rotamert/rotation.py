@@ -7,7 +7,10 @@ search runs the full coordinate descent once per alpha from the same
 starting weights, scores every run on the closed (tuning) corpus and on
 the open (held-out) corpus, and selects the alpha with the best closed
 score.  Open scores are recorded for reporting only; they never
-influence the selection.
+influence the selection.  The points are independent, so after the
+first they run in blocks whose descents share each step
+(:func:`~rotamert.descent.kcd_lockstep`), in-process or one block per
+pool task.
 """
 
 from __future__ import annotations
@@ -20,9 +23,18 @@ from itertools import islice
 from typing import Sequence
 
 from .bleu import format_bleu
-from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, initial_weights, kcd_optimize
+from .descent import CoordinateSystem, KcdConfig, KcdTrace, Rotation, initial_weights, kcd_lockstep
 from .envelope import PackedCorpus
-from .errors import ConfigError, DimensionMismatch, GridEmpty, InvalidGrid, as_index, as_instance, as_real
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    GridEmpty,
+    InvalidGrid,
+    RotamertError,
+    as_index,
+    as_instance,
+    as_real,
+)
 
 ZERO_SNAP = 1e-12
 # Each grid point is a full descent run.
@@ -32,6 +44,10 @@ MAX_GRID_POINTS = 10_001
 # two workers were measured to first beat one process on wall time, so a
 # pool that starts saves clearly more than its start-up (see the README).
 POOL_MIN_SECONDS = 0.5
+# A block of grid points descends in lockstep, so one line search serves
+# every point of the block; a block holds at most this many closed-corpus
+# rows over all its points, which bounds the arrays one search builds.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -174,13 +190,23 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
     return tuple((tilt.alpha, CoordinateSystem(dim, (*fixed, tilt))) for tilt in tilts), True
 
 
-def _grid_point(task: tuple, point: tuple[float, CoordinateSystem]) -> RssRecord:
-    """One alpha's descent, scored on both corpora at its final weights."""
+def _grid_block(task: tuple, points: Sequence[tuple[float, CoordinateSystem]]) -> tuple[RssRecord, ...]:
+    """The points' descents in lockstep, each scored on both corpora at its final weights.
+
+    When the block raises, its points run again one at a time, so the
+    error is the one a serial run over them meets first.
+    """
     closed, opened, init_w, config = task
-    alpha, system = point
-    weights, trace = kcd_optimize(closed, init_w, system, config)
-    open_bleu = opened.argmax_error(opened.project(weights)).bleu
-    return RssRecord(alpha, weights, trace.final_error.bleu, open_bleu, trace)
+    try:
+        runs = kcd_lockstep(closed, [system for _, system in points], init_w, config)
+    except RotamertError:
+        if len(points) == 1:
+            raise
+        return tuple(record for point in points for record in _grid_block(task, (point,)))
+    return tuple(
+        RssRecord(alpha, weights, trace.final_error.bleu, opened.argmax_error(opened.project(weights)).bleu, trace)
+        for (alpha, _), (weights, trace) in zip(points, runs)
+    )
 
 
 # The grid task of an rss pool worker, set by its initializer; None elsewhere.
@@ -192,8 +218,8 @@ def _init_worker(task: tuple) -> None:
     _worker_task = task
 
 
-def _worker_point(point: tuple[float, CoordinateSystem]) -> RssRecord:
-    return _grid_point(_worker_task, point)
+def _worker_block(points: Sequence[tuple[float, CoordinateSystem]]) -> tuple[RssRecord, ...]:
+    return _grid_block(_worker_task, points)
 
 
 def rss_optimize(
@@ -215,7 +241,14 @@ def rss_optimize(
     read by :func:`~rotamert.errors.as_index`, at least 1), but no more
     than the CPU count, run the rest when at least two points remain
     and the first point's CPU time times their number is at least
-    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.
+    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  The
+    rest run in blocks of points that descend in lockstep
+    (:func:`~rotamert.descent.kcd_lockstep`): at most ``BLOCK_ROWS``
+    closed-corpus rows in all, at least one point, and with a pool no more
+    than an even share of the points per worker.  A block runs in-process or as one pool task; a block
+    that raises runs again one point at a time, so the error raised is
+    the one a serial run meets first.  Every record equals the point's
+    lone descent bit for bit.
     Selection maximizes the closed (tuning) BLEU; ties prefer the
     smallest ``|alpha|``, then the negative one.  The baseline is the
     gridded pair's alpha = 0 record, when the grid contains it, with the
@@ -234,18 +267,22 @@ def rss_optimize(
 
     task = (closed_corpus, open_corpus, init_w, config)
     started = time.process_time()
-    records = (_grid_point(task, points[0]),)
+    records = _grid_block(task, points[:1])
     rest = points[1:]
     workers = min(jobs, len(rest), os.cpu_count() or 1)
-    if workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS:
+    pooled = workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS
+    # At most BLOCK_ROWS rows per block, and with a pool an even share per worker at most.
+    size = max(1, min(BLOCK_ROWS // len(closed_corpus.stats), math.ceil(len(rest) / (workers if pooled else 1))))
+    blocks = [rest[i : i + size] for i in range(0, len(rest), size)]
+    if pooled:
         from concurrent.futures import ProcessPoolExecutor
 
         # Each worker receives the task once (inherited under fork, pickled
-        # once under spawn or forkserver); a grid point sends (alpha, system).
+        # once under spawn or forkserver); a block sends its (alpha, system) pairs.
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
-            records += tuple(pool.map(_worker_point, rest))
+            records += tuple(record for block in pool.map(_worker_block, blocks) for record in block)
     else:
-        records += tuple(_grid_point(task, point) for point in rest)
+        records += tuple(record for block in blocks for record in _grid_block(task, block))
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None) if has_baseline else None

@@ -111,7 +111,7 @@ def ray_instance(seed, **kwargs):
 
 def search(packed, w, d):
     """The line search on ``packed`` from weights ``w`` along the dense direction ``d``."""
-    return line_search(packed, LineSearchResult.at(packed, w), packed.plan(enumerate(d)))
+    return line_search(packed, [LineSearchResult.at(packed, w)], [packed.plan(enumerate(d))])[0]
 
 
 def random_lines(seed, max_lines=16):

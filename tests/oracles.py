@@ -148,14 +148,14 @@ def split_hulls(hulls, labels):
 
 
 def flat_hulls(hulls, offsets):
-    """Per-sentence (breakpoints, segment ranks) hulls in ``_hulls``' flat form."""
+    """Per-sentence (breakpoints, segment ranks) hulls in ``_hulls``' flat form, as one search."""
     breaks = [g for hull_breaks, _ in hulls for g in hull_breaks]
     rows = [start + k for start, (_, ranks) in zip(offsets, hulls) for k in ranks]
     counts = [len(ranks) for _, ranks in hulls]
     return (
         np.array(breaks, dtype=np.float64),
         np.array(rows, dtype=np.intp),
-        np.array(counts, dtype=np.int64),
+        np.array([counts], dtype=np.int64),
     )
 
 

@@ -61,9 +61,9 @@ def test_criterion_1_line_search_matches_pairwise_oracle():
         for seed in range(1000):
             _, packed, lines_per_sentence, w, d = ray_instance(seed, min_features=2)
             start, plan = LineSearchResult.at(packed, w), packed.plan(enumerate(d))
-            result = line_search(packed, start, plan)
-            hulls = _hulls(start.scores, plan)
-            boundaries, rows = _sweep(hulls, packed.stats)
+            (result,) = line_search(packed, [start], [plan])
+            hulls = _hulls([start.scores], [plan])
+            ((boundaries, rows),) = _sweep(hulls, packed.stats)
             oracle_breaks = []
             for hull, lines in zip(split_hulls(hulls, row_ranks(packed)), lines_per_sentence):
                 breaks, segments = envelope_by_enumeration(lines)
@@ -86,8 +86,8 @@ def test_criterion_2_no_grid_probe_beats_the_line_search():
         for seed in range(2000, 2200):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             start, plan = LineSearchResult.at(packed, w), packed.plan(enumerate(d))
-            result = line_search(packed, start, plan)
-            boundaries, _ = _sweep(_hulls(start.scores, plan), packed.stats)
+            (result,) = line_search(packed, [start], [plan])
+            ((boundaries, _),) = _sweep(_hulls([start.scores], [plan]), packed.stats)
             grid_min = ray_probe_min_error(lines_per_sentence, packed, boundaries)
             assert grid_min >= result.error_at_star.error, f"seed {seed}"
 

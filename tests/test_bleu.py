@@ -94,7 +94,7 @@ class TestStatsArithmetic:
         # Sentence 1 swaps from zero to b at 0 and back to zero at 1.
         packed = packed_rows([[a], [zero, b, zero]])
         hulls = [((), (0,)), ((0.0, 1.0), (0, 1, 2))]
-        _, rows = _sweep(flat_hulls(hulls, packed.offsets.tolist()), packed.stats)
+        ((_, rows),) = _sweep(flat_hulls(hulls, packed.offsets.tolist()), packed.stats)
         start, added, restored = map(tuple, rows.tolist())
         assert added == tuple(x + y for x, y in zip(a, b))
         assert restored == a
@@ -104,7 +104,7 @@ class TestStatsArithmetic:
         a = row((1, 0, 0, 0), (2, 1, 0, 0), 2, 3)
         b = row((2, 1, 0, 0), (3, 2, 1, 0), 3, 3)
         packed = packed_rows([[a], [b]])
-        _, rows = _sweep(flat_hulls([((), (0,))] * 2, packed.offsets.tolist()), packed.stats)
+        ((_, rows),) = _sweep(flat_hulls([((), (0,))] * 2, packed.offsets.tolist()), packed.stats)
         (agg,) = map(tuple, rows.tolist())
         assert agg == row((3, 1, 0, 0), (5, 3, 1, 0), 5, 6)
 

@@ -793,6 +793,44 @@ class TestRss:
         assert (code, stdout, err) == (3, "", "error: no closed reference files configured\n")
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+    def test_a_failing_block_prints_the_serial_error(self, adversarial_files, tmp_path, monkeypatch, capsys):
+        # Injected faults along each point's tilted axis: the first alpha
+        # above 0.45 fails at its second sweep, every later alpha at its
+        # first.  A serial run meets the earlier point's fault first; a block
+        # descending in lockstep meets the later ones first and reruns its
+        # points one at a time.  Sweeps are counted per descent run.
+        import rotamert.descent
+        import rotamert.rotation
+
+        real_search, real_lockstep = rotamert.descent.line_search, rotamert.rotation.kcd_lockstep
+        sweeps, blocks = {}, []
+
+        def failing_search(packed, starts, plans):
+            for plan in plans:
+                if len(plan.direction) == 2:  # the tilted axis, searched once per sweep
+                    alpha = plan.direction[1][1]
+                    sweeps[alpha] = sweeps.get(alpha, 0) + 1
+                    if alpha > 0.55 or (alpha > 0.45 and sweeps[alpha] == 2):
+                        raise InputError(f"alpha {alpha:+g} fails at sweep {sweeps[alpha]}")
+            return real_search(packed, starts, plans)
+
+        def counted_lockstep(corpus, systems, *args):
+            sweeps.clear()
+            blocks.append(len(systems))
+            return real_lockstep(corpus, systems, *args)
+
+        monkeypatch.setattr(rotamert.descent, "line_search", failing_search)
+        monkeypatch.setattr(rotamert.rotation, "kcd_lockstep", counted_lockstep)
+        argv = self.rss_args(adversarial_files, "--rotate", "0:1", "--out", str(tmp_path / "out"))
+        blocked = run(argv, capsys)
+        assert blocks[:2] == [1, 20]  # the first point alone, then one block of the rest
+        assert blocked == (2, "", "error: alpha +0.5 fails at sweep 2\n")
+        # One point per block is the serial run.
+        monkeypatch.setattr(rotamert.rotation, "BLOCK_ROWS", 1)
+        blocks.clear()
+        assert run(argv, capsys) == blocked
+        assert set(blocks) == {1}
+
     def test_spawned_workers_write_the_serial_bytes(self, tmp_path, capsys):
         # Spawned workers inherit nothing, so all they need must reach them explicitly.
         data = tmp_path / "data"

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -11,11 +12,14 @@ from rotamert.descent import (
     SWEEP_MODES,
     CoordinateSystem,
     KcdConfig,
+    Rotation,
+    kcd_lockstep,
     kcd_optimize,
     uniform_weights,
 )
 from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 from rotamert.errors import ConfigError, DimensionMismatch
+from rotamert.synthetic import SynthSpec, generate
 
 from instances import random_corpus
 from oracles import first_argmax, selection_error
@@ -171,12 +175,15 @@ class TestDescentLoop:
         for seed in (0, 1, 2):
             corpus, _ = random_corpus(seed)
             _, trace = kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(epsilon=1.0))
-            assert trace.iterations == 2, f"seed {seed}"
+            assert (trace.iterations, trace.stopped) == (2, "epsilon"), f"seed {seed}"
+            # Met at the cap, the tolerance is the reason given.
+            _, trace = kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(epsilon=1.0, max_iter=2))
+            assert (trace.iterations, trace.stopped) == (2, "epsilon"), f"seed {seed}"
 
     def test_max_iter_one_runs_one_sweep(self):
         corpus, _ = random_corpus(4)
         _, trace = kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(max_iter=1))
-        assert trace.iterations == 1
+        assert (trace.iterations, trace.stopped) == (1, "max_iter")
         assert {s.iteration for s in trace.steps} == {1}
 
     def test_sequential_sweep_touches_every_dimension(self):
@@ -207,6 +214,23 @@ class TestDescentLoop:
         explicit, _ = kcd_optimize(PackedCorpus.of(corpus), uniform_weights(corpus.feature_dim))
         default, _ = kcd_optimize(PackedCorpus.of(corpus))
         assert explicit == default
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_lockstep_descents_equal_lone_ones(self, mode):
+        # Systems stop at different iterations and leave the batch; each
+        # run equals its lone descent, trace and stop reason included.
+        stopped = set()
+        for seed, max_iter in itertools.product(range(4), (2, 4)):
+            config = KcdConfig(epsilon=1e-4, max_iter=max_iter, sweep_mode=mode)
+            packed = PackedCorpus.of(generate(SynthSpec(12, 8, 3, correlated_pairs=((0, 1, 0.9),), seed=seed))[0])
+            systems = [CoordinateSystem(3)] * 2
+            systems += [CoordinateSystem(3, (Rotation(0, 1, alpha),)) for alpha in (-1.0, -0.3, 0.0, 0.7)]
+            runs = kcd_lockstep(packed, systems, None, config)
+            alone = [kcd_optimize(packed, None, system, config) for system in systems]
+            assert repr(runs) == repr(alone), f"seed {seed}, max_iter {max_iter}"
+            stopped |= {(trace.iterations, trace.stopped) for _, trace in runs}
+        assert stopped == {(2, "epsilon"), (3, "epsilon"), (2, "max_iter")}
+        assert kcd_lockstep(packed, [], None, config) == []
 
     def test_init_weight_length_checked(self):
         corpus, _ = random_corpus(10)
@@ -245,23 +269,26 @@ def test_a_search_from_the_previous_result_equals_one_from_its_weights(monkeypat
     # Each search of a descent starts from the previous result (the first
     # from the zero step at the initial weights) and reuses its scores and
     # error; starting from the bare weights must give the same result.
-    starts = []
+    seen = []
 
-    def checked(packed, start, d):
-        assert isinstance(start, LineSearchResult)
-        assert start.scores.tobytes() == packed.project(start.weights).tobytes()
-        result = line_search(packed, start, d)
-        assert repr(result) == repr(line_search(packed, LineSearchResult.at(packed, start.weights), d))
-        assert result.scores.tobytes() == packed.project(result.weights).tobytes()
-        starts.append(start)
-        return result
+    def checked(packed, starts, plans):
+        for start in starts:
+            assert isinstance(start, LineSearchResult)
+            assert start.scores.tobytes() == packed.project(start.weights).tobytes()
+        results = line_search(packed, starts, plans)
+        alone = line_search(packed, [LineSearchResult.at(packed, start.weights) for start in starts], plans)
+        assert repr(results) == repr(alone)
+        for result in results:
+            assert result.scores.tobytes() == packed.project(result.weights).tobytes()
+        seen.extend(starts)
+        return results
 
     monkeypatch.setattr(rotamert.descent, "line_search", checked)
     for seed in range(40):
         corpus, _ = random_corpus(seed)
         kcd_optimize(PackedCorpus.of(corpus), config=KcdConfig(max_iter=3, sweep_mode=mode))
-    assert len(starts) > 100
-    assert any(start.gamma_star != 0.0 for start in starts)
+    assert len(seen) > 100
+    assert any(start.gamma_star != 0.0 for start in seen)
 
 
 @pytest.mark.parametrize("mode", SWEEP_MODES)

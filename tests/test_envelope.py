@@ -15,6 +15,7 @@ from rotamert.corpus import (
     parse_references,
     read_nbest,
 )
+from rotamert import envelope
 from rotamert.envelope import (
     RESCORE_BOUND,
     LineSearchResult,
@@ -76,7 +77,7 @@ class TestPackedProjection:
         # The hulls line_search builds equal those of lines scored by dot.
         corpus, w, d = self.mixed_magnitude_corpus(7, sentences=3, hyps=60)
         packed = PackedCorpus.of(corpus)
-        hulls = _hulls(packed.project(w), packed.plan(enumerate(d)))
+        hulls = _hulls([packed.project(w)], [packed.plan(enumerate(d))])
         for entry, (breaks, segments) in zip(corpus.entries, split_hulls(hulls, row_ranks(packed))):
             want_breaks, want_segments = one_hull(
                 [
@@ -156,12 +157,62 @@ def test_a_crossing_that_overflows_is_rejected():
         search(packed, (1.0, 0.0), (0.0, 1.0))
 
 
+def test_a_batch_of_searches_on_random_packs_equals_each_search_alone():
+    # Larger packs than the property tests draw: axes, dense directions and
+    # a zero one, from bare weights and from earlier results, in one batch.
+    for seed in range(30):
+        corpus, rng = random_corpus(seed, max_sentences=40, max_hyps=30)
+        packed = PackedCorpus.of(corpus)
+        dim = packed.feature_dim
+        plans = [packed.plan([(i, 1.0)]) for i in range(dim)]
+        plans += [packed.plan(enumerate(rng.normal(0.0, 1.0, dim).tolist())) for _ in range(3)]
+        plans.append(packed.plan([(0, 0.0)]))
+        starts = [LineSearchResult.at(packed, rng.normal(0.0, 1.0, dim).tolist()) for _ in plans]
+        starts[1::2] = line_search(packed, starts[1::2], plans[::2][: len(starts[1::2])])
+        alone = [line_search(packed, [start], [plan])[0] for start, plan in zip(starts, plans)]
+        assert repr(line_search(packed, starts, plans)) == repr(alone), f"seed {seed}"
+    assert line_search(packed, [], []) == []
+
+
+def overflow_pack():
+    """A pack on which a search along axis 1 fails its step check and one
+    along axis 2 meets a crossing that overflows; along (1, 0.0) it has no
+    breakpoints.  All start at (1, 0, 0)."""
+    good, bad = ("a", "b", "c", "d"), ("x", "y", "z", "w")
+    nbest = {
+        # Along axis 1 the better line (the first) overtakes at gamma = 17;
+        # the step to 18 scores it 1e307 * 18, which overflows.
+        0: [Hypothesis(0, 0, good, (0.0, 1e307, 0.0)), Hypothesis(0, 1, bad, (1.7e308, 0.0, 0.0))],
+        # Along axis 2 these cross at (-1e308 - 1e308) / 1e-300 = -inf.
+        1: [Hypothesis(1, 0, bad, (-1e308, 0.0, 0.0)), Hypothesis(1, 1, bad, (1e308, 0.0, 1e-300))],
+    }
+    packed = PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
+    return packed, LineSearchResult.at(packed, (1.0, 0.0, 0.0))
+
+
+def test_a_failing_batch_raises_the_first_failing_search_alone():
+    packed, start = overflow_pack()
+    calm, stepped, crossed = packed.plan([(1, 0.0)]), packed.plan([(1, 1.0)]), packed.plan([(2, 1.0)])
+    step_error = "^feature values times weights overflow: a hypothesis score is not finite$"
+    crossing_error = "^a breakpoint of the search ray is not finite$"
+    for plans, message in (
+        ([stepped], step_error),
+        ([crossed], crossing_error),
+        ([calm, stepped, crossed], step_error),
+        ([calm, crossed, stepped], crossing_error),
+        ([crossed, calm], crossing_error),
+    ):
+        with pytest.raises(InputError, match=message):
+            line_search(packed, [start] * len(plans), plans)
+    assert line_search(packed, [start], [calm])[0].gamma_star == 0.0
+
+
 def test_plan_of_another_corpus_is_refused():
     packed, other = (PackedCorpus.of(random_corpus(seed)[0]) for seed in (1, 2))
     plan = other.plan(enumerate((1.0,) * other.feature_dim))
     start = LineSearchResult.at(packed, (0.5,) * packed.feature_dim)
     with pytest.raises(ConfigError, match="^the search plan was made for another packed corpus$"):
-        line_search(packed, start, plan)
+        line_search(packed, [start], [plan])
 
 
 @pytest.mark.parametrize("rows", ["equal", "unequal"])
@@ -174,10 +225,10 @@ def test_a_start_or_a_plan_made_on_another_pack_is_refused(rows):
     w = (0.3, -0.2, 0.5)
     own_start, own_plan = LineSearchResult.at(other, w), other.plan([(1, 1.0)])
     with pytest.raises(ConfigError, match="^the search start was made on another packed corpus$"):
-        line_search(other, LineSearchResult.at(closed, w), own_plan)
+        line_search(other, [LineSearchResult.at(closed, w)], [own_plan])
     with pytest.raises(ConfigError, match="^the search plan was made for another packed corpus$"):
-        line_search(other, own_start, closed.plan([(1, 1.0)]))
-    assert line_search(other, own_start, own_plan) == search(other, w, (0.0, 1.0, 0.0))
+        line_search(other, [own_start], [closed.plan([(1, 1.0)])])
+    assert line_search(other, [own_start], [own_plan]) == [search(other, w, (0.0, 1.0, 0.0))]
 
 
 def test_only_coordinate_axes_keep_their_plans_bit_for_bit():
@@ -208,7 +259,7 @@ class TestPlanPairs:
             packed.plan([(0, 1.0), (0, 2.0)])
         # The one pair searches and steps along its dense vector.
         dense = search(packed, w, (3.0, 0.0, 0.0))
-        paired = line_search(packed, LineSearchResult.at(packed, w), packed.plan([(0, 3.0)]))
+        (paired,) = line_search(packed, [LineSearchResult.at(packed, w)], [packed.plan([(0, 3.0)])])
         assert paired == dense and paired.weights == dense.weights
 
     @pytest.mark.parametrize("index", [-1, 3, 5])
@@ -247,12 +298,17 @@ class TestPlanPairs:
                 LineSearchResult.at(packed, d)
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 packed.project(d)
-        # line_search takes a start and a plan, never bare vectors.
+        # line_search takes starts and plans, never bare vectors.
         start, plan = LineSearchResult.at(packed, w), packed.plan([(0, 1.0)])
         with pytest.raises(ConfigError, match="^start must be a LineSearchResult, got tuple$"):
-            line_search(packed, w, plan)
+            line_search(packed, [w], [plan])
         with pytest.raises(ConfigError, match="^plan must be a SearchPlan, got tuple$"):
-            line_search(packed, start, (1.0, 0.0, 0.0))
+            line_search(packed, [start], [(1.0, 0.0, 0.0)])
+        # It takes sequences of starts and plans, of equal length.
+        with pytest.raises(ConfigError, match="^plans must be a sequence, got 5$"):
+            line_search(packed, [start], 5)
+        with pytest.raises(ConfigError, match="^1 search starts for 2 plans$"):
+            line_search(packed, [start], [plan, plan])
         # A direction of pairs that is not iterable is refused as the vector is.
         message = "a direction must be an iterable of (index, coefficient) pairs, got 5"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -263,7 +319,7 @@ class TestPlanPairs:
         plan = packed.plan([(np.int64(2), np.float64(0.5)), (np.intp(0), np.float32(2.0))])
         assert plan.direction == ((0, 2.0), (2, 0.5))
         assert all(type(i) is int and type(c) is float for i, c in plan.direction)
-        assert line_search(packed, LineSearchResult.at(packed, w), plan) == search(packed, w, (2.0, 0.0, 0.5))
+        assert line_search(packed, [LineSearchResult.at(packed, w)], [plan]) == [search(packed, w, (2.0, 0.0, 0.5))]
 
     @pytest.mark.parametrize("coefficient", [float("nan"), float("inf")])
     def test_a_non_finite_coefficient_is_refused_by_the_overflow_check(self, coefficient):
@@ -282,7 +338,7 @@ def one_hull(lines):
     plan = SearchPlan.of(
         (), np.array([l.slope for l in lines], dtype=np.float64), np.zeros(len(lines), dtype=np.int64), 1
     )
-    hulls = _hulls(np.array([l.intercept for l in lines], dtype=np.float64), plan)
+    hulls = _hulls([np.array([l.intercept for l in lines], dtype=np.float64)], [plan])
     ((breaks, segments),) = split_hulls(hulls, labels)
     return breaks, segments
 
@@ -361,6 +417,15 @@ def near_parallel_lines(rng, scale):
     return [intercepts[i] for i in order], [slopes[i] for i in order]
 
 
+def cascade_lines(sentences=400, lines=100):
+    """Lines that pruning passes drop one per sentence per pass: slopes 0..99
+    with concave intercepts sqrt(i), all on the envelope, then the last one
+    far above, which pushes the others off it from the right."""
+    intercepts = np.sqrt(np.arange(lines, dtype=np.float64))
+    intercepts[-1] = 1e6
+    return [(intercepts.tolist(), list(map(float, range(lines))))] * sentences
+
+
 class TestDominationPrefilter:
     """``_hulls`` (prefiltered) against the bare stack, bit for bit."""
 
@@ -370,7 +435,7 @@ class TestDominationPrefilter:
         slopes = np.array([b for _, bs in line_sets for b in bs], dtype=float)
         labels = np.array([k for ints, _ in line_sets for k in range(len(ints))])
         sentence = np.repeat(np.arange(len(line_sets)), [len(ints) for ints, _ in line_sets])
-        hulls = _hulls(intercepts, SearchPlan.of((), slopes, sentence, len(line_sets)))
+        hulls = _hulls([intercepts], [SearchPlan.of((), slopes, sentence, len(line_sets))])
         for s, ((breaks, segments), (ints, bs)) in enumerate(
             zip(split_hulls(hulls, labels), line_sets)
         ):
@@ -399,6 +464,37 @@ class TestDominationPrefilter:
         for batch in range(25):
             sets = [near_parallel_lines(rng, 10.0**exponent) for _ in range(10)]
             self.assert_same_hulls(sets, f"scale 1e{exponent}, batch {batch}")
+
+    @pytest.mark.parametrize("passes", [0, 1, 2, None], ids=["0", "1", "2", "default"])
+    def test_capped_passes_match_the_bare_stack(self, passes, monkeypatch):
+        # Survivors of the capped passes go through the stack loop, which
+        # must meet the same envelopes: every line a pass drops, it drops.
+        if passes is not None:
+            monkeypatch.setattr(envelope, "HULL_PASSES", passes)
+        for first in range(0, 600, 20):
+            sets = []
+            for seed in range(first, first + 20):
+                lines = random_lines(seed)
+                sets.append(([l.intercept for l in lines], [l.slope for l in lines]))
+            self.assert_same_hulls(sets, f"random_lines seeds {first}..{first + 19}, {passes} passes")
+        rng = np.random.default_rng(12)
+        for batch in range(20):
+            self.assert_same_hulls([tie_heavy_lines(rng) for _ in range(10)], f"batch {batch}, {passes} passes")
+        for exponent in (-12, 0, 12):
+            sets = [near_parallel_lines(rng, 10.0**exponent) for _ in range(50)]
+            self.assert_same_hulls(sets, f"scale 1e{exponent}, {passes} passes")
+        self.assert_same_hulls(cascade_lines(), f"cascade, {passes} passes")
+
+    def test_the_cascade_needs_no_stack_at_the_default_cap(self, monkeypatch):
+        # Each pass drops one line of each sentence, about 98 passes in all.
+        def refuse(*args):
+            raise AssertionError("the stack loop ran")
+
+        monkeypatch.setattr(envelope, "_stack", refuse)
+        self.assert_same_hulls(cascade_lines(), "cascade")
+        monkeypatch.setattr(envelope, "HULL_PASSES", 90)
+        with pytest.raises(AssertionError, match="^the stack loop ran$"):
+            self.assert_same_hulls(cascade_lines(), "cascade")
 
     def test_dominated_lines_are_dropped_and_hull_lines_kept(self):
         rng = np.random.default_rng(3)
@@ -454,7 +550,7 @@ def two_hyp_sweep(gammas):
     corpus = build_corpus(nbest, {s: [("b",)] for s in range(len(gammas))})
     packed = PackedCorpus.of(corpus)
     hulls = [((g,), (0, 1)) for g in gammas]
-    boundaries, rows = _sweep(flat_hulls(hulls, packed.offsets.tolist()), packed.stats)
+    ((boundaries, rows),) = _sweep(flat_hulls(hulls, packed.offsets.tolist()), packed.stats)
     return boundaries, rows[:, 0].tolist()  # unigram matches per interval
 
 
@@ -462,7 +558,7 @@ class TestSweepIntervals:
     def test_interval_stats_match_from_scratch_reselection(self):
         for seed in range(60):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
-            boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+            ((boundaries, rows),) = _sweep(_hulls([packed.project(w)], [packed.plan(enumerate(d))]), packed.stats)
             expected = reselect_interval_stats(lines_per_sentence, packed, boundaries)
             assert list(map(tuple, rows.tolist())) == expected, f"seed {seed}"
 
@@ -521,7 +617,7 @@ class TestLineSearch:
         for seed in range(40):
             _, packed, lines_per_sentence, w, d = ray_instance(seed)
             result = search(packed, w, d)
-            boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+            ((boundaries, _),) = _sweep(_hulls([packed.project(w)], [packed.plan(enumerate(d))]), packed.stats)
             grid_best = ray_probe_min_error(lines_per_sentence, packed, boundaries, points=2001)
             assert grid_best >= result.error_at_star.error, f"seed {seed}"
 
@@ -649,7 +745,7 @@ class TestScaleContract:
         }
         packed = PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
         w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-        boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+        ((boundaries, rows),) = _sweep(_hulls([packed.project(w)], [packed.plan(enumerate(d))]), packed.stats)
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert boundaries == [2.0**-54, 2.0**-53] and errors[1] < min(errors[0], errors[2])
         result = search(packed, w, d)
@@ -706,7 +802,7 @@ def scalar_scan(packed, w, d):
     """Every interval scored by row_bleu; the minimum under line_search's
     documented tie rule: the least error, then the interval containing or
     nearest to gamma = 0, then the leftmost."""
-    boundaries, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+    ((boundaries, rows),) = _sweep(_hulls([packed.project(w)], [packed.plan(enumerate(d))]), packed.stats)
     intervals = list(zip([-math.inf, *boundaries], [*boundaries, math.inf]))
     errors = [row_bleu(row) for row in rows.tolist()]
 
@@ -782,7 +878,7 @@ class TestRescoringBound:
         corpus = build_corpus(nbest, refs)
         packed = PackedCorpus.of(corpus)
         w, d = (1.0, 0.0), (0.0, 1.0)
-        _, rows = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+        ((_, rows),) = _sweep(_hulls([packed.project(w)], [packed.plan(enumerate(d))]), packed.stats)
         errors = [row_bleu(row).error for row in rows.tolist()]
         assert errors.count(min(errors)) == 3
         result = search(packed, w, d)

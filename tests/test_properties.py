@@ -204,7 +204,46 @@ def test_an_axis_plans_and_searches_as_its_dense_vector(sentences, system, w):
         for name in ("slopes", "base", "starts", "run"):
             assert getattr(plan, name).tobytes() == getattr(want, name).tobytes(), name
         start = LineSearchResult.at(packed, w)
-        assert repr(line_search(packed, start, plan)) == repr(dense_search(packed, w, dense))
+        assert repr(line_search(packed, [start], [plan])[0]) == repr(dense_search(packed, w, dense))
+
+
+# A direction of pairs: an axis, a tilted axis, zero (no breakpoints), or dense.
+directions = st.one_of(
+    st.integers(0, 2).map(lambda i: ((i, 1.0),)),
+    st.tuples(st.integers(0, 2), st.integers(1, 2), halves).map(lambda t: ((t[0], 1.0), ((t[0] + t[1]) % 3, t[2]))),
+    st.just(((1, 0.0),)),
+    st.tuples(real, real, real).map(lambda d: tuple(enumerate(d))),
+)
+# Each search: its start weights, its direction, and whether it starts from
+# an earlier search's result (along the first axis) rather than bare weights.
+batch = st.lists(
+    st.tuples(st.one_of(st.tuples(halves, halves, halves), st.tuples(real, real, real)), directions, st.booleans()),
+    min_size=1,
+    max_size=8,
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.lists(signed_sentence, min_size=1, max_size=1),
+        st.lists(st.one_of(signed_sentence, real_sentence, ulp_cluster_sentence()), min_size=1, max_size=6),
+    ),
+    batch,
+)
+def test_a_batch_of_searches_equals_each_search_alone(sentences, searches):
+    packed = PackedCorpus.of(build(sentences))
+    starts, plans = [], []
+    for w, d, chained in searches:
+        start = LineSearchResult.at(packed, w)
+        if chained:
+            (start,) = line_search(packed, [start], [packed.plan([(0, 1.0)])])
+        starts.append(start)
+        plans.append(packed.plan(d))
+    alone = [line_search(packed, [start], [plan])[0] for start, plan in zip(starts, plans)]
+    batched = line_search(packed, starts, plans)
+    assert repr(batched) == repr(alone)
+    assert [r.scores.tobytes() for r in batched] == [r.scores.tobytes() for r in alone]
 
 
 @st.composite
@@ -230,8 +269,8 @@ def test_ulp_clusters_of_three_or_more_lines_at_zero(sentences, k):
     packed = PackedCorpus.of(build(sentences))
     w, d = (1.0, 1.0, 0.0), (0.0, 0.0, 2.0**k)
     intercepts, slopes = packed.project(w), packed.project(d)
-    hulls = _hulls(intercepts, packed.plan(enumerate(d)))
-    boundaries, rows = _sweep(hulls, packed.stats)
+    hulls = _hulls([intercepts], [packed.plan(enumerate(d))])
+    ((boundaries, rows),) = _sweep(hulls, packed.stats)
     # The flat stack builds each sentence's hull as the bare stack does.
     want = []
     bounds = packed.offsets.tolist()
@@ -342,7 +381,7 @@ def test_scaling_the_direction_keeps_the_error_and_scales_a_bounded_step(seed, m
     unscaled, scaled = dense_search(packed, w, d), dense_search(packed, w, d_k)
     assert scaled.error_at_star == unscaled.error_at_star
     # An unbounded winner steps 1.0 past its edge, which does not scale.
-    boundaries, _ = _sweep(_hulls(packed.project(w), packed.plan(enumerate(d))), packed.stats)
+    ((boundaries, _),) = _sweep(_hulls([packed.project(w)], [packed.plan(enumerate(d))]), packed.stats)
     if boundaries and boundaries[0] < unscaled.gamma_star < boundaries[-1]:
         assert scaled.gamma_star == unscaled.gamma_star * 2.0**-k
         assert [x.hex() for x in scaled.weights] == [x.hex() for x in unscaled.weights]

@@ -15,7 +15,7 @@ import rotamert.descent
 import rotamert.rotation
 from rotamert.bleu import ErrorValue
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
-from rotamert.descent import KcdConfig, KcdTrace, kcd_optimize
+from rotamert.descent import KcdConfig, KcdTrace, kcd_lockstep, kcd_optimize
 from rotamert.envelope import PackedCorpus, SearchPlan
 from rotamert.errors import (
     ConfigError,
@@ -279,8 +279,8 @@ class TestRssOptimize:
         final = ErrorValue(0.75, 0.25)
         monkeypatch.setattr(
             rotamert.rotation,
-            "kcd_optimize",
-            lambda corpus, w, system, config: (w, KcdTrace((), w, 1, final)),
+            "kcd_lockstep",
+            lambda corpus, systems, w, config: [(w, KcdTrace((), w, 1, final, "max_iter")) for _ in systems],
         )
         result = rss_optimize(corpus, corpus, rotation_spec=((0, 1),), grid=grid)
         for record in result.records:
@@ -334,7 +334,7 @@ class TestRssOptimize:
 
         corpus = one_hypothesis_corpus()
         monkeypatch.setattr(PackedCorpus, "of", staticmethod(refuse))
-        monkeypatch.setattr(rotamert.rotation, "kcd_optimize", refuse)
+        monkeypatch.setattr(rotamert.rotation, "kcd_lockstep", refuse)
         with pytest.raises(ConfigError):
             rss_optimize(corpus, corpus, rotation_spec=spec, grid=grid)
 
@@ -360,9 +360,9 @@ class TestRssOptimize:
 
         def counted(*args):
             calls.append(args)
-            return kcd_optimize(*args)
+            return kcd_lockstep(*args)
 
-        monkeypatch.setattr(rotamert.rotation, "kcd_optimize", counted)
+        monkeypatch.setattr(rotamert.rotation, "kcd_lockstep", counted)
         result = rss_optimize(corpus, corpus)
         assert len(calls) == 1
         (record,) = result.records

@@ -229,12 +229,13 @@ def test_builtin_raise_check_finds_each_kind_of_raise():
 
 
 def test_wrong_types_raise_only_rotamert_errors():
-    # Every function of __all__, line_search, LineSearchResult.at and
-    # PackedCorpus.plan, each argument in turn replaced by a wrong-type value.
+    # Every function of __all__, line_search, kcd_lockstep, LineSearchResult.at
+    # and PackedCorpus.plan, each argument in turn replaced by a wrong-type value.
     import inspect
 
     import rotamert
     from rotamert.corpus import Hypothesis
+    from rotamert.descent import CoordinateSystem, kcd_lockstep
     from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
     from rotamert.errors import RotamertError
 
@@ -250,7 +251,8 @@ def test_wrong_types_raise_only_rotamert_errors():
         rotamert.rss_optimize: dict(
             closed_corpus=packed, open_corpus=packed, rotation_spec=((0, 1),), grid=[0.0]
         ),
-        line_search: dict(packed=packed, start=start, plan=plan),
+        line_search: dict(packed=packed, starts=[start], plans=[plan]),
+        kcd_lockstep: dict(corpus=packed, systems=[CoordinateSystem(2)]),
         LineSearchResult.at: dict(packed=packed, w=(1.0, 1.0)),
         packed.plan: dict(d=[(0, 1.0)]),
         PackedCorpus.of: dict(corpus=corpus),
@@ -262,6 +264,7 @@ def test_wrong_types_raise_only_rotamert_errors():
     # only name a source in messages, a one-value grid and five jobs.
     accepted = {
         ("kcd_optimize", "corpus", "PackedCorpus"),
+        ("kcd_lockstep", "corpus", "PackedCorpus"),
         ("rss_optimize", "closed_corpus", "PackedCorpus"),
         ("rss_optimize", "open_corpus", "PackedCorpus"),
         ("line_search", "packed", "PackedCorpus"),

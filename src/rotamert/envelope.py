@@ -23,15 +23,17 @@ keeps each untilted axis' plan, by index, for every descent over it.
 :func:`line_search` takes a batch of (start, plan) pairs on one pack,
 from one pair to a block of grid points' searches, and calls its two
 kernels once per batch: :func:`_hulls` builds every envelope of every
-search by numpy pruning passes over flat arrays, and :func:`_sweep`
-merges each search's breakpoints with one sort, looping only for the
-searches where some of them group.  Each result is bit-identical to its
-search run alone.  Interval ``i`` spans ``edges[i]..edges[i + 1]`` of
-``[-inf, *boundaries, inf]``.  Every winner is picked by one rule,
-:func:`_first_max`: the highest value, ties to the lowest rank.
+search by numpy pruning passes over flat arrays, which keep the lines
+the stack loop keeps (a call over few lines runs that loop instead),
+and :func:`_sweep` merges each search's breakpoints with one sort,
+looping only for the searches where some of them group.  Each result
+is bit-identical to its search run alone.  Interval ``i`` spans
+``edges[i]..edges[i + 1]`` of ``[-inf, *boundaries, inf]``.  Every
+winner is picked by one rule, :func:`_first_max`: the highest value,
+ties to the lowest rank.
 
 Two exact shortcuts keep the search cheap: a numpy prefilter drops the
-lines two others dominate before the passes run, and only intervals
+lines two others dominate before the envelopes are built, and only intervals
 within ``RESCORE_BOUND`` of the smallest numpy error estimate are scored
 by the scalar :func:`row_bleu`, which decides.  The chosen step is
 checked with one projection of the stepped weights.  The result carries
@@ -63,11 +65,18 @@ COALESCE_REL = 2**-30
 RESCORE_BOUND = 1e-9
 
 # Pruning passes over all envelopes before the stack loop takes the
-# survivors.  A descent's searches converge in a handful of passes.  A
-# pass that drops few lines costs about 1/75 of the stack loop over the
-# same lines (measured at 40,000 lines), so passes that run up to the cap
-# and then the stack cost under three stack loops.
+# survivors.  A pass costs about 30 us plus 0.015 us per line, the stack
+# loop about 0.8 us per line (2-core Xeon VM), and a pass drops at most one line per
+# envelope: the searches of the benchmark workloads need a median of 10
+# passes and at most 42.  So the passes run only when a call's envelopes
+# hold at least PASS_MIN_LINES lines after the prefilter, as a block of
+# grid points' searches or a best-direction step does; a lone search over
+# 40 sentences of 50 hypotheses keeps about 400 lines and goes straight
+# to the stack loop.  At most HULL_PASSES passes run, so no input costs
+# more than that many passes and one loop: about 7 stack loops at 1024
+# lines, under three at 40,000.
 HULL_PASSES = 128
+PASS_MIN_LINES = 1024
 
 Hulls = tuple[np.ndarray, np.ndarray, np.ndarray]  # breakpoints, segment rows, (searches, sentences) counts
 
@@ -307,17 +316,23 @@ def _hulls(intercepts: Sequence[np.ndarray], plans: Sequence[SearchPlan]) -> Hul
     their sentence dominate are dropped by :func:`_may_reach_hull`, once
     over all searches, given each head's (search, sentence) group.
 
-    Then pruning passes run over all groups at once.  Each pass takes
-    every line with a neighbour of its group on both sides and drops it
-    where it leaves the envelope no later than it enters: ``leave <=
-    enter``, with ``enter`` the crossing with its left neighbour and
-    ``leave`` the one with its right, the stack loop's own crossing
-    formula and pop test.  Passes repeat until one drops nothing.  A
-    line a pass drops lies below its two neighbours everywhere, so the
-    stack drops it too, and the breakpoints are the crossings of
-    adjacent survivors.  After ``HULL_PASSES`` passes that still drop
-    lines, the survivors go through the stack loop, so no input costs
-    more than that many passes and one loop.
+    Then, over at least ``PASS_MIN_LINES`` lines, pruning passes run
+    over all groups at once.  A line with a neighbour of its group on
+    both sides fails where it leaves the envelope no later than it
+    enters: ``leave <= enter``, with ``enter`` the crossing with its
+    left neighbour and ``leave`` the one with its right, the stack
+    loop's own crossing formula and pop test.  Each
+    pass drops the first failing line of every group, and passes repeat
+    until one drops nothing.  The stack loop pops lines in that order
+    too: its kept lines never fail, so the next line it pops is always
+    the first failing line of the current sequence, tested against the
+    same neighbours.  The passes therefore keep the lines the loop keeps
+    in floats, not only in exact arithmetic; dropping every failing line
+    at once would not, since for nearly concurrent lines the float
+    tests depend on which neighbour went first.  The breakpoints are the
+    crossings of adjacent survivors.  Fewer lines, or survivors of
+    ``HULL_PASSES`` passes that still drop lines, go through the stack
+    loop, which goes on from where any passes stopped.
     """
     size = plans[0].size
     kept = [plan.heads(a) for a, plan in zip(intercepts, plans)]
@@ -327,13 +342,16 @@ def _hulls(intercepts: Sequence[np.ndarray], plans: Sequence[SearchPlan]) -> Hul
     owner = np.concatenate([plan.sentence[k] + i * size for i, (plan, k) in enumerate(zip(plans, kept))])
     reach = _may_reach_hull(a, owner)
     a, b, rows, owner = a[reach], b[reach], rows[reach], owner[reach]
-    for _ in range(HULL_PASSES):
+    for _ in range(HULL_PASSES if len(a) >= PASS_MIN_LINES else 0):
         same, crossing = _crossings(a, b, owner)
-        drop = same[:-1] & same[1:] & (crossing[1:] <= crossing[:-1])
-        if not drop.any():
+        failing = np.flatnonzero(same[:-1] & same[1:] & (crossing[1:] <= crossing[:-1])) + 1
+        if not len(failing):
             break
+        group = owner[failing]
+        first = np.ones(len(failing), dtype=bool)
+        first[1:] = group[1:] != group[:-1]
         keep = np.ones(len(a), dtype=bool)
-        keep[1:-1] = ~drop
+        keep[failing[first]] = False
         a, b, rows, owner = a[keep], b[keep], rows[keep], owner[keep]
     else:
         keep = _stack(a, b, owner)

@@ -8,9 +8,8 @@ starting weights, scores every run on the closed (tuning) corpus and on
 the open (held-out) corpus, and selects the alpha with the best closed
 score.  Open scores are recorded for reporting only; they never
 influence the selection.  The points are independent, so after the
-first they run in blocks whose descents share each step
-(:func:`~rotamert.descent.kcd_lockstep`), in-process or one block per
-pool task.
+first they run in-process in blocks whose descents share each step
+(:func:`~rotamert.descent.kcd_lockstep`), or one point per pool task.
 """
 
 from __future__ import annotations
@@ -45,8 +44,10 @@ MAX_GRID_POINTS = 10_001
 # pool that starts saves clearly more than its start-up (see the README).
 POOL_MIN_SECONDS = 0.5
 # A block of grid points descends in lockstep, so one line search serves
-# every point of the block; a block holds at most this many closed-corpus
-# rows over all its points, which bounds the arrays one search builds.
+# every point of the block.  That search scores each point's closed-corpus
+# rows once per axis it searches (one axis in a sequential sweep, every
+# axis in best-direction), at most this many rows in all, which bounds
+# the arrays one search builds.
 BLOCK_ROWS = 8192
 
 
@@ -218,8 +219,8 @@ def _init_worker(task: tuple) -> None:
     _worker_task = task
 
 
-def _worker_block(points: Sequence[tuple[float, CoordinateSystem]]) -> tuple[RssRecord, ...]:
-    return _grid_block(_worker_task, points)
+def _worker_point(point: tuple[float, CoordinateSystem]) -> RssRecord:
+    return _grid_block(_worker_task, (point,))[0]
 
 
 def rss_optimize(
@@ -241,14 +242,14 @@ def rss_optimize(
     read by :func:`~rotamert.errors.as_index`, at least 1), but no more
     than the CPU count, run the rest when at least two points remain
     and the first point's CPU time times their number is at least
-    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  The
-    rest run in blocks of points that descend in lockstep
-    (:func:`~rotamert.descent.kcd_lockstep`): at most ``BLOCK_ROWS``
-    closed-corpus rows in all, at least one point, and with a pool no more
-    than an even share of the points per worker.  A block runs in-process or as one pool task; a block
-    that raises runs again one point at a time, so the error raised is
-    the one a serial run meets first.  Every record equals the point's
-    lone descent bit for bit.
+    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  A pool
+    task is one point.  In-process, the rest run in blocks of points that
+    descend in lockstep (:func:`~rotamert.descent.kcd_lockstep`): at least
+    one point, and at most ``BLOCK_ROWS`` closed-corpus rows per batched
+    line search, a point's rows counted once per axis it searches at a
+    step.  A block that raises runs again one point at a time, so the
+    error raised is the one a serial run meets first.  Every record
+    equals the point's lone descent bit for bit.
     Selection maximizes the closed (tuning) BLEU; ties prefer the
     smallest ``|alpha|``, then the negative one.  The baseline is the
     gridded pair's alpha = 0 record, when the grid contains it, with the
@@ -270,19 +271,20 @@ def rss_optimize(
     records = _grid_block(task, points[:1])
     rest = points[1:]
     workers = min(jobs, len(rest), os.cpu_count() or 1)
-    pooled = workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS
-    # At most BLOCK_ROWS rows per block, and with a pool an even share per worker at most.
-    size = max(1, min(BLOCK_ROWS // len(closed_corpus.stats), math.ceil(len(rest) / (workers if pooled else 1))))
-    blocks = [rest[i : i + size] for i in range(0, len(rest), size)]
-    if pooled:
+    if workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS:
         from concurrent.futures import ProcessPoolExecutor
 
         # Each worker receives the task once (inherited under fork, pickled
-        # once under spawn or forkserver); a block sends its (alpha, system) pairs.
+        # once under spawn or forkserver); a grid point sends (alpha, system).
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
-            records += tuple(record for block in pool.map(_worker_block, blocks) for record in block)
+            records += tuple(pool.map(_worker_point, rest))
     else:
-        records += tuple(record for block in blocks for record in _grid_block(task, block))
+        # The first point's descent has checked the config.
+        searches = dim if config is not None and config.sweep_mode == "best-direction" else 1
+        size = max(1, BLOCK_ROWS // (len(closed_corpus.stats) * searches))
+        records += tuple(
+            record for i in range(0, len(rest), size) for record in _grid_block(task, rest[i : i + size])
+        )
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None) if has_baseline else None

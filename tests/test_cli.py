@@ -792,7 +792,6 @@ class TestRss:
         code, stdout, err = run(["rss", "--nbest", str(nbest), "--rotate", "0:1"], capsys)
         assert (code, stdout, err) == (3, "", "error: no closed reference files configured\n")
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
     def test_a_failing_block_prints_the_serial_error(self, adversarial_files, tmp_path, monkeypatch, capsys):
         # Injected faults along each point's tilted axis: the first alpha
         # above 0.45 fails at its second sweep, every later alpha at its
@@ -831,6 +830,7 @@ class TestRss:
         assert run(argv, capsys) == blocked
         assert set(blocks) == {1}
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
     def test_spawned_workers_write_the_serial_bytes(self, tmp_path, capsys):
         # Spawned workers inherit nothing, so all they need must reach them explicitly.
         data = tmp_path / "data"

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotamert.bleu import Vocabulary, reference_columns, row_bleu, row_errors
 from rotamert.corpus import (
@@ -417,6 +419,33 @@ def near_parallel_lines(rng, scale):
     return [intercepts[i] for i in order], [slopes[i] for i in order]
 
 
+def concurrent_lines(rng):
+    # Four to eight lines through one point, up to a few ulps off it, at
+    # a random scale: the float crossing tests of such lines depend on
+    # which neighbours they meet.
+    count = int(rng.integers(4, 9))
+    x0, y0 = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, 2)
+    slopes = np.sort(rng.normal(size=count)) * 10.0 ** int(rng.integers(-3, 4))
+    intercepts = y0 - slopes * x0
+    intercepts += np.spacing(intercepts) * rng.integers(-4, 5, count)
+    return intercepts.tolist(), slopes.tolist()
+
+
+@st.composite
+def concurrent_line_sets(draw):
+    """Ten sets of four to eight lines through one point, each up to a few ulps off it."""
+    real = st.floats(-100.0, 100.0, allow_nan=False)
+    sets = []
+    for _ in range(10):
+        count = draw(st.integers(4, 8))
+        x0, y0 = draw(real), draw(real)
+        slopes = draw(st.lists(real, min_size=count, max_size=count, unique=True))
+        ulps = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+        intercepts = [y0 - b * x0 for b in slopes]
+        sets.append(([a + math.ulp(a) * k for a, k in zip(intercepts, ulps)], slopes))
+    return sets
+
+
 def cascade_lines(sentences=400, lines=100):
     """Lines that pruning passes drop one per sentence per pass: slopes 0..99
     with concave intercepts sqrt(i), all on the envelope, then the last one
@@ -468,7 +497,9 @@ class TestDominationPrefilter:
     @pytest.mark.parametrize("passes", [0, 1, 2, None], ids=["0", "1", "2", "default"])
     def test_capped_passes_match_the_bare_stack(self, passes, monkeypatch):
         # Survivors of the capped passes go through the stack loop, which
-        # must meet the same envelopes: every line a pass drops, it drops.
+        # must meet the same envelopes: each pass drops the line the loop
+        # would pop next in every group.  The passes run on any input.
+        monkeypatch.setattr(envelope, "PASS_MIN_LINES", 0)
         if passes is not None:
             monkeypatch.setattr(envelope, "HULL_PASSES", passes)
         for first in range(0, 600, 20):
@@ -484,6 +515,27 @@ class TestDominationPrefilter:
             sets = [near_parallel_lines(rng, 10.0**exponent) for _ in range(50)]
             self.assert_same_hulls(sets, f"scale 1e{exponent}, {passes} passes")
         self.assert_same_hulls(cascade_lines(), f"cascade, {passes} passes")
+        for batch in range(5):
+            sets = [concurrent_lines(rng) for _ in range(1000)]
+            self.assert_same_hulls(sets, f"concurrent, batch {batch}, {passes} passes")
+
+    @pytest.mark.parametrize("passes", [0, 1, 2, None], ids=["0", "1", "2", "default"])
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(sets=concurrent_line_sets())
+    @example(
+        # Dropping lines 1 and 2 in one pass loses line 2, which the stack
+        # keeps for a few ulps after it pops line 1.
+        sets=[(
+            [23.885173986074463, -10.987747262269744, -42.244278407609436, -54.36535979285584],
+            [-41.16442734045872, 19.245467928221938, 73.39073896833818, 94.3879262074387],
+        )],
+    )
+    def test_nearly_concurrent_lines_match_the_bare_stack(self, passes, sets):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(envelope, "PASS_MIN_LINES", 0)
+            if passes is not None:
+                patch.setattr(envelope, "HULL_PASSES", passes)
+            self.assert_same_hulls(sets, f"concurrent, {passes} passes")
 
     def test_the_cascade_needs_no_stack_at_the_default_cap(self, monkeypatch):
         # Each pass drops one line of each sentence, about 98 passes in all.

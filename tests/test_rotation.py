@@ -373,6 +373,30 @@ class TestRssOptimize:
         assert rss_optimize(corpus, corpus, grid=[float("nan")]).selected == record
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode", ["sequential", "best-direction"])
+    def test_a_block_holds_at_most_block_rows_per_search(self, mode, monkeypatch):
+        # A best-direction step searches every axis of every point of the
+        # block at once, so its blocks hold dim times fewer points.
+        corpus = PackedCorpus.of(adversarial_instance())
+        rows, dim = len(corpus.stats), corpus.feature_dim
+        config = KcdConfig(sweep_mode=mode)
+        blocks = []
+
+        def counted(corpus, systems, *args):
+            blocks.append(len(systems))
+            return kcd_lockstep(corpus, systems, *args)
+
+        monkeypatch.setattr(rotamert.rotation, "kcd_lockstep", counted)
+        monkeypatch.setattr(rotamert.rotation, "BLOCK_ROWS", 1)
+        serial = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), config=config)
+        assert blocks == [1] * 21
+        blocks.clear()
+        monkeypatch.setattr(rotamert.rotation, "BLOCK_ROWS", 3 * rows * dim + rows - 1)
+        blocked = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), config=config)
+        size = 3 if mode == "best-direction" else 3 * dim
+        assert blocks == [1] + [size] * (20 // size) + ([20 % size] if 20 % size else [])
+        assert blocked == serial
+
     # Items of two or three parts are read by Rotation, which names the field:
     # no number is coerced, and a bool is never a number.
     FIELD_REFUSALS = {

@@ -368,7 +368,7 @@ def _crossings(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple[np.ndar
         return owner[1:] == owner[:-1], (a[:-1] - a[1:]) / (b[1:] - b[:-1])
 
 
-def _stack(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> list[int]:
+def _stack(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Positions of the envelope lines, by one stack loop over every group.
 
     The stack holds each kept line with the gamma where it starts to
@@ -391,7 +391,7 @@ def _stack(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> list[int]:
         tops_b.append(y)
         kept.append(i)
         breaks.append(crossing)
-    return kept
+    return np.array(kept, dtype=np.intp)
 
 
 def _sweep(hulls: Hulls, stats: np.ndarray) -> list[tuple[list[float], np.ndarray]]:
@@ -517,11 +517,11 @@ def _searches(
         return []
     sweeps = _sweep(_hulls([start.scores for start in starts], plans), packed.stats)
     # One numpy estimate over every interval of every search.
-    counts = [len(rows) for _, rows in sweeps]
-    estimates = np.split(row_errors(np.vstack([rows for _, rows in sweeps])), np.cumsum(counts[:-1]))
+    estimates = row_errors(np.vstack([rows for _, rows in sweeps]))
+    ends = np.cumsum([len(rows) for _, rows in sweeps]).tolist()
     return [
-        _step(packed, start, plan, boundaries, rows, estimate)
-        for start, plan, (boundaries, rows), estimate in zip(starts, plans, sweeps, estimates)
+        _step(packed, start, plan, boundaries, rows, estimates[end - len(rows) : end])
+        for start, plan, (boundaries, rows), end in zip(starts, plans, sweeps, ends)
     ]
 
 

@@ -46,8 +46,8 @@ POOL_MIN_SECONDS = 0.5
 # A block of grid points descends in lockstep, so one line search serves
 # every point of the block.  That search scores each point's closed-corpus
 # rows once per axis it searches (one axis in a sequential sweep, every
-# axis in best-direction), at most this many rows in all, which bounds
-# the arrays one search builds.
+# axis in best-direction), at most this many rows in all unless one point
+# alone has more, which bounds the arrays one search builds.
 BLOCK_ROWS = 8192
 
 

@@ -11,9 +11,10 @@ once two consecutive sweeps change the corpus error by at most
 ``best-direction`` mode evaluates every axis from the current point per
 iteration and applies only the most profitable step.
 
-:func:`kcd_lockstep` runs one descent per system in lockstep, each step
-one batched :func:`~rotamert.envelope.line_search` over every running
-descent, and :func:`kcd_optimize` is its one-system case.
+:func:`kcd_lockstep` runs one descent per system, blocks of them in
+lockstep sharing batched :func:`~rotamert.envelope.line_search` calls,
+and replays a failing block serially; :func:`kcd_optimize` is its
+one-system case.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ from typing import Sequence
 
 from .bleu import ErrorValue, format_bleu
 from .envelope import LineSearchResult, PackedCorpus, SearchPlan, line_search
-from .errors import ConfigError, DimensionMismatch, InvalidRotation, as_index, as_instance, as_real, as_reals
+from .errors import (
+    ConfigError, DimensionMismatch, InvalidRotation, RotamertError, as_index, as_instance, as_real, as_reals
+)
 
 SWEEP_MODES = ("sequential", "best-direction")
 
 DEFAULT_EPSILON = 0.001
 DEFAULT_MAX_ITER = 25
+# A lockstep block holds max(1, BLOCK_ROWS // rows) descents and a line_search call as
+# many searches, so a call scores at most this many rows unless one search alone has more.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -215,15 +221,17 @@ def kcd_lockstep(
     init_w: Sequence[float] | None = None,
     config: KcdConfig | None = None,
 ) -> list[tuple[tuple[float, ...], KcdTrace]]:
-    """Run one descent per system in lockstep; returns each one's final weights and trace.
+    """Run one descent per system; returns each one's final weights and trace.
 
-    Every descent starts from ``init_w`` and each equals a lone descent
-    over its system bit for bit, as :func:`kcd_optimize` documents it:
-    each keeps its own stop rule and trace.  The descents share each
-    step instead: a sequential sweep searches axis ``i`` of every running
-    descent in one :func:`line_search` call, and best-direction every
-    axis of every running descent.  A descent that stops leaves the
-    batch.  ``systems`` is a sequence of :class:`CoordinateSystem` of the
+    Every descent starts from ``init_w`` and equals a lone descent over
+    its system bit for bit, as :func:`kcd_optimize` documents it, stop
+    rule and trace included.  Blocks of ``size = max(1, BLOCK_ROWS //
+    rows)`` descents run in lockstep, each step's searches in
+    :func:`line_search` calls of at most ``size``.  A block that raises a
+    :class:`RotamertError` runs again serially (one descent at a time,
+    one search per call), so the error is the one a loop of
+    :func:`kcd_optimize` meets first; at ``size`` 1 it raises at once.
+    ``systems`` is a sequence of :class:`CoordinateSystem` of the
     corpus' dimension.
     """
     packed = as_instance(corpus, PackedCorpus, "corpus")
@@ -237,24 +245,42 @@ def kcd_lockstep(
         if as_instance(system, CoordinateSystem, "system").dim != dim:
             raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
     config = KcdConfig() if config is None else as_instance(config, KcdConfig, "config")
+    size = max(1, BLOCK_ROWS // len(packed.stats))
+    results = []
+    for i in range(0, len(systems), size):
+        block = systems[i : i + size]
+        try:
+            results += _lockstep(packed, block, w, config, size)
+        except RotamertError:
+            if size == 1:
+                raise
+            results += [result for system in block for result in _lockstep(packed, (system,), w, config, 1)]
+    return results
+
+
+def _lockstep(
+    packed: PackedCorpus, systems: Sequence[CoordinateSystem], w: tuple[float, ...], config: KcdConfig, size: int
+) -> list[tuple[tuple[float, ...], KcdTrace]]:
+    """The descents in lockstep, each phase's searches in calls of at most ``size``: a sequential sweep
+    is M phases of one axis, best-direction one of all M, each taking its lowest-error axis, ties to the lowest.
+    Only the weights and traces are returned, so a block's plans and scores go with it."""
+    dim = packed.feature_dim
     start = LineSearchResult.at(packed, w)
     runs = [_Descent([packed.plan(system.axis(i)) for i in range(dim)], start) for system in systems]
+    phases = [(i,) for i in range(dim)] if config.sweep_mode == "sequential" else [tuple(range(dim))]
     running = runs
 
     for iteration in range(1, config.max_iter + 1):
-        if config.sweep_mode == "sequential":
-            for dim_index in range(dim):
-                points = line_search(packed, [run.point for run in running], [run.plans[dim_index] for run in running])
-                for run, point in zip(running, points):
-                    run.take(iteration, dim_index, point)
-        else:  # best-direction
-            points = line_search(
-                packed, [run.point for run in running for _ in range(dim)], [p for run in running for p in run.plans]
-            )
+        for axes in phases:
+            searches = [(run, i) for run in running for i in axes]
+            points: list[LineSearchResult] = []
+            for k in range(0, len(searches), size):
+                chunk = searches[k : k + size]
+                points += line_search(packed, [run.point for run, _ in chunk], [run.plans[i] for run, i in chunk])
             for k, run in enumerate(running):
-                axes = points[k * dim : (k + 1) * dim]
-                dim_index = min(range(dim), key=lambda i: (axes[i].error_at_star.error, i))
-                run.take(iteration, dim_index, axes[dim_index])
+                found = points[k * len(axes) : (k + 1) * len(axes)]
+                best = min(range(len(axes)), key=lambda j: (found[j].error_at_star.error, j))
+                run.take(iteration, axes[best], found[best])
         for run in running:
             run.iterations = iteration
             new_error = run.point.error_at_star.error

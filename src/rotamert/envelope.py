@@ -21,8 +21,8 @@ coefficient)`` pairs, each index in range and listed once, so an
 untilted axis' slopes are its feature column added to 0.0, and the pack
 keeps each untilted axis' plan, by index, for every descent over it.
 :func:`line_search` takes a batch of (start, plan) pairs on one pack,
-from one pair to a block of grid points' searches, and calls its two
-kernels once per batch: :func:`_hulls` builds every envelope of every
+which :func:`~rotamert.descent.kcd_lockstep` bounds by ``BLOCK_ROWS``
+rows, and calls its two kernels once per batch: :func:`_hulls` builds every envelope of every
 search by numpy pruning passes over flat arrays, which keep the lines
 the stack loop keeps (a call over few lines runs that loop instead),
 and :func:`_sweep` merges each search's breakpoints with one sort,
@@ -69,8 +69,8 @@ RESCORE_BOUND = 1e-9
 # loop about 0.8 us per line (2-core Xeon VM), and a pass drops at most one line per
 # envelope: the searches of the benchmark workloads need a median of 10
 # passes and at most 42.  So the passes run only when a call's envelopes
-# hold at least PASS_MIN_LINES lines after the prefilter, as a block of
-# grid points' searches or a best-direction step does; a lone search over
+# hold at least PASS_MIN_LINES lines after the prefilter, as a lockstep
+# call of several searches on a small corpus does; a lone search over
 # 40 sentences of 50 hypotheses keeps about 400 lines and goes straight
 # to the stack loop.  At most HULL_PASSES passes run, so no input costs
 # more than that many passes and one loop: about 7 stack loops at 1024
@@ -472,8 +472,8 @@ def line_search(
     one: :func:`_hulls`, :func:`_sweep` and :func:`row_errors` each run
     once over all of them, and only the choice of each step is made one
     search at a time.  Each result is bit-identical to the search's run
-    alone; when some search raises, the searches run again one at a time,
-    so the error is the one the first failing search raises alone.
+    alone.  A batch that raises raises one of its searches' errors; the
+    serial one is :func:`~rotamert.descent.kcd_lockstep`'s to find.
 
     Each search returns the midpoint of the minimum-error interval
     (offset by 1.0 into unbounded intervals); interval ties resolve
@@ -493,12 +493,7 @@ def line_search(
     for plan in plans:
         if as_instance(plan, SearchPlan, "plan").sentence is not packed.sentence:
             raise ConfigError("the search plan was made for another packed corpus")
-    try:
-        return _searches(packed, starts, plans)
-    except InputError:
-        if len(plans) < 2:
-            raise
-        return [_searches(packed, [start], [plan])[0] for start, plan in zip(starts, plans)]
+    return _searches(packed, starts, plans)
 
 
 def _items(values, what: str) -> tuple:

@@ -8,8 +8,9 @@ starting weights, scores every run on the closed (tuning) corpus and on
 the open (held-out) corpus, and selects the alpha with the best closed
 score.  Open scores are recorded for reporting only; they never
 influence the selection.  The points are independent, so after the
-first they run in-process in blocks whose descents share each step
-(:func:`~rotamert.descent.kcd_lockstep`), or one point per pool task.
+first they run in-process as one :func:`~rotamert.descent.kcd_lockstep`
+call, whose blocks of descents share each step, or one point per pool
+task.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     GridEmpty,
     InvalidGrid,
-    RotamertError,
     as_index,
     as_instance,
     as_real,
@@ -43,12 +43,6 @@ MAX_GRID_POINTS = 10_001
 # two workers were measured to first beat one process on wall time, so a
 # pool that starts saves clearly more than its start-up (see the README).
 POOL_MIN_SECONDS = 0.5
-# A block of grid points descends in lockstep, so one line search serves
-# every point of the block.  That search scores each point's closed-corpus
-# rows once per axis it searches (one axis in a sequential sweep, every
-# axis in best-direction), at most this many rows in all unless one point
-# alone has more, which bounds the arrays one search builds.
-BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -192,18 +186,10 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
 
 
 def _grid_block(task: tuple, points: Sequence[tuple[float, CoordinateSystem]]) -> tuple[RssRecord, ...]:
-    """The points' descents in lockstep, each scored on both corpora at its final weights.
-
-    When the block raises, its points run again one at a time, so the
-    error is the one a serial run over them meets first.
-    """
+    """The points' descents by :func:`~rotamert.descent.kcd_lockstep`, each scored on both
+    corpora at its final weights."""
     closed, opened, init_w, config = task
-    try:
-        runs = kcd_lockstep(closed, [system for _, system in points], init_w, config)
-    except RotamertError:
-        if len(points) == 1:
-            raise
-        return tuple(record for point in points for record in _grid_block(task, (point,)))
+    runs = kcd_lockstep(closed, [system for _, system in points], init_w, config)
     return tuple(
         RssRecord(alpha, weights, trace.final_error.bleu, opened.argmax_error(opened.project(weights)).bleu, trace)
         for (alpha, _), (weights, trace) in zip(points, runs)
@@ -243,13 +229,10 @@ def rss_optimize(
     than the CPU count, run the rest when at least two points remain
     and the first point's CPU time times their number is at least
     ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  A pool
-    task is one point.  In-process, the rest run in blocks of points that
-    descend in lockstep (:func:`~rotamert.descent.kcd_lockstep`): at least
-    one point, and at most ``BLOCK_ROWS`` closed-corpus rows per batched
-    line search, a point's rows counted once per axis it searches at a
-    step.  A block that raises runs again one point at a time, so the
-    error raised is the one a serial run meets first.  Every record
-    equals the point's lone descent bit for bit.
+    task is one point.  In-process, the rest are one
+    :func:`~rotamert.descent.kcd_lockstep` call, which raises the error a
+    serial run meets first.  Every record equals the point's lone
+    descent bit for bit.
     Selection maximizes the closed (tuning) BLEU; ties prefer the
     smallest ``|alpha|``, then the negative one.  The baseline is the
     gridded pair's alpha = 0 record, when the grid contains it, with the
@@ -278,13 +261,8 @@ def rss_optimize(
         # once under spawn or forkserver); a grid point sends (alpha, system).
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
             records += tuple(pool.map(_worker_point, rest))
-    else:
-        # The first point's descent has checked the config.
-        searches = dim if config is not None and config.sweep_mode == "best-direction" else 1
-        size = max(1, BLOCK_ROWS // (len(closed_corpus.stats) * searches))
-        records += tuple(
-            record for i in range(0, len(rest), size) for record in _grid_block(task, rest[i : i + size])
-        )
+    elif rest:
+        records += _grid_block(task, rest)
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None) if has_baseline else None

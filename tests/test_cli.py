@@ -799,9 +799,8 @@ class TestRss:
         # descending in lockstep meets the later ones first and reruns its
         # points one at a time.  Sweeps are counted per descent run.
         import rotamert.descent
-        import rotamert.rotation
 
-        real_search, real_lockstep = rotamert.descent.line_search, rotamert.rotation.kcd_lockstep
+        real_search, real_lockstep = rotamert.descent.line_search, rotamert.descent._lockstep
         sweeps, blocks = {}, []
 
         def failing_search(packed, starts, plans):
@@ -813,22 +812,22 @@ class TestRss:
                         raise InputError(f"alpha {alpha:+g} fails at sweep {sweeps[alpha]}")
             return real_search(packed, starts, plans)
 
-        def counted_lockstep(corpus, systems, *args):
+        def counted_lockstep(packed, systems, *args):
             sweeps.clear()
             blocks.append(len(systems))
-            return real_lockstep(corpus, systems, *args)
+            return real_lockstep(packed, systems, *args)
 
         monkeypatch.setattr(rotamert.descent, "line_search", failing_search)
-        monkeypatch.setattr(rotamert.rotation, "kcd_lockstep", counted_lockstep)
+        monkeypatch.setattr(rotamert.descent, "_lockstep", counted_lockstep)
         argv = self.rss_args(adversarial_files, "--rotate", "0:1", "--out", str(tmp_path / "out"))
         blocked = run(argv, capsys)
-        assert blocks[:2] == [1, 20]  # the first point alone, then one block of the rest
+        assert blocks[:3] == [1, 20, 1]  # the first point alone, one block of the rest, its serial rerun
         assert blocked == (2, "", "error: alpha +0.5 fails at sweep 2\n")
-        # One point per block is the serial run.
-        monkeypatch.setattr(rotamert.rotation, "BLOCK_ROWS", 1)
+        # One descent per block and one search per call is the serial run.
+        monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", 1)
         blocks.clear()
         assert run(argv, capsys) == blocked
-        assert set(blocks) == {1}
+        assert blocks == [1] * 16  # alpha -1 to +0.5 once each: a serial run raises at once
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
     def test_spawned_workers_write_the_serial_bytes(self, tmp_path, capsys):

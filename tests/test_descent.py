@@ -18,7 +18,7 @@ from rotamert.descent import (
     uniform_weights,
 )
 from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
-from rotamert.errors import ConfigError, DimensionMismatch
+from rotamert.errors import ConfigError, DimensionMismatch, InputError
 from rotamert.synthetic import SynthSpec, generate
 
 from instances import random_corpus
@@ -236,6 +236,127 @@ class TestDescentLoop:
         corpus, _ = random_corpus(10)
         with pytest.raises(DimensionMismatch):
             kcd_optimize(PackedCorpus.of(corpus), (1.0,) * (corpus.feature_dim + 1))
+
+
+def failing_axes_pack(step_axis, crossing_axis):
+    """A pack on which, from (1, 0, 0), the search along axis ``step_axis``
+    fails its step check and the one along ``crossing_axis`` meets a
+    crossing that overflows; the search along axis 0 passes."""
+
+    def features(base, step=0.0, crossing=0.0):
+        values = [base, 0.0, 0.0]
+        values[step_axis], values[crossing_axis] = step, crossing
+        return tuple(values)
+
+    good, bad = ("a", "b", "c", "d"), ("x", "y", "z", "w")
+    nbest = {
+        # Along the step axis the better line (the first) overtakes at gamma
+        # = 17; the step to 18 scores it 1e307 * 18, which overflows.
+        0: [Hypothesis(0, 0, good, features(0.0, step=1e307)), Hypothesis(0, 1, bad, features(1.7e308))],
+        # Along the crossing axis these cross at 1e10 / 1e-300 = inf.
+        1: [Hypothesis(1, 0, bad, features(1e10)), Hypothesis(1, 1, bad, features(0.0, crossing=1e-300))],
+    }
+    return PackedCorpus.of(build_corpus(nbest, {0: [good], 1: [good]}))
+
+
+STEP_ERROR = "feature values times weights overflow: a hypothesis score is not finite"
+CROSSING_ERROR = "a breakpoint of the search ray is not finite"
+
+
+class TestLockstepBlocks:
+    """kcd_lockstep alone sizes the line_search calls and replays a failing block serially."""
+
+    @staticmethod
+    def setting():
+        packed = PackedCorpus.of(generate(SynthSpec(12, 8, 3, correlated_pairs=((0, 1, 0.9),), seed=1))[0])
+        tilted = [CoordinateSystem(3, (Rotation(0, 1, alpha),)) for alpha in (-0.6, 0.3, 0.8, -0.2)]
+        return packed, [CoordinateSystem(3), *tilted]
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_a_search_call_holds_at_most_one_block(self, mode, monkeypatch):
+        # Blocks of size = max(1, BLOCK_ROWS // rows) descents, and at most
+        # size searches per call, whatever the sweep mode.
+        packed, systems = self.setting()
+        rows, per_step = len(packed.stats), 1 if mode == "sequential" else packed.feature_dim
+        config = KcdConfig(epsilon=1e-4, max_iter=4, sweep_mode=mode)
+        calls = []
+
+        def counted(packed, starts, plans):
+            calls.append(len(plans))
+            return line_search(packed, starts, plans)
+
+        monkeypatch.setattr(rotamert.descent, "line_search", counted)
+        default = rotamert.descent.BLOCK_ROWS
+        monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", 1)
+        alone = [kcd_optimize(packed, None, system, config) for system in systems]
+        assert set(calls) == {1}
+        for block_rows in (1, 3 * rows - 1, 5 * rows - 1, default):
+            monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", block_rows)
+            size = max(1, block_rows // rows)
+            calls.clear()
+            assert repr(kcd_lockstep(packed, systems, None, config)) == repr(alone), block_rows
+            assert max(calls) == min(size, len(systems) * per_step)
+            for system, run in zip(systems, alone):
+                calls.clear()
+                assert repr(kcd_optimize(packed, None, system, config)) == repr(run), block_rows
+                assert max(calls) == min(size, per_step)
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_a_failing_block_raises_the_serial_error(self, mode, monkeypatch):
+        # Injected faults along each descent's tilted axis: alpha +0.3 fails
+        # at its second search, +0.8 at its first.  A loop of lone descents
+        # meets +0.3's fault first; a block holding both meets +0.8's first
+        # and runs its descents again one at a time.
+        packed, systems = self.setting()
+        config = KcdConfig(max_iter=3, sweep_mode=mode)
+        searched, failed = {}, []
+
+        def failing(packed, starts, plans):
+            for plan in plans:
+                if len(plan.direction) == 2:  # each descent plans its tilted axis afresh
+                    alpha = plan.direction[1][1]
+                    searched[plan] = searched.get(plan, 0) + 1
+                    if alpha > 0.5 or (alpha > 0.0 and searched[plan] == 2):
+                        failed.append(len(plans))
+                        raise InputError(f"alpha {alpha:+g} fails at search {searched[plan]}")
+            return line_search(packed, starts, plans)
+
+        monkeypatch.setattr(rotamert.descent, "line_search", failing)
+
+        def serial_error():
+            for system in systems:
+                try:
+                    kcd_optimize(packed, None, system, config)
+                except InputError as error:
+                    return str(error)
+
+        serial = serial_error()
+        assert serial == "alpha +0.3 fails at search 2"
+        rows = len(packed.stats)
+        for block_rows in (1, 3 * rows - 1, rotamert.descent.BLOCK_ROWS):
+            monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", block_rows)
+            assert serial_error() == serial
+            failed.clear()
+            with pytest.raises(InputError, match=f"^{re.escape(serial)}$"):
+                kcd_lockstep(packed, systems, None, config)
+            # A serial run raises at once; a block's batch meets +0.8 first.
+            assert failed == [1] if block_rows == 1 else failed[0] > 1
+
+    @pytest.mark.parametrize("step_axis, crossing_axis, message", [(1, 2, STEP_ERROR), (2, 1, CROSSING_ERROR)])
+    def test_a_lone_best_direction_descent_raises_its_first_failing_axis(self, step_axis, crossing_axis, message):
+        # One call searches all three axes, and its sweep meets the crossing
+        # before any step is checked; the serial error is the first failing
+        # axis' own.
+        packed = failing_axes_pack(step_axis, crossing_axis)
+        start = LineSearchResult.at(packed, (1.0, 0.0, 0.0))
+        plans = [packed.plan([(i, 1.0)]) for i in range(3)]
+        with pytest.raises(InputError, match=f"^{CROSSING_ERROR}$"):
+            line_search(packed, [start] * 3, plans)
+        line_search(packed, [start], plans[:1])
+        with pytest.raises(InputError, match=f"^{message}$"):
+            line_search(packed, [start], plans[1:2])
+        with pytest.raises(InputError, match=f"^{message}$"):
+            kcd_optimize(packed, (1.0, 0.0, 0.0), config=KcdConfig(sweep_mode="best-direction"))
 
 
 class TestDirections:

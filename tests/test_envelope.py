@@ -192,7 +192,9 @@ def overflow_pack():
     return packed, LineSearchResult.at(packed, (1.0, 0.0, 0.0))
 
 
-def test_a_failing_batch_raises_the_first_failing_search_alone():
+def test_a_failing_search_raises_its_error():
+    # Which of several failing searches a batch raises is left open: the
+    # serial error is kcd_lockstep's to find (see test_descent).
     packed, start = overflow_pack()
     calm, stepped, crossed = packed.plan([(1, 0.0)]), packed.plan([(1, 1.0)]), packed.plan([(2, 1.0)])
     step_error = "^feature values times weights overflow: a hypothesis score is not finite$"
@@ -200,8 +202,6 @@ def test_a_failing_batch_raises_the_first_failing_search_alone():
     for plans, message in (
         ([stepped], step_error),
         ([crossed], crossing_error),
-        ([calm, stepped, crossed], step_error),
-        ([calm, crossed, stepped], crossing_error),
         ([crossed, calm], crossing_error),
     ):
         with pytest.raises(InputError, match=message):

@@ -13,15 +13,15 @@ iteration and applies only the most profitable step.
 
 :func:`kcd_lockstep` runs one descent per system, blocks of them in
 lockstep sharing batched :func:`~rotamert.envelope.line_search` calls,
-and replays a failing block serially; :func:`kcd_optimize` is its
-one-system case.
+replays a failing block serially and yields each result as it has it;
+:func:`kcd_optimize` is its one-system case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bleu import ErrorValue, format_bleu
 from .envelope import LineSearchResult, PackedCorpus, SearchPlan, line_search
@@ -220,8 +220,8 @@ def kcd_lockstep(
     systems: Sequence[CoordinateSystem],
     init_w: Sequence[float] | None = None,
     config: KcdConfig | None = None,
-) -> list[tuple[tuple[float, ...], KcdTrace]]:
-    """Run one descent per system; returns each one's final weights and trace.
+) -> Iterator[tuple[tuple[float, ...], KcdTrace]]:
+    """Run one descent per system; yields each one's final weights and trace in turn.
 
     Every descent starts from ``init_w`` and equals a lone descent over
     its system bit for bit, as :func:`kcd_optimize` documents it, stop
@@ -231,7 +231,10 @@ def kcd_lockstep(
     :class:`RotamertError` runs again serially (one descent at a time,
     one search per call), so the error is the one a loop of
     :func:`kcd_optimize` meets first; at ``size`` 1 it raises at once.
-    ``systems`` is a sequence of :class:`CoordinateSystem` of the
+    Each result is yielded once its block, or its serial rerun, has it,
+    so a caller that uses it before asking for the next meets its own
+    errors in a serial run's order too.  The arguments are checked at the
+    call; ``systems`` is a sequence of :class:`CoordinateSystem` of the
     corpus' dimension.
     """
     packed = as_instance(corpus, PackedCorpus, "corpus")
@@ -245,17 +248,21 @@ def kcd_lockstep(
         if as_instance(system, CoordinateSystem, "system").dim != dim:
             raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
     config = KcdConfig() if config is None else as_instance(config, KcdConfig, "config")
+    return _blocks(packed, systems, w, config)
+
+
+def _blocks(packed: PackedCorpus, systems: tuple, w: tuple[float, ...], config: KcdConfig) -> Iterator[tuple]:
+    """:func:`kcd_lockstep`'s results, block by block, or descent by descent in a serial rerun."""
     size = max(1, BLOCK_ROWS // len(packed.stats))
-    results = []
     for i in range(0, len(systems), size):
         block = systems[i : i + size]
         try:
-            results += _lockstep(packed, block, w, config, size)
+            results = _lockstep(packed, block, w, config, size)
         except RotamertError:
             if size == 1:
                 raise
-            results += [result for system in block for result in _lockstep(packed, (system,), w, config, 1)]
-    return results
+            results = (result for system in block for result in _lockstep(packed, (system,), w, config, 1))
+        yield from results
 
 
 def _lockstep(

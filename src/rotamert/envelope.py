@@ -493,21 +493,6 @@ def line_search(
     for plan in plans:
         if as_instance(plan, SearchPlan, "plan").sentence is not packed.sentence:
             raise ConfigError("the search plan was made for another packed corpus")
-    return _searches(packed, starts, plans)
-
-
-def _items(values, what: str) -> tuple:
-    """``values`` as a tuple; a :class:`ConfigError` naming ``what`` when they are not iterable."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ConfigError(f"{what} must be a sequence, got {values!r}") from None
-
-
-def _searches(
-    packed: PackedCorpus, starts: Sequence[LineSearchResult], plans: Sequence[SearchPlan]
-) -> list[LineSearchResult]:
-    """:func:`line_search` on checked arguments, all searches at once."""
     if not plans:
         return []
     sweeps = _sweep(_hulls([start.scores for start in starts], plans), packed.stats)
@@ -518,6 +503,14 @@ def _searches(
         _step(packed, start, plan, boundaries, rows, estimates[end - len(rows) : end])
         for start, plan, (boundaries, rows), end in zip(starts, plans, sweeps, ends)
     ]
+
+
+def _items(values, what: str) -> tuple:
+    """``values`` as a tuple; a :class:`ConfigError` naming ``what`` when they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{what} must be a sequence, got {values!r}") from None
 
 
 def _step(

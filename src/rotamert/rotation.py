@@ -187,7 +187,7 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
 
 def _grid_block(task: tuple, points: Sequence[tuple[float, CoordinateSystem]]) -> tuple[RssRecord, ...]:
     """The points' descents by :func:`~rotamert.descent.kcd_lockstep`, each scored on both
-    corpora at its final weights."""
+    corpora at its final weights as soon as it is yielded, so errors come in a serial run's order."""
     closed, opened, init_w, config = task
     runs = kcd_lockstep(closed, [system for _, system in points], init_w, config)
     return tuple(
@@ -230,9 +230,9 @@ def rss_optimize(
     and the first point's CPU time times their number is at least
     ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  A pool
     task is one point.  In-process, the rest are one
-    :func:`~rotamert.descent.kcd_lockstep` call, which raises the error a
-    serial run meets first.  Every record equals the point's lone
-    descent bit for bit.
+    :func:`~rotamert.descent.kcd_lockstep` call, each point scored as it
+    is yielded, so the error raised is the one a serial run meets first.
+    Every record equals the point's lone descent bit for bit.
     Selection maximizes the closed (tuning) BLEU; ties prefer the
     smallest ``|alpha|``, then the negative one.  The baseline is the
     gridded pair's alpha = 0 record, when the grid contains it, with the

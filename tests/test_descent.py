@@ -225,12 +225,12 @@ class TestDescentLoop:
             packed = PackedCorpus.of(generate(SynthSpec(12, 8, 3, correlated_pairs=((0, 1, 0.9),), seed=seed))[0])
             systems = [CoordinateSystem(3)] * 2
             systems += [CoordinateSystem(3, (Rotation(0, 1, alpha),)) for alpha in (-1.0, -0.3, 0.0, 0.7)]
-            runs = kcd_lockstep(packed, systems, None, config)
+            runs = list(kcd_lockstep(packed, systems, None, config))
             alone = [kcd_optimize(packed, None, system, config) for system in systems]
             assert repr(runs) == repr(alone), f"seed {seed}, max_iter {max_iter}"
             stopped |= {(trace.iterations, trace.stopped) for _, trace in runs}
         assert stopped == {(2, "epsilon"), (3, "epsilon"), (2, "max_iter")}
-        assert kcd_lockstep(packed, [], None, config) == []
+        assert list(kcd_lockstep(packed, [], None, config)) == []
 
     def test_init_weight_length_checked(self):
         corpus, _ = random_corpus(10)
@@ -294,7 +294,7 @@ class TestLockstepBlocks:
             monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", block_rows)
             size = max(1, block_rows // rows)
             calls.clear()
-            assert repr(kcd_lockstep(packed, systems, None, config)) == repr(alone), block_rows
+            assert repr(list(kcd_lockstep(packed, systems, None, config))) == repr(alone), block_rows
             assert max(calls) == min(size, len(systems) * per_step)
             for system, run in zip(systems, alone):
                 calls.clear()
@@ -338,7 +338,7 @@ class TestLockstepBlocks:
             assert serial_error() == serial
             failed.clear()
             with pytest.raises(InputError, match=f"^{re.escape(serial)}$"):
-                kcd_lockstep(packed, systems, None, config)
+                list(kcd_lockstep(packed, systems, None, config))
             # A serial run raises at once; a block's batch meets +0.8 first.
             assert failed == [1] if block_rows == 1 else failed[0] > 1
 

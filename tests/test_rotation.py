@@ -15,12 +15,13 @@ import rotamert.descent
 import rotamert.rotation
 from rotamert.bleu import ErrorValue
 from rotamert.corpus import Hypothesis, TuningCorpus, build_corpus
-from rotamert.descent import KcdConfig, KcdTrace, kcd_lockstep, kcd_optimize
+from rotamert.descent import SWEEP_MODES, KcdConfig, KcdTrace, kcd_lockstep, kcd_optimize
 from rotamert.envelope import PackedCorpus, SearchPlan
 from rotamert.errors import (
     ConfigError,
     DimensionMismatch,
     GridEmpty,
+    InputError,
     InvalidGrid,
     InvalidRotation,
 )
@@ -35,6 +36,7 @@ from rotamert.rotation import (
     summary_rows,
     report_tsv,
 )
+from rotamert.synthetic import SynthSpec, generate
 
 from instances import adversarial_certificate, adversarial_instance, random_corpus
 from oracles import dense_axis, first_argmax, selection_error
@@ -372,6 +374,47 @@ class TestRssOptimize:
         calls.clear()
         assert rss_optimize(corpus, corpus, grid=[float("nan")]).selected == record
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_an_open_scoring_error_comes_in_serial_order(self, mode, monkeypatch):
+        # The third point's open scores overflow and the fifth point's
+        # descent fails.  A serial run scores the third point before the
+        # fifth descends, so the open error is raised, also when the points
+        # after the first descend in one lockstep block that meets the
+        # fifth point's fault and reruns its points one at a time.
+        corpus = generate(SynthSpec(12, 8, 3, correlated_pairs=((0, 1, 0.9),), seed=1))[0]
+        closed, opened = PackedCorpus.of(corpus), PackedCorpus.of(corpus)
+        config = KcdConfig(max_iter=3, sweep_mode=mode)
+        real_project, real_search = PackedCorpus.project, rotamert.descent.line_search
+        scored, batches = [], []
+
+        def project(self, v):
+            if self is opened:
+                scored.append(v)
+                if overflow and len(scored) == 3:
+                    raise InputError("the third point's open scores overflow")
+            return real_project(self, v)
+
+        def search(packed, starts, plans):
+            batches.append(len(plans))
+            if any(plan.direction[1:] == ((1, 0.4),) for plan in plans):
+                raise InputError("the fifth point's descent fails")
+            return real_search(packed, starts, plans)
+
+        monkeypatch.setattr(PackedCorpus, "project", project)
+        monkeypatch.setattr(rotamert.descent, "line_search", search)
+        grid = [-0.4, -0.2, 0.0, 0.2, 0.4, 0.6]
+        for overflow, block_rows, message in [
+            (False, rotamert.descent.BLOCK_ROWS, "the fifth point's descent fails"),
+            (True, rotamert.descent.BLOCK_ROWS, "the third point's open scores overflow"),
+            (True, 1, "the third point's open scores overflow"),
+        ]:
+            monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", block_rows)
+            scored.clear(), batches.clear()
+            with pytest.raises(InputError, match=f"^{message}$"):
+                rss_optimize(closed, opened, rotation_spec=((0, 1),), grid=grid, config=config)
+            assert len(scored) == (4 if not overflow else 3)
+            assert max(batches) > 1 if block_rows > 1 else set(batches) == {1}
 
     # Items of two or three parts are read by Rotation, which names the field:
     # no number is coerced, and a bool is never a number.

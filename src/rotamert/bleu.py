@@ -200,9 +200,7 @@ def _block_rows(token: np.ndarray, lens: np.ndarray, owner: np.ndarray, n_refs: 
     return rows
 
 
-def stats_blocks(
-    hyps: Column, counts: Sequence[int], refs: Sequence[Column], *, _block_tokens: int = BLOCK_TOKENS
-) -> Iterator[np.ndarray]:
+def stats_blocks(hyps: Column, counts: Sequence[int], refs: Sequence[Column]) -> Iterator[np.ndarray]:
     """Statistics rows of every line of ``hyps``, as one ``int64 (n, 10)`` array per block.
 
     Sentence ``s`` owns the next ``counts[s]`` lines of ``hyps`` and
@@ -218,7 +216,7 @@ def stats_blocks(
     ends = np.concatenate(([0], np.cumsum(size)))
     start, ref_at = 0, np.zeros(len(refs), dtype=np.int64)  # each reference column's next token
     while start < len(size):
-        stop = int(np.searchsorted(ends, ends[start] + _block_tokens))
+        stop = int(np.searchsorted(ends, ends[start] + BLOCK_TOKENS))
         stop = min(max(stop, start + 1), len(size))
         # Reference lengths by slot and sentence; a blank line (0) is no reference.
         ref_lens = np.array([ref.lengths[start:stop] for ref in refs], dtype=np.int64).reshape(-1, stop - start)

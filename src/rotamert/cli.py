@@ -180,7 +180,7 @@ def load_config(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file; ``#`` comments, blank lines ignored."""
     try:
         body = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(body.splitlines(), start=1):

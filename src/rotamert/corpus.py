@@ -35,7 +35,6 @@ import numpy as np
 
 from .bleu import Column, Vocabulary, reference_columns
 from .errors import (
-    ConfigError,
     EmptyCorpus,
     IdMismatch,
     InconsistentFeatureCount,
@@ -43,6 +42,7 @@ from .errors import (
     NoReferences,
     NonNumericFeature,
     as_instance,
+    as_items,
 )
 
 FIELD_SEP = "|||"
@@ -109,18 +109,6 @@ def _feature_names(tokens: Sequence[str]) -> list[str]:
         f"f{idx}" if lab is None else lab if sizes[lab] == 1 else f"{lab}{pos}"
         for idx, (lab, pos) in enumerate(slots)
     ]
-
-
-def _listed(value, what: str, kind: type) -> list:
-    """``value`` as a list, if it is an iterable of ``kind`` items and not a string;
-    else a :class:`ConfigError` naming ``what``."""
-    if isinstance(value, str) or not isinstance(value, Iterable):
-        raise ConfigError(f"{what} must be an iterable that is not a string, got {type(value).__name__}")
-    items = list(value)
-    for item in items:
-        if not isinstance(item, kind):
-            raise ConfigError(f"{what} must hold only {kind.__name__} items, got {type(item).__name__}")
-    return items
 
 
 def _repeated(names: Sequence[str]) -> str:
@@ -232,10 +220,10 @@ def parse_nbest(
     """Parse N-best wire lines into ``{sentence_id: [Hypothesis, ...]}``, and the feature names.
 
     A view of :func:`read_nbest`; ``lines`` is an iterable of strings,
-    read at once.  Equal tokens share one ``str`` per call.
+    read at once by :func:`~rotamert.errors.as_items`.  Equal tokens share one ``str`` per call.
     """
     vocabulary = Vocabulary()
-    nbest = read_nbest(_listed(lines, "lines", str), source, vocabulary)
+    nbest = read_nbest(as_items(lines, "lines", str), source, vocabulary)
     by_id: dict[int, list[Hypothesis]] = {}
     for sentence_id, tokens, features in zip(
         nbest.ids, _token_lines(nbest.hyps, vocabulary), nbest.features.tolist()
@@ -250,10 +238,10 @@ def parse_references(
 ) -> dict[int, list[Tokens]]:
     """Read parallel reference files into ``{sentence_id: [tokens, ...]}``, blank lines skipped.
 
-    A view of ``bleu.reference_columns``; each stream is an iterable of
-    strings and not a string.  Equal tokens share one ``str`` per call.
+    A view of ``bleu.reference_columns``; ``streams`` and each stream are read
+    by :func:`~rotamert.errors.as_items`, each stream of strings.  Equal tokens share one ``str`` per call.
     """
-    streams = [_listed(stream, "a reference stream", str) for stream in _listed(streams, "streams", object)]
+    streams = [as_items(stream, "a reference stream", str) for stream in as_items(streams, "streams")]
     vocabulary = Vocabulary()
     columns = reference_columns(streams, sources, vocabulary)
     rows = zip(*(_token_lines(column, vocabulary) for column in columns))
@@ -321,13 +309,14 @@ def build_corpus(
     exact duplicates too.  Given feature names must
     be strings, one per feature, and must not repeat.  The result is
     stable under a second application of this function to its own maps.
-    Both maps hold iterables, of :class:`Hypothesis` and of token sequences.
+    Both maps hold iterables, of :class:`Hypothesis` and of token sequences,
+    read as ``feature_names`` are by :func:`~rotamert.errors.as_items`.
     """
     size = _check_ids(_sentence_ids(nbest, "nbest"), _sentence_ids(refs, "refs"))
     dim: int | None = None
     entries: list[SentenceEntry] = []
     for sentence_id in range(size):
-        hyps = _listed(nbest[sentence_id], f"nbest[{sentence_id}]", Hypothesis)
+        hyps = as_items(nbest[sentence_id], f"nbest[{sentence_id}]", Hypothesis)
         if not hyps:
             raise EmptyCorpus(f"sentence {sentence_id} has no hypotheses")
         for hyp in hyps:
@@ -365,7 +354,7 @@ def build_corpus(
                 message = f"feature values must be real numbers, got {hyp.features!r}"
                 raise NonNumericFeature(f"sentence {sentence_id}, hypothesis {hyp.rank}: {message}") from None
         sentence_refs = []
-        for j, ref in enumerate(_listed(refs[sentence_id], f"refs[{sentence_id}]", Iterable)):
+        for j, ref in enumerate(as_items(refs[sentence_id], f"refs[{sentence_id}]", Iterable)):
             tokens = tuple(ref)
             if isinstance(ref, str) or not _all_strings(tokens):
                 raise MalformedLine(
@@ -376,14 +365,12 @@ def build_corpus(
                 sentence_refs.append(tokens)
         if not sentence_refs:
             raise NoReferences(f"sentence {sentence_id} has no non-empty reference")
-        entries.append(
-            SentenceEntry(sentence_id, tuple(hyps), tuple(sentence_refs))
-        )
+        entries.append(SentenceEntry(sentence_id, hyps, tuple(sentence_refs)))
     _check_feature_dim(dim)
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(dim))
     else:
-        names = tuple(_listed(feature_names, "feature_names", object))
+        names = as_items(feature_names, "feature_names")
         if len(names) != dim:
             raise InconsistentFeatureCount(
                 f"{len(names)} feature names for {dim} features"

@@ -26,7 +26,8 @@ from typing import Iterator, Sequence
 from .bleu import ErrorValue, format_bleu
 from .envelope import LineSearchResult, PackedCorpus, SearchPlan, line_search
 from .errors import (
-    ConfigError, DimensionMismatch, InvalidRotation, RotamertError, as_index, as_instance, as_real, as_reals
+    ConfigError, DimensionMismatch, InvalidRotation, RotamertError,
+    as_index, as_instance, as_items, as_real, as_reals,
 )
 
 SWEEP_MODES = ("sequential", "best-direction")
@@ -191,7 +192,7 @@ def kcd_optimize(
     packed = as_instance(corpus, PackedCorpus, "corpus")
     if system is None:
         system = CoordinateSystem(packed.feature_dim)
-    ((weights, trace),) = kcd_lockstep(packed, [system], init_w, config)
+    ((weights, trace),) = kcd_lockstep(packed, [as_instance(system, CoordinateSystem, "system")], init_w, config)
     return weights, trace
 
 
@@ -234,18 +235,15 @@ def kcd_lockstep(
     Each result is yielded once its block, or its serial rerun, has it,
     so a caller that uses it before asking for the next meets its own
     errors in a serial run's order too.  The arguments are checked at the
-    call; ``systems`` is a sequence of :class:`CoordinateSystem` of the
-    corpus' dimension.
+    call; ``systems`` is read by :func:`~rotamert.errors.as_items`, each a
+    :class:`CoordinateSystem` of the corpus' dimension.
     """
     packed = as_instance(corpus, PackedCorpus, "corpus")
     dim = packed.feature_dim
     w = initial_weights(init_w, dim)
-    try:
-        systems = tuple(systems)
-    except TypeError:
-        raise ConfigError(f"systems must be a sequence of CoordinateSystems, got {systems!r}") from None
+    systems = as_items(systems, "systems", CoordinateSystem)
     for system in systems:
-        if as_instance(system, CoordinateSystem, "system").dim != dim:
+        if system.dim != dim:
             raise DimensionMismatch(f"coordinate system of {system.dim} dimensions for {dim} features")
     config = KcdConfig() if config is None else as_instance(config, KcdConfig, "config")
     return _blocks(packed, systems, w, config)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .bleu import Column, ErrorValue, Vocabulary, row_bleu, row_errors, stats_blocks
 from .corpus import Nbest, TuningCorpus, _check_feature_dim, _check_ids, reference_slots
-from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_instance, as_real, as_reals
+from .errors import ConfigError, DimensionMismatch, InputError, as_index, as_instance, as_items, as_real, as_reals
 
 # Breakpoints within this fraction of a group's first breakpoint join
 # that group, so the grouping does not depend on the scale of the
@@ -92,9 +92,11 @@ class LineSearchResult:
 
     @staticmethod
     def at(packed: PackedCorpus, w: Sequence[float]) -> LineSearchResult:
-        """The zero step at ``w``: the error and scores of ``w`` on ``packed``."""
-        scores = as_instance(packed, PackedCorpus, "packed").project(w)
-        return LineSearchResult(0.0, packed.argmax_error(scores), tuple(w), scores, packed)
+        """The zero step at ``w``, read once as :meth:`PackedCorpus.project` reads it: the
+        error and scores of ``w`` on ``packed``."""
+        w = as_reals(w, as_instance(packed, PackedCorpus, "packed").feature_dim, "vector entries")
+        scores = packed.project(w)
+        return LineSearchResult(0.0, packed.argmax_error(scores), w, scores, packed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +181,7 @@ class PackedCorpus:
     def plan(self, d: Iterable[tuple[int, float]]) -> SearchPlan:
         """The :class:`SearchPlan` along ``(index, coefficient)`` pairs, unlisted entries 0.0.
 
+        ``d`` is read by :func:`as_items`, at most ``M + 1`` pairs of it if it has no ``len``.
         Each index is read by :func:`as_index`, lies in ``0..M-1`` and
         appears once; each coefficient is read by :func:`as_real`.  An
         untilted axis' plan, ``((i, 1.0),)``, is kept by its index.
@@ -203,12 +206,8 @@ class PackedCorpus:
 
 def _pairs(d: Iterable[tuple[int, float]], dim: int) -> tuple[tuple[int, float], ...]:
     """The ``(index, coefficient)`` pairs of ``d``, checked as :meth:`PackedCorpus.plan` documents, in index order."""
-    try:
-        items = iter(d)
-    except TypeError:
-        raise ConfigError(f"a direction must be an iterable of (index, coefficient) pairs, got {d!r}") from None
     pairs: dict[int, float] = {}
-    for item in items:
+    for item in as_items(d, "a direction", limit=dim + 1):
         try:
             index, coefficient = item
         except (TypeError, ValueError):  # not a sequence, or not two parts
@@ -466,8 +465,8 @@ def line_search(
     Each start is :meth:`LineSearchResult.at` or an earlier search's
     result, whose scores and error the search reuses, and each plan
     comes from ``packed.plan``, which a caller searching one direction
-    many times builds once.  ``starts`` and ``plans`` are sequences of
-    equal length; each argument of another type, and a start or a plan
+    many times builds once.  ``starts`` and ``plans`` are read by :func:`as_items`
+    and of equal length; each argument of another type, and a start or a plan
     made on another pack, is a :class:`ConfigError`.  The searches run as
     one: :func:`_hulls`, :func:`_sweep` and :func:`row_errors` each run
     once over all of them, and only the choice of each step is made one
@@ -484,15 +483,13 @@ def line_search(
     at those weights.
     """
     as_instance(packed, PackedCorpus, "packed")
-    starts, plans = _items(starts, "starts"), _items(plans, "plans")
+    starts, plans = as_items(starts, "starts", LineSearchResult), as_items(plans, "plans", SearchPlan)
     if len(starts) != len(plans):
         raise ConfigError(f"{len(starts)} search starts for {len(plans)} plans")
-    for start in starts:
-        if as_instance(start, LineSearchResult, "start").packed is not packed:
-            raise ConfigError("the search start was made on another packed corpus")
-    for plan in plans:
-        if as_instance(plan, SearchPlan, "plan").sentence is not packed.sentence:
-            raise ConfigError("the search plan was made for another packed corpus")
+    if any(start.packed is not packed for start in starts):
+        raise ConfigError("the search start was made on another packed corpus")
+    if any(plan.sentence is not packed.sentence for plan in plans):
+        raise ConfigError("the search plan was made for another packed corpus")
     if not plans:
         return []
     sweeps = _sweep(_hulls([start.scores for start in starts], plans), packed.stats)
@@ -503,14 +500,6 @@ def line_search(
         _step(packed, start, plan, boundaries, rows, estimates[end - len(rows) : end])
         for start, plan, (boundaries, rows), end in zip(starts, plans, sweeps, ends)
     ]
-
-
-def _items(values, what: str) -> tuple:
-    """``values`` as a tuple; a :class:`ConfigError` naming ``what`` when they are not iterable."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ConfigError(f"{what} must be a sequence, got {values!r}") from None
 
 
 def _step(

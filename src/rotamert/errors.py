@@ -3,15 +3,17 @@
 Two families matter to callers: :class:`InputError` covers bad or
 inconsistent data (the CLI maps it to exit code 2), :class:`ConfigError`
 covers invalid settings and parameters (exit code 3).  The readers
-:func:`as_real`, :func:`as_index`, :func:`as_reals` and :func:`as_instance`
-turn a Python argument that is not a number, or not of its type, into
-such an error that names it.
+:func:`as_real`, :func:`as_index`, :func:`as_reals`, :func:`as_items` and
+:func:`as_instance` turn a Python argument that is not a number, not a
+sequence or not of its type into such an error that names it.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+from collections.abc import Iterable, Sized
+from itertools import islice
 
 
 class RotamertError(Exception):
@@ -90,17 +92,29 @@ def as_index(value, what: str, error: type[RotamertError] = ConfigError) -> int:
 
 
 def as_reals(values, dim: int, what: str) -> tuple[float, ...]:
-    """``values`` as ``dim`` floats, each a real number as :func:`as_real` reads one."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ConfigError(f"{what} must be an iterable of real numbers, got {values!r}") from None
-    if len(values) != dim:
-        raise DimensionMismatch(f"{len(values)} {what} for {dim} features")
-    reals = tuple(float(v) for v in values if isinstance(v, numbers.Real) and not isinstance(v, bool))
+    """``values`` as ``dim`` floats, read by :func:`as_items` (at most ``dim + 1`` of an
+    iterable without ``len``), each a real number as :func:`as_real` reads one."""
+    items = as_items(values, what, limit=dim + 1)
+    if len(items) != dim:
+        count = f"more than {dim}" if len(items) > dim and not isinstance(values, Sized) else len(items)
+        raise DimensionMismatch(f"{count} {what} for {dim} features")
+    reals = tuple(float(v) for v in items if isinstance(v, numbers.Real) and not isinstance(v, bool))
     if len(reals) != dim:
-        raise ConfigError(f"{what} must be real numbers, got {' '.join(map(repr, values))}")
+        raise ConfigError(f"{what} must be real numbers, got {' '.join(map(repr, items))}")
     return reals
+
+
+def as_items(values, what: str, kind: type = object, limit: int | None = None) -> tuple:
+    """``values`` as a tuple, if it is an iterable of ``kind`` items and not a string; else a
+    :class:`ConfigError` naming ``what``.  Given a ``limit``, an iterable without ``len``
+    is read for at most that many items, so an endless one ends."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{what} must be an iterable that is not a string, got {type(values).__name__}")
+    items = tuple(values if limit is None or isinstance(values, Sized) else islice(values, limit))
+    for item in items:
+        if not isinstance(item, kind):
+            raise ConfigError(f"{what} must hold only {kind.__name__} items, got {type(item).__name__}")
+    return items
 
 
 def as_instance(value, kind: type, what: str):

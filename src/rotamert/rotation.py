@@ -32,6 +32,7 @@ from .errors import (
     InvalidGrid,
     as_index,
     as_instance,
+    as_items,
     as_real,
 )
 
@@ -128,7 +129,9 @@ def grid_systems(
 ) -> tuple[tuple[float, CoordinateSystem], ...]:
     """The run's grid points: each alpha with its coordinate system, all checked.
 
-    Only the first pair may omit its alpha: it is the gridded one, and
+    ``rotation_spec`` is read by :func:`~rotamert.errors.as_items`, at most
+    ``dim + 1`` items of it if it has no ``len``.  Only the first pair may
+    omit its alpha: it is the gridded one, and
     any later pair must fix one.  Each item's parts, and every alpha of
     the grid, are read by :class:`~rotamert.descent.Rotation`, so each
     alpha becomes a ``float``.  The fixed rotations tilt the identity
@@ -145,13 +148,8 @@ def _grid(dim: int, rotation_spec: Sequence[tuple], grid) -> tuple[tuple, bool]:
     """:func:`grid_systems`' points, and whether they have a baseline (fixed rotations alone do not)."""
     gridded: Rotation | None = None  # the gridded pair, at alpha 0.0
     fixed: list[Rotation] = []
-    try:
-        items = iter(rotation_spec)
-    except TypeError:
-        raise ConfigError(
-            f"rotation spec must be an iterable of rotation items, got {rotation_spec!r}"
-        ) from None
-    for index, item in enumerate(items):
+    dim = CoordinateSystem(dim).dim  # an integer of at least 1, so a valid spec has at most dim items
+    for index, item in enumerate(as_items(rotation_spec, "rotation spec", limit=dim + 1)):
         try:
             from_dim, to_dim, *alpha = item
         except (TypeError, ValueError):  # not a sequence, or too short

@@ -67,10 +67,17 @@ def token_columns(sentences):
     return hyps, [len(sentence_hyps) for sentence_hyps, _ in sentences], refs
 
 
-def kernel_rows(sentences, **kwargs):
+def kernel_rows(sentences):
     """Statistics rows of every hypothesis of ``sentences``, by ``bleu.stats_blocks``, as lists of ints."""
-    blocks = stats_blocks(*token_columns(list(sentences)), **kwargs)
+    blocks = stats_blocks(*token_columns(list(sentences)))
     return np.concatenate([np.zeros((0, 10), dtype=np.int64), *blocks]).tolist()
+
+
+def counted(items, read):
+    """``items`` one at a time, each appended to the list ``read`` as it is handed out."""
+    for item in items:
+        read.append(item)
+        yield item
 
 
 def pack_rows(features, counts, stats):

@@ -294,7 +294,9 @@ class TestStatsKernel:
     def test_rows_match_counting_oracle_on_tiny_vocabularies(self, sentences):
         expected = _oracle_rows(sentences)
         assert kernel_rows(sentences) == expected
-        assert kernel_rows(sentences, _block_tokens=1) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bleu, "BLOCK_TOKENS", 1)
+            assert kernel_rows(sentences) == expected
 
     @pytest.mark.parametrize("ties", [1, 3, 1000])
     def test_unique_key_sort_equals_the_stable_sort(self, ties, monkeypatch):
@@ -333,7 +335,9 @@ class TestStatsKernel:
             one_by_one = [row for sentence in sentences for row in kernel_rows([sentence])]
             assert one_by_one == whole, f"corpus {i}"
             for block_tokens in (1, 40, 333):
-                got = kernel_rows(sentences, _block_tokens=block_tokens)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(bleu, "BLOCK_TOKENS", block_tokens)
+                    got = kernel_rows(sentences)
                 assert got == whole, f"corpus {i}, blocks of {block_tokens}"
 
     @pytest.mark.parametrize(
@@ -354,10 +358,11 @@ class TestStatsKernel:
             ([("q",), ()], [(), ("q", "r", "s")]),
         ],
     )
-    def test_edge_cases_match_counting_oracle(self, hyps, refs):
+    def test_edge_cases_match_counting_oracle(self, hyps, refs, monkeypatch):
         sentences = [(hyps, refs), ([("a", "b", "c", "d")], [("a", "b", "c", "d")])]
         assert kernel_rows(sentences) == _oracle_rows(sentences)
-        assert kernel_rows(sentences, _block_tokens=1) == _oracle_rows(sentences)
+        monkeypatch.setattr(bleu, "BLOCK_TOKENS", 1)
+        assert kernel_rows(sentences) == _oracle_rows(sentences)
 
     def test_repeated_ngram_is_clipped_to_reference_maximum(self):
         st = sentence_row(("a",) * 6, [("a", "a", "b"), ("a", "a", "a", "c")])
@@ -404,12 +409,12 @@ class TestStatsKernel:
         assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
 
 
-def _column_rows(hyp_lines, ref_files, **kwargs):
+def _column_rows(hyp_lines, ref_files):
     """The rows ``score`` computes: files read into columns, then ``stats_blocks``, one line per sentence."""
     vocabulary = Vocabulary()
     hyps = vocabulary.column(hyp_lines, str.split)
     refs = reference_columns(iter(ref_files), [f"ref{j}" for j in range(len(ref_files))], vocabulary)
-    blocks = stats_blocks(hyps, [1] * len(hyp_lines), refs, **kwargs)
+    blocks = stats_blocks(hyps, [1] * len(hyp_lines), refs)
     return np.concatenate([np.zeros((0, 10), dtype=np.int64), *blocks]).tolist()
 
 
@@ -443,15 +448,16 @@ class TestColumnBlocks:
     """``stats_blocks`` on id columns, as ``score``, ``mert`` and ``rss`` run it, equals the counting oracle."""
 
     @pytest.mark.parametrize("block_tokens", [1, 7, 100, bleu.BLOCK_TOKENS])
-    def test_blank_lines_and_many_blocks(self, block_tokens):
+    def test_blank_lines_and_many_blocks(self, block_tokens, monkeypatch):
         rng = np.random.default_rng(block_tokens)
         vocab = [f"w{i}" for i in range(12)] + UNICODE
         hyp, refs = _score_lines(rng, 400, 3, vocab, [0, 0, 1, 2, 3, 5, 9, 14])
         assert sum(not line for line in hyp) > 20 and sum(not line for ref in refs for line in ref) > 60
-        assert _column_rows(hyp, refs, _block_tokens=block_tokens) == _line_rows(hyp, refs)
+        monkeypatch.setattr(bleu, "BLOCK_TOKENS", block_tokens)
+        assert _column_rows(hyp, refs) == _line_rows(hyp, refs)
 
     @pytest.mark.parametrize("block_tokens", [50, bleu.BLOCK_TOKENS])
-    def test_a_sentence_longer_than_a_block(self, block_tokens):
+    def test_a_sentence_longer_than_a_block(self, block_tokens, monkeypatch):
         rng = np.random.default_rng(5)
         vocab = [f"w{i}" for i in range(40)] + UNICODE
         hyp, refs = _score_lines(rng, 30, 2, vocab, [0, 3, 8])
@@ -459,7 +465,8 @@ class TestColumnBlocks:
         hyp[11] = " ".join(rng.choice(vocab, long))
         refs[0][11] = " ".join(rng.choice(vocab, long + 5))
         refs[1][12] = " ".join(rng.choice(vocab, long - 5))
-        assert _column_rows(hyp, refs, _block_tokens=block_tokens) == _line_rows(hyp, refs)
+        monkeypatch.setattr(bleu, "BLOCK_TOKENS", block_tokens)
+        assert _column_rows(hyp, refs) == _line_rows(hyp, refs)
 
     def test_more_than_2_16_distinct_tokens(self):
         rng = np.random.default_rng(16)
@@ -471,22 +478,24 @@ class TestColumnBlocks:
         hyp[:100] = refs[0][:100]
         assert _column_rows(hyp, refs) == _line_rows(hyp, refs)
 
-    def test_empty_files(self):
+    def test_empty_files(self, monkeypatch):
         assert _column_rows([], [[], []]) == [] == _line_rows([], [[], []])
-        assert _column_rows([], [[]], _block_tokens=1) == []
+        monkeypatch.setattr(bleu, "BLOCK_TOKENS", 1)
+        assert _column_rows([], [[]]) == []
 
     @pytest.mark.parametrize("block_tokens", [1, bleu.BLOCK_TOKENS])
-    def test_blank_reference_lines_raise(self, block_tokens):
+    def test_blank_reference_lines_raise(self, block_tokens, monkeypatch):
         # Lines read as score reads them: a blank line is no reference, so
         # sentence 1 has none, and its row must not borrow sentence 0's length.
         vocabulary = Vocabulary()
         hyps = vocabulary.column(["a b c", "d e f g h"], str.split)
         refs = [vocabulary.column(["a b c", ""], str.split)]
+        monkeypatch.setattr(bleu, "BLOCK_TOKENS", block_tokens)
         with pytest.raises(NoReferences, match="sentence 1 "):
-            list(stats_blocks(hyps, [1, 1], refs, _block_tokens=block_tokens))
+            list(stats_blocks(hyps, [1, 1], refs))
 
     @pytest.mark.parametrize("block_tokens", [1, bleu.BLOCK_TOKENS])
-    def test_nbest_shaped_sentences(self, block_tokens):
+    def test_nbest_shaped_sentences(self, block_tokens, monkeypatch):
         # Several hypotheses per sentence and uneven reference counts, as PackedCorpus.of feeds them.
         rng = np.random.default_rng(29)
         vocab = [f"w{i}" for i in range(8)] + UNICODE
@@ -500,4 +509,5 @@ class TestColumnBlocks:
         ]
         sentences[7][1].append(seq(25, 30))  # one sentence with more references than any other
         assert len({len(refs) for _, refs in sentences}) > 2
-        assert kernel_rows(sentences, _block_tokens=block_tokens) == _oracle_rows(sentences)
+        monkeypatch.setattr(bleu, "BLOCK_TOKENS", block_tokens)
+        assert kernel_rows(sentences) == _oracle_rows(sentences)

@@ -472,15 +472,15 @@ class TestMert:
         assert code == exit_code
         assert_one_error_line(err, bad)
 
-    @pytest.mark.parametrize("setting, exit_code", [("nbest", 2), ("out", 3)])
+    @pytest.mark.parametrize("setting, exit_code", [("nbest", 2), ("out", 3), ("config", 3)])
     def test_nul_byte_in_a_configured_path_exits_with_one_error_line(
         self, adversarial_files, tmp_path, setting, exit_code, capsys
     ):
         nbest, ref = adversarial_files
         settings = {"nbest": nbest, "refs": ref, "out": tmp_path / "run", setting: "a\0b"}
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
-        code, _, err = run(["mert", "--config", str(cfg)], capsys)
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items() if key != "config"))
+        code, _, err = run(["mert", "--config", str(settings.get("config", cfg))], capsys)
         assert code == exit_code
         assert_one_error_line(err, "a\0b")
 

@@ -21,7 +21,7 @@ from rotamert.envelope import LineSearchResult, PackedCorpus, line_search
 from rotamert.errors import ConfigError, DimensionMismatch, InputError
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import random_corpus
+from instances import counted, random_corpus
 from oracles import first_argmax, selection_error
 
 
@@ -139,9 +139,22 @@ class TestConfig:
             kcd_optimize(PackedCorpus.of(corpus), init)
 
 
+    def test_initial_weights_are_read_at_most_one_past_the_dimension(self):
+        # A valid vector has 2 entries, so an endless one is refused after 3; one with
+        # a length is read whole and counted, and one of 2 entries without a length is used.
+        packed = PackedCorpus.of(build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]}))
+        read = []
+        with pytest.raises(DimensionMismatch, match="^more than 2 initial weights for 2 features$"):
+            kcd_optimize(packed, counted(itertools.repeat(0.5), read))
+        assert len(read) == 3
+        with pytest.raises(DimensionMismatch, match="^5 initial weights for 2 features$"):
+            kcd_optimize(packed, (0.5,) * 5)
+        assert kcd_optimize(packed, iter([0.5, 0.5])) == kcd_optimize(packed, (0.5, 0.5))
+
     def test_initial_weights_must_be_iterable(self):
         corpus = build_corpus({0: [Hypothesis(0, 0, ("a",), (1.0, 0.5))]}, {0: [("a",)]})
-        with pytest.raises(ConfigError, match="^initial weights must be an iterable of real numbers, got 5$"):
+        message = "^initial weights must be an iterable that is not a string, got int$"
+        with pytest.raises(ConfigError, match=message):
             kcd_optimize(PackedCorpus.of(corpus), 5)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from pathlib import Path
@@ -31,7 +32,7 @@ from rotamert.envelope import (
 from rotamert.errors import ConfigError, DimensionMismatch, InputError, NoReferences
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import Line, random_corpus, random_lines, ray_instance, row_ranks, search
+from instances import Line, counted, random_corpus, random_lines, ray_instance, row_ranks, search
 from oracles import (
     dot,
     envelope_by_enumeration,
@@ -259,6 +260,11 @@ class TestPlanPairs:
         packed, w = self.pack()
         with pytest.raises(ConfigError, match="^direction index 0 appears more than once$"):
             packed.plan([(0, 1.0), (0, 2.0)])
+        # A valid direction lists each of the 3 indices at most once, so an endless one is read for 4.
+        read = []
+        with pytest.raises(ConfigError, match="^direction index 0 appears more than once$"):
+            packed.plan(counted(itertools.repeat((0, 1.0)), read))
+        assert len(read) == 4
         # The one pair searches and steps along its dense vector.
         dense = search(packed, w, (3.0, 0.0, 0.0))
         (paired,) = line_search(packed, [LineSearchResult.at(packed, w)], [packed.plan([(0, 3.0)])])
@@ -294,25 +300,27 @@ class TestPlanPairs:
         packed, w = self.pack()
         bad = ((1.0, "a", 0.0), (1.0, True, 0.0), (None, 0.0, 0.0))
         cases = [(d, "real numbers, got " + " ".join(map(repr, d))) for d in bad]
-        for d, expected in cases + [(5, "an iterable of real numbers, got 5")]:
+        for d, expected in cases + [(5, "an iterable that is not a string, got int")]:
             message = f"vector entries must be {expected}"
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 LineSearchResult.at(packed, d)
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 packed.project(d)
+        # A vector is read once, so an iterator starts a search at its own entries.
+        assert LineSearchResult.at(packed, iter(w)).weights == w
         # line_search takes starts and plans, never bare vectors.
         start, plan = LineSearchResult.at(packed, w), packed.plan([(0, 1.0)])
-        with pytest.raises(ConfigError, match="^start must be a LineSearchResult, got tuple$"):
+        with pytest.raises(ConfigError, match="^starts must hold only LineSearchResult items, got tuple$"):
             line_search(packed, [w], [plan])
-        with pytest.raises(ConfigError, match="^plan must be a SearchPlan, got tuple$"):
+        with pytest.raises(ConfigError, match="^plans must hold only SearchPlan items, got tuple$"):
             line_search(packed, [start], [(1.0, 0.0, 0.0)])
         # It takes sequences of starts and plans, of equal length.
-        with pytest.raises(ConfigError, match="^plans must be a sequence, got 5$"):
+        with pytest.raises(ConfigError, match="^plans must be an iterable that is not a string, got int$"):
             line_search(packed, [start], 5)
         with pytest.raises(ConfigError, match="^1 search starts for 2 plans$"):
             line_search(packed, [start], [plan, plan])
         # A direction of pairs that is not iterable is refused as the vector is.
-        message = "a direction must be an iterable of (index, coefficient) pairs, got 5"
+        message = "a direction must be an iterable that is not a string, got int"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             packed.plan(5)
 

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import types
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from rotamert.rotation import (
 )
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import adversarial_certificate, adversarial_instance, random_corpus
+from instances import adversarial_certificate, adversarial_instance, counted, random_corpus
 from oracles import dense_axis, first_argmax, selection_error
 
 
@@ -488,8 +489,33 @@ class TestRssOptimize:
         ):
             grid_systems(2, ((0, 1),), grid)
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ((0, 1, 0.5), "dimension 0 has already been rotated"),
+            ((0, 1), "only the first rotation may omit alpha"),
+        ],
+    )
+    def test_an_endless_spec_is_read_at_most_one_past_the_dimension(self, item, message):
+        # A valid spec tilts each of the 2 axes at most once, so 3 items are read at most.
+        corpus = one_hypothesis_corpus()
+        for call in (partial(grid_systems, 2), partial(rss_optimize, corpus, corpus, None)):
+            read = []
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                call(counted(itertools.repeat(item), read))
+            assert len(read) == 3
+        # A spec with a length is read whole and raises alike.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            grid_systems(2, (item,) * 5)
+
+    def test_endless_initial_weights_are_read_at_most_one_past_the_dimension(self):
+        corpus, read = one_hypothesis_corpus(), []
+        with pytest.raises(DimensionMismatch, match="^more than 2 initial weights for 2 features$"):
+            rss_optimize(corpus, corpus, counted(itertools.repeat(0.5), read), ((0, 1),), [0.0])
+        assert len(read) == 3
+
     def test_a_spec_that_is_not_iterable_is_refused(self):
-        message = "^rotation spec must be an iterable of rotation items, got 5$"
+        message = "^rotation spec must be an iterable that is not a string, got int$"
         with pytest.raises(ConfigError, match=message):
             grid_systems(2, 5)
         corpus = one_hypothesis_corpus()

@@ -228,6 +228,54 @@ def test_builtin_raise_check_finds_each_kind_of_raise():
     ]
 
 
+def type_error_handlers(source):
+    """The enclosing function's name, or ``<module>``, of every ``except`` clause in
+    ``source`` that catches ``TypeError``: by name, in a tuple, or through a base class."""
+    catching = {"TypeError", "Exception", "BaseException"}
+    tree = ast.parse(source)
+    owner = {node: "<module>" for node in ast.walk(tree)}
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, function.name) for node in _own_nodes(function))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(k, ast.Name) and k.id in catching for k in kinds):
+                found.append(owner[node])
+    return sorted(found)
+
+
+def test_type_error_handler_check_finds_each_kind_of_clause():
+    source = (
+        "try:\n    pass\nexcept TypeError:\n    pass\n"
+        "def f():\n"
+        "    try:\n        pass\n    except (ValueError, TypeError):\n        pass\n"
+        "    try:\n        pass\n    except ValueError:\n        pass\n"
+        "    def g():\n"
+        "        try:\n            pass\n        except:\n            pass\n"
+        "        try:\n            pass\n        except Exception:\n            pass\n"
+    )
+    assert type_error_handlers(source) == ["<module>", "f", "g", "g"]
+
+
+def test_only_errors_turns_a_type_error_into_a_refusal():
+    # Sequence arguments are read by errors.as_items alone. The clauses left
+    # read no sequence: a C-speed string test, a feature tuple's sum and hash,
+    # one item's parts, the bounded grid read and a flag value's conversion.
+    found = {
+        path.stem: type_error_handlers(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "rotamert").glob("*.py"))
+        if path.stem != "errors"
+    }
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "cli": ["_convert"],
+        "corpus": ["_all_strings", "build_corpus", "build_corpus"],
+        "envelope": ["_pairs"],
+        "rotation": ["_grid", "_grid"],
+    }
+
+
 def test_wrong_types_raise_only_rotamert_errors():
     # Every function of __all__, line_search, kcd_lockstep, LineSearchResult.at
     # and PackedCorpus.plan, each argument in turn replaced by a wrong-type value.
@@ -273,7 +321,22 @@ def test_wrong_types_raise_only_rotamert_errors():
         ("rss_optimize", "grid", "[5]"),
         ("rss_optimize", "jobs", "5"),
     }
-    escaped = []
+    # Each sequence argument, by the name errors.as_items gives it in a refusal.
+    sequences = {
+        ("parse_nbest", "lines"): "lines",
+        ("parse_references", "streams"): "streams",
+        ("build_corpus", "feature_names"): "feature_names",
+        ("line_search", "starts"): "starts",
+        ("line_search", "plans"): "plans",
+        ("kcd_lockstep", "systems"): "systems",
+        ("plan", "d"): "a direction",
+        ("rss_optimize", "rotation_spec"): "rotation spec",
+        ("kcd_optimize", "init_w"): "initial weights",
+        ("kcd_lockstep", "init_w"): "initial weights",
+        ("rss_optimize", "init_w"): "initial weights",
+        ("at", "w"): "vector entries",
+    }
+    escaped, refusals = [], {}
     for function, good in table.items():
         for parameter in inspect.signature(function).parameters.values():
             if parameter.name in ("source", "sources"):
@@ -285,13 +348,20 @@ def test_wrong_types_raise_only_rotamert_errors():
                     continue
                 try:
                     function(**{**good, parameter.name: bad})
-                except RotamertError:
+                except RotamertError as exc:
+                    if (function.__name__, parameter.name) in sequences and label in ("5", "'x'"):
+                        refusals[function.__name__, parameter.name, label] = str(exc)
                     continue
                 except Exception as exc:  # noqa: BLE001 - any other class is the failure
                     escaped.append((function.__name__, parameter.name, label, type(exc).__name__))
                 else:
                     escaped.append((function.__name__, parameter.name, label, "accepted"))
     assert escaped == []
+    assert refusals == {
+        (name, parameter, label): f"{what} must be an iterable that is not a string, got {kind}"
+        for (name, parameter), what in sequences.items()
+        for label, kind in (("5", "int"), ("'x'", "str"))
+    }
 
 
 def test_package_raises_only_its_own_errors():

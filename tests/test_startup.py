@@ -1,6 +1,7 @@
 """Process start-up and package surface: one OpenBLAS thread, only the
 modules each command runs, no BLAS calls, no raise of a builtin
-exception, an ``__all__`` that is exactly the documented names and
+exception, no ``TypeError`` caught around a sequence read outside
+``rotamert.errors``, an ``__all__`` that is exactly the documented names and
 loads each submodule on first use, and README examples that run.
 
 ``rotamert/__init__.py`` loads numpy with a single OpenBLAS thread unless

@@ -62,6 +62,15 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _lines(text: str) -> list[str]:
+    """``text``'s lines as a text-mode file iterates them: ``read_text`` made every line end
+    ``\\n``, and ``str.splitlines`` would also split at form feeds, U+2028 and more."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or an empty text
+    return lines
+
+
 def _parse_path_list(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
@@ -183,7 +192,7 @@ def load_config(path: str) -> dict[str, str]:
     except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(body.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(body), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -221,8 +230,8 @@ def _load_corpus(nbest_path: str | None, ref_paths: tuple[str, ...], label: str)
     if not ref_paths:
         raise ConfigError(f"no {label} reference files configured")
     vocabulary = Vocabulary()
-    nbest = read_nbest(_read_text(nbest_path).splitlines(), nbest_path, vocabulary)
-    refs = reference_columns((_read_text(p).splitlines() for p in ref_paths), ref_paths, vocabulary)
+    nbest = read_nbest(_lines(_read_text(nbest_path)), nbest_path, vocabulary)
+    refs = reference_columns((_lines(_read_text(p)) for p in ref_paths), ref_paths, vocabulary)
     return PackedCorpus.pack(nbest, refs)
 
 
@@ -242,8 +251,8 @@ def _write_weights(out: Path, weights: tuple[float, ...]) -> None:
 def cmd_score(args: argparse.Namespace) -> int:
     # One file's text at a time becomes token ids; only the id columns are kept.
     vocabulary = Vocabulary()
-    hyps = vocabulary.column(_read_text(args.hyp).splitlines(), str.split)
-    refs = reference_columns((_read_text(p).splitlines() for p in args.refs), args.refs, vocabulary)
+    hyps = vocabulary.column(_lines(_read_text(args.hyp)), str.split)
+    refs = reference_columns((_lines(_read_text(p)) for p in args.refs), args.refs, vocabulary)
     lines, sentences = len(hyps.lengths), len(refs[0].lengths)
     if lines != sentences:
         raise LengthMismatch(f"{args.hyp} has {lines} lines, references have {sentences}")

@@ -43,6 +43,7 @@ from .errors import (
     NonNumericFeature,
     as_instance,
     as_items,
+    count_read,
 )
 
 FIELD_SEP = "|||"
@@ -310,7 +311,8 @@ def build_corpus(
     be strings, one per feature, and must not repeat.  The result is
     stable under a second application of this function to its own maps.
     Both maps hold iterables, of :class:`Hypothesis` and of token sequences,
-    read as ``feature_names`` are by :func:`~rotamert.errors.as_items`.
+    read as ``feature_names`` are by :func:`~rotamert.errors.as_items`; of
+    names without ``len``, at most one more than the feature count is read.
     """
     size = _check_ids(_sentence_ids(nbest, "nbest"), _sentence_ids(refs, "refs"))
     dim: int | None = None
@@ -370,11 +372,9 @@ def build_corpus(
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(dim))
     else:
-        names = as_items(feature_names, "feature_names")
+        names = as_items(feature_names, "feature_names", limit=dim + 1)
         if len(names) != dim:
-            raise InconsistentFeatureCount(
-                f"{len(names)} feature names for {dim} features"
-            )
+            raise InconsistentFeatureCount(f"{count_read(names, feature_names, dim)} feature names for {dim} features")
         if strange := [name for name in names if not isinstance(name, str)]:
             raise InconsistentFeatureCount(f"feature names must be strings, got {strange[0]!r}")
         if repeated := _repeated(names):

@@ -5,7 +5,8 @@ inconsistent data (the CLI maps it to exit code 2), :class:`ConfigError`
 covers invalid settings and parameters (exit code 3).  The readers
 :func:`as_real`, :func:`as_index`, :func:`as_reals`, :func:`as_items` and
 :func:`as_instance` turn a Python argument that is not a number, not a
-sequence or not of its type into such an error that names it.
+sequence or not of its type into such an error that names it;
+:func:`count_read` words how many items a bounded read found.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ def as_reals(values, dim: int, what: str) -> tuple[float, ...]:
     iterable without ``len``), each a real number as :func:`as_real` reads one."""
     items = as_items(values, what, limit=dim + 1)
     if len(items) != dim:
-        count = f"more than {dim}" if len(items) > dim and not isinstance(values, Sized) else len(items)
-        raise DimensionMismatch(f"{count} {what} for {dim} features")
+        raise DimensionMismatch(f"{count_read(items, values, dim)} {what} for {dim} features")
     reals = tuple(float(v) for v in items if isinstance(v, numbers.Real) and not isinstance(v, bool))
     if len(reals) != dim:
         raise ConfigError(f"{what} must be real numbers, got {' '.join(map(repr, items))}")
@@ -115,6 +115,12 @@ def as_items(values, what: str, kind: type = object, limit: int | None = None) -
         if not isinstance(item, kind):
             raise ConfigError(f"{what} must hold only {kind.__name__} items, got {type(item).__name__}")
     return items
+
+
+def count_read(items: tuple, values, dim: int) -> int | str:
+    """How many ``items`` :func:`as_items` read from ``values`` with ``limit=dim + 1``, for a
+    message: ``more than dim`` if that read stopped an iterable without ``len`` early."""
+    return f"more than {dim}" if len(items) > dim and not isinstance(values, Sized) else len(items)
 
 
 def as_instance(value, kind: type, what: str):

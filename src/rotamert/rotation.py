@@ -7,17 +7,16 @@ search runs the full coordinate descent once per alpha from the same
 starting weights, scores every run on the closed (tuning) corpus and on
 the open (held-out) corpus, and selects the alpha with the best closed
 score.  Open scores are recorded for reporting only; they never
-influence the selection.  The points are independent, so after the
-first they run in-process as one :func:`~rotamert.descent.kcd_lockstep`
-call, whose blocks of descents share each step, or one point per pool
-task.
+influence the selection.  The points are independent, so they all run
+in-process as one :func:`~rotamert.descent.kcd_lockstep` call, whose
+blocks of descents share each step, or all in a process pool, one point
+per task; sizes known before any descent choose which.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -39,11 +38,10 @@ from .errors import (
 ZERO_SNAP = 1e-12
 # Each grid point is a full descent run.
 MAX_GRID_POINTS = 10_001
-# Worker processes start only when the first grid point's CPU time times
-# the number of points left is at least this: twice the remainder at which
-# two workers were measured to first beat one process on wall time, so a
-# pool that starts saves clearly more than its start-up (see the README).
-POOL_MIN_SECONDS = 0.5
+# Worker processes start only when the grid's rows per sweep (closed rows
+# x features x points) are at least this.  Below it, two workers were
+# measured to save less wall time than the CPU time they add (see the README).
+POOL_MIN_ROWS = 2**19
 
 
 @dataclass(frozen=True)
@@ -221,16 +219,15 @@ def rss_optimize(
 
     Each corpus is a :class:`PackedCorpus`.  Every point's system is
     built by :func:`grid_systems`' gate, which reads ``rotation_spec``
-    once, and every run starts from the same ``init_w``.  The first
-    point runs in-process; up to ``jobs`` worker processes (an integer
-    read by :func:`~rotamert.errors.as_index`, at least 1), but no more
-    than the CPU count, run the rest when at least two points remain
-    and the first point's CPU time times their number is at least
-    ``POOL_MIN_SECONDS``, and otherwise they run in-process too.  A pool
-    task is one point.  In-process, the rest are one
-    :func:`~rotamert.descent.kcd_lockstep` call, each point scored as it
-    is yielded, so the error raised is the one a serial run meets first.
-    Every record equals the point's lone descent bit for bit.
+    once, and every run starts from the same ``init_w``.  ``workers =
+    min(jobs, points, CPU count)`` processes, ``jobs`` being an integer
+    read by :func:`~rotamert.errors.as_index` of at least 1, run every
+    point, one per pool task, when there are at least two of them and
+    the closed corpus' rows times its features times the points reach
+    ``POOL_MIN_ROWS``.  Otherwise every point runs in-process in one
+    :func:`~rotamert.descent.kcd_lockstep` call, each scored as it is
+    yielded.  Either way the error raised is the one a serial run meets
+    first, and every record equals the point's lone descent bit for bit.
     Selection maximizes the closed (tuning) BLEU; ties prefer the
     smallest ``|alpha|``, then the negative one.  The baseline is the
     gridded pair's alpha = 0 record, when the grid contains it, with the
@@ -248,19 +245,16 @@ def rss_optimize(
     points, has_baseline = _grid(dim, rotation_spec, grid)
 
     task = (closed_corpus, open_corpus, init_w, config)
-    started = time.process_time()
-    records = _grid_block(task, points[:1])
-    rest = points[1:]
-    workers = min(jobs, len(rest), os.cpu_count() or 1)
-    if workers > 1 and (time.process_time() - started) * len(rest) >= POOL_MIN_SECONDS:
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1 and len(closed_corpus.stats) * dim * len(points) >= POOL_MIN_ROWS:
         from concurrent.futures import ProcessPoolExecutor
 
         # Each worker receives the task once (inherited under fork, pickled
         # once under spawn or forkserver); a grid point sends (alpha, system).
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(task,)) as pool:
-            records += tuple(pool.map(_worker_point, rest))
-    elif rest:
-        records += _grid_block(task, rest)
+            records = tuple(pool.map(_worker_point, points))
+    else:
+        records = _grid_block(task, points)
 
     best = min(records, key=lambda r: (-r.closed_bleu, abs(r.alpha), r.alpha))
     baseline = next((r for r in records if r.alpha == 0.0), None) if has_baseline else None

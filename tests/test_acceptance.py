@@ -245,11 +245,11 @@ def test_criterion_8_grid_cardinality_and_report_layout():
 
 
 def test_criterion_9_parallelism_is_byte_identical(monkeypatch):
-    # Workers start for any amount of work; the first point runs in-process.
-    monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+    # Workers start for any amount of work.
+    monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # and on any host
     with criterion(9, "parallel and serial runs produce byte-identical output"):
-        # Two points after the first, so the rss process pool really starts workers.
+        # Three points, so the rss process pool really starts workers.
         grid = (-0.5, 0.0, 0.5)
         for seed in list(range(30)) + list(range(0, 1000, 97)):
             corpus = ray_instance(seed, min_features=2)[1]

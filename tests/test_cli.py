@@ -27,10 +27,14 @@ SPAWN_MAIN = (
     "import multiprocessing, sys\n"
     "multiprocessing.set_start_method('spawn', force=True)\n"
     "import rotamert.rotation\n"
-    "rotamert.rotation.POOL_MIN_SECONDS = 0.0\n"
+    "rotamert.rotation.POOL_MIN_ROWS = 0\n"
     "from rotamert.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
+
+# Characters at which str.splitlines breaks a line and text-mode files do not;
+# each is whitespace to str.split, so inside a line it separates tokens.
+INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 # Byte 0xff starts no UTF-8 sequence; input files are read in the locale's encoding.
 UNDECODABLE = b"a \xff b\n"
@@ -49,6 +53,13 @@ needs_strict_encoding = pytest.mark.skipif(
 )
 # --out targets that cannot be a directory: a regular file, and a path inside one.
 BLOCKED_OUT = [("taken",), ("taken", "run")]
+
+
+def spawn_main(argv):
+    """The CLI on ``argv`` in a fresh interpreter by :data:`SPAWN_MAIN`, its output captured."""
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", SPAWN_MAIN, *argv], capture_output=True, env=env, timeout=120)
 
 
 def run(argv, capsys):
@@ -140,6 +151,18 @@ class TestScore:
         assert code == 0
         assert expected.bleu > 0.0
         assert out == f"{expected.bleu * 100.0:.2f}\n"
+
+    @pytest.mark.parametrize("separator", INLINE_BREAKS)
+    def test_lines_split_only_at_line_ends(self, separator, tmp_path, capsys):
+        # Each file holds 2 lines; the separator stands for a space inside one of each.
+        scores = []
+        for name, sep in (("clean", " "), ("broken", separator)):
+            hyp, ref = tmp_path / f"{name}.hyp", tmp_path / f"{name}.ref"
+            hyp.write_text(f"the cat sat{sep}on the mat\na dog ran in the park\n", encoding="utf-8")
+            ref.write_text(f"the cat sat on the mat\na dog ran{sep}in the park today\n", encoding="utf-8")
+            scores.append(run(["score", str(hyp), str(ref)], capsys))
+        assert scores[0] == (0, "92.00\n", "")
+        assert scores[1] == scores[0]
 
     def test_line_count_mismatch_exits_2(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -281,6 +304,24 @@ class TestMert:
         trace_rows = (out_dir / "trace.tsv").read_text().splitlines()
         assert trace_rows[0] == "iter\tdim\tgamma\terror\tbleu"
         assert len(trace_rows) > 1
+
+    def test_a_line_break_inside_the_token_field_keeps_the_line(self, adversarial_files, tmp_path, capsys):
+        nbest, ref = adversarial_files
+        clean = nbest.read_text(encoding="utf-8")
+        first, rest = clean.split("\n", 1)
+        fields = first.split(" ||| ")
+        assert " " in fields[1]
+        fields[1] = fields[1].replace(" ", "\u2028", 1)
+        broken = tmp_path / "broken.nbest"
+        broken.write_text(" ||| ".join(fields) + "\n" + rest, encoding="utf-8")
+        outputs = []
+        for name, path in (("clean", nbest), ("broken", broken)):
+            out_dir = tmp_path / name
+            argv = ["mert", "--nbest", str(path), "--refs", str(ref), "--init-weights", "1 1", "--out", str(out_dir)]
+            code, stdout, err = run(argv, capsys)
+            assert code == 0, err
+            outputs.append((stdout, (out_dir / "weights.txt").read_text(), (out_dir / "trace.tsv").read_text()))
+        assert outputs[1] == outputs[0]
 
     def test_init_weights_from_file(self, adversarial_files, tmp_path, capsys):
         nbest, ref = adversarial_files
@@ -821,7 +862,7 @@ class TestRss:
         monkeypatch.setattr(rotamert.descent, "_lockstep", counted_lockstep)
         argv = self.rss_args(adversarial_files, "--rotate", "0:1", "--out", str(tmp_path / "out"))
         blocked = run(argv, capsys)
-        assert blocks[:3] == [1, 20, 1]  # the first point alone, one block of the rest, its serial rerun
+        assert blocks == [21] + [1] * 16  # one block of the grid, then its serial rerun up to alpha +0.5
         assert blocked == (2, "", "error: alpha +0.5 fails at sweep 2\n")
         # One descent per block and one search per call is the serial run.
         monkeypatch.setattr(rotamert.descent, "BLOCK_ROWS", 1)
@@ -839,21 +880,31 @@ class TestRss:
         for side, prefix in (("closed", "--"), ("open", "--open-")):
             refs = ",".join(str(data / f"{side}.ref{j}") for j in range(4))
             args += [f"{prefix}nbest", str(data / f"{side}.nbest"), f"{prefix}refs", refs]
-        path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         outputs = []
         for jobs in ("1", "2"):
             out_dir = tmp_path / f"jobs{jobs}"
-            proc = subprocess.run(
-                [sys.executable, "-c", SPAWN_MAIN, *args, "--jobs", jobs, "--out", str(out_dir)],
-                capture_output=True,
-                env=env,
-                timeout=120,
-            )
+            proc = spawn_main([*args, "--jobs", jobs, "--out", str(out_dir)])
             assert proc.returncode == 0, proc.stderr.decode()
             written = [(out_dir / name).read_bytes() for name in ("report.tsv", "weights.txt")]
             outputs.append((proc.stdout, *written))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+    def test_a_failing_pooled_grid_prints_the_serial_error(self, tmp_path):
+        # From weights (1, 0) the first point, alpha -1, descends; at the
+        # second, alpha -0.9, the tilted axis' scores overflow.  Every point
+        # runs in a worker, the first too.
+        nbest, ref = tmp_path / "big.nbest", tmp_path / "big.ref"
+        nbest.write_text(
+            "0 ||| a b ||| 1e308 1e308 ||| 0\n0 ||| a c ||| 0 0 ||| 0\n"
+            "1 ||| b c ||| 0 0 ||| 0\n1 ||| c ||| 1e308 1e308 ||| 0\n"
+        )
+        ref.write_text("a b\nb c\n")
+        args = ["rss", "--rotate", "0:1", "--init-weights", "1 0"]
+        args += ["--nbest", str(nbest), "--refs", str(ref), "--open-nbest", str(nbest), "--open-refs", str(ref)]
+        runs = [spawn_main([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) for jobs in ("1", "2")]
+        message = b"error: feature values times weights overflow: a hypothesis score is not finite\n"
+        assert [(proc.returncode, proc.stdout, proc.stderr) for proc in runs] == [(2, b"", message)] * 2
 
 
 # Malformed inputs: N-best text, reference texts, and the error class and

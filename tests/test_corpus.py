@@ -30,6 +30,8 @@ from rotamert.errors import (
     NonNumericFeature,
 )
 
+from instances import counted
+
 
 def lines(*rows):
     return list(rows)
@@ -306,6 +308,16 @@ class TestBuildCorpus:
         nbest, refs = tiny_corpus()
         with pytest.raises(InconsistentFeatureCount):
             build_corpus(nbest, refs, ["only_one"])
+        with pytest.raises(InconsistentFeatureCount, match="^3 feature names for 2 features$"):
+            build_corpus(nbest, refs, ["x", "y", "z"])
+
+    def test_endless_feature_names_are_read_at_most_one_past_the_dimension(self):
+        nbest, refs = tiny_corpus()
+        read = []
+        names = counted((f"n{i}" for i in range(100_000)), read)
+        with pytest.raises(InconsistentFeatureCount, match="^more than 2 feature names for 2 features$"):
+            build_corpus(nbest, refs, names)
+        assert len(read) == 3
 
     def test_feature_names_must_not_repeat(self):
         nbest, refs = tiny_corpus()

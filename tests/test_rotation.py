@@ -4,7 +4,6 @@ import os
 import pickle
 import re
 import tracemalloc
-import types
 from dataclasses import fields
 from functools import partial
 
@@ -39,7 +38,7 @@ from rotamert.rotation import (
 )
 from rotamert.synthetic import SynthSpec, generate
 
-from instances import adversarial_certificate, adversarial_instance, counted, random_corpus
+from instances import adversarial_certificate, adversarial_instance, counted, pack_rows, random_corpus
 from oracles import dense_axis, first_argmax, selection_error
 
 
@@ -603,7 +602,7 @@ class TestRssOptimize:
             rss_optimize(corpus, other, rotation_spec=((0, 1),))
 
     def test_process_parallelism_changes_nothing(self, monkeypatch):
-        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
         corpus = PackedCorpus.of(adversarial_instance())
         serial = rss_optimize(
@@ -627,27 +626,58 @@ class TestRssOptimize:
         def refuse(*args, **kwargs):
             raise AssertionError("one grid point must run in-process")
 
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", 0)  # any amount of work
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # and on any host
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         for spec, expected in zip(specs, serial):
             assert rss_optimize(corpus, corpus, (1.0, 1.0), **spec, jobs=4) == expected
 
-    def test_short_grid_starts_no_pool(self, monkeypatch):
-        # 20 points left of 3 ms each are far below POOL_MIN_SECONDS.  The
-        # CPU clock is stubbed, so a loaded host cannot start the pool.
-        corpus = PackedCorpus.of(adversarial_instance())
-        serial = rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),))
+    @pytest.mark.parametrize(
+        "rows, features, points, jobs, cpus, workers",
+        [
+            # (rows, features, points) at the constant start the pool, one row fewer does not.
+            ("at", 4, 21, 2, 2, 2),
+            ("below", 4, 21, 2, 2, None),
+            ("at", 8, 16, 4, 2, 2),
+            ("below", 8, 16, 4, 2, None),
+            ("at", 8, 3, 8, 8, 3),  # no more workers than points
+            ("at", 3, 21, 8, 4, 4),  # nor than CPUs
+            ("at", 3, 21, 3, 4, 3),  # nor than jobs
+            # One worker is no pool, whatever the size.
+            ("at", 4, 1, 4, 4, None),
+            ("at", 4, 21, 1, 4, None),
+            ("at", 4, 21, 4, 1, None),
+            (30 * 25, 4, 21, 2, 2, None),  # the rss-grid benchmark's size stays serial
+        ],
+    )
+    def test_the_pool_rule_reads_only_sizes(self, monkeypatch, rows, features, points, jobs, cpus, workers):
+        # Stubs record how the points would run, and raise before a process
+        # exists or a point descends, so no clock or host is read.
+        started = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a short grid must run in-process")
+        class Ran(Exception):
+            pass
 
-        clock = itertools.count(0.0, 0.003)
-        monkeypatch.setattr(rotamert.rotation, "time", types.SimpleNamespace(process_time=lambda: next(clock)))
-        assert 20 * 0.003 < rotamert.rotation.POOL_MIN_SECONDS
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the rule is read on any host
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        assert rss_optimize(corpus, corpus, (1.0, 1.0), rotation_spec=((0, 1),), jobs=2) == serial
+        def record(kind):
+            def stub(*args, **kwargs):
+                started.append(args[0] if kind == "pool" else kind)
+                raise Ran
 
-    def test_pool_needs_two_remaining_points_and_enough_work(self, monkeypatch):
+            return stub
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record("pool"))
+        monkeypatch.setattr(rotamert.rotation, "_grid_block", record("in-process"))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if rows in ("at", "below"):
+            # The fewest rows whose grid reaches the constant, or one row fewer.
+            rows = -(-rotamert.rotation.POOL_MIN_ROWS // (features * points)) - (rows == "below")
+        packed = pack_rows(np.zeros((rows, features)), [rows], np.zeros((rows, 10), dtype=np.int64))
+        grid = [k / 10 for k in range(points)]
+        with pytest.raises(Ran):
+            rss_optimize(packed, packed, rotation_spec=((0, 1),), grid=grid, jobs=jobs)
+        assert started == [workers or "in-process"]
+
+    def test_pool_needs_two_points_and_enough_work(self, monkeypatch):
         corpus = PackedCorpus.of(adversarial_instance())
         started = []
 
@@ -657,16 +687,17 @@ class TestRssOptimize:
                 super().__init__(workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
         spec = dict(rotation_spec=((0, 1),), jobs=4)
-        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.0, 0.5], **spec)
-        assert started == []  # one point left after the first
-        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[-0.5, 0.0, 0.5], **spec)
-        assert started == [2]  # no more workers than points left
-        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", float("inf"))
-        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[-0.5, 0.0, 0.5], **spec)
-        assert started == [2]
+        serial = rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.0, 0.5], rotation_spec=((0, 1),))
+        assert rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.0, 0.5], **spec) == serial
+        assert started == [2]  # every point runs in the pool, the first too
+        rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.5], **spec)
+        assert started == [2]  # one point is no pool
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", len(corpus.stats) * 2 * 2 + 1)
+        assert rss_optimize(corpus, corpus, (1.0, 1.0), grid=[0.0, 0.5], **spec) == serial
+        assert started == [2]  # the grid one row short of the constant
 
     def test_workers_never_outnumber_the_cpus(self, monkeypatch):
         # The stub records the pool's size, then raises before any process exists.
@@ -680,7 +711,7 @@ class TestRssOptimize:
             raise NoPool
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
-        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         corpus = PackedCorpus.of(adversarial_instance())
         spec = dict(rotation_spec=((0, 1),), grid=AlphaGrid(0.0, 10_000.0, 1.0), jobs=10_000)
@@ -689,7 +720,7 @@ class TestRssOptimize:
         assert requested == [2]
 
     def test_no_corpus_object_crosses_the_process_boundary(self, monkeypatch):
-        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(rotamert.rotation, "POOL_MIN_ROWS", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool starts on any host
         adv = PackedCorpus.of(adversarial_instance())
         serial = rss_optimize(adv, adv, (1.0, 1.0), rotation_spec=((0, 1),))
